@@ -21,9 +21,7 @@ import numpy as np
 from .errors import HypothesisViolated, TooCoarse
 from .geometry import (
     GRAD_FLOOR,
-    Convexity,
     TestFunctionSpec,
-    convexity_classify,
     curvature_matrix,
     level_curve_curvature_2d,
     weighted_curvature,
@@ -101,9 +99,19 @@ class CorollaryBound:
 # psi fields on solutions
 # ---------------------------------------------------------------------------
 
+def _u_jets(solution: RingSolution):
+    """Degree-3 (grad, hess) of a 2D solution, fitted once and shared by every check."""
+    if solution._jets3 is None:
+        jets = grid_field_fit(solution, solution.values, degree=3)
+        for a in jets:
+            a.flags.writeable = False
+        solution._jets3 = jets
+    return solution._jets3
+
+
 def _psi_field_ring2d(solution: RingSolution, spec: TestFunctionSpec | None):
     """(psi, K, grad_norm, kappa_geo, flip_note) node fields on the full grid."""
-    grads, hesses = grid_field_fit(solution, solution.values, degree=3)
+    grads, hesses = _u_jets(solution)
     gnorm = np.linalg.norm(grads, axis=-1)
     if float(np.min(gnorm)) < GRAD_FLOOR:
         bad = np.argwhere(gnorm < GRAD_FLOOR)[:10]
@@ -409,7 +417,7 @@ def check_gradient_monotonicity(
         n_layers = solution.values.shape[0]
         _check_layers(n_layers)
         _guard_ring_resolution(solution)
-        grads, hesses = grid_field_fit(solution, solution.values, degree=3)
+        grads, hesses = _u_jets(solution)
         gnorm = np.linalg.norm(grads, axis=-1)
         if float(np.min(gnorm)) < GRAD_FLOOR:
             raise HypothesisViolated("|grad u| below floor somewhere on the grid")
@@ -483,7 +491,11 @@ def _discrete_lb_residual(solution: RingSolution) -> float:
     """
     n_layers = solution.values.shape[0]
     spec = TestFunctionSpec.minimal_theta(-0.5)
-    grads, hesses = grid_field_fit(solution, solution.values, degree=4)
+    # stay clear of the one-sided fit rows on both passes
+    deep = slice(7, n_layers - 7)
+    grads, hesses, hess_rows = grid_field_fit(
+        solution, solution.values, degree=4, hessian_rows=deep
+    )
     gnorm = np.linalg.norm(grads, axis=-1)
     if float(np.min(gnorm)) < GRAD_FLOOR:
         raise HypothesisViolated("|grad u| below floor on the grid")
@@ -494,16 +506,14 @@ def _discrete_lb_residual(solution: RingSolution) -> float:
     _require_strict_convexity(kappa_geo, interior, "psi harmonicity")
     t = gnorm**2
     psi = spec.weight(t) * kappa_geo
-    _, psi_hess = grid_field_fit(solution, psi, degree=4)
-    g1, g2 = grads[..., 0], grads[..., 1]
+    psi_hess = hess_rows.apply(psi)
+    g1, g2, t = grads[deep, :, 0], grads[deep, :, 1], t[deep]
     lb = (
         (1.0 + t - g1 * g1) * psi_hess[..., 0, 0]
         - 2.0 * g1 * g2 * psi_hess[..., 0, 1]
         + (1.0 + t - g2 * g2) * psi_hess[..., 1, 1]
     )
-    # stay clear of the one-sided fit rows on both passes
-    deep = slice(7, n_layers - 7)
-    return float(np.max(np.abs(lb[deep])))
+    return float(np.max(np.abs(lb)))
 
 
 def check_harmonic_psi_2d(source, points=None, tol: float = 1e-6) -> CheckReport:

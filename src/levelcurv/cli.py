@@ -61,7 +61,8 @@ LEMMA32_EQUALITY = 1e-12
 
 
 def _check_entry(name: str, margin: float, tolerance: float, passed: bool, **extra) -> dict:
-    entry = {"name": name, "margin": margin, "tolerance": tolerance, "pass": passed}
+    entry = {"name": name, "margin": float(margin), "tolerance": float(tolerance),
+             "pass": bool(passed)}
     entry.update(extra)
     return entry
 

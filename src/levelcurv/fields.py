@@ -2,8 +2,7 @@
 
 These are the independent references the solvers and identity checks are
 measured against: radial minimal graphs (catenoid family), the Scherk-type
-minimal graph, radial harmonic fields on annuli, and the distance cone whose
-level sets are spheres.
+minimal graph, and the distance cone whose level sets are spheres.
 """
 
 from __future__ import annotations
@@ -132,60 +131,6 @@ class SphereDistanceField:
         x = np.asarray(x, dtype=float)
         center = np.asarray(self.center if self.center else np.zeros(self.dim))
         return self.sign * float(np.linalg.norm(x - center))
-
-
-@dataclass(frozen=True)
-class HarmonicAnnulusField:
-    """Radial harmonic function on the annulus a < r < b with constant data.
-
-    n = 2: u = A + B log r; n >= 3: u = A + B r^(2-n).  Defaults reproduce the
-    convex-ring convention u = inner_value on r = a, outer_value on r = b.
-    """
-
-    n: int
-    a: float
-    b: float
-    inner_value: float = 1.0
-    outer_value: float = 0.0
-
-    def _coeffs(self) -> tuple[float, float]:
-        if self.n == 2:
-            pa, pb = math.log(self.a), math.log(self.b)
-        else:
-            pa, pb = self.a ** (2 - self.n), self.b ** (2 - self.n)
-        bcoef = (self.inner_value - self.outer_value) / (pa - pb)
-        acoef = self.outer_value - bcoef * pb
-        return acoef, bcoef
-
-    def value(self, x) -> float:
-        r = float(np.linalg.norm(np.asarray(x, dtype=float)))
-        acoef, bcoef = self._coeffs()
-        basis = math.log(r) if self.n == 2 else r ** (2 - self.n)
-        return acoef + bcoef * basis
-
-    def value_r(self, r: float) -> float:
-        acoef, bcoef = self._coeffs()
-        basis = math.log(r) if self.n == 2 else r ** (2 - self.n)
-        return acoef + bcoef * basis
-
-    def u_prime(self, r: float) -> float:
-        _, bcoef = self._coeffs()
-        if self.n == 2:
-            return bcoef / r
-        return bcoef * (2 - self.n) * r ** (1 - self.n)
-
-    def jet(self, x, order: int = 3) -> Jet:
-        x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        _, bcoef = self._coeffs()
-        if self.n == 2:
-            up, upp, uppp = bcoef / r, -bcoef / r**2, 2.0 * bcoef / r**3
-        else:
-            k = 2 - self.n
-            up = bcoef * k * r ** (k - 1)
-            upp = bcoef * k * (k - 1) * r ** (k - 2)
-            uppp = bcoef * k * (k - 1) * (k - 2) * r ** (k - 3)
-        return radial_jet(x, up, upp, uppp if order >= 3 else None, order)
 
 
 def catenoid_value(r: float, n: int = 2, anchor: float | None = None) -> float:

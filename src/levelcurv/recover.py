@@ -5,12 +5,18 @@ coordinates, centered and scaled at the evaluation point: a degree-(order+1)
 fit reproduces polynomial data of that degree exactly (to conditioning), and
 on smooth data the Hessian converges at second order.
 
-Two granularities are provided: a single-point API, and batched recovery at
-every grid node (the hot path of the theorem checks) which fits one small
-normal-equation system per node with shared windows per row.
+One engine serves both granularities.  For each expansion center it solves
+the weighted normal equations only for the derivative coefficients asked
+for, which turns the fit into a few rows that map window values to
+derivatives.  Batched recovery at every grid node (the hot path of the
+theorem checks) builds those rows one s-row at a time and applies them with
+one gather and one matmul; the single-point API is a one-node call.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,112 +27,138 @@ from .solution import RingSolution
 
 _MIN_LAYERS = {2: 2, 3: 3}
 
+# derivative multi-indices (i, j) of d^(i+j) / dx^i dy^j
+_GRAD_HESS = ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2))
+_THIRD = ((3, 0), (2, 1), (1, 2), (0, 3))
+
 
 # ---------------------------------------------------------------------------
-# polynomial bases
+# the fit engine
 # ---------------------------------------------------------------------------
-
-def _basis_exponents_2d(degree: int) -> list[tuple[int, int]]:
-    return [(i, j) for total in range(degree + 1) for i in range(total + 1) for j in [total - i]]
-
 
 def _design_matrix_2d(dx: np.ndarray, dy: np.ndarray, degree: int) -> np.ndarray:
-    cols = [dx**i * dy**j for i, j in _basis_exponents_2d(degree)]
-    return np.stack(cols, axis=-1)
+    """(..., k, m) monomials dx^i dy^j, by total degree i+j and then by i.
+
+    dx^i dy^j is row (i+j)(i+j+1)/2 + i.  Built by running products: each
+    degree block is the previous block times dx, plus its first monomial
+    times dy.
+    """
+    k = (degree + 1) * (degree + 2) // 2
+    out = np.empty(dx.shape[:-1] + (k, dx.shape[-1]))
+    out[..., 0, :] = 1.0
+    n = 1
+    for total in range(1, degree + 1):
+        prev = n - total  # the degree total-1 block is out[prev:n], (0, total-1) first
+        np.multiply(out[..., prev, :], dy, out=out[..., n, :])
+        np.multiply(out[..., prev:n, :], dx[..., None, :], out=out[..., n + 1:n + 1 + total, :])
+        n += total + 1
+    return out
 
 
-def _jet_from_coeffs_2d(coeffs: np.ndarray, scale: float, degree: int):
-    """Gradient/Hessian/third at the expansion center from fit coefficients."""
-    exps = _basis_exponents_2d(degree)
-    index = {e: k for k, e in enumerate(exps)}
-
-    def c(i, j):
-        k = index.get((i, j))
-        return coeffs[..., k] if k is not None else 0.0
-
-    grad = np.stack([c(1, 0), c(0, 1)], axis=-1) / scale
-    hess = np.empty(coeffs.shape[:-1] + (2, 2))
-    hess[..., 0, 0] = 2.0 * c(2, 0)
-    hess[..., 1, 1] = 2.0 * c(0, 2)
-    hess[..., 0, 1] = hess[..., 1, 0] = c(1, 1)
-    hess = hess / scale**2
-    third = None
-    if degree >= 3:
-        third = np.empty(coeffs.shape[:-1] + (2, 2, 2))
-        third[..., 0, 0, 0] = 6.0 * c(3, 0)
-        third[..., 1, 1, 1] = 6.0 * c(0, 3)
-        t001 = 2.0 * c(2, 1)
-        t011 = 2.0 * c(1, 2)
-        third[..., 0, 0, 1] = third[..., 0, 1, 0] = third[..., 1, 0, 0] = t001
-        third[..., 0, 1, 1] = third[..., 1, 0, 1] = third[..., 1, 1, 0] = t011
-        third = third / scale**3
-    return grad, hess, third
+def _half_width(degree: int) -> int:
+    return 2 if degree <= 3 else 3
 
 
-# ---------------------------------------------------------------------------
-# batched recovery on 2D grids
-# ---------------------------------------------------------------------------
+def _window_index(i: int, cols: np.ndarray, ns: int, nt: int, half: int) -> np.ndarray:
+    """Flat node indices (len(cols), w*w) of the windows centered on nodes (i, cols).
 
-def _row_window(i: int, ns: int, half: int) -> slice:
-    lo = min(max(i - half, 0), ns - (2 * half + 1))
-    return slice(lo, lo + 2 * half + 1)
+    Windows near the s boundaries shift inward (one-sided); t is periodic.
+    """
+    w = 2 * half + 1
+    lo = min(max(i - half, 0), ns - w)
+    rows = (lo + np.arange(w)) * nt
+    cw = (cols[:, None] + np.arange(-half, half + 1)) % nt
+    return (rows[None, :, None] + cw[:, None, :]).reshape(len(cols), w * w)
+
+
+def _derivative_rows(d: np.ndarray, degree: int, exps) -> np.ndarray:
+    """(P, len(exps), m) rows mapping window values to derivatives at P centers.
+
+    d holds the (P, m, 2) window offsets from each center.  With B the scaled
+    design matrix and W the Gaussian weights, the fitted coefficient vector is
+    G^{-1} B^T W f with G = B^T W B, so G Y = E is solved only for the
+    requested coefficients and the rows are (W B Y)^T, carrying the factorial
+    and scale factors of each derivative.
+    """
+    scale = np.maximum(np.median(np.linalg.norm(d, axis=-1), axis=1), 1e-300)
+    dx = d[..., 0] / scale[:, None]
+    dy = d[..., 1] / scale[:, None]
+    b = _design_matrix_2d(dx, dy, degree)                              # (P, k, m)
+    bw = b * np.exp(-(dx * dx + dy * dy))[:, None, :]
+    sel = np.zeros((b.shape[-2], len(exps)))
+    for r, (i, j) in enumerate(exps):
+        sel[(i + j) * (i + j + 1) // 2 + i, r] = math.factorial(i) * math.factorial(j)
+    y = np.linalg.solve(bw @ np.swapaxes(b, 1, 2), sel)               # (P, k, r)
+    rows = np.swapaxes(y, 1, 2) @ bw                                   # (P, r, m)
+    powers = np.array([i + j for i, j in exps])
+    return rows / scale[:, None, None] ** powers[:, None]
+
+
+def _hessian(h: np.ndarray) -> np.ndarray:
+    """(..., 2, 2) symmetric matrices from (..., 3) entries (xx, xy, yy)."""
+    return np.stack([h[..., 0], h[..., 1], h[..., 1], h[..., 2]], axis=-1).reshape(
+        h.shape[:-1] + (2, 2)
+    )
+
+
+@dataclass(frozen=True)
+class HessianRows:
+    """The Hessian rows of a grid fit on a run of s-rows.
+
+    The fit weights depend only on node coordinates, so the same rows give
+    the fitted Hessian of any other node field on the same grid.
+    """
+
+    index: np.ndarray  # (rows, N_t, m) flat node indices of each fit window
+    ops: np.ndarray    # (rows, N_t, 3, m) rows for (f_xx, f_xy, f_yy)
+
+    def apply(self, field: np.ndarray) -> np.ndarray:
+        """(rows, N_t, 2, 2) fitted Hessian of a node field: one gather, one matmul."""
+        window = field.reshape(-1)[self.index]
+        return _hessian((self.ops @ window[..., None])[..., 0])
 
 
 def grid_field_fit(
     solution: RingSolution,
     field: np.ndarray,
     degree: int = 3,
-    rows: slice | None = None,
-    with_third: bool = False,
+    hessian_rows: slice | None = None,
 ):
-    """Weighted LSQ fit of a node field at every grid node of selected rows.
+    """Weighted LSQ fit of a node field at every grid node.
 
-    Returns (grad, hess[, third]) arrays over (rows, N_t).  Rows near the s
-    boundaries use inward-shifted (one-sided) windows, so boundary rows are
-    legal evaluation points.
+    Returns (grad, hess) arrays over (N_s, N_t).  Rows near the s boundaries
+    use inward-shifted (one-sided) windows, so boundary rows are legal
+    evaluation points.  Given a slice of s-rows as ``hessian_rows``, also
+    returns the HessianRows of the fit on those rows.
     """
     if solution.kind != "ring2d":
         raise ValueError("grid_field_fit expects a 2D ring solution")
-    x = solution.coords
     ns, nt = field.shape
-    half = 2 if degree <= 3 else 3
+    half = _half_width(degree)
     if ns < 2 * half + 1:
         raise TooCloseToBoundary(f"grid has too few s-layers for degree {degree}")
-    row_range = range(ns)[rows] if rows is not None else range(ns)
-    n_basis = len(_basis_exponents_2d(degree))
-    grads = np.empty((len(row_range), nt, 2))
-    hesses = np.empty((len(row_range), nt, 2, 2))
-    thirds = np.empty((len(row_range), nt, 2, 2, 2)) if with_third else None
-
-    # column windows are periodic shifts: build index offsets once
-    offs = np.arange(-half, half + 1)
-    for out_i, i in enumerate(row_range):
-        rws = _row_window(i, ns, half)
-        cols = (np.arange(nt)[:, None] + offs[None, :]) % nt     # (nt, w)
-        xw = x[rws][:, cols]                                     # (w, nt, w, 2)
-        fw = field[rws][:, cols]                                 # (w, nt, w)
-        xw = np.transpose(xw, (1, 0, 2, 3)).reshape(nt, -1, 2)   # (nt, w*w, 2)
-        fw = np.transpose(fw, (1, 0, 2)).reshape(nt, -1)         # (nt, w*w)
-        center = x[i]                                            # (nt, 2)
-        d = xw - center[:, None, :]
-        scale = np.median(np.linalg.norm(d, axis=-1), axis=1)    # (nt,)
-        scale = np.maximum(scale, 1e-300)
-        dx = d[..., 0] / scale[:, None]
-        dy = d[..., 1] / scale[:, None]
-        b = _design_matrix_2d(dx, dy, degree)                    # (nt, w*w, nb)
-        w = np.exp(-(dx**2 + dy**2))
-        bw = b * w[..., None]
-        g = np.einsum("pki,pkj->pij", bw, b)
-        rhsv = np.einsum("pki,pk->pi", bw, fw)
-        coeffs = np.linalg.solve(g, rhsv[..., None])[..., 0]     # (nt, nb)
-        grad, hess, third = _jet_from_coeffs_2d(coeffs, 1.0, degree)
-        grads[out_i] = grad / scale[:, None]
-        hesses[out_i] = hess / scale[:, None, None] ** 2
-        if with_third:
-            thirds[out_i] = third / scale[:, None, None, None] ** 3
-    if with_third:
-        return grads, hesses, thirds
-    return grads, hesses
+    x = solution.coords.reshape(-1, 2)
+    f = field.reshape(-1)
+    kept = range(ns)[hessian_rows] if hessian_rows is not None else range(0)
+    m = (2 * half + 1) ** 2
+    kept_index = np.empty((len(kept), nt, m), dtype=np.intp)
+    kept_ops = np.empty((len(kept), nt, 3, m))
+    grads = np.empty((ns, nt, 2))
+    hesses = np.empty((ns, nt, 2, 2))
+    cols = np.arange(nt)
+    for i in range(ns):
+        idx = _window_index(i, cols, ns, nt, half)                    # (nt, m)
+        center = x[i * nt:(i + 1) * nt]
+        ops = _derivative_rows(x[idx] - center[:, None, :], degree, _GRAD_HESS)
+        d = (ops @ f[idx][..., None])[..., 0]                         # (nt, 5)
+        grads[i] = d[:, :2]
+        hesses[i] = _hessian(d[:, 2:])
+        if i in kept:
+            k = kept.index(i)
+            kept_index[k], kept_ops[k] = idx, ops[:, 2:]
+    if hessian_rows is None:
+        return grads, hesses
+    return grads, hesses, HessianRows(kept_index, kept_ops)
 
 
 # ---------------------------------------------------------------------------
@@ -198,7 +230,7 @@ def recover_jet(solution: RingSolution, point, order: int = 2) -> Jet:
         uppp = 6.0 * coeffs[3] / scale**3 if degree >= 3 else None
         return radial_jet(x, up, upp, uppp if order >= 3 else None, order)
 
-    # 2D ring
+    # 2D ring: one expansion center, the window of the nearest node
     point = np.asarray(point, dtype=float)
     x = solution.coords
     ns, nt = solution.values.shape
@@ -208,22 +240,13 @@ def recover_jet(solution: RingSolution, point, order: int = 2) -> Jet:
         raise TooCloseToBoundary(
             f"point maps to s-layer {i0}, within {min_layers} layers of the boundary"
         )
-    half = 2 if degree <= 3 else 3
-    rws = _row_window(i0, ns, half)
-    cols = (j0 + np.arange(-half, half + 1)) % nt
-    xw = x[rws][:, cols].reshape(-1, 2)
-    fw = solution.values[rws][:, cols].reshape(-1)
-    d = xw - point
-    scale = float(np.median(np.linalg.norm(d, axis=-1)))
-    dx, dy = d[:, 0] / scale, d[:, 1] / scale
-    b = _design_matrix_2d(dx, dy, degree)
-    w = np.exp(-(dx**2 + dy**2))
-    bw = b * w[:, None]
-    coeffs = np.linalg.solve(bw.T @ b, bw.T @ fw)
-    grad, hess, third = _jet_from_coeffs_2d(coeffs, 1.0, degree)
-    grad = grad / scale
-    hess = hess / scale**2
-    if order >= 3 and third is not None:
-        third = third / scale**3
-        return make_jet(grad, hess, third)
-    return make_jet(grad, hess)
+    idx = _window_index(int(i0), np.array([j0]), ns, nt, _half_width(degree))
+    exps = _GRAD_HESS + (_THIRD if order >= 3 else ())
+    ops = _derivative_rows(x.reshape(-1, 2)[idx] - point, degree, exps)[0]
+    d = ops @ solution.values.reshape(-1)[idx[0]]
+    grad, hess = d[:2], _hessian(d[2:5])
+    if order < 3:
+        return make_jet(grad, hess)
+    # f_xxx, f_xxy, f_xyy, f_yyy: entry [a, b, c] is picked by its count of y's
+    third = d[5 + np.indices((2, 2, 2)).sum(axis=0)]
+    return make_jet(grad, hess, third)

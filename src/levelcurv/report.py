@@ -82,10 +82,11 @@ def emit_report(report: dict, prefix: str, solutions=None) -> list[str]:
     out_dir = os.path.dirname(prefix)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
+    text = render_json(report)  # before any file is opened: a failed render writes nothing
     paths = []
     json_path = prefix + ".json"
     with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(render_json(report))
+        fh.write(text)
         fh.write("\n")
     paths.append(json_path)
     for name, sol in (solutions or {}).items():

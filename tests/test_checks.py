@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import levelcurv.checks as checks
+import levelcurv.recover as recover
 from levelcurv.checks import (
     CheckReport,
     check_extremum_on_boundary,
@@ -205,6 +207,26 @@ class TestHarmonicPsi:
         rep = check_harmonic_psi_2d(sols)
         assert rep.passed
         assert rep.margin >= 0  # measured order above 1.5
+
+    def test_fit_rows_built_once_per_grid(self, monkeypatch):
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=25, n_t=48)
+        sol = solve_minimal_ring2d(dom, np.zeros(48), np.ones(48))
+        fits, builds = [], []
+        real_fit, real_rows = checks.grid_field_fit, recover._derivative_rows
+
+        def counting_fit(*args, **kwargs):
+            fits.append(kwargs.get("degree"))
+            return real_fit(*args, **kwargs)
+
+        def counting_rows(*args):
+            builds.append(args[0].shape[0])
+            return real_rows(*args)
+
+        monkeypatch.setattr(checks, "grid_field_fit", counting_fit)
+        monkeypatch.setattr(recover, "_derivative_rows", counting_rows)
+        checks._discrete_lb_residual(sol)
+        assert fits == [4]  # u is fitted once; psi reuses the kept Hessian rows
+        assert builds == [48] * 25  # one build per s-row, none for psi
 
 
 class TestConvergenceStudy:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+import levelcurv.checks as checks
 from levelcurv.cli import main, run
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
@@ -123,6 +124,22 @@ class TestRunVerdicts:
         assert report["verdict"] == "NumericalFailure"
         assert report["error"]["type"] == "HypothesisViolated"
 
+    def test_min_and_max_share_one_fit(self, monkeypatch):
+        degrees = []
+        real_fit = checks.grid_field_fit
+
+        def counting_fit(*args, **kwargs):
+            degrees.append(kwargs.get("degree"))
+            return real_fit(*args, **kwargs)
+
+        monkeypatch.setattr(checks, "grid_field_fit", counting_fit)
+        cfg = parse_config(minimal_ring_config(checks=["min", "max"]))
+        report, _ = run(cfg)
+        assert report["verdict"] == "AllPass"
+        assert degrees == [3]
+        run(cfg)  # a new run solves anew and fits anew: nothing carries over
+        assert degrees == [3, 3]
+
     def test_jet_verify_suite(self):
         cfg = parse_config({"command": "jet-verify", "seed": 0,
                             "options": {"fields": 5, "dims": [2]}})
@@ -175,6 +192,16 @@ class TestExitCodes:
         path.write_text(json.dumps({"command": "lemma32"}))
         assert main(["solve", "--config", str(path), "--quiet"]) == 2
 
+    def test_jet_verify_report_written(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"command": "jet-verify",
+                                    "options": {"fields": 5, "dims": [2]}}))
+        out = tmp_path / "X"
+        assert main(["jet-verify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        report = parse_report((tmp_path / "X.json").read_text())
+        assert report["verdict"] == "AllPass"
+        assert all(c["pass"] is True for c in report["checks"])
+
     def test_grid_flag_override(self, tmp_path):
         cfg = minimal_ring_config()
         path = tmp_path / "cfg.json"
@@ -194,6 +221,11 @@ class TestReportEmission:
         parsed = parse_report(text1)
         assert render_json(parsed) + "\n" == text1
         assert parsed["verdict"] == report["verdict"]
+
+    def test_failed_render_writes_nothing(self, tmp_path):
+        with pytest.raises(TypeError):
+            emit_report({"value": object()}, str(tmp_path / "bad"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_float_precision_survives(self):
         obj = {"x": 1.0 / 3.0, "y": 0.1, "z": [math.pi, 1e-300]}

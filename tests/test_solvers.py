@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from levelcurv.errors import DidNotConverge, NoSolution
 from levelcurv.fields import catenoid_value
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import linear_u_rhs, zero_rhs
+from levelcurv import ring2d
 from levelcurv.ring2d import (
     Circle,
     Ellipse,
@@ -165,6 +167,24 @@ class TestRing2D:
         g_out, g_in = boundary_gradients(sol)
         assert np.max(np.abs(g_out - 1 / math.sqrt(15.0))) < 5e-4
         assert np.max(np.abs(g_in - 1 / math.sqrt(3.0))) < 5e-3
+
+    def test_boundary_gradients_reuse_solver_grid(self, monkeypatch):
+        dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=17, n_t=32)
+        sol = solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
+        built = []
+        real_init = ring2d.RingGrid.__init__
+
+        def counting_init(self, domain):
+            built.append(domain)
+            real_init(self, domain)
+
+        monkeypatch.setattr(ring2d.RingGrid, "__init__", counting_init)
+        g_out, g_in = boundary_gradients(sol)
+        assert built == []
+        # a solution that carries no grid gets one built, with the same result
+        ref_out, ref_in = boundary_gradients(dataclasses.replace(sol, grid=None))
+        assert len(built) == 1
+        assert np.array_equal(g_out, ref_out) and np.array_equal(g_in, ref_in)
 
     def test_determinism_bitwise(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=17, n_t=32)
