@@ -14,22 +14,25 @@ would poison the margins.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from .errors import HypothesisViolated, TooCoarse
-from .geometry import (
-    GRAD_FLOOR,
-    TestFunctionSpec,
-    curvature_matrix,
-    level_curve_curvature_2d,
-    weighted_curvature,
-)
+from .geometry import GRAD_FLOOR, TestFunctionSpec, curvature_matrix, level_curve_curvature_2d
 from .identities import lb_psi_residual_2d
 from .recover import grid_field_fit, radial_profile_fit
 from .rhs import admissibility_check, zero_rhs
-from .ring2d import Circle, RingDomain2D, boundary_gradients, solve_semilinear_ring2d, solve_minimal_ring2d
+from .ring2d import (
+    Circle,
+    RingDomain2D,
+    RingGrid,
+    boundary_gradients,
+    solve_minimal_ring2d,
+    solve_semilinear_ring2d,
+)
 from .fields import catenoid_value, radial_jet
 from .solution import RingSolution
 
@@ -96,82 +99,117 @@ class CorollaryBound:
 
 
 # ---------------------------------------------------------------------------
-# psi fields on solutions
+# the field bundle of a solution
 # ---------------------------------------------------------------------------
 
-def _u_jets(solution: RingSolution):
-    """Degree-3 (grad, hess) of a 2D solution, fitted once and shared by every check."""
-    if solution._jets3 is None:
-        jets = grid_field_fit(solution, solution.values, degree=3)
-        for a in jets:
-            a.flags.writeable = False
-        solution._jets3 = jets
-    return solution._jets3
+@dataclass(frozen=True)
+class _Fields:
+    """The derived node fields of one solution, which every check reads.
+
+    Fields are flat over the nodes: row-major (N_s * N_t,) on 2D grids,
+    (m,) on radial profiles.  ``interior`` slices them, ``boundary`` indexes
+    the outer then the inner row on 2D grids and samples [0, -1] radially.
+    """
+
+    gnorm: np.ndarray      # |grad u|
+    k: np.ndarray          # Gaussian curvature of the level set through each node
+    kappa_min: np.ndarray  # its smallest principal curvature (k itself in 2D)
+    deriv: np.ndarray      # grad(|grad u|^2) . grad u
+    notes: tuple
+    interior: slice
+    coords: np.ndarray     # (N, d) node coordinates
+    boundary: np.ndarray
+    node_shape: tuple      # shape of solution.values
+    boundary_gradients: Callable  # () -> (outer, inner) |grad u| on the boundary
+
+    def psi(self, spec: TestFunctionSpec | None) -> np.ndarray:
+        return spec.weight(self.gnorm**2) * self.k if spec is not None else self.k.copy()
+
+    def extremum(self, field: np.ndarray, pick, nodes) -> tuple:
+        """(value, location) of pick (np.argmin or np.argmax) over field[nodes]."""
+        values = field[nodes]
+        i = int(pick(values))
+        return float(values[i]), tuple(float(v) for v in self.coords[nodes][i])
+
+    def require_strict_convexity(self, what: str):
+        kappa = self.kappa_min[self.interior].reshape((-1,) + self.node_shape[1:])
+        bad = np.argwhere(kappa <= 0.0)
+        if bad.size:
+            raise HypothesisViolated(
+                f"level sets not strictly convex at {bad[:10].tolist()} "
+                f"(and possibly more) while checking {what}"
+            )
 
 
-def _psi_field_ring2d(solution: RingSolution, spec: TestFunctionSpec | None):
-    """(psi, K, grad_norm, kappa_geo, flip_note) node fields on the full grid."""
-    grads, hesses = _u_jets(solution)
-    gnorm = np.linalg.norm(grads, axis=-1)
+def _build_fields(solution: RingSolution, jets=None) -> _Fields:
+    """The field bundle from (grads, hesses) of a 2D solution or (u', u'') of a radial one.
+
+    jets defaults to the degree-3 fit of solution.values.  Raises on the
+    |grad u| floor and orients the curvature to be positive toward grad u.
+    """
+    node_shape = solution.values.shape
+    if solution.kind == "ring2d":
+        grads, hesses = jets if jets is not None else grid_field_fit(
+            solution, solution.values, degree=3)
+        gnorm = np.linalg.norm(grads, axis=-1)
+        _require_gradient_floor(gnorm)
+        kappa_pre = level_curve_curvature_2d(grads, hesses)
+        sign = math.copysign(1.0, float(np.median(kappa_pre)))
+        k = kappa_min = sign * kappa_pre  # n = 2: K of a level curve is its curvature
+        flipped = sign < 0
+        deriv = 2.0 * np.einsum("nta,ntab,ntb->nt", grads, hesses, grads)
+        coords = solution.coords.reshape(-1, 2)
+        ns, nt = node_shape
+        boundary = np.concatenate([np.arange(nt), np.arange((ns - 1) * nt, ns * nt)])
+        owner = weakref.ref(solution)  # the bundle lives on the solution: no cycle
+        boundary_grads = lambda: boundary_gradients(owner())
+    else:
+        up, upp = jets if jets is not None else radial_profile_fit(solution, degree=3)[:2]
+        gnorm = np.abs(up)
+        _require_gradient_floor(gnorm)
+        k, kappa_min = np.empty((2,) + up.shape)
+        flipped = False
+        for i, r in enumerate(solution.r):
+            x = np.zeros(solution.n)
+            x[0] = r
+            cd = curvature_matrix(radial_jet(x, up[i], upp[i], None, order=2), mode="aligned")
+            k[i], kappa_min[i] = cd.gauss, cd.principal[0]
+            flipped = flipped or cd.flipped
+        # grad(|grad u|^2) . grad u = 2 U'^2 U'' for a radial profile
+        deriv = 2.0 * up**2 * upp
+        coords = solution.r[:, None]
+        boundary = np.array([0, up.shape[0] - 1])
+        boundary_grads = lambda: (gnorm[[-1]], gnorm[[0]])
+    row = gnorm.size // node_shape[0]
+    flat = {}
+    for name, a in (("gnorm", gnorm), ("k", k), ("kappa_min", kappa_min), ("deriv", deriv)):
+        flat[name] = a.reshape(-1)
+        flat[name].flags.writeable = False  # shared by every check that reads the bundle
+    return _Fields(
+        **flat,
+        notes=("orientation flipped",) if flipped else (),
+        interior=slice(INTERIOR_MARGIN_LAYERS * row,
+                       (node_shape[0] - INTERIOR_MARGIN_LAYERS) * row),
+        coords=coords,
+        boundary=boundary,
+        node_shape=node_shape,
+        boundary_gradients=boundary_grads,
+    )
+
+
+def _require_gradient_floor(gnorm: np.ndarray):
     if float(np.min(gnorm)) < GRAD_FLOOR:
         bad = np.argwhere(gnorm < GRAD_FLOOR)[:10]
         raise HypothesisViolated(
             f"|grad u| below floor at nodes {bad.tolist()} (and possibly more)"
         )
-    kappa_pre = level_curve_curvature_2d(grads, hesses)
-    sign = math.copysign(1.0, float(np.median(kappa_pre)))
-    kappa_geo = sign * kappa_pre
-    notes = ["orientation flipped"] if sign < 0 else []
-    k = kappa_geo  # n = 2: Gaussian curvature of the level curve is kappa itself
-    t = gnorm**2
-    psi = spec.weight(t) * k if spec is not None else k.copy()
-    return psi, k, gnorm, kappa_geo, notes
 
 
-def _psi_field_radial(solution: RingSolution, spec: TestFunctionSpec | None):
-    """(psi, K, |u'|, kappa_geo, notes) sample fields via recovered radial jets."""
-    n = solution.n
-    up, upp, _ = radial_profile_fit(solution, degree=3)
-    gnorm = np.abs(up)
-    if float(np.min(gnorm)) < GRAD_FLOOR:
-        bad = np.argwhere(gnorm < GRAD_FLOOR)[:10].ravel().tolist()
-        raise HypothesisViolated(f"|grad u| below floor at radial samples {bad}")
-    m = solution.r.shape[0]
-    k = np.empty(m)
-    kappa_min = np.empty(m)
-    flipped_any = False
-    for i in range(m):
-        x = np.zeros(n)
-        x[0] = solution.r[i]
-        jet = radial_jet(x, up[i], upp[i], None, order=2)
-        cd = curvature_matrix(jet, mode="aligned")
-        k[i] = cd.gauss
-        kappa_min[i] = cd.principal[0]
-        flipped_any = flipped_any or cd.flipped
-    notes = ["orientation flipped"] if flipped_any else []
-    t = gnorm**2
-    psi = spec.weight(t) * k if spec is not None else k.copy()
-    return psi, k, gnorm, kappa_min, notes
-
-
-def _require_strict_convexity(kappa_min, interior_slice, what: str):
-    bad = np.argwhere(kappa_min[interior_slice] <= 0.0)
-    if bad.size:
-        raise HypothesisViolated(
-            f"level sets not strictly convex at {bad[:10].tolist()} "
-            f"(and possibly more) while checking {what}"
-        )
-
-
-def _interior_slice(n_layers: int) -> slice:
-    return slice(INTERIOR_MARGIN_LAYERS, n_layers - INTERIOR_MARGIN_LAYERS)
-
-
-def _check_layers(n_layers: int):
-    if n_layers - 2 * INTERIOR_MARGIN_LAYERS < MIN_INTERIOR_LAYERS:
-        raise TooCoarse(
-            f"{n_layers} layers leave fewer than {MIN_INTERIOR_LAYERS} interior layers"
-        )
+def solution_fields(solution: RingSolution) -> _Fields:
+    """The field bundle of a solution, built once and shared by every check."""
+    if solution._fields is None:
+        solution._fields = _build_fields(solution)
+    return solution._fields
 
 
 def _guard_ring_resolution(solution: RingSolution):
@@ -184,6 +222,17 @@ def _guard_ring_resolution(solution: RingSolution):
             f"radial gap {gap:.3g} is below the largest node spacing {solution.h:.3g}; "
             "refine the angular grid or widen the ring"
         )
+
+
+def _gated_fields(solution: RingSolution) -> _Fields:
+    """The field bundle, once the grid is fine enough for the theorem checks."""
+    n_layers = solution.values.shape[0]
+    if n_layers - 2 * INTERIOR_MARGIN_LAYERS < MIN_INTERIOR_LAYERS:
+        raise TooCoarse(
+            f"{n_layers} layers leave fewer than {MIN_INTERIOR_LAYERS} interior layers"
+        )
+    _guard_ring_resolution(solution)
+    return solution_fields(solution)
 
 
 # ---------------------------------------------------------------------------
@@ -206,55 +255,28 @@ def check_extremum_on_boundary(
     """
     if which not in ("min", "max", "both"):
         raise ValueError("which must be 'min', 'max' or 'both'")
-
-    if solution.kind == "ring2d":
-        n_layers = solution.values.shape[0]
-        _check_layers(n_layers)
-        _guard_ring_resolution(solution)
-        psi, _, _, kappa_geo, notes = _psi_field_ring2d(solution, spec)
-        interior = _interior_slice(n_layers)
-        _require_strict_convexity(kappa_geo, interior, "a boundary-extremum claim")
-        psi_int = psi[interior]
-        psi_bdry = np.concatenate([psi[0], psi[-1]])
-        coords_int = solution.coords[interior]
-        coords_bdry = np.concatenate([solution.coords[0], solution.coords[-1]])
-    else:
-        n_layers = solution.r.shape[0]
-        _check_layers(n_layers)
-        psi, _, _, kappa_min, notes = _psi_field_radial(solution, spec)
-        interior = _interior_slice(n_layers)
-        _require_strict_convexity(kappa_min, interior, "a boundary-extremum claim")
-        psi_int = psi[interior]
-        psi_bdry = psi[[0, -1]]
-        coords_int = solution.r[interior]
-        coords_bdry = solution.r[[0, -1]]
+    fields = _gated_fields(solution)
+    fields.require_strict_convexity("a boundary-extremum claim")
+    psi = fields.psi(spec)
 
     h = solution.h
     scale = float(np.max(np.abs(psi)))
     tol = (50.0 * scale if c_tol is None else c_tol) * h * h
     if tol_abs is not None:
         tol = tol_abs
-    notes = list(notes)
+    notes = list(fields.notes)
 
-    def _loc(coords, idx):
-        c = np.asarray(coords).reshape(-1, coords.shape[-1] if coords.ndim > 1 else 1)[idx]
-        return tuple(float(v) for v in np.atleast_1d(c))
+    def compare(pick):
+        return (fields.extremum(psi, pick, fields.interior)
+                + fields.extremum(psi, pick, fields.boundary))
 
     reports = {}
     if which in ("min", "both"):
-        i_idx = int(np.argmin(psi_int.ravel()))
-        b_idx = int(np.argmin(psi_bdry.ravel()))
-        i_val = float(psi_int.ravel()[i_idx])
-        b_val = float(psi_bdry.ravel()[b_idx])
-        reports["min"] = (i_val, _loc(coords_int, i_idx), b_val, _loc(coords_bdry, b_idx),
-                          i_val - b_val)
+        i_val, i_loc, b_val, b_loc = compare(np.argmin)
+        reports["min"] = (i_val, i_loc, b_val, b_loc, i_val - b_val)
     if which in ("max", "both"):
-        i_idx = int(np.argmax(psi_int.ravel()))
-        b_idx = int(np.argmax(psi_bdry.ravel()))
-        i_val = float(psi_int.ravel()[i_idx])
-        b_val = float(psi_bdry.ravel()[b_idx])
-        reports["max"] = (i_val, _loc(coords_int, i_idx), b_val, _loc(coords_bdry, b_idx),
-                          b_val - i_val)
+        i_val, i_loc, b_val, b_loc = compare(np.argmax)
+        reports["max"] = (i_val, i_loc, b_val, b_loc, b_val - i_val)
 
     key = "min" if "min" in reports else "max"
     margin = min(r[4] for r in reports.values())
@@ -280,17 +302,29 @@ def check_extremum_on_boundary(
 # corollary bounds
 # ---------------------------------------------------------------------------
 
-def _domain_box(solution: RingSolution) -> np.ndarray:
-    pts = solution.coords.reshape(-1, 2)
-    return np.stack([pts.min(axis=0), pts.max(axis=0)], axis=-1)
-
-
-def _boundary_data_is_ring(solution: RingSolution) -> bool:
+def _require_semilinear_ring(solution: RingSolution, equation_text: str):
+    """Delta u = f(u) on a convex ring with 0/1 data and a sampled-admissible f."""
+    if solution.equation != "semilinear":
+        raise HypothesisViolated(equation_text)
     outer, inner = solution.boundary_values()
-    return (
-        float(np.max(np.abs(outer))) <= 1e-12
-        and float(np.max(np.abs(inner - 1.0))) <= 1e-12
-    )
+    if not (float(np.max(np.abs(outer))) <= 1e-12
+            and float(np.max(np.abs(inner - 1.0))) <= 1e-12):
+        raise HypothesisViolated("boundary data must be 0 on the outer, 1 on the inner curve")
+    if solution.kind == "ring2d":
+        pts = solution.coords.reshape(-1, 2)
+        box = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=-1)
+    else:
+        box = np.array([[solution.a, solution.b]] * solution.n)
+    flags = admissibility_check(solution.rhs, box)
+    if not (flags.nonnegative and flags.f_u_nonneg and flags.f0_zero):
+        raise HypothesisViolated(f"f fails the corollary hypotheses: {flags.as_dict()}")
+
+
+def _corollary_inputs(fields: _Fields) -> tuple:
+    """(min interior K, min boundary K, min outer |grad u|, max inner |grad u|)."""
+    g_out, g_in = fields.boundary_gradients()
+    return (float(np.min(fields.k[fields.interior])), float(np.min(fields.k[fields.boundary])),
+            float(np.min(g_out)), float(np.max(g_in)))
 
 
 def corollary_bound_poisson(
@@ -301,45 +335,10 @@ def corollary_bound_poisson(
     Requires a semilinear solution of the convex-ring problem (0 outer /
     1 inner) whose f is sampled nonnegative, nondecreasing in u, with f(0)=0.
     """
-    if solution.equation != "semilinear":
-        raise HypothesisViolated("the quadratic-ratio bound is for Delta u = f(u)")
-    if not _boundary_data_is_ring(solution):
-        raise HypothesisViolated("boundary data must be 0 on the outer, 1 on the inner curve")
-    notes = ["flags sampled"]
-    if solution.kind == "ring2d":
-        flags = admissibility_check(solution.rhs, _domain_box(solution))
-    else:
-        box = np.array([[solution.a, solution.b]] * solution.n)
-        flags = admissibility_check(solution.rhs, box)
-    if not (flags.nonnegative and flags.f_u_nonneg and flags.f0_zero):
-        raise HypothesisViolated(
-            f"f fails the corollary hypotheses: {flags.as_dict()}"
-        )
-
-    if solution.kind == "ring2d":
-        n_layers = solution.values.shape[0]
-        _check_layers(n_layers)
-        _guard_ring_resolution(solution)
-        _, k, _, kappa_geo, onotes = _psi_field_ring2d(solution, None)
-        interior = _interior_slice(n_layers)
-        _require_strict_convexity(kappa_geo, interior, "the Poisson corollary bound")
-        min_k_interior = float(np.min(k[interior]))
-        min_k_boundary = float(min(np.min(k[0]), np.min(k[-1])))
-        g_out, g_in = boundary_gradients(solution)
-        grad_min_outer = float(np.min(g_out))
-        grad_max_inner = float(np.max(g_in))
-    else:
-        n_layers = solution.r.shape[0]
-        _check_layers(n_layers)
-        _, k, gnorm, kappa_min, onotes = _psi_field_radial(solution, None)
-        interior = _interior_slice(n_layers)
-        _require_strict_convexity(kappa_min, interior, "the Poisson corollary bound")
-        min_k_interior = float(np.min(k[interior]))
-        min_k_boundary = float(min(k[0], k[-1]))
-        grad_min_outer = float(gnorm[-1])
-        grad_max_inner = float(gnorm[0])
-    notes += onotes
-
+    _require_semilinear_ring(solution, "the quadratic-ratio bound is for Delta u = f(u)")
+    fields = _gated_fields(solution)
+    fields.require_strict_convexity("the Poisson corollary bound")
+    min_k_interior, min_k_boundary, grad_min_outer, grad_max_inner = _corollary_inputs(fields)
     bound = (grad_min_outer / grad_max_inner) ** 2 * min_k_boundary
     tol = rel_tol * min_k_boundary
     return CorollaryBound(
@@ -351,7 +350,7 @@ def corollary_bound_poisson(
         bound_value=float(bound),
         passed=bool(min_k_interior >= bound - tol),
         tolerance=float(tol),
-        notes=notes,
+        notes=["flags sampled", *fields.notes],
     )
 
 
@@ -361,15 +360,9 @@ def corollary_bound_minimal(solution: RingSolution, tol: float = 1e-6) -> Coroll
         raise HypothesisViolated("minimal-surface bound needs a minimal solution")
     if solution.kind != "radial" or solution.n < 3:
         raise HypothesisViolated("the bound is stated for n >= 3 (radial rings here)")
-    n_layers = solution.r.shape[0]
-    _check_layers(n_layers)
-    _, k, gnorm, kappa_min, onotes = _psi_field_radial(solution, None)
-    interior = _interior_slice(n_layers)
-    _require_strict_convexity(kappa_min, interior, "the minimal corollary bound")
-    min_k_interior = float(np.min(k[interior]))
-    min_k_boundary = float(min(k[0], k[-1]))
-    grad_min_outer = float(gnorm[-1])
-    grad_max_inner = float(gnorm[0])
+    fields = _gated_fields(solution)
+    fields.require_strict_convexity("the minimal corollary bound")
+    min_k_interior, min_k_boundary, grad_min_outer, grad_max_inner = _corollary_inputs(fields)
     bound = (
         (grad_min_outer / grad_max_inner)
         * math.sqrt(1.0 + grad_min_outer**2)
@@ -385,7 +378,7 @@ def corollary_bound_minimal(solution: RingSolution, tol: float = 1e-6) -> Coroll
         bound_value=float(bound),
         passed=bool(min_k_interior >= bound - tol),
         tolerance=float(tol),
-        notes=list(onotes),
+        notes=list(fields.notes),
     )
 
 
@@ -402,55 +395,17 @@ def check_gradient_monotonicity(
     increase along grad u, so its minimum sits on the outer boundary and its
     maximum on the inner one.
     """
-    if solution.equation != "semilinear":
-        raise HypothesisViolated("gradient monotonicity is stated for Delta u = f(u)")
-    if not _boundary_data_is_ring(solution):
-        raise HypothesisViolated("boundary data must be 0 on the outer, 1 on the inner curve")
-    if solution.kind == "ring2d":
-        flags = admissibility_check(solution.rhs, _domain_box(solution))
-    else:
-        flags = admissibility_check(solution.rhs, np.array([[solution.a, solution.b]] * solution.n))
-    if not (flags.nonnegative and flags.f_u_nonneg and flags.f0_zero):
-        raise HypothesisViolated(f"f fails the corollary hypotheses: {flags.as_dict()}")
-
-    if solution.kind == "ring2d":
-        n_layers = solution.values.shape[0]
-        _check_layers(n_layers)
-        _guard_ring_resolution(solution)
-        grads, hesses = _u_jets(solution)
-        gnorm = np.linalg.norm(grads, axis=-1)
-        if float(np.min(gnorm)) < GRAD_FLOOR:
-            raise HypothesisViolated("|grad u| below floor somewhere on the grid")
-        deriv = 2.0 * np.einsum("nta,ntab,ntb->nt", grads, hesses, grads)
-        interior = _interior_slice(n_layers)
-        d_int = deriv[interior]
-        g_out, g_in = boundary_gradients(solution)
-        min_all = float(np.min(gnorm))
-        max_all = float(np.max(gnorm))
-        min_outer = float(np.min(g_out))
-        max_inner = float(np.max(g_in))
-        coords_int = solution.coords[interior]
-    else:
-        n_layers = solution.r.shape[0]
-        _check_layers(n_layers)
-        up, upp, _ = radial_profile_fit(solution, degree=3)
-        gnorm = np.abs(up)
-        if float(np.min(gnorm)) < GRAD_FLOOR:
-            raise HypothesisViolated("|grad u| below floor somewhere on the profile")
-        # grad(|grad u|^2) . grad u = 2 U'^2 U'' for a radial profile
-        deriv = 2.0 * up**2 * upp
-        interior = _interior_slice(n_layers)
-        d_int = deriv[interior]
-        min_all, max_all = float(np.min(gnorm)), float(np.max(gnorm))
-        min_outer, max_inner = float(gnorm[-1]), float(gnorm[0])
-        coords_int = solution.r[interior]
+    _require_semilinear_ring(solution, "gradient monotonicity is stated for Delta u = f(u)")
+    fields = _gated_fields(solution)
+    g_out, g_in = fields.boundary_gradients()
+    min_all, max_all = float(np.min(fields.gnorm)), float(np.max(fields.gnorm))
+    min_outer, max_inner = float(np.min(g_out)), float(np.max(g_in))
 
     h = solution.h
-    scale_d = float(np.max(np.abs(d_int)))
+    scale_d = float(np.max(np.abs(fields.deriv[fields.interior])))
     tol = (50.0 * scale_d if c_tol is None else c_tol) * h * h
     gtol = 50.0 * max_all * h * h
-    i_idx = int(np.argmin(d_int.ravel()))
-    d_min = float(d_int.ravel()[i_idx])
+    d_min, loc = fields.extremum(fields.deriv, np.argmin, fields.interior)
     # three sub-margins (positivity + the two extremum locations), each scaled
     # by its own tolerance, folded so pass <=> margin >= -tolerance
     quotients = [d_min / tol,
@@ -460,10 +415,6 @@ def check_gradient_monotonicity(
     notes = ["flags sampled", f"min directional derivative {d_min:.6g}",
              f"min|grad| {min_all:.6g} vs outer {min_outer:.6g}",
              f"max|grad| {max_all:.6g} vs inner {max_inner:.6g}"]
-    if coords_int.ndim > 1:
-        loc = tuple(float(v) for v in coords_int.reshape(-1, 2)[i_idx])
-    else:
-        loc = (float(np.asarray(coords_int).ravel()[i_idx]),)
     return CheckReport(
         name="gradient-monotonicity",
         interior_extremum=d_min,
@@ -489,25 +440,17 @@ def _discrete_lb_residual(solution: RingSolution) -> float:
     keep the estimator error smooth enough that the residual still decays at
     second order, where degree-3 fits stall.
     """
-    n_layers = solution.values.shape[0]
     spec = TestFunctionSpec.minimal_theta(-0.5)
     # stay clear of the one-sided fit rows on both passes
-    deep = slice(7, n_layers - 7)
+    deep = slice(7, solution.values.shape[0] - 7)
     grads, hesses, hess_rows = grid_field_fit(
         solution, solution.values, degree=4, hessian_rows=deep
     )
-    gnorm = np.linalg.norm(grads, axis=-1)
-    if float(np.min(gnorm)) < GRAD_FLOOR:
-        raise HypothesisViolated("|grad u| below floor on the grid")
-    kappa_pre = level_curve_curvature_2d(grads, hesses)
-    sign = math.copysign(1.0, float(np.median(kappa_pre)))
-    kappa_geo = sign * kappa_pre
-    interior = _interior_slice(n_layers)
-    _require_strict_convexity(kappa_geo, interior, "psi harmonicity")
-    t = gnorm**2
-    psi = spec.weight(t) * kappa_geo
-    psi_hess = hess_rows.apply(psi)
-    g1, g2, t = grads[deep, :, 0], grads[deep, :, 1], t[deep]
+    fields = _build_fields(solution, (grads, hesses))
+    fields.require_strict_convexity("psi harmonicity")
+    psi_hess = hess_rows.apply(fields.psi(spec))
+    g1, g2 = grads[deep, :, 0], grads[deep, :, 1]
+    t = fields.gnorm.reshape(fields.node_shape)[deep] ** 2
     lb = (
         (1.0 + t - g1 * g1) * psi_hess[..., 0, 0]
         - 2.0 * g1 * g2 * psi_hess[..., 0, 1]
@@ -594,17 +537,14 @@ def convergence_study(problem: str, grids: list) -> list[dict]:
             h = sol.h
         elif problem == "sphere-curvature":
             dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt)
-            from .ring2d import RingGrid
-
             grid = RingGrid(dom)
-            vals = -np.linalg.norm(grid.x, axis=-1)
-            sol = RingSolution(kind="ring2d", equation="minimal", values=vals,
+            r = np.linalg.norm(grid.x, axis=-1)
+            sol = RingSolution(kind="ring2d", equation="minimal", values=-r,
                                residual_norm=0.0, h=grid.spacing(), domain=dom,
                                coords=grid.x)
-            _, k, _, _, _ = _psi_field_ring2d(sol, None)
-            r = np.linalg.norm(grid.x, axis=-1)
-            interior = _interior_slice(ns)
-            err = float(np.max(np.abs(k[interior] - 1.0 / r[interior])))
+            fields = solution_fields(sol)
+            interior = fields.interior
+            err = float(np.max(np.abs(fields.k[interior] - 1.0 / r.reshape(-1)[interior])))
             h = sol.h
         elif problem == "constant":
             dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=ns, n_t=nt)

@@ -23,6 +23,7 @@ from .checks import (
     convergence_study,
     corollary_bound_minimal,
     corollary_bound_poisson,
+    solution_fields,
 )
 from .config import (
     RunConfig,
@@ -127,25 +128,21 @@ def _run_solve(cfg: RunConfig):
 
 
 def _run_curvature(cfg: RunConfig):
-    from .checks import _psi_field_radial, _psi_field_ring2d
-
     sol = solve_problem(cfg)
     spec = build_spec(cfg.spec)
-    if sol.kind == "ring2d":
-        psi, k, gnorm, _, notes = _psi_field_ring2d(sol, spec)
-    else:
-        psi, k, gnorm, _, notes = _psi_field_radial(sol, spec)
+    fields = solution_fields(sol)
     details = {
         "solver": _solver_meta(sol),
         "curvature": {
-            "K_min": float(np.min(k)),
-            "K_max": float(np.max(k)),
-            "grad_min": float(np.min(gnorm)),
-            "grad_max": float(np.max(gnorm)),
-            "notes": notes,
+            "K_min": float(np.min(fields.k)),
+            "K_max": float(np.max(fields.k)),
+            "grad_min": float(np.min(fields.gnorm)),
+            "grad_max": float(np.max(fields.gnorm)),
+            "notes": list(fields.notes),
         },
     }
     if spec is not None:
+        psi = fields.psi(spec)
         details["curvature"]["psi_min"] = float(np.min(psi))
         details["curvature"]["psi_max"] = float(np.max(psi))
     return [], details, {"solution": sol}

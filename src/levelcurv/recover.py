@@ -165,27 +165,29 @@ def grid_field_fit(
 # radial profile recovery
 # ---------------------------------------------------------------------------
 
+def _profile_window(r: np.ndarray, u: np.ndarray, i: int, centre: float, degree: int):
+    """(u', u'', u''') at centre from a polynomial fit on the window about sample i.
+
+    The window holds 2*max(2, (degree+2)//2)+1 samples and shifts inward near
+    the ends; offsets are scaled by their largest magnitude.
+    """
+    half = max(2, (degree + 2) // 2)
+    width = 2 * half + 1
+    if r.shape[0] < width:
+        raise TooCloseToBoundary("too few radial samples for the fit window")
+    lo = min(max(i - half, 0), r.shape[0] - width)
+    rw = r[lo : lo + width] - centre
+    scale = float(np.max(np.abs(rw))) or 1.0
+    coeffs = np.polynomial.polynomial.polyfit(rw / scale, u[lo : lo + width], degree)
+    uppp = 6.0 * coeffs[3] / scale**3 if degree >= 3 else 0.0
+    return coeffs[1] / scale, 2.0 * coeffs[2] / scale**2, uppp
+
+
 def radial_profile_fit(solution: RingSolution, degree: int = 3):
     """(up, upp, uppp) at every radius sample by sliding 1D polynomial fits."""
     r = solution.r
-    u = solution.values
-    m = r.shape[0]
-    half = max(2, (degree + 2) // 2)
-    width = 2 * half + 1
-    if m < width:
-        raise TooCloseToBoundary("too few radial samples for the fit window")
-    up = np.empty(m)
-    upp = np.empty(m)
-    uppp = np.empty(m)
-    for i in range(m):
-        lo = min(max(i - half, 0), m - width)
-        rw = r[lo : lo + width] - r[i]
-        uw = u[lo : lo + width]
-        scale = float(np.max(np.abs(rw))) or 1.0
-        coeffs = np.polynomial.polynomial.polyfit(rw / scale, uw, degree)
-        up[i] = coeffs[1] / scale
-        upp[i] = 2.0 * coeffs[2] / scale**2
-        uppp[i] = (6.0 * coeffs[3] / scale**3) if degree >= 3 else 0.0
+    jets = [_profile_window(r, solution.values, i, r[i], degree) for i in range(r.shape[0])]
+    up, upp, uppp = np.array(jets).T.copy()
     return up, upp, uppp
 
 
@@ -213,21 +215,12 @@ def recover_jet(solution: RingSolution, point, order: int = 2) -> Jet:
             x = point
         radius = float(np.linalg.norm(x))
         r = solution.r
-        h = solution.h
-        idx = int(round((radius - r[0]) / h))
+        idx = int(round((radius - r[0]) / solution.h))
         if idx < min_layers or idx > r.shape[0] - 1 - min_layers:
             raise TooCloseToBoundary(
                 f"point at r={radius:g} is within {min_layers} layers of the boundary"
             )
-        half = max(min_layers, (degree + 2) // 2)
-        lo = min(max(idx - half, 0), r.shape[0] - (2 * half + 1))
-        rw = r[lo : lo + 2 * half + 1] - radius
-        uw = solution.values[lo : lo + 2 * half + 1]
-        scale = float(np.max(np.abs(rw))) or 1.0
-        coeffs = np.polynomial.polynomial.polyfit(rw / scale, uw, degree)
-        up = coeffs[1] / scale
-        upp = 2.0 * coeffs[2] / scale**2
-        uppp = 6.0 * coeffs[3] / scale**3 if degree >= 3 else None
+        up, upp, uppp = _profile_window(r, solution.values, idx, radius, degree)
         return radial_jet(x, up, upp, uppp if order >= 3 else None, order)
 
     # 2D ring: one expansion center, the window of the nearest node

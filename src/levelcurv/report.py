@@ -55,26 +55,21 @@ def parse_report(text: str) -> dict:
 
 def solution_csv_lines(solution) -> list[str]:
     """CSV export: (r, u, u_prime) radial or (s, t, x1, x2, u) for 2D grids."""
-    lines = []
     if solution.kind == "radial":
-        lines.append("r,u,u_prime")
-        up = solution.u_prime if solution.u_prime is not None else np.full_like(solution.r, float("nan"))
-        for r, u, upv in zip(solution.r, solution.values, up):
-            lines.append(f"{_fmt_float(float(r))},{_fmt_float(float(u))},{_fmt_float(float(upv))}")
+        header = "r,u,u_prime"
+        columns = [solution.r, solution.values, solution.u_prime]
     else:
-        lines.append("s,t,x1,x2,u")
+        header = "s,t,x1,x2,u"
         ns, nt = solution.values.shape
-        s = np.linspace(0.0, 1.0, ns)
-        t = np.arange(nt) * (2.0 * math.pi / nt)
-        for i in range(ns):
-            for j in range(nt):
-                x1, x2 = solution.coords[i, j]
-                lines.append(
-                    f"{_fmt_float(float(s[i]))},{_fmt_float(float(t[j]))},"
-                    f"{_fmt_float(float(x1))},{_fmt_float(float(x2))},"
-                    f"{_fmt_float(float(solution.values[i, j]))}"
-                )
-    return lines
+        s, t = np.meshgrid(np.linspace(0.0, 1.0, ns), np.arange(nt) * (2.0 * math.pi / nt),
+                           indexing="ij")
+        columns = [s, t, solution.coords[..., 0], solution.coords[..., 1], solution.values]
+    table = np.column_stack([np.ravel(c) for c in columns])
+    finite = np.isfinite(table)
+    if not finite.all():
+        raise ValueError(f"non-finite float {float(table[~finite][0])!r} in report")
+    row = ",".join(["%.17g"] * table.shape[1])
+    return [header] + [row % tuple(values) for values in table.tolist()]
 
 
 def emit_report(report: dict, prefix: str, solutions=None) -> list[str]:

@@ -41,8 +41,8 @@ class RingSolution:
     coords: np.ndarray | None = None  # (N_s, N_t, 2) physical nodes
     grid: Any = field(default=None, repr=False, compare=False)  # the solver's RingGrid
     meta: dict = field(default_factory=dict)
-    # degree-3 (grad, hess) of values on 2D grids, fitted once by the checks
-    _jets3: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # the checks' field bundle of this solution (checks.solution_fields), built once
+    _fields: Any = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def shape(self) -> tuple:

@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import levelcurv.checks as checks
@@ -140,6 +141,30 @@ class TestRunVerdicts:
         run(cfg)  # a new run solves anew and fits anew: nothing carries over
         assert degrees == [3, 3]
 
+        degrees.clear()
+        cfg = parse_config({
+            "command": "check-theorem",
+            "problem": {
+                "equation": "semilinear",
+                "geometry": {
+                    "kind": "ring2d",
+                    "outer": {"kind": "circle", "radius": 2.0},
+                    "inner": {"kind": "circle", "radius": 1.0},
+                    "grid": [17, 32],
+                },
+                "boundary": {"outer": "constant:0", "inner": "constant:1"},
+                "rhs": {"name": "linear-u", "scale": 1.0},
+            },
+            "spec": {"kind": "poisson-power", "power": -2.0},
+            "checks": ["min", "gradient-monotonicity"],
+        })
+        report, _ = run(cfg)
+        assert report["verdict"] == "AllPass"
+        assert [c["name"] for c in report["checks"]][1] == "gradient-monotonicity"
+        assert degrees == [3]
+        run(cfg)
+        assert degrees == [3, 3]
+
     def test_jet_verify_suite(self):
         cfg = parse_config({"command": "jet-verify", "seed": 0,
                             "options": {"fields": 5, "dims": [2]}})
@@ -161,6 +186,71 @@ class TestRunVerdicts:
         assert report["verdict"] == "AllPass"
         rows = report["convergence"]["rows"]
         assert rows[1]["order"] > 1.8
+
+
+def _parse_csv(lines):
+    return np.array([[float(v) for v in line.split(",")] for line in lines])
+
+
+def _curvature_config(geometry, spec=None):
+    cfg = {
+        "command": "curvature",
+        "problem": {
+            "equation": "semilinear",
+            "geometry": geometry,
+            "boundary": {"outer": "constant:0", "inner": "constant:1"},
+            "rhs": {"name": "zero"},
+        },
+    }
+    if spec is not None:
+        cfg["spec"] = spec
+    return parse_config(cfg)
+
+
+class TestCurvatureCommand:
+    # u = log(2/r)/log 2 on the annulus 1 < r < 2: level circles, K = 1/r in [1/2, 1]
+    RING = {"kind": "ring2d", "outer": {"kind": "circle", "radius": 2.0},
+            "inner": {"kind": "circle", "radius": 1.0}, "grid": [33, 64]}
+    RADIAL = {"kind": "radial", "n": 2, "a": 1.0, "b": 2.0, "samples": 101}
+    SPEC = {"kind": "poisson-power", "power": -2.0}
+
+    @pytest.mark.parametrize("geometry, rel", [(RING, 0.03), (RADIAL, 1e-12)])
+    def test_harmonic_annulus_curvature(self, geometry, rel):
+        report, solutions = run(_curvature_config(geometry))
+        assert report["verdict"] == "AllPass"
+        assert report["checks"] == []
+        curv = report["curvature"]
+        assert curv["K_min"] == pytest.approx(0.5, rel=rel)
+        assert curv["K_max"] == pytest.approx(1.0, rel=rel)
+        # |grad u| = 1/(r log 2) in [1/(2 log 2), 1/log 2]
+        assert curv["grad_min"] == pytest.approx(0.5 / math.log(2.0), rel=0.01)
+        assert curv["grad_max"] == pytest.approx(1.0 / math.log(2.0), rel=0.01)
+        assert curv["notes"] == []
+        assert "psi_min" not in curv and "psi_max" not in curv
+        assert "solution" in solutions
+
+    @pytest.mark.parametrize("geometry", [RING, RADIAL])
+    def test_psi_only_with_spec(self, geometry):
+        report, _ = run(_curvature_config(geometry, spec=self.SPEC))
+        assert report["verdict"] == "AllPass"
+        curv = report["curvature"]
+        assert 0.0 < curv["psi_min"] < curv["psi_max"]
+        plain, _ = run(_curvature_config(geometry))
+        assert {k: v for k, v in curv.items() if not k.startswith("psi")} == plain["curvature"]
+
+    def test_cli_exit_zero(self, tmp_path):
+        cfg = {"command": "curvature",
+               "problem": {"equation": "semilinear", "geometry": self.RADIAL,
+                           "boundary": {"outer": "constant:0", "inner": "constant:1"},
+                           "rhs": {"name": "zero"}},
+               "spec": self.SPEC}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "curv"
+        assert main(["curvature", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        report = parse_report((tmp_path / "curv.json").read_text())
+        assert report["verdict"] == "AllPass"
+        assert "psi_min" in report["curvature"]
 
 
 class TestExitCodes:
@@ -245,15 +335,32 @@ class TestReportEmission:
             },
         }
         report, solutions = run(parse_config(cfg))
-        lines = solution_csv_lines(solutions["solution"])
+        sol = solutions["solution"]
+        lines = solution_csv_lines(sol)
         assert lines[0] == "r,u,u_prime"
         assert len(lines) == 22
+        expected = np.column_stack([sol.r, sol.values, sol.u_prime])
+        assert np.array_equal(_parse_csv(lines[1:]), expected)
 
         report2, solutions2 = run(parse_config(minimal_ring_config(command="solve",
                                                                    checks=[], spec=None)))
-        lines2 = solution_csv_lines(solutions2["solution"])
+        sol2 = solutions2["solution"]
+        lines2 = solution_csv_lines(sol2)
         assert lines2[0] == "s,t,x1,x2,u"
         assert len(lines2) == 1 + 17 * 32
+        s, t = np.meshgrid(np.linspace(0.0, 1.0, 17), np.arange(32) * (2.0 * math.pi / 32),
+                           indexing="ij")
+        expected2 = np.column_stack([s.ravel(), t.ravel(), sol2.coords.reshape(-1, 2),
+                                     sol2.values.ravel()])
+        assert np.array_equal(_parse_csv(lines2[1:]), expected2)
+
+    def test_csv_rejects_nonfinite(self):
+        _, solutions = run(parse_config(minimal_ring_config(command="solve", checks=[],
+                                                            spec=None)))
+        sol = solutions["solution"]
+        sol.values[3, 5] = float("nan")
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            solution_csv_lines(sol)
 
     def test_index_file(self, tmp_path):
         report, solutions = run(parse_config(minimal_ring_config()))
