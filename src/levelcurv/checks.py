@@ -464,7 +464,9 @@ def check_harmonic_psi_2d(source, points=None, tol: float = 1e-6) -> CheckReport
 
     source may be a closed-form supplier (requires sample points; pass when
     the residual is below tol) or a list of >= 2 RingSolutions on refined
-    grids (pass when the residual decays at measured order >= 1.5).
+    grids (pass when the residual decays at measured order >= 1.5).  Both
+    paths enforce minimality: a non-minimal supplier jet raises
+    NotAMinimalJet, a non-minimal solution HypothesisViolated.
     """
     if hasattr(source, "jet"):
         if points is None:
@@ -486,6 +488,11 @@ def check_harmonic_psi_2d(source, points=None, tol: float = 1e-6) -> CheckReport
     solutions = list(source)
     if len(solutions) < 2:
         raise ValueError("refinement check needs at least two solutions")
+    equations = sorted({s.equation for s in solutions} - {"minimal"})
+    if equations:
+        raise HypothesisViolated(
+            f"psi harmonicity needs minimal graphs, got equation {', '.join(equations)}"
+        )
     residuals = [_discrete_lb_residual(s) for s in solutions]
     hs = [s.h for s in solutions]
     orders = [

@@ -72,7 +72,7 @@ def _check_entry(name: str, margin: float, tolerance: float, passed: bool, **ext
 # problem solving
 # ---------------------------------------------------------------------------
 
-def solve_problem(cfg: RunConfig, grid=None, initial=None):
+def solve_problem(cfg: RunConfig, grid=None):
     problem = cfg.problem
     geom = problem["geometry"]
     eq = problem["equation"]
@@ -101,9 +101,9 @@ def solve_problem(cfg: RunConfig, grid=None, initial=None):
     outer = boundary_values_ring2d(boundary["outer"], domain.outer, domain.n_t, geom)
     inner = boundary_values_ring2d(boundary["inner"], domain.inner, domain.n_t, geom)
     if eq == "minimal":
-        return solve_minimal_ring2d(domain, outer, inner, tol=solver_tol, initial=initial)
+        return solve_minimal_ring2d(domain, outer, inner, tol=solver_tol)
     return solve_semilinear_ring2d(
-        domain, outer, inner, build_rhs(problem.get("rhs")), tol=solver_tol, initial=initial
+        domain, outer, inner, build_rhs(problem.get("rhs")), tol=solver_tol
     )
 
 
@@ -201,11 +201,11 @@ def _run_jet_verify(cfg: RunConfig):
         admissible = 0
         origin = np.zeros(n)
         for k in range(n_fields):
-            fld = random_test_jet(seed0 + k, n)
-            worst_cod = max(worst_cod, codazzi_residual(fld, origin))
-            worst_uiia = max(worst_uiia, uiia_residual(fld, origin))
+            jet = random_test_jet(seed0 + k, n).jet(origin, order=3)
+            worst_cod = max(worst_cod, codazzi_residual(jet))
+            worst_uiia = max(worst_uiia, uiia_residual(jet))
             try:
-                worst_phi = max(worst_phi, phi_gradient_identity_residual(fld, origin, spec))
+                worst_phi = max(worst_phi, phi_gradient_identity_residual(jet, spec))
                 admissible += 1
             except NonpositiveCurvature:
                 continue
@@ -221,14 +221,14 @@ def _run_jet_verify(cfg: RunConfig):
 
     # master identity on the closed-form suppliers
     cat2 = RadialMinimalField(2, flux=-1.0)
-    r_cat = minimal_master_identity_residual(2, cat2, np.array([1.8, 2.4]), -0.5)
+    r_cat = minimal_master_identity_residual(cat2, np.array([1.8, 2.4]), -0.5)
     checks.append(_check_entry("master:catenoid-2d", -r_cat, MASTER_TRIVIAL_TOL,
                                r_cat < MASTER_TRIVIAL_TOL, residual=r_cat))
-    r_sch = minimal_master_identity_residual(2, ScherkField(), np.array([0.4, 0.9]), -0.5)
+    r_sch = minimal_master_identity_residual(ScherkField(), np.array([0.4, 0.9]), -0.5)
     checks.append(_check_entry("master:scherk-2d", -r_sch, MASTER_TOL,
                                r_sch < MASTER_TOL, residual=r_sch))
     cat3 = RadialMinimalField(3, flux=-1.0)
-    r_rad = minimal_master_identity_residual(3, cat3, np.array([0.0, 0.0, 3.0]), 0.0)
+    r_rad = minimal_master_identity_residual(cat3, np.array([0.0, 0.0, 3.0]), 0.0)
     checks.append(_check_entry("master:radial-3d", -r_rad, MASTER_TOL,
                                r_rad < MASTER_TOL, residual=r_rad))
     return checks, {}, {}

@@ -74,11 +74,3 @@ def dual_log(x):
     if isinstance(x, Dual):
         return Dual(math.log(x.val), x.der / x.val)
     return math.log(x)
-
-
-def value(x) -> float:
-    return x.val if isinstance(x, Dual) else float(x)
-
-
-def deriv(x) -> float:
-    return x.der if isinstance(x, Dual) else 0.0

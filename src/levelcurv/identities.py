@@ -15,6 +15,10 @@ each other:
   central differences on a closed-form supplier,
 * the quadratic-polynomial bound Q <= 4 mu^2 Gamma.
 
+The first three take the order-3 jet at the point and align it themselves;
+the finite-difference checks take a closed-form supplier with a
+``jet(point, order)`` method.
+
 All identity checks use the pre-flip sign convention of the curvature matrix,
 because that is the convention the formulas are derived in; the orientation
 flip is a presentation device for user-facing K only.
@@ -41,8 +45,8 @@ from .geometry import (
     align_frame,
     level_curve_curvature_2d,
     rotate_jet,
+    sym_det,
 )
-from .polyfield import PolyField
 
 # ---------------------------------------------------------------------------
 # generic curvature-matrix entries (float or Dual scalars, u_n > 0 chart)
@@ -113,13 +117,13 @@ def curvature_entries_float(jet: Jet) -> np.ndarray:
     return np.array([[float(a[i][j]) for j in range(n - 1)] for i in range(n - 1)])
 
 
-def curvature_entries_dual(jet: Jet, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Value and exact directional derivative of the curvature-matrix field.
+def _seeded(jet: Jet, axis: int) -> tuple[list, list]:
+    """Dual gradient and curvature entries of the jet, seeded along ``axis``.
 
-    Seeds each jet entry with its own derivative along coordinate ``axis``
-    (so third derivatives feed the Hessian seeds) and pushes dual numbers
-    through the chart formula: the derivative part is the exact chain-rule
-    derivative of a_ij along that axis, with no truncation error.
+    Each jet entry carries its own derivative along coordinate ``axis`` (so
+    third derivatives feed the Hessian seeds); pushing the duals through the
+    chart formula gives the exact chain-rule derivative of a_ij along that
+    axis, with no truncation error.
     """
     if jet.third is None:
         raise ValueError("order-3 jet required to differentiate the curvature field")
@@ -129,8 +133,13 @@ def curvature_entries_dual(jet: Jet, axis: int) -> tuple[np.ndarray, np.ndarray]
         [Dual(jet.hess[al, be], jet.third[al, be, axis]) for be in range(n)]
         for al in range(n)
     ]
-    a = _entries_generic(grad, hess, n)
-    m = n - 1
+    return grad, _entries_generic(grad, hess, n)
+
+
+def curvature_entries_dual(jet: Jet, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Value and exact directional derivative of the curvature-matrix field."""
+    _, a = _seeded(jet, axis)
+    m = jet.dim - 1
     val = np.array([[a[i][j].val for j in range(m)] for i in range(m)])
     der = np.array([[a[i][j].der for j in range(m)] for i in range(m)])
     return val, der
@@ -159,11 +168,6 @@ def curvature_derivatives(jet: Jet) -> CurvatureDerivatives:
 # ---------------------------------------------------------------------------
 
 
-def _aligned_order3(field: PolyField, point) -> Jet:
-    jet = field.jet(np.asarray(point, dtype=float), order=3)
-    return align_frame(jet).aligned_jet
-
-
 def codazzi_closed_form(jet: Jet) -> np.ndarray:
     """a_ij,k at an aligned point via the closed form
     -u_n^{-1} u_ijk + u_n^{-2} (u_ij u_kn + u_ik u_jn + u_jk u_in)."""
@@ -184,22 +188,17 @@ def codazzi_closed_form(jet: Jet) -> np.ndarray:
 
 def codazzi_field_form(jet: Jet) -> np.ndarray:
     """a_ij,k by exact differentiation of the curvature-matrix field."""
-    n = jet.dim
-    m = n - 1
-    out = np.empty((m, m, m))
-    for k in range(m):
-        _, der = curvature_entries_dual(jet, k)
-        out[:, :, k] = der
-    return out
+    return np.moveaxis(curvature_derivatives(jet).a_k[: jet.dim - 1], 0, -1)
 
 
 def _commutator(t: np.ndarray) -> float:
     return float(np.max(np.abs(t - np.transpose(t, (0, 2, 1)))))
 
 
-def codazzi_residual(field: PolyField, point) -> float:
-    """max |a_ij,k - a_ik,j| at the aligned point, worst of the two routes."""
-    aj = _aligned_order3(field, point)
+def codazzi_residual(jet: Jet) -> float:
+    """max |a_ij,k - a_ik,j| in the frame aligned at the point of an order-3
+    jet, worst of the two routes."""
+    aj = align_frame(jet).aligned_jet
     return max(_commutator(codazzi_closed_form(aj)), _commutator(codazzi_field_form(aj)))
 
 
@@ -214,15 +213,14 @@ def _rho_dual(spec: TestFunctionSpec, t: Dual) -> Dual:
     return dual_log(t) * (0.5 * spec.param)
 
 
-def _convex_oriented(field: PolyField, point) -> tuple[PolyField, Jet, np.ndarray]:
-    """Return the field (possibly negated) whose pre-flip matrix is positive
-    definite at the point, with its aligned jet and matrix."""
-    aj = _aligned_order3(field, point)
+def _convex_oriented(jet: Jet) -> tuple[Jet, np.ndarray]:
+    """Aligned jet of u or of -u, whichever has a positive definite pre-flip
+    matrix, with that matrix."""
+    aj = align_frame(jet).aligned_jet
     a0 = curvature_entries_float(aj)
     eig = np.linalg.eigvalsh(a0)
     if eig[-1] < 0.0:
-        field = -field
-        aj = _aligned_order3(field, point)
+        aj = align_frame(Jet(-jet.grad, -jet.hess, -jet.third)).aligned_jet
         a0 = curvature_entries_float(aj)
         eig = np.linalg.eigvalsh(a0)
     if eig[0] <= 0.0:
@@ -230,10 +228,10 @@ def _convex_oriented(field: PolyField, point) -> tuple[PolyField, Jet, np.ndarra
             "level set not strictly convex at the point (eigenvalues "
             f"{np.array2string(eig, precision=3)})"
         )
-    return field, aj, a0
+    return aj, a0
 
 
-def phi_gradient_identity_residual(field: PolyField, point, spec: TestFunctionSpec) -> float:
+def phi_gradient_identity_residual(jet: Jet, spec: TestFunctionSpec) -> float:
     """Residual of phi_a = sum a^{ij} a_ij,a + rho'(t) t_a, maximized over axes.
 
     The left side differentiates phi = rho(t) + log det(a) directly through
@@ -241,18 +239,13 @@ def phi_gradient_identity_residual(field: PolyField, point, spec: TestFunctionSp
     matrix inverse with the field derivatives (Jacobi's formula), so the two
     sides share no linear algebra.
     """
-    _, aj, a0 = _convex_oriented(field, point)
+    aj, a0 = _convex_oriented(jet)
     n = aj.dim
     a0inv = np.linalg.inv(a0)
     t0 = aj.grad_norm**2
     worst = 0.0
     for axis in range(n):
-        grad = [Dual(aj.grad[al], aj.hess[al, axis]) for al in range(n)]
-        hess = [
-            [Dual(aj.hess[al, be], aj.third[al, be, axis]) for be in range(n)]
-            for al in range(n)
-        ]
-        a_dual = _entries_generic(grad, hess, n)
+        grad, a_dual = _seeded(aj, axis)
         t_dual = grad[0] * grad[0]
         for gi in grad[1:]:
             t_dual = t_dual + gi * gi
@@ -273,24 +266,24 @@ def phi_gradient_identity_residual(field: PolyField, point, spec: TestFunctionSp
 # ---------------------------------------------------------------------------
 
 
-def uiia_residual(field: PolyField, point) -> float:
+def uiia_residual(jet: Jet) -> float:
     """Residual of u_iia = -u_n a_ii,a + 2 u_n^{-1} u_ni u_ia - u_na a_ii.
 
-    All ingredients come from exact polynomial derivatives at the aligned
-    point; a_ii and a_ii,a use the pre-flip sign convention the relation is
-    derived in.
+    All ingredients come from the order-3 jet, taken to the frame aligned at
+    its point; a_ii and a_ii,a use the pre-flip sign convention the relation
+    is derived in.
     """
-    aj = _aligned_order3(field, point)
+    aj = align_frame(jet).aligned_jet
     n = aj.dim
     un = float(aj.grad[-1])
     a0 = curvature_entries_float(aj)
+    a_k = curvature_derivatives(aj).a_k
     worst = 0.0
     for axis in range(n):
-        _, a_der = curvature_entries_dual(aj, axis)
         for i in range(n - 1):
             lhs = aj.third[i, i, axis]
             rhs = (
-                -un * a_der[i, i]
+                -un * a_k[axis, i, i]
                 + 2.0 / un * aj.hess[i, n - 1] * aj.hess[i, axis]
                 - aj.hess[n - 1, axis] * a0[i, i]
             )
@@ -371,7 +364,7 @@ def quadratic_max_oracle(inst: QuadraticBoundInstance) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sixth-order finite differences
+# sixth-order finite differences on closed-form suppliers
 # ---------------------------------------------------------------------------
 
 _FD_OFFSETS = np.array([-3, -2, -1, 0, 1, 2, 3], dtype=float)
@@ -390,6 +383,52 @@ def fd6_second(values: np.ndarray, h: float):
 def _richardson(coarse, fine):
     """One halving step for an O(h^6) formula: error drops to O(h^8)."""
     return (64.0 * fine - coarse) / 63.0
+
+
+def _default_step(point: np.ndarray) -> float:
+    return 1e-2 * max(1.0, float(np.linalg.norm(point)))
+
+
+def _axis_lines(sample, h: float, n: int):
+    """For each axis in turn, sample(off * h * e_axis) at the seven stencil offsets."""
+    eye = np.eye(n)
+    for axis in range(n):
+        yield [sample(off * h * eye[axis]) for off in _FD_OFFSETS]
+
+
+def _extrapolated(derivatives, point: np.ndarray, fd_step: float | None) -> tuple:
+    """derivatives(h), a tuple of arrays, at fd_step; without one, Richardson
+    over the default step and its half."""
+    if fd_step is not None:
+        return derivatives(float(fd_step))
+    h = _default_step(point)
+    return tuple(_richardson(c, f) for c, f in zip(derivatives(h), derivatives(h / 2.0)))
+
+
+def _supplier_jet(supplier, point: np.ndarray, where: str) -> Jet:
+    """Order-2 jet of a closed-form supplier, with |grad u| above the floor."""
+    jet = supplier.jet(point, order=2)
+    if jet.grad_norm < GRAD_FLOOR:
+        raise GradientTooSmall(f"gradient below floor at {where}")
+    return jet
+
+
+def _rotated_sampler(supplier, point: np.ndarray, rot: np.ndarray):
+    """y -> (a, |grad u|^2) at point + rot^T y, a in the rotated frame."""
+
+    def sample(y: np.ndarray) -> tuple[np.ndarray, float]:
+        j = rotate_jet(supplier.jet(point + rot.T @ y, order=2), rot)
+        return curvature_entries_float(j), float(j.grad @ j.grad)
+
+    return sample
+
+
+def _phi(spec: TestFunctionSpec, a: np.ndarray, t: float) -> float:
+    """phi = rho(t) + log det(a)."""
+    det = sym_det(a)
+    if det <= 0.0:
+        raise NonpositiveCurvature("det(a) <= 0 while forming phi")
+    return float(spec.rho(t) + math.log(det))
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +451,6 @@ class PhiJet:
 
 
 def phi_jet_fd(
-    n: int,
     supplier,
     point,
     spec: TestFunctionSpec,
@@ -425,32 +463,18 @@ def phi_jet_fd(
     is symmetrized from its one-sided evaluations, which agree to rounding.
     """
     point = np.asarray(point, dtype=float)
-    jet0 = supplier.jet(point, order=2)
-    if jet0.grad_norm < GRAD_FLOOR:
-        raise GradientTooSmall("gradient below floor at the phi-jet point")
-    frame = align_frame(jet0)
-    rot = frame.rotation
+    jet0 = _supplier_jet(supplier, point, "the phi-jet point")
+    n = jet0.dim
+    sample = _rotated_sampler(supplier, point, align_frame(jet0).rotation)
 
     def phi_at(y: np.ndarray) -> float:
-        j = rotate_jet(supplier.jet(point + rot.T @ y, order=2), rot)
-        a = curvature_entries_float(j)
-        m = a.shape[0]
-        det = _det_generic(a.tolist(), m) if m <= 3 else float(np.linalg.det(a))
-        if det <= 0.0:
-            raise NonpositiveCurvature("det(a) <= 0 while forming phi")
-        t = float(j.grad @ j.grad)
-        return float(spec.rho(t) + math.log(det))
+        return _phi(spec, *sample(y))
 
-    h = fd_step if fd_step is not None else 1e-2 * max(1.0, float(np.linalg.norm(point)))
+    h = fd_step if fd_step is not None else _default_step(point)
+    lines = [np.array(line) for line in _axis_lines(phi_at, h, n)]
+    grad_phi = np.array([fd6_first(vals, h) for vals in lines])
+    hess_phi = np.diag([fd6_second(vals, h) for vals in lines])
     eye = np.eye(n)
-    grad_phi = np.zeros(n)
-    hess_phi = np.zeros((n, n))
-    lines = {}
-    for axis in range(n):
-        vals = np.array([phi_at(off * h * eye[axis]) for off in _FD_OFFSETS])
-        lines[axis] = vals
-        grad_phi[axis] = fd6_first(vals, h)
-        hess_phi[axis, axis] = fd6_second(vals, h)
     for a_ax in range(n):
         for b_ax in range(a_ax + 1, n):
             inner = np.array(
@@ -489,6 +513,12 @@ def minimal_equation_residual(jet: Jet) -> float:
     return f_contract / w2**1.5
 
 
+def _require_minimal(jet: Jet) -> None:
+    eq_res = minimal_equation_residual(jet)
+    if abs(eq_res) > MINIMAL_RESIDUAL_LIMIT:
+        raise NotAMinimalJet(f"minimal equation residual {eq_res:.3e} at the point")
+
+
 def _diagonalizing_rotation(jet: Jet) -> tuple[np.ndarray, Jet]:
     """Rotation aligning the gradient and diagonalizing the tangential Hessian."""
     frame = align_frame(jet)
@@ -502,7 +532,6 @@ def _diagonalizing_rotation(jet: Jet) -> tuple[np.ndarray, Jet]:
 
 
 def minimal_master_identity_residual(
-    n: int,
     supplier,
     point,
     theta: float,
@@ -519,15 +548,10 @@ def minimal_master_identity_residual(
     """
     point = np.asarray(point, dtype=float)
     spec = TestFunctionSpec.minimal_theta(theta)
-    jet0 = supplier.jet(point, order=2)
-    if jet0.dim != n:
-        raise ValueError(f"supplier dimension {jet0.dim} != n = {n}")
-    if jet0.grad_norm < GRAD_FLOOR:
-        raise GradientTooSmall("gradient below floor at the master-identity point")
-    eq_res = minimal_equation_residual(jet0)
-    if abs(eq_res) > MINIMAL_RESIDUAL_LIMIT:
-        raise NotAMinimalJet(f"minimal equation residual {eq_res:.3e} at the point")
+    jet0 = _supplier_jet(supplier, point, "the master-identity point")
+    _require_minimal(jet0)
 
+    n = jet0.dim
     rot, aligned0 = _diagonalizing_rotation(jet0)
     m = n - 1
     un = float(aligned0.grad[-1])
@@ -543,43 +567,18 @@ def minimal_master_identity_residual(
     t0 = un * un
     rho_p = spec.rho_prime(t0)
     rho_pp = spec.rho_double_prime(t0)
-
-    def field_at(y: np.ndarray) -> tuple[np.ndarray, float]:
-        x = point + rot.T @ y
-        j = rotate_jet(supplier.jet(x, order=2), rot)
-        a = curvature_entries_float(j)
-        return a, float(j.grad @ j.grad)
-
-    def phi_of(a: np.ndarray, t: float) -> float:
-        det = float(np.linalg.det(a)) if m > 3 else _det_generic(a.tolist(), m)
-        if det <= 0.0:
-            raise NonpositiveCurvature("det(a) <= 0 inside the FD stencil")
-        return float(spec.rho(t) + math.log(det))
+    sample = _rotated_sampler(supplier, point, rot)
 
     def derivatives(h: float):
-        phi1 = np.zeros(n)
-        phi2 = np.zeros(n)
-        a_der = np.zeros((n, m, m))
-        for axis in range(n):
-            samples = []
-            for off in _FD_OFFSETS:
-                y = np.zeros(n)
-                y[axis] = off * h
-                samples.append(field_at(y))
-            a_stack = np.array([s[0] for s in samples])
-            phi_vals = np.array([phi_of(a, t) for a, t in samples])
-            phi1[axis] = fd6_first(phi_vals, h)
-            phi2[axis] = fd6_second(phi_vals, h)
-            a_der[axis] = fd6_first(a_stack, h)
-        return phi1, phi2, a_der
+        phi1, phi2, a_der = [], [], []
+        for line in _axis_lines(sample, h, n):
+            phi_vals = np.array([_phi(spec, a, t) for a, t in line])
+            phi1.append(fd6_first(phi_vals, h))
+            phi2.append(fd6_second(phi_vals, h))
+            a_der.append(fd6_first(np.array([a for a, _ in line]), h))
+        return np.array(phi1), np.array(phi2), np.array(a_der)
 
-    if fd_step is None:
-        h = 1e-2 * max(1.0, float(np.linalg.norm(point)))
-        coarse = derivatives(h)
-        fine = derivatives(h / 2.0)
-        phi1, phi2, a_der = (_richardson(c, f) for c, f in zip(coarse, fine))
-    else:
-        phi1, phi2, a_der = derivatives(float(fd_step))
+    phi1, phi2, a_der = _extrapolated(derivatives, point, fd_step)
 
     f_diag = np.full(n, 1.0 + un * un)
     f_diag[n - 1] = 1.0
@@ -628,9 +627,11 @@ def lb_psi_residual_2d(
 ) -> float:
     """max |sum F^{ab} psi_ab| over sample points, psi = (t/(1+t))^theta * k.
 
-    Works in the frame aligned at each sample point so that F is diagonal;
-    the level-curve curvature k is evaluated chart-free at the stencil nodes
-    with a fixed global sign so the psi field stays smooth.
+    Every sample point must carry a minimal jet (NotAMinimalJet otherwise):
+    off minimal graphs the residual proves nothing.  Works in the frame
+    aligned at each sample point so that F is diagonal; the level-curve
+    curvature k is evaluated chart-free at the stencil nodes with a fixed
+    global sign so the psi field stays smooth.
     """
     spec = TestFunctionSpec.minimal_theta(theta)
     points = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
@@ -650,27 +651,17 @@ def lb_psi_residual_2d(
 
     worst = 0.0
     for p in points:
-        jet0 = supplier.jet(p, order=2)
-        if jet0.grad_norm < GRAD_FLOOR:
-            raise GradientTooSmall("gradient below floor at a psi-harmonicity point")
+        jet0 = _supplier_jet(supplier, p, "a psi-harmonicity point")
+        _require_minimal(jet0)
         frame = align_frame(jet0)
         rot = frame.rotation
         un = frame.aligned_jet.grad[-1]
         f_diag = np.array([1.0 + un * un, 1.0])
 
-        def second_derivs(h: float) -> np.ndarray:
-            out = np.zeros(2)
-            for axis in range(2):
-                vals = np.array(
-                    [psi_at(p + rot.T @ (off * h * np.eye(2)[axis])) for off in _FD_OFFSETS]
-                )
-                out[axis] = fd6_second(vals, h)
-            return out
+        def second_derivs(h: float) -> tuple[np.ndarray]:
+            lines = _axis_lines(lambda y: psi_at(p + rot.T @ y), h, 2)
+            return (np.array([fd6_second(np.array(vals), h) for vals in lines]),)
 
-        if fd_step is None:
-            h = 1e-2 * max(1.0, float(np.linalg.norm(p)))
-            d2 = _richardson(second_derivs(h), second_derivs(h / 2.0))
-        else:
-            d2 = second_derivs(float(fd_step))
+        (d2,) = _extrapolated(second_derivs, p, fd_step)
         worst = max(worst, abs(float(f_diag @ d2)))
     return worst

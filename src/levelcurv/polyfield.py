@@ -112,6 +112,16 @@ class PolyField:
         return Jet(grad, hess, third)
 
 
+def _nondegenerate(jet: Jet, min_grad: float, min_det: float) -> bool:
+    """|grad| >= min_grad and the pre-orientation curvature matrix has |det| >= min_det."""
+    if jet.grad_norm < min_grad:
+        return False
+    n = jet.dim
+    aj = align_frame(jet).aligned_jet
+    a_pre = -aj.hess[: n - 1, : n - 1] / aj.grad[-1]
+    return abs(float(np.linalg.det(a_pre))) >= min_det
+
+
 def random_test_jet(seed: int, n: int, min_grad: float = 0.1, min_det: float = 1e-4) -> PolyField:
     """Deterministic random degree-4 field, nondegenerate at the origin.
 
@@ -127,13 +137,7 @@ def random_test_jet(seed: int, n: int, min_grad: float = 0.1, min_det: float = 1
     for _ in range(1000):
         values = rng.uniform(-1.0, 1.0, size=len(indices))
         field = PolyField(n, dict(zip(indices, values)))
-        jet = field.jet(origin, order=2)
-        if jet.grad_norm < min_grad:
-            continue
-        frame = align_frame(jet)
-        aj = frame.aligned_jet
-        a_pre = -aj.hess[: n - 1, : n - 1] / aj.grad[-1]
-        if abs(float(np.linalg.det(a_pre))) >= min_det:
+        if _nondegenerate(field.jet(origin, order=2), min_grad, min_det):
             return field
     raise ExhaustedResampling(f"no nondegenerate field after 1000 draws (seed={seed}, n={n})")
 

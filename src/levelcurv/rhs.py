@@ -71,13 +71,6 @@ def inverse_square_rhs(shift: float = 2.0, axis: int = 0) -> SemilinearRHS:
     return SemilinearRHS(name=f"inverse-square:{shift:g}", f=f, f_u=f_u)
 
 
-RHS_REGISTRY = {
-    "zero": lambda scale=1.0: zero_rhs(),
-    "linear-u": lambda scale=1.0: linear_u_rhs(scale),
-    "inverse-square": lambda scale=2.0: inverse_square_rhs(scale),
-}
-
-
 def admissibility_check(
     rhs: SemilinearRHS,
     box: np.ndarray,

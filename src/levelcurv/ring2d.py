@@ -322,6 +322,10 @@ class _RingOperator:
         return mat, bdry
 
 
+# frozen-coefficient steps before Newton, minimal equation only
+_PICARD_STEPS = 5
+
+
 def _solve_ring2d(
     domain: RingDomain2D,
     outer_data: np.ndarray,
@@ -330,7 +334,6 @@ def _solve_ring2d(
     rhs=None,
     tol: float = 1e-10,
     max_iter: int = 50,
-    picard: int = 5,
     initial: np.ndarray | None = None,
 ) -> RingSolution:
     grid = RingGrid(domain)
@@ -376,14 +379,11 @@ def _solve_ring2d(
     res_norm = float(np.max(np.abs(res)))
     iterations = 0
 
-    for k in range(picard if equation == "minimal" else 0):
+    for _ in range(_PICARD_STEPS if equation == "minimal" else 0):
         if res_norm <= tol:
             break
         mat, bdry = op.assemble(u, freeze_f=True)
-        target = np.zeros((ns - 2) * nt)
-        if equation == "semilinear":
-            target = op.rhs.f(grid.x[1:-1].reshape(-1, 2), u[1:-1].reshape(-1))
-        sol = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(target - bdry)
+        sol = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(-bdry)
         u[1:-1] = sol.reshape(ns - 2, nt)
         res = op.residual(u)
         res_norm = float(np.max(np.abs(res)))

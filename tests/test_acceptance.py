@@ -255,11 +255,11 @@ def test_criterion_07_identity_suite():
         admissible = 0
         for seed in range(100):
             field = random_test_jet(seed, n)
-            worst_cod = max(worst_cod, codazzi_residual(field, origin))
-            worst_uiia = max(worst_uiia, uiia_residual(field, origin))
+            worst_cod = max(worst_cod, codazzi_residual(field.jet(origin, 3)))
+            worst_uiia = max(worst_uiia, uiia_residual(field.jet(origin, 3)))
             try:
                 worst_phi = max(
-                    worst_phi, phi_gradient_identity_residual(field, origin, THETA_HALF)
+                    worst_phi, phi_gradient_identity_residual(field.jet(origin, 3), THETA_HALF)
                 )
                 admissible += 1
             except NonpositiveCurvature:
@@ -270,11 +270,11 @@ def test_criterion_07_identity_suite():
         )
 
     r_cat = minimal_master_identity_residual(
-        2, RadialMinimalField(2, flux=-1.0), np.array([1.8, 2.4]), -0.5
+        RadialMinimalField(2, flux=-1.0), np.array([1.8, 2.4]), -0.5
     )
-    r_sch = minimal_master_identity_residual(2, ScherkField(), np.array([0.4, 0.9]), -0.5)
+    r_sch = minimal_master_identity_residual(ScherkField(), np.array([0.4, 0.9]), -0.5)
     r_rad = minimal_master_identity_residual(
-        3, RadialMinimalField(3, flux=-1.0), np.array([0.0, 0.0, 3.0]), 0.0
+        RadialMinimalField(3, flux=-1.0), np.array([0.0, 0.0, 3.0]), 0.0
     )
     ok &= r_cat < 1e-10 and r_sch < 1e-6 and r_rad < 1e-6
     details.append(f"master: catenoid={r_cat:.1e} scherk={r_sch:.1e} radial3={r_rad:.1e}")

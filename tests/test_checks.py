@@ -14,8 +14,8 @@ from levelcurv.checks import (
     corollary_bound_minimal,
     corollary_bound_poisson,
 )
-from levelcurv.errors import HypothesisViolated, TooCoarse
-from levelcurv.fields import RadialMinimalField, catenoid_value
+from levelcurv.errors import HypothesisViolated, NotAMinimalJet, TooCoarse
+from levelcurv.fields import RadialMinimalField, SphereDistanceField, catenoid_value
 from levelcurv.geometry import TestFunctionSpec
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import linear_u_rhs, zero_rhs
@@ -207,6 +207,18 @@ class TestHarmonicPsi:
         rep = check_harmonic_psi_2d(sols)
         assert rep.passed
         assert rep.margin >= 0  # measured order above 1.5
+
+    def test_closed_form_rejects_non_minimal(self):
+        with pytest.raises(NotAMinimalJet):
+            check_harmonic_psi_2d(SphereDistanceField(2), [np.array([2.2, 0.3])])
+
+    def test_discrete_rejects_non_minimal(self):
+        sols = []
+        for ns, nt in [(25, 48), (49, 96)]:
+            dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
+            sols.append(solve_semilinear_ring2d(dom, np.zeros(nt), np.ones(nt), linear_u_rhs()))
+        with pytest.raises(HypothesisViolated, match="minimal"):
+            check_harmonic_psi_2d(sols)
 
     def test_fit_rows_built_once_per_grid(self, monkeypatch):
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=25, n_t=48)

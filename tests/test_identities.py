@@ -49,13 +49,13 @@ class TestCodazzi:
         worst = 0.0
         for seed in range(25):
             field = random_test_jet(seed, n)
-            worst = max(worst, codazzi_residual(field, np.zeros(n)))
+            worst = max(worst, codazzi_residual(field.jet(np.zeros(n), 3)))
         assert worst < 1e-10
 
     def test_planar_field_zero(self):
         # u = x_n: all curvature derivatives vanish
         f = PolyField(3, {(0, 0, 1): 1.0})
-        assert codazzi_residual(f, ORIGIN3) == 0.0
+        assert codazzi_residual(f.jet(ORIGIN3, 3)) == 0.0
 
     def test_quadratic_reduces_to_second_order_products(self):
         rng = np.random.default_rng(8)
@@ -64,7 +64,7 @@ class TestCodazzi:
             grad /= max(np.linalg.norm(grad), 0.3)
             h = rng.normal(size=(3, 3))
             f = quadratic_field(3, grad, (h + h.T) / 2)
-            assert codazzi_residual(f, ORIGIN3) < 1e-12
+            assert codazzi_residual(f.jet(ORIGIN3, 3)) < 1e-12
 
     def test_routes_agree(self):
         # the closed form and the exact field derivative are the same tensor
@@ -82,7 +82,7 @@ class TestPhiGradient:
         for seed in range(60):
             field = random_test_jet(seed, 3)
             try:
-                worst = max(worst, phi_gradient_identity_residual(field, ORIGIN3, spec))
+                worst = max(worst, phi_gradient_identity_residual(field.jet(ORIGIN3, 3), spec))
                 admissible += 1
             except NonpositiveCurvature:
                 continue
@@ -96,7 +96,7 @@ class TestPhiGradient:
         for seed in range(40):
             field = random_test_jet(seed, 2)
             try:
-                worst = max(worst, phi_gradient_identity_residual(field, ORIGIN2, spec))
+                worst = max(worst, phi_gradient_identity_residual(field.jet(ORIGIN2, 3), spec))
                 count += 1
             except NonpositiveCurvature:
                 continue
@@ -109,7 +109,7 @@ class TestPhiGradient:
             3, {(2, 0, 0): -0.5, (0, 2, 0): -0.5, (0, 0, 1): 1.0}
         )
         spec = TestFunctionSpec.minimal_theta(-0.5)
-        assert phi_gradient_identity_residual(f, ORIGIN3, spec) < 1e-12
+        assert phi_gradient_identity_residual(f.jet(ORIGIN3, 3), spec) < 1e-12
 
 
 class TestUiia:
@@ -118,12 +118,12 @@ class TestUiia:
         worst = 0.0
         for seed in range(25):
             field = random_test_jet(seed, n)
-            worst = max(worst, uiia_residual(field, np.zeros(n)))
+            worst = max(worst, uiia_residual(field.jet(np.zeros(n), 3)))
         assert worst < 1e-10
 
     def test_planar_field(self):
         f = PolyField(3, {(0, 0, 1): 1.0})
-        assert uiia_residual(f, ORIGIN3) == 0.0
+        assert uiia_residual(f.jet(ORIGIN3, 3)) == 0.0
 
     def test_paraboloid_hand_check(self):
         # u = -|x|^2/2 + x_n at the origin: a_ii = 1, a_ii,n = 1, others 0,
@@ -132,7 +132,7 @@ class TestUiia:
             3,
             {(2, 0, 0): -0.5, (0, 2, 0): -0.5, (0, 0, 2): -0.5, (0, 0, 1): 1.0},
         )
-        assert uiia_residual(f, ORIGIN3) < 1e-14
+        assert uiia_residual(f.jet(ORIGIN3, 3)) < 1e-14
         jet = f.jet(ORIGIN3, 3)
         a0 = curvature_entries_float(jet)
         assert np.allclose(a0, np.eye(2))

@@ -52,46 +52,46 @@ class TestMasterIdentity:
     def test_catenoid_2d_trivial(self):
         # psi is identically 1, so phi vanishes and both sides are zero
         cat = RadialMinimalField(2, flux=-1.0)
-        res = minimal_master_identity_residual(2, cat, np.array([1.8, 2.4]), -0.5)
+        res = minimal_master_identity_residual(cat, np.array([1.8, 2.4]), -0.5)
         assert res < 1e-10
 
     def test_scherk_2d(self):
-        res = minimal_master_identity_residual(2, ScherkField(), SCHERK_POINT, -0.5)
+        res = minimal_master_identity_residual(ScherkField(), SCHERK_POINT, -0.5)
         assert res < 1e-6
 
     def test_radial_3d_theta_zero(self):
         cat3 = RadialMinimalField(3, flux=-1.0)
-        res = minimal_master_identity_residual(3, cat3, np.array([0.0, 0.0, 3.0]), 0.0)
+        res = minimal_master_identity_residual(cat3, np.array([0.0, 0.0, 3.0]), 0.0)
         assert res < 1e-6
 
     @pytest.mark.parametrize("theta", [-0.5, 0.0, 0.5, 1.0])
     def test_radial_3d_theta_family(self, theta):
         cat3 = RadialMinimalField(3, flux=-1.0)
-        res = minimal_master_identity_residual(3, cat3, np.array([1.2, -0.7, 2.0]), theta)
+        res = minimal_master_identity_residual(cat3, np.array([1.2, -0.7, 2.0]), theta)
         assert res < 1e-6
 
     def test_radial_4d(self):
         cat4 = RadialMinimalField(4, flux=-1.0)
-        res = minimal_master_identity_residual(4, cat4, np.array([0.0, 0.0, 0.0, 2.0]), 0.5)
+        res = minimal_master_identity_residual(cat4, np.array([0.0, 0.0, 0.0, 2.0]), 0.5)
         assert res < 1e-6
 
     def test_fd_order_at_least_four_over_a_decade(self):
         sch = ScherkField()
-        coarse = minimal_master_identity_residual(2, sch, SCHERK_POINT, -0.5, fd_step=0.1)
-        fine = minimal_master_identity_residual(2, sch, SCHERK_POINT, -0.5, fd_step=0.01)
+        coarse = minimal_master_identity_residual(sch, SCHERK_POINT, -0.5, fd_step=0.1)
+        fine = minimal_master_identity_residual(sch, SCHERK_POINT, -0.5, fd_step=0.01)
         order = math.log(coarse / fine) / math.log(10.0)
         assert order >= 4.0
 
     def test_rejects_non_minimal_jet(self):
         sphere = SphereDistanceField(3)  # distance cone is not minimal
         with pytest.raises(NotAMinimalJet):
-            minimal_master_identity_residual(3, sphere, np.array([0.0, 0.0, -2.0]), 0.0)
+            minimal_master_identity_residual(sphere, np.array([0.0, 0.0, -2.0]), 0.0)
 
     def test_rejects_concave_orientation(self):
         # outward-increasing catenoid: level sets convex toward -grad u
         cat = RadialMinimalField(2, flux=1.0)
         with pytest.raises(NonpositiveCurvature):
-            minimal_master_identity_residual(2, cat, np.array([1.8, 2.4]), -0.5)
+            minimal_master_identity_residual(cat, np.array([1.8, 2.4]), -0.5)
 
 
 class Test2DSpecialization:
@@ -136,6 +136,17 @@ class TestLaplaceBeltramiPsi:
         pts = [SCHERK_POINT, np.array([0.2, 0.8]), np.array([0.5, 1.0])]
         assert lb_psi_residual_2d(ScherkField(), pts) < 1e-6
 
+    def test_negative_control_wrong_weight(self):
+        # theta = 0 makes psi = k, which is not harmonic on Scherk's surface
+        pts = [SCHERK_POINT, np.array([0.2, 0.8]), np.array([0.5, 1.0])]
+        assert lb_psi_residual_2d(ScherkField(), pts, theta=0.0) >= 1.0
+
+    def test_rejects_non_minimal_supplier(self):
+        # psi = sqrt(2)/r lies in the kernel of F^{ab} although the distance
+        # cone is not minimal: only the minimality gate can reject it
+        with pytest.raises(NotAMinimalJet):
+            lb_psi_residual_2d(SphereDistanceField(2), [np.array([2.2, 0.3])])
+
 
 class TestPhiJet:
     def test_catenoid_phi_vanishes_identically(self):
@@ -143,7 +154,7 @@ class TestPhiJet:
         from levelcurv.identities import phi_jet_fd
 
         cat = RadialMinimalField(2, flux=-1.0)
-        pj = phi_jet_fd(2, cat, np.array([1.8, 2.4]), TestFunctionSpec.minimal_theta(-0.5))
+        pj = phi_jet_fd(cat, np.array([1.8, 2.4]), TestFunctionSpec.minimal_theta(-0.5))
         assert abs(pj.phi) < 1e-12
         assert np.max(np.abs(pj.grad_phi)) < 1e-10
         assert np.max(np.abs(pj.hess_phi)) < 1e-8
@@ -154,7 +165,7 @@ class TestPhiJet:
 
         spec = TestFunctionSpec.minimal_theta(-0.5)
         sch = ScherkField()
-        pj = phi_jet_fd(2, sch, SCHERK_POINT, spec, fd_step=5e-3)
+        pj = phi_jet_fd(sch, SCHERK_POINT, spec, fd_step=5e-3)
         assert np.array_equal(pj.hess_phi, pj.hess_phi.T)
         # grad phi from the FD jet must match the contraction identity
         frame = align_frame(sch.jet(SCHERK_POINT, 2))

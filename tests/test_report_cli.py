@@ -8,6 +8,7 @@ import levelcurv.checks as checks
 from levelcurv.cli import main, run
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
+from levelcurv.polyfield import PolyField
 from levelcurv.report import emit_report, parse_report, render_json, solution_csv_lines
 
 
@@ -174,6 +175,21 @@ class TestRunVerdicts:
         assert {"codazzi:n=2", "uiia:n=2", "phi-gradient:n=2",
                 "master:catenoid-2d", "master:scherk-2d", "master:radial-3d"} <= names
 
+    def test_jet_verify_evaluates_one_jet_per_field(self, monkeypatch):
+        orders = []
+        real_jet = PolyField.jet
+
+        def counting_jet(self, point, order=3):
+            orders.append(order)
+            return real_jet(self, point, order=order)
+
+        monkeypatch.setattr(PolyField, "jet", counting_jet)
+        fields = 4
+        report, _ = run(parse_config({"command": "jet-verify", "seed": 0,
+                                      "options": {"fields": fields, "dims": [2, 3]}}))
+        assert report["verdict"] == "AllPass"
+        assert orders.count(3) == 2 * fields  # one order-3 jet per field and dimension
+
     def test_lemma32(self):
         report, _ = run(parse_config({"command": "lemma32", "seed": 1,
                                       "options": {"instances": 20}}))
@@ -291,6 +307,30 @@ class TestExitCodes:
         report = parse_report((tmp_path / "X.json").read_text())
         assert report["verdict"] == "AllPass"
         assert all(c["pass"] is True for c in report["checks"])
+
+    def test_harmonic_psi_needs_minimal_exit_two(self, tmp_path):
+        cfg = {
+            "command": "check-theorem",
+            "problem": {
+                "equation": "semilinear",
+                "geometry": {
+                    "kind": "ring2d",
+                    "outer": {"kind": "ellipse", "rx": 4.0, "ry": 3.2},
+                    "inner": {"kind": "circle", "radius": 1.5},
+                    "grid": [25, 48],
+                },
+                "boundary": {"outer": "constant:0", "inner": "constant:1"},
+                "rhs": {"name": "linear-u", "scale": 1.0},
+            },
+            "checks": ["harmonic-psi"],
+            "grids": [[25, 48], [49, 96]],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "X"
+        assert main(["check-theorem", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        report = parse_report((tmp_path / "X.json").read_text())
+        assert report["error"]["type"] == "HypothesisViolated"
 
     def test_grid_flag_override(self, tmp_path):
         cfg = minimal_ring_config()
