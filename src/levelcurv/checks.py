@@ -519,12 +519,17 @@ def check_harmonic_psi_2d(source, points=None, tol: float = 1e-6) -> CheckReport
 # convergence studies
 # ---------------------------------------------------------------------------
 
+CONVERGENCE_PROBLEMS = ("laplace-annulus", "minimal-circles-catenoid", "sphere-curvature",
+                        "constant")
+
+
 def convergence_study(problem: str, grids: list) -> list[dict]:
     """Solve a closed-form-oracle problem over a grid family; tabulate (h, error, order).
 
-    problems: "laplace-annulus", "minimal-circles-catenoid", "sphere-curvature",
-    "constant".
+    ``problem`` is one of CONVERGENCE_PROBLEMS.
     """
+    if problem not in CONVERGENCE_PROBLEMS:
+        raise ValueError(f"unknown convergence problem {problem!r}")
     rows = []
     for g in grids:
         ns, nt = g
@@ -553,13 +558,11 @@ def convergence_study(problem: str, grids: list) -> list[dict]:
             interior = fields.interior
             err = float(np.max(np.abs(fields.k[interior] - 1.0 / r.reshape(-1)[interior])))
             h = sol.h
-        elif problem == "constant":
+        else:  # "constant"
             dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=ns, n_t=nt)
             sol = solve_minimal_ring2d(dom, np.full(nt, 0.7), np.full(nt, 0.7))
             err = float(np.max(np.abs(sol.values - 0.7)))
             h = sol.h
-        else:
-            raise ValueError(f"unknown convergence problem {problem!r}")
         rows.append({"h": h, "error": err, "order": None})
     for i in range(1, len(rows)):
         e0, e1 = rows[i - 1]["error"], rows[i]["error"]

@@ -25,15 +25,7 @@ from .checks import (
     corollary_bound_poisson,
     solution_fields,
 )
-from .config import (
-    RunConfig,
-    boundary_value_radial,
-    boundary_values_ring2d,
-    build_domain,
-    build_rhs,
-    build_spec,
-    parse_config,
-)
+from .config import COMMANDS, RunConfig, apply_overrides, parse_config
 from .errors import ConfigError, LevelCurvError, NonpositiveCurvature
 from .fields import RadialMinimalField, ScherkField
 from .geometry import TestFunctionSpec
@@ -73,38 +65,23 @@ def _check_entry(name: str, margin: float, tolerance: float, passed: bool, **ext
 # ---------------------------------------------------------------------------
 
 def solve_problem(cfg: RunConfig, grid=None):
+    """Solve the decoded problem on ``grid`` (a ring2d grid of the run) or its own grid."""
     problem = cfg.problem
-    geom = problem["geometry"]
-    eq = problem["equation"]
-    boundary = problem.get("boundary") or {"outer": "constant:0", "inner": "constant:1"}
-    tols = cfg.tolerances
-    solver_tol = tols.get("solver_tol") or 1e-10
+    geom = problem.geometry
+    solver_tol = cfg.tolerances.get("solver_tol", 1e-10)
 
-    if geom["kind"] == "radial":
-        n = int(geom["n"])
-        a, b = float(geom["a"]), float(geom["b"])
-        samples = int(geom.get("samples", 401))
-        if grid is not None:
-            samples = int(grid[0])
-        u_b = boundary_value_radial(boundary["outer"], b, geom)
-        u_a = boundary_value_radial(boundary["inner"], a, geom)
-        if eq == "minimal":
-            return solve_minimal_radial(n, a, b, u_a, u_b, samples=samples)
+    if problem.u_ab is not None:
+        u_a, u_b = problem.u_ab
+        if problem.equation == "minimal":
+            return solve_minimal_radial(geom.n, geom.a, geom.b, u_a, u_b, samples=geom.samples)
         return solve_semilinear_radial(
-            n, a, b, u_a, u_b, build_rhs(problem.get("rhs")), samples=samples, tol=solver_tol
+            geom.n, geom.a, geom.b, u_a, u_b, problem.rhs, samples=geom.samples, tol=solver_tol
         )
 
-    geom = dict(geom)
-    if grid is not None:
-        geom["grid"] = list(grid)
-    domain = build_domain(geom)
-    outer = boundary_values_ring2d(boundary["outer"], domain.outer, domain.n_t, geom)
-    inner = boundary_values_ring2d(boundary["inner"], domain.inner, domain.n_t, geom)
-    if eq == "minimal":
+    domain, outer, inner = problem.rings[grid or (geom.n_s, geom.n_t)]
+    if problem.equation == "minimal":
         return solve_minimal_ring2d(domain, outer, inner, tol=solver_tol)
-    return solve_semilinear_ring2d(
-        domain, outer, inner, build_rhs(problem.get("rhs")), tol=solver_tol
-    )
+    return solve_semilinear_ring2d(domain, outer, inner, problem.rhs, tol=solver_tol)
 
 
 def _solver_meta(sol) -> dict:
@@ -129,7 +106,6 @@ def _run_solve(cfg: RunConfig):
 
 def _run_curvature(cfg: RunConfig):
     sol = solve_problem(cfg)
-    spec = build_spec(cfg.spec)
     fields = solution_fields(sol)
     details = {
         "solver": _solver_meta(sol),
@@ -141,41 +117,33 @@ def _run_curvature(cfg: RunConfig):
             "notes": list(fields.notes),
         },
     }
-    if spec is not None:
-        psi = fields.psi(spec)
+    if cfg.spec is not None:
+        psi = fields.psi(cfg.spec)
         details["curvature"]["psi_min"] = float(np.min(psi))
         details["curvature"]["psi_max"] = float(np.max(psi))
     return [], details, {"solution": sol}
 
 
 def _run_check_theorem(cfg: RunConfig):
-    tols = cfg.tolerances
-    c_tol = tols.get("c_tol")
-    tol_abs = tols.get("tol_abs")
-    spec = build_spec(cfg.spec)
+    c_tol = cfg.tolerances.get("c_tol")
+    tol_abs = cfg.tolerances.get("tol_abs")
     checks = []
     solutions = {}
     sol = None
     for name in cfg.checks:
-        if name in ("min", "max", "both"):
-            if spec is None:
-                raise ConfigError("extremum checks need a spec block")
-            if sol is None:
-                sol = solve_problem(cfg)
-                solutions["solution"] = sol
-            rep = check_extremum_on_boundary(sol, spec, which=name, c_tol=c_tol, tol_abs=tol_abs)
-            checks.append(rep.to_dict())
-        elif name == "gradient-monotonicity":
-            if sol is None:
-                sol = solve_problem(cfg)
-                solutions["solution"] = sol
-            checks.append(check_gradient_monotonicity(sol, c_tol=c_tol).to_dict())
-        elif name == "harmonic-psi":
-            grids = cfg.grids or []
-            if len(grids) < 2:
-                raise ConfigError("harmonic-psi needs a grids list with >= 2 grids")
-            family = [solve_problem(cfg, grid=g) for g in grids]
+        if name == "harmonic-psi":
+            family = [solve_problem(cfg, grid=g) for g in cfg.grids]
             checks.append(check_harmonic_psi_2d(family).to_dict())
+            continue
+        if sol is None:
+            sol = solve_problem(cfg)
+            solutions["solution"] = sol
+        if name == "gradient-monotonicity":
+            rep = check_gradient_monotonicity(sol, c_tol=c_tol)
+        else:
+            rep = check_extremum_on_boundary(
+                sol, cfg.spec, which=name, c_tol=c_tol, tol_abs=tol_abs)
+        checks.append(rep.to_dict())
     meta = {"solver": _solver_meta(sol)} if sol is not None else {}
     return checks, meta, solutions
 
@@ -183,16 +151,16 @@ def _run_check_theorem(cfg: RunConfig):
 def _run_check_corollary(cfg: RunConfig):
     tols = cfg.tolerances
     sol = solve_problem(cfg)
-    if cfg.problem["equation"] == "minimal":
-        bound = corollary_bound_minimal(sol, tol=tols.get("tol_abs") or 1e-6)
+    if cfg.problem.equation == "minimal":
+        bound = corollary_bound_minimal(sol, tol=tols.get("tol_abs", 1e-6))
     else:
-        bound = corollary_bound_poisson(sol, rel_tol=tols.get("corollary_rel") or 1e-3)
+        bound = corollary_bound_poisson(sol, rel_tol=tols.get("corollary_rel", 1e-3))
     return [bound.to_dict()], {"solver": _solver_meta(sol)}, {"solution": sol}
 
 
 def _run_jet_verify(cfg: RunConfig):
-    n_fields = int(cfg.options.get("fields", 100))
-    dims = cfg.options.get("dims", [2, 3])
+    n_fields = cfg.options["fields"]
+    dims = cfg.options["dims"]
     seed0 = cfg.seed
     checks = []
     spec = TestFunctionSpec.minimal_theta(-0.5)
@@ -235,7 +203,7 @@ def _run_jet_verify(cfg: RunConfig):
 
 
 def _run_lemma32(cfg: RunConfig):
-    instances = int(cfg.options.get("instances", 200))
+    instances = cfg.options["instances"]
     rng = np.random.default_rng(cfg.seed)
     worst = -np.inf
     for _ in range(instances):
@@ -262,7 +230,7 @@ def _run_lemma32(cfg: RunConfig):
 
 
 def _run_convergence(cfg: RunConfig):
-    problem = cfg.options.get("problem", "laplace-annulus")
+    problem = cfg.options["problem"]
     rows = convergence_study(problem, cfg.grids)
     return [], {"convergence": {"problem": problem, "rows": rows}}, {}
 
@@ -283,8 +251,6 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     report: dict = {"config": cfg.echo()}
     try:
         checks, details, solutions = _PIPELINES[cfg.command](cfg)
-    except ConfigError:
-        raise
     except LevelCurvError as exc:
         report["checks"] = []
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
@@ -315,8 +281,7 @@ def build_arg_parser() -> argparse.ArgumentParser:
         description="Gaussian curvature of convex level sets: solvers and checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("solve", "curvature", "check-theorem", "check-corollary",
-                 "jet-verify", "lemma32", "convergence"):
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", help="output path prefix for JSON/CSV artifacts")
@@ -334,28 +299,10 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-        raw.setdefault("command", args.command)
-        if raw["command"] != args.command:
-            raise ConfigError(
-                f"config command {raw['command']!r} disagrees with subcommand {args.command!r}"
-            )
-        if args.seed is not None:
-            raw["seed"] = args.seed
-        if args.out is not None:
-            raw["output"] = args.out
-        if args.grid is not None:
-            grid = _parse_grid(args.grid)
-            problem = raw.get("problem")
-            if problem and problem.get("geometry", {}).get("kind") == "ring2d":
-                problem["geometry"]["grid"] = grid
-            elif problem and problem.get("geometry", {}).get("kind") == "radial":
-                problem["geometry"]["samples"] = grid[0]
-            else:
-                raw.setdefault("grids", []).append(grid)
-        if args.tol is not None:
-            raw.setdefault("tolerances", {})["c_tol"] = args.tol
-        cfg = parse_config(raw)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        grid = _parse_grid(args.grid) if args.grid is not None else None
+        cfg = parse_config(apply_overrides(raw, args.command, seed=args.seed, output=args.out,
+                                           grid=grid, c_tol=args.tol))
+    except (ConfigError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -3,7 +3,9 @@
 Unknown keys are rejected anywhere in the tree and every numeric field must
 be finite; boundary data and right-hand sides are named closed forms (or
 sampled arrays), so a config file fully reproduces a run without embedding
-code.
+code.  ``parse_config`` is the only reader of the format: it decodes each
+node once into the object the run uses, so every ``ConfigError`` is raised
+before anything is solved.
 """
 
 from __future__ import annotations
@@ -13,11 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .checks import CONVERGENCE_PROBLEMS
 from .errors import ConfigError
 from .fields import catenoid_value
 from .geometry import TestFunctionSpec
+from .polyfield import RANDOM_JET_DIMS
 from .rhs import SemilinearRHS, inverse_square_rhs, linear_u_rhs, zero_rhs
-from .ring2d import Circle, Ellipse, RingDomain2D
+from .ring2d import MIN_GRID, Circle, Ellipse, RingDomain2D
 
 COMMANDS = (
     "solve",
@@ -31,11 +35,20 @@ COMMANDS = (
 
 CHECK_NAMES = ("min", "max", "both", "gradient-monotonicity", "harmonic-psi")
 
+OPTION_DEFAULTS = {"fields": 100, "dims": [2, 3], "instances": 200, "problem": "laplace-annulus"}
+
 
 def _require_keys(node: dict, allowed: set, path: str):
     unknown = set(node) - allowed
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} at {path or '<root>'}")
+
+
+def _object(node, allowed: set, path: str) -> dict:
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: expected an object")
+    _require_keys(node, allowed, path)
+    return node
 
 
 def _finite(value, path: str) -> float:
@@ -52,84 +65,126 @@ def _integer(value, path: str) -> int:
     return value
 
 
+def _pair(node, path: str, element=_finite) -> tuple:
+    """A two-entry list: a grid [n_s, n_t] with ``element=_integer``, else a point [x, y]."""
+    if not (isinstance(node, list) and len(node) == 2):
+        raise ConfigError(f"{path}: expected {'[n_s, n_t]' if element is _integer else '[x, y]'}")
+    return element(node[0], f"{path}[0]"), element(node[1], f"{path}[1]")
+
+
+@dataclass(frozen=True)
+class RadialGeometry:
+    n: int
+    a: float
+    b: float
+    samples: int = 401
+
+
+@dataclass(frozen=True)
+class Problem:
+    """A decoded problem block with the solver inputs of every grid the run solves.
+
+    ``geometry`` is a RadialGeometry, or the RingDomain2D on ``geometry.grid``.
+    ``u_ab`` is (u(a), u(b)) on a radial geometry; ``rings`` maps each ring2d
+    grid (n_s, n_t) to (RingDomain2D, outer values, inner values).
+    """
+
+    equation: str
+    geometry: RadialGeometry | RingDomain2D
+    rhs: SemilinearRHS | None
+    u_ab: tuple[float, float] | None = None
+    rings: dict = field(default_factory=dict)
+
+
 @dataclass
 class RunConfig:
     command: str
-    problem: dict | None = None
-    spec: dict | None = None
+    source: dict = field(default_factory=dict)
+    problem: Problem | None = None
+    spec: TestFunctionSpec | None = None
     checks: list = field(default_factory=list)
     grids: list = field(default_factory=list)
     seed: int = 0
     tolerances: dict = field(default_factory=dict)
     output: str | None = None
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=lambda: dict(OPTION_DEFAULTS))
 
     def echo(self) -> dict:
+        """The validated config as given (without defaults), for the report header."""
         out: dict = {"command": self.command, "seed": self.seed}
-        if self.problem is not None:
-            out["problem"] = self.problem
-        if self.spec is not None:
-            out["spec"] = self.spec
-        if self.checks:
-            out["checks"] = list(self.checks)
-        if self.grids:
-            out["grids"] = [list(g) for g in self.grids]
-        if self.tolerances:
-            out["tolerances"] = dict(self.tolerances)
-        if self.output is not None:
-            out["output"] = self.output
-        if self.options:
-            out["options"] = dict(self.options)
+        for key, value in self.source.items():
+            if key not in out and value not in (None, [], {}):
+                out[key] = value
         return out
+
+
+def apply_overrides(raw, command: str, *, seed=None, output=None, grid=None, c_tol=None) -> dict:
+    """Merge a subcommand and its --seed/--out/--grid/--tol values into a loaded config.
+
+    ``--grid`` sets a ring2d grid, the radial sample count, or else adds one ``grids`` entry.
+    """
+    if not isinstance(raw, dict):
+        raise ConfigError("config must be a JSON object")
+    raw.setdefault("command", command)
+    if raw["command"] != command:
+        raise ConfigError(
+            f"config command {raw['command']!r} disagrees with subcommand {command!r}"
+        )
+    if seed is not None:
+        raw["seed"] = seed
+    if output is not None:
+        raw["output"] = output
+    if grid is not None:
+        problem = raw.get("problem")
+        geometry = problem.get("geometry") if isinstance(problem, dict) else None
+        kind = geometry.get("kind") if isinstance(geometry, dict) else None
+        if kind == "ring2d":
+            geometry["grid"] = grid
+        elif kind == "radial":
+            geometry["samples"] = grid[0]
+        elif isinstance(raw.setdefault("grids", []), list):
+            raw["grids"].append(grid)
+    if c_tol is not None and isinstance(raw.setdefault("tolerances", {}), dict):
+        raw["tolerances"]["c_tol"] = c_tol
+    return raw
 
 
 def parse_config(raw: dict) -> RunConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(
-        raw,
-        {"command", "problem", "spec", "checks", "grids", "seed", "tolerances",
-         "output", "options"},
-        "",
-    )
+    _require_keys(raw, {"command", "problem", "spec", "checks", "grids", "seed", "tolerances",
+                   "output", "options"}, "")
     command = raw.get("command")
     if command not in COMMANDS:
         raise ConfigError(f"command must be one of {COMMANDS}, got {command!r}")
-    cfg = RunConfig(command=command)
+    cfg = RunConfig(command=command, source=raw)
 
     if "seed" in raw:
         cfg.seed = _integer(raw["seed"], "seed")
-    if "output" in raw and raw["output"] is not None:
+        if cfg.seed < 0:
+            raise ConfigError("seed must be nonnegative")
+    if raw.get("output") is not None:
         if not isinstance(raw["output"], str):
             raise ConfigError("output: expected a path string")
         cfg.output = raw["output"]
-
-    if "problem" in raw and raw["problem"] is not None:
-        cfg.problem = _validate_problem(raw["problem"])
-    if "spec" in raw and raw["spec"] is not None:
-        cfg.spec = _validate_spec(raw["spec"])
     if "checks" in raw:
         checks = raw["checks"]
         if not isinstance(checks, list) or not all(c in CHECK_NAMES for c in checks):
             raise ConfigError(f"checks: expected a list drawn from {CHECK_NAMES}")
         cfg.checks = checks
     if "grids" in raw:
-        cfg.grids = _validate_grids(raw["grids"])
+        if not isinstance(raw["grids"], list):
+            raise ConfigError("grids: expected a list of [n_s, n_t] pairs")
+        cfg.grids = [_pair(g, f"grids[{k}]", _integer) for k, g in enumerate(raw["grids"])]
     if "tolerances" in raw:
-        tol = raw["tolerances"]
-        if not isinstance(tol, dict):
-            raise ConfigError("tolerances: expected an object")
-        _require_keys(tol, {"c_tol", "tol_abs", "solver_tol", "corollary_rel"}, "tolerances")
-        for k, v in tol.items():
-            if v is not None:
-                _finite(v, f"tolerances.{k}")
-        cfg.tolerances = tol
+        cfg.tolerances = _tolerances(raw["tolerances"])
     if "options" in raw:
-        opts = raw["options"]
-        if not isinstance(opts, dict):
-            raise ConfigError("options: expected an object")
-        _require_keys(opts, {"fields", "dims", "instances", "theta", "problem"}, "options")
-        cfg.options = opts
+        cfg.options = _options(raw["options"])
+    if raw.get("spec") is not None:
+        cfg.spec = _spec(raw["spec"])
+    psi = cfg.command == "check-theorem" and "harmonic-psi" in cfg.checks
+    if raw.get("problem") is not None:
+        cfg.problem = _problem(raw["problem"], cfg.grids if psi else [])
     _check_command_requirements(cfg)
     return cfg
 
@@ -138,211 +193,197 @@ def _check_command_requirements(cfg: RunConfig):
     needs_problem = cfg.command in ("solve", "curvature", "check-theorem", "check-corollary")
     if needs_problem and cfg.problem is None:
         raise ConfigError(f"{cfg.command} requires a problem block")
-    if cfg.command == "check-theorem" and not cfg.checks:
-        raise ConfigError("check-theorem requires a checks list")
-    if cfg.command == "convergence" and not cfg.grids:
-        raise ConfigError("convergence requires a grids list")
+    if cfg.command == "check-theorem":
+        if not cfg.checks:
+            raise ConfigError("check-theorem requires a checks list")
+        if cfg.spec is None and set(cfg.checks) & {"min", "max", "both"}:
+            raise ConfigError("extremum checks need a spec block")
+        if "harmonic-psi" in cfg.checks:
+            if len(cfg.grids) < 2:
+                raise ConfigError("harmonic-psi needs a grids list with >= 2 grids")
+            if cfg.problem.u_ab is not None:
+                raise ConfigError("harmonic-psi needs a ring2d geometry")
+    if cfg.command == "convergence":
+        if not cfg.grids:
+            raise ConfigError("convergence requires a grids list")
+        if any(n_s < MIN_GRID[0] or n_t < MIN_GRID[1] for n_s, n_t in cfg.grids):
+            raise ConfigError(f"grids: need n_s >= {MIN_GRID[0]}, n_t >= {MIN_GRID[1]}")
 
 
-def _validate_grids(grids) -> list:
-    if not isinstance(grids, list):
-        raise ConfigError("grids: expected a list of [n_s, n_t] pairs")
-    out = []
-    for k, g in enumerate(grids):
-        if not (isinstance(g, list) and len(g) == 2):
-            raise ConfigError(f"grids[{k}]: expected [n_s, n_t]")
-        out.append((_integer(g[0], f"grids[{k}][0]"), _integer(g[1], f"grids[{k}][1]")))
+def _tolerances(node) -> dict:
+    """Tolerance overrides; a null entry means the default, and so does a missing one."""
+    _object(node, {"c_tol", "tol_abs", "solver_tol", "corollary_rel"}, "tolerances")
+    out = {}
+    for k, v in node.items():
+        if v is not None:
+            if _finite(v, f"tolerances.{k}") < 0:
+                raise ConfigError(f"tolerances.{k} must be nonnegative")
+            out[k] = v
     return out
 
 
-def _validate_problem(problem) -> dict:
-    if not isinstance(problem, dict):
-        raise ConfigError("problem: expected an object")
-    _require_keys(problem, {"equation", "geometry", "boundary", "rhs"}, "problem")
-    eq = problem.get("equation")
-    if eq not in ("minimal", "semilinear"):
-        raise ConfigError("problem.equation must be 'minimal' or 'semilinear'")
-    geom = problem.get("geometry")
-    if not isinstance(geom, dict):
-        raise ConfigError("problem.geometry: expected an object")
-    kind = geom.get("kind")
-    if kind == "radial":
-        _require_keys(geom, {"kind", "n", "a", "b", "samples"}, "problem.geometry")
-        _integer(geom["n"], "geometry.n")
-        a = _finite(geom["a"], "geometry.a")
-        b = _finite(geom["b"], "geometry.b")
-        if not 0 < a < b:
-            raise ConfigError("geometry: need 0 < a < b")
-        if "samples" in geom:
-            _integer(geom["samples"], "geometry.samples")
-    elif kind == "ring2d":
-        _require_keys(geom, {"kind", "outer", "inner", "grid", "center"}, "problem.geometry")
-        for side in ("outer", "inner"):
-            _validate_curve(geom.get(side), f"problem.geometry.{side}")
-        grid = geom.get("grid")
-        if not (isinstance(grid, list) and len(grid) == 2):
-            raise ConfigError("geometry.grid: expected [n_s, n_t]")
-        _integer(grid[0], "geometry.grid[0]")
-        _integer(grid[1], "geometry.grid[1]")
-    else:
-        raise ConfigError("geometry.kind must be 'radial' or 'ring2d'")
-    boundary = problem.get("boundary")
-    if boundary is not None:
-        if not isinstance(boundary, dict):
-            raise ConfigError("problem.boundary: expected an object")
-        _require_keys(boundary, {"outer", "inner"}, "problem.boundary")
-        for side in ("outer", "inner"):
-            _validate_boundary_data(boundary.get(side), f"problem.boundary.{side}")
-    rhs = problem.get("rhs")
-    if rhs is not None:
-        if eq != "semilinear":
-            raise ConfigError("problem.rhs only applies to semilinear problems")
-        if not isinstance(rhs, dict):
-            raise ConfigError("problem.rhs: expected an object")
-        _require_keys(rhs, {"name", "scale"}, "problem.rhs")
-        if rhs.get("name") not in ("zero", "linear-u", "inverse-square"):
-            raise ConfigError("rhs.name must be zero | linear-u | inverse-square")
-        if "scale" in rhs:
-            _finite(rhs["scale"], "rhs.scale")
-    return problem
+def _options(node) -> dict:
+    opts = dict(OPTION_DEFAULTS, **_object(node, set(OPTION_DEFAULTS), "options"))
+    for key in ("fields", "instances"):
+        if _integer(opts[key], f"options.{key}") < 1:
+            raise ConfigError(f"options.{key} must be at least 1")
+    dims = opts["dims"]
+    if not isinstance(dims, list) or not all(
+            _integer(d, "options.dims") in RANDOM_JET_DIMS for d in dims):
+        raise ConfigError(f"options.dims: expected a list drawn from {RANDOM_JET_DIMS}")
+    if opts["problem"] not in CONVERGENCE_PROBLEMS:
+        raise ConfigError(f"options.problem must be one of {CONVERGENCE_PROBLEMS}")
+    return opts
 
 
-def _validate_curve(curve, path: str):
-    if not isinstance(curve, dict):
-        raise ConfigError(f"{path}: expected an object")
-    kind = curve.get("kind")
-    if kind == "circle":
-        _require_keys(curve, {"kind", "radius", "center"}, path)
-        if _finite(curve["radius"], f"{path}.radius") <= 0:
-            raise ConfigError(f"{path}.radius must be positive")
-    elif kind == "ellipse":
-        _require_keys(curve, {"kind", "rx", "ry", "center"}, path)
-        for k in ("rx", "ry"):
-            if _finite(curve[k], f"{path}.{k}") <= 0:
-                raise ConfigError(f"{path}.{k} must be positive")
-    else:
-        raise ConfigError(f"{path}.kind must be 'circle' or 'ellipse'")
-    if "center" in curve:
-        c = curve["center"]
-        if not (isinstance(c, list) and len(c) == 2):
-            raise ConfigError(f"{path}.center: expected [x, y]")
-        for k, v in enumerate(c):
-            _finite(v, f"{path}.center[{k}]")
-
-
-def _validate_boundary_data(data, path: str):
-    if isinstance(data, str):
-        if data in ("catenoid", "harmonic-annulus"):
-            return
-        if data.startswith("constant:"):
-            _finite(float_or_error(data.split(":", 1)[1], path), path)
-            return
-        raise ConfigError(
-            f"{path}: named data must be 'catenoid', 'harmonic-annulus' or 'constant:<v>'"
-        )
-    if isinstance(data, dict):
-        _require_keys(data, {"samples"}, path)
-        samples = data.get("samples")
-        if not isinstance(samples, list) or not samples:
-            raise ConfigError(f"{path}.samples: expected a nonempty list")
-        for k, v in enumerate(samples):
-            _finite(v, f"{path}.samples[{k}]")
-        return
-    raise ConfigError(f"{path}: expected a name string or a samples object")
-
-
-def float_or_error(text: str, path: str) -> float:
-    try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{path}: bad number {text!r}") from exc
-
-
-# ---------------------------------------------------------------------------
-# materializing validated configs into objects
-# ---------------------------------------------------------------------------
-
-def build_spec(spec_cfg: dict | None) -> TestFunctionSpec | None:
-    if spec_cfg is None:
-        return None
-    if not isinstance(spec_cfg, dict):
-        raise ConfigError("spec: expected an object")
-    kind = spec_cfg.get("kind")
+def _spec(node) -> TestFunctionSpec:
+    kind = node.get("kind") if isinstance(node, dict) else None
     if kind == "minimal-theta":
-        _require_keys(spec_cfg, {"kind", "theta"}, "spec")
-        return TestFunctionSpec.minimal_theta(_finite(spec_cfg["theta"], "spec.theta"))
+        _object(node, {"kind", "theta"}, "spec")
+        return TestFunctionSpec.minimal_theta(_finite(node.get("theta"), "spec.theta"))
     if kind == "poisson-power":
-        _require_keys(spec_cfg, {"kind", "power"}, "spec")
-        return TestFunctionSpec.poisson_power(_finite(spec_cfg["power"], "spec.power"))
+        _object(node, {"kind", "power"}, "spec")
+        return TestFunctionSpec.poisson_power(_finite(node.get("power"), "spec.power"))
     raise ConfigError("spec.kind must be 'minimal-theta' or 'poisson-power'")
 
 
-def _validate_spec(spec_cfg) -> dict:
-    build_spec(spec_cfg)
-    return spec_cfg
+def _curve(node, path: str) -> Circle | Ellipse:
+    kind = node.get("kind") if isinstance(node, dict) else None
+    if kind == "circle":
+        _object(node, {"kind", "radius", "center"}, path)
+        shape = (_finite(node.get("radius"), f"{path}.radius"),)
+    elif kind == "ellipse":
+        _object(node, {"kind", "rx", "ry", "center"}, path)
+        shape = (_finite(node.get("rx"), f"{path}.rx"), _finite(node.get("ry"), f"{path}.ry"))
+    else:
+        raise ConfigError(f"{path}.kind must be 'circle' or 'ellipse'")
+    if min(shape) <= 0:
+        raise ConfigError(f"{path}: radii must be positive")
+    center = _pair(node.get("center", [0.0, 0.0]), f"{path}.center")
+    return (Circle if kind == "circle" else Ellipse)(*shape, center)
 
 
-def build_curve(curve_cfg: dict):
-    center = tuple(curve_cfg.get("center", [0.0, 0.0]))
-    if curve_cfg["kind"] == "circle":
-        return Circle(float(curve_cfg["radius"]), center)
-    return Ellipse(float(curve_cfg["rx"]), float(curve_cfg["ry"]), center)
-
-
-def build_domain(geom_cfg: dict) -> RingDomain2D:
-    grid = geom_cfg["grid"]
-    return RingDomain2D(
-        outer=build_curve(geom_cfg["outer"]),
-        inner=build_curve(geom_cfg["inner"]),
-        n_s=int(grid[0]),
-        n_t=int(grid[1]),
-        center=tuple(geom_cfg.get("center", [0.0, 0.0])),
-    )
-
-
-def build_rhs(rhs_cfg: dict | None) -> SemilinearRHS:
-    if rhs_cfg is None:
+def _rhs(node) -> SemilinearRHS:
+    if node is None:
         return zero_rhs()
-    name = rhs_cfg["name"]
-    scale = float(rhs_cfg.get("scale", 1.0))
+    _object(node, {"name", "scale"}, "problem.rhs")
+    scale = _finite(node["scale"], "rhs.scale") if "scale" in node else None
+    name = node.get("name")
     if name == "zero":
         return zero_rhs()
     if name == "linear-u":
-        return linear_u_rhs(scale)
-    return inverse_square_rhs(scale if "scale" in rhs_cfg else 2.0)
+        return linear_u_rhs(1.0 if scale is None else scale)
+    if name == "inverse-square":
+        return inverse_square_rhs(2.0 if scale is None else scale)
+    raise ConfigError("rhs.name must be zero | linear-u | inverse-square")
 
 
-def boundary_values_ring2d(data, curve, n_t: int, geom_cfg: dict) -> np.ndarray:
-    """Resolve named/sampled boundary data on one curve's angular nodes."""
+def _boundary_datum(node, path: str):
+    """One side of ``boundary``: a constant (float), samples (array) or a closed-form name."""
+    if isinstance(node, str):
+        if node in ("catenoid", "harmonic-annulus"):
+            return node
+        if node.startswith("constant:"):
+            try:
+                return _finite(float(node.split(":", 1)[1]), path)
+            except ValueError as exc:
+                raise ConfigError(f"{path}: bad number in {node!r}") from exc
+        raise ConfigError(
+            f"{path}: named data must be 'catenoid', 'harmonic-annulus' or 'constant:<v>'"
+        )
+    if isinstance(node, dict):
+        samples = _object(node, {"samples"}, path).get("samples")
+        if not isinstance(samples, list) or not samples:
+            raise ConfigError(f"{path}.samples: expected a nonempty list")
+        return np.array([_finite(v, f"{path}.samples[{k}]") for k, v in enumerate(samples)])
+    raise ConfigError(f"{path}: expected a name string or a samples object")
+
+
+def _problem(node, psi_grids: list) -> Problem:
+    _object(node, {"equation", "geometry", "boundary", "rhs"}, "problem")
+    equation = node.get("equation")
+    if equation not in ("minimal", "semilinear"):
+        raise ConfigError("problem.equation must be 'minimal' or 'semilinear'")
+    if node.get("rhs") is not None and equation != "semilinear":
+        raise ConfigError("problem.rhs only applies to semilinear problems")
+    rhs = _rhs(node.get("rhs")) if equation == "semilinear" else None
+
+    geom = node.get("geometry")
+    kind = geom.get("kind") if isinstance(geom, dict) else None
+    if kind == "radial":
+        _object(geom, {"kind", "n", "a", "b", "samples"}, "problem.geometry")
+        geometry = RadialGeometry(
+            n=_integer(geom.get("n"), "geometry.n"),
+            a=_finite(geom.get("a"), "geometry.a"),
+            b=_finite(geom.get("b"), "geometry.b"),
+            samples=_integer(geom.get("samples", 401), "geometry.samples"),
+        )
+        if geometry.n < 2 or geometry.samples < 3:
+            raise ConfigError("geometry: need n >= 2 and samples >= 3")
+        if not 0 < geometry.a < geometry.b:
+            raise ConfigError("geometry: need 0 < a < b")
+    elif kind == "ring2d":
+        _object(geom, {"kind", "outer", "inner", "grid", "center"}, "problem.geometry")
+        curves = (_curve(geom.get("outer"), "problem.geometry.outer"),
+                  _curve(geom.get("inner"), "problem.geometry.inner"))
+        center = _pair(geom.get("center", [0.0, 0.0]), "geometry.center")
+        grids = [_pair(geom.get("grid"), "geometry.grid", _integer), *psi_grids]
+    else:
+        raise ConfigError("geometry.kind must be 'radial' or 'ring2d'")
+
+    boundary = node.get("boundary")
+    if boundary is None:
+        outer, inner = 0.0, 1.0
+    else:
+        _object(boundary, {"outer", "inner"}, "problem.boundary")
+        outer = _boundary_datum(boundary.get("outer"), "problem.boundary.outer")
+        inner = _boundary_datum(boundary.get("inner"), "problem.boundary.inner")
+
+    if kind == "radial":
+        u_ab = (_radial_value(inner, geometry.a, geometry, "problem.boundary.inner"),
+                _radial_value(outer, geometry.b, geometry, "problem.boundary.outer"))
+        return Problem(equation, geometry, rhs, u_ab=u_ab)
+    rings = {}
+    for n_s, n_t in dict.fromkeys(grids):
+        try:
+            domain = RingDomain2D(*curves, n_s=n_s, n_t=n_t, center=center)
+        except ValueError as exc:
+            raise ConfigError(f"problem.geometry on grid {n_s}x{n_t}: {exc}") from exc
+        rings[n_s, n_t] = (domain,
+                           _ring_values(outer, domain.outer, domain, "problem.boundary.outer"),
+                           _ring_values(inner, domain.inner, domain, "problem.boundary.inner"))
+    return Problem(equation, rings[grids[0]][0], rhs, rings=rings)
+
+
+def _ring_values(datum, curve, domain: RingDomain2D, path: str) -> np.ndarray:
+    """Boundary data on one curve's angular nodes."""
+    n_t = domain.n_t
+    if isinstance(datum, np.ndarray):
+        if datum.shape != (n_t,):
+            raise ConfigError(f"{path}: {datum.size} samples != angular nodes {n_t}")
+        return datum
+    if isinstance(datum, float):
+        return np.full(n_t, datum)
     t = np.arange(n_t) * (2.0 * math.pi / n_t)
-    pts = curve.point(t)
-    if isinstance(data, dict):
-        samples = np.asarray(data["samples"], dtype=float)
-        if samples.shape != (n_t,):
-            raise ConfigError(
-                f"boundary samples length {samples.shape[0]} != angular nodes {n_t}"
-            )
-        return samples
-    if data.startswith("constant:"):
-        return np.full(n_t, float(data.split(":", 1)[1]))
-    radii = np.linalg.norm(pts, axis=-1)
-    if data == "catenoid":
+    radii = np.linalg.norm(curve.point(t), axis=-1)
+    if datum == "catenoid":
+        if np.min(radii) < 1.0:
+            raise ConfigError(f"{path}: catenoid data needs |x| >= 1 on the curve")
         return np.array([catenoid_value(float(r)) for r in radii])
-    if data == "harmonic-annulus":
-        outer_r = float(np.mean(np.linalg.norm(build_curve(geom_cfg["outer"]).point(t), axis=-1)))
-        inner_r = float(np.mean(np.linalg.norm(build_curve(geom_cfg["inner"]).point(t), axis=-1)))
-        return np.log(outer_r / radii) / math.log(outer_r / inner_r)
-    raise ConfigError(f"unsupported boundary data {data!r}")
+    outer_r = float(np.mean(np.linalg.norm(domain.outer.point(t), axis=-1)))
+    inner_r = float(np.mean(np.linalg.norm(domain.inner.point(t), axis=-1)))
+    return np.log(outer_r / radii) / math.log(outer_r / inner_r)
 
 
-def boundary_value_radial(data, radius: float, geom_cfg: dict) -> float:
-    if isinstance(data, dict):
-        raise ConfigError("sampled boundary data is only for 2D rings")
-    if data.startswith("constant:"):
-        return float(data.split(":", 1)[1])
-    n = int(geom_cfg["n"])
-    a = float(geom_cfg["a"])
-    if data == "catenoid":
+def _radial_value(datum, radius: float, geometry: RadialGeometry, path: str) -> float:
+    if isinstance(datum, np.ndarray):
+        raise ConfigError(f"{path}: sampled boundary data is only for 2D rings")
+    if isinstance(datum, float):
+        return datum
+    n, a = geometry.n, geometry.a
+    if datum == "catenoid":
+        if a < 1.0:
+            raise ConfigError(f"{path}: catenoid data needs a >= 1")
         if n == 2:
             return catenoid_value(radius, anchor=a)
         from scipy.integrate import quad
@@ -355,7 +396,4 @@ def boundary_value_radial(data, radius: float, geom_cfg: dict) -> float:
             epsrel=1e-12,
         )
         return float(val)
-    if data == "harmonic-annulus":
-        b = float(geom_cfg["b"])
-        return math.log(b / radius) / math.log(b / a)
-    raise ConfigError(f"unsupported boundary data {data!r}")
+    return math.log(geometry.b / radius) / math.log(geometry.b / a)

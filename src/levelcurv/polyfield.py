@@ -122,6 +122,9 @@ def _nondegenerate(jet: Jet, min_grad: float, min_det: float) -> bool:
     return abs(float(np.linalg.det(a_pre))) >= min_det
 
 
+RANDOM_JET_DIMS = (2, 3, 4)
+
+
 def random_test_jet(seed: int, n: int, min_grad: float = 0.1, min_det: float = 1e-4) -> PolyField:
     """Deterministic random degree-4 field, nondegenerate at the origin.
 
@@ -129,8 +132,8 @@ def random_test_jet(seed: int, n: int, min_grad: float = 0.1, min_det: float = 1
     origin, |grad| >= 0.1 and the pre-orientation curvature matrix has
     |det| >= 1e-4.  Raises ExhaustedResampling after 1000 attempts.
     """
-    if n not in (2, 3, 4):
-        raise ValueError(f"random test jets support n in {{2, 3, 4}}, got {n}")
+    if n not in RANDOM_JET_DIMS:
+        raise ValueError(f"random test jets support n in {RANDOM_JET_DIMS}, got {n}")
     rng = np.random.default_rng(seed)
     indices = _multi_indices(n, MAX_DEGREE)
     origin = np.zeros(n)

@@ -19,6 +19,8 @@ import numpy as np
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"non-finite float {x!r} in report")
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"  # "-0" would parse back as the int 0
     return f"{x:.17g}"
 
 

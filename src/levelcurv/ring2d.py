@@ -64,6 +64,9 @@ class Ellipse:
         return np.stack([-self.rx * np.cos(t), -self.ry * np.sin(t)], axis=-1)
 
 
+MIN_GRID = (4, 8)  # smallest (n_s, n_t) a ring grid may have
+
+
 @dataclass
 class RingDomain2D:
     """Convex ring between an outer curve (u side 0) and an inner curve (u side 1).
@@ -80,8 +83,8 @@ class RingDomain2D:
     center: tuple = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.n_s < 4 or self.n_t < 8:
-            raise ValueError("grid too small: need n_s >= 4, n_t >= 8")
+        if self.n_s < MIN_GRID[0] or self.n_t < MIN_GRID[1]:
+            raise ValueError(f"grid too small: need n_s >= {MIN_GRID[0]}, n_t >= {MIN_GRID[1]}")
         t = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         c = np.asarray(self.center)
         for name, curve in (("outer", self.outer), ("inner", self.inner)):

@@ -1,16 +1,21 @@
 """Property tests: the pointwise identities hold on every drawn polynomial
-field, and reports survive a render/parse round trip.
+field, reports survive a render/parse round trip, and configs reject unknown
+keys wherever they appear.
 
 Fields are drawn like random_test_jet draws them (degree 4, coefficients in
 [-1, 1], nondegenerate at the origin); the tolerances are those of the
 fixed-seed identity tests.
 """
 
+import copy
+
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from levelcurv.errors import NonpositiveCurvature
+from levelcurv.config import parse_config
+from levelcurv.errors import ConfigError, NonpositiveCurvature
 from levelcurv.geometry import TestFunctionSpec
 from levelcurv.identities import codazzi_residual, phi_gradient_identity_residual, uiia_residual
 from levelcurv.polyfield import MAX_DEGREE, PolyField, _multi_indices, _nondegenerate
@@ -61,4 +66,66 @@ REPORT_VALUES = st.recursive(
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(st.dictionaries(st.text(max_size=8), REPORT_VALUES, max_size=6))
 def test_report_round_trip(report):
-    assert parse_report(render_json(report)) == report
+    text = render_json(report)
+    assert parse_report(text) == report
+    assert render_json(parse_report(text)) == text
+
+
+# valid configs that between them hold every kind of object node
+VALID_CONFIGS = [
+    {
+        "command": "check-theorem",
+        "problem": {
+            "equation": "semilinear",
+            "geometry": {
+                "kind": "ring2d",
+                "outer": {"kind": "ellipse", "rx": 2.4, "ry": 2.0, "center": [0.0, 0.0]},
+                "inner": {"kind": "circle", "radius": 1.0},
+                "grid": [5, 8],
+            },
+            "boundary": {"outer": {"samples": [0.0] * 8}, "inner": "constant:1"},
+            "rhs": {"name": "linear-u", "scale": 1.0},
+        },
+        "spec": {"kind": "poisson-power", "power": -2.0},
+        "checks": ["min"],
+        "tolerances": {"c_tol": 1.0},
+        "options": {"fields": 3},
+    },
+    {
+        "command": "solve",
+        "problem": {"equation": "minimal",
+                    "geometry": {"kind": "radial", "n": 3, "a": 2.0, "b": 4.0}},
+        "spec": {"kind": "minimal-theta", "theta": -0.5},
+    },
+]
+
+SCHEMA_KEYS = {
+    "command", "problem", "spec", "checks", "grids", "seed", "tolerances", "output", "options",
+    "equation", "geometry", "boundary", "rhs", "kind", "outer", "inner", "grid", "center",
+    "radius", "rx", "ry", "n", "a", "b", "samples", "name", "scale", "theta", "power",
+    "c_tol", "tol_abs", "solver_tol", "corollary_rel", "fields", "dims", "instances",
+}
+
+
+def _object_nodes(node):
+    if isinstance(node, dict):
+        yield node
+        for value in node.values():
+            yield from _object_nodes(value)
+
+
+@pytest.mark.parametrize("cfg", VALID_CONFIGS, ids=lambda c: c["command"])
+def test_valid_configs_parse(cfg):
+    parse_config(copy.deepcopy(cfg))
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(st.data())
+def test_unknown_config_key_is_named(data):
+    cfg = copy.deepcopy(data.draw(st.sampled_from(VALID_CONFIGS)))
+    node = data.draw(st.sampled_from(list(_object_nodes(cfg))))
+    key = data.draw(st.text(max_size=8).filter(lambda k: k not in SCHEMA_KEYS))
+    node[key] = 1
+    with pytest.raises(ConfigError) as exc:
+        parse_config(cfg)
+    assert repr(key) in str(exc.value)

@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +35,71 @@ def minimal_ring_config(**overrides):
     return cfg
 
 
+def radial_config(command="solve", **geometry):
+    return {
+        "command": command,
+        "problem": {
+            "equation": "minimal",
+            "geometry": {"kind": "radial", "n": 3, "a": 2.0, "b": 4.0, **geometry},
+            "boundary": {"outer": "catenoid", "inner": "constant:0"},
+        },
+    }
+
+
+def _without(cfg, *path):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    del node[path[-1]]
+    return cfg
+
+
+def _ring_with(**problem):
+    cfg = minimal_ring_config()
+    cfg["problem"].update(problem)
+    return cfg
+
+
+# each must exit 2 as a config error, never escape main as an exception that
+# exits 1 and reads as a counterexample
+CONFIG_ERRORS = [
+    pytest.param(_without(radial_config(), "problem", "geometry", "n"), id="radial-without-n"),
+    pytest.param(_ring_with(geometry={"kind": "ring2d", "outer": {"kind": "circle", "radius": 4.0},
+                                      "inner": {"kind": "circle"}, "grid": [17, 32]}),
+                 id="circle-without-radius"),
+    pytest.param({"command": "jet-verify", "options": {"fields": "many"}}, id="fields-not-integer"),
+    pytest.param({"command": "jet-verify", "options": {"dims": [1]}}, id="dims-out-of-range"),
+    pytest.param({"command": "convergence", "grids": [[17, 32]], "options": {"problem": "nope"}},
+                 id="unknown-convergence-problem"),
+    pytest.param(_ring_with(geometry={"kind": "ring2d", "outer": {"kind": "circle", "radius": 4.0},
+                                      "inner": {"kind": "circle", "radius": 2.0}, "grid": [17, 16]},
+                            boundary={"outer": {"samples": [0.0, 0.0]}, "inner": "constant:1"}),
+                 id="samples-length"),
+    pytest.param(_ring_with(geometry={"kind": "ring2d", "outer": {"kind": "circle", "radius": 4.0},
+                                      "inner": {"kind": "circle", "radius": 5.0}, "grid": [17, 32]},
+                            boundary={"outer": "constant:0", "inner": "constant:1"}),
+                 id="inner-outside-outer"),
+    pytest.param(_without(minimal_ring_config(), "spec"), id="extremum-without-spec"),
+    pytest.param({"command": "convergence", "grids": [[2, 16]]}, id="convergence-grid-too-small"),
+    pytest.param(minimal_ring_config(checks=["harmonic-psi"]), id="harmonic-psi-without-grids"),
+    pytest.param({**radial_config("check-theorem"), "checks": ["harmonic-psi"],
+                  "grids": [[17, 32], [33, 64]]}, id="harmonic-psi-radial"),
+]
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
+    def test_shipped_configs_parse(self, path):
+        raw = json.loads(path.read_text())
+        assert parse_config(raw).command == raw["command"]
+
+    def test_theta_option_rejected(self):
+        with pytest.raises(ConfigError, match="theta"):
+            parse_config({"command": "jet-verify", "options": {"theta": 0.5}})
+
     def test_unknown_top_level_key(self):
         with pytest.raises(ConfigError, match="thetta"):
             parse_config({"command": "lemma32", "thetta": 1})
@@ -73,17 +139,16 @@ class TestConfigValidation:
                 "boundary": {"outer": "constant:0", "inner": "constant:1"},
             },
         }
-        assert parse_config(cfg).problem["geometry"]["n"] == 3
+        assert parse_config(cfg).problem.geometry.n == 3
 
-    def test_boundary_samples_shape_checked_at_runtime(self):
+    def test_boundary_samples_shape_checked_at_parse(self):
         cfg = minimal_ring_config()
         cfg["problem"]["boundary"] = {
             "outer": {"samples": [0.0] * 10},  # wrong length for nt=32
             "inner": "constant:1",
         }
-        parsed = parse_config(cfg)
         with pytest.raises(ConfigError):
-            run(parsed)
+            parse_config(cfg)
 
 
 class TestRunVerdicts:
@@ -292,6 +357,23 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", "--config", str(path), "--quiet"]) == 2
+
+    @pytest.mark.parametrize("cfg", CONFIG_ERRORS)
+    def test_config_errors_exit_two_before_solving(self, cfg, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out" / "run"
+        assert main([cfg["command"], "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    @pytest.mark.parametrize("tol_abs, tolerance", [(0, 0.0), (None, 1e-6)])
+    def test_zero_tolerance_honoured(self, tol_abs, tolerance):
+        cfg = {**radial_config("check-corollary"), "tolerances": {"tol_abs": tol_abs}}
+        report, _ = run(parse_config(cfg))
+        [check] = report["checks"]
+        assert check["tolerance"] == tolerance
+        assert check["pass"] is True
 
     def test_command_mismatch_exit_two(self, tmp_path):
         path = tmp_path / "cfg.json"
