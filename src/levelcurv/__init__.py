@@ -75,7 +75,6 @@ from .ring2d import (
     Circle,
     Ellipse,
     RingDomain2D,
-    boundary_gradients,
     solve_minimal_ring2d,
     solve_semilinear_ring2d,
 )

@@ -2,38 +2,37 @@
 
 Every check follows the same discipline: hypotheses are *enforced*, not
 assumed (a failed precondition raises HypothesisViolated and must never be
-read as a counterexample), interior and boundary values are estimated by the
-same least-squares jet machinery (one-sided at boundaries), and verdicts
-carry explicit margins against an O(h^2)-scaled tolerance.
+read as a counterexample), interior and boundary values come from one field
+bundle per solution (on 2D rings the solver's own stencil jets, one-sided
+in s on the boundary rows), and verdicts carry explicit margins against an
+O(h^2)-scaled tolerance.  Only psi harmonicity refits u (degree 4).
 
-"Interior" always excludes the two grid layers nearest each boundary, which
-is the jet-recovery stencil width; comparing differently-accurate estimators
+"Interior" always excludes the two grid layers nearest each boundary, where
+the one-sided stencils reach; comparing differently-accurate estimators
 would poison the margins.
 """
 
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
-from .errors import HypothesisViolated, TooCoarse
-from .geometry import GRAD_FLOOR, TestFunctionSpec, curvature_matrix, level_curve_curvature_2d
+from .errors import HypothesisViolated, TooCloseToBoundary, TooCoarse
+from .geometry import GRAD_FLOOR, TestFunctionSpec, level_curve_curvature_2d
 from .identities import lb_psi_residual_2d
 from .recover import grid_field_fit, radial_profile_fit
 from .rhs import admissibility_check, zero_rhs
 from .ring2d import (
     Circle,
+    Ellipse,
     RingDomain2D,
     RingGrid,
-    boundary_gradients,
     solve_minimal_ring2d,
     solve_semilinear_ring2d,
 )
-from .fields import catenoid_value, radial_jet
+from .fields import catenoid_value
 from .solution import RingSolution
 
 INTERIOR_MARGIN_LAYERS = 2
@@ -107,8 +106,9 @@ class _Fields:
     """The derived node fields of one solution, which every check reads.
 
     Fields are flat over the nodes: row-major (N_s * N_t,) on 2D grids,
-    (m,) on radial profiles.  ``interior`` slices them, ``boundary`` indexes
-    the outer then the inner row on 2D grids and samples [0, -1] radially.
+    (m,) on radial profiles.  ``interior`` slices them; ``outer`` and
+    ``inner`` index the two boundary rows on 2D grids and the samples at
+    r = b and r = a radially.
     """
 
     gnorm: np.ndarray      # |grad u|
@@ -118,9 +118,13 @@ class _Fields:
     notes: tuple
     interior: slice
     coords: np.ndarray     # (N, d) node coordinates
-    boundary: np.ndarray
+    outer: np.ndarray
+    inner: np.ndarray
     node_shape: tuple      # shape of solution.values
-    boundary_gradients: Callable  # () -> (outer, inner) |grad u| on the boundary
+
+    @property
+    def boundary(self) -> np.ndarray:  # node order: extremum ties go to the lower index
+        return np.union1d(self.outer, self.inner)
 
     def psi(self, spec: TestFunctionSpec | None) -> np.ndarray:
         return spec.weight(self.gnorm**2) * self.k if spec is not None else self.k.copy()
@@ -142,15 +146,19 @@ class _Fields:
 
 
 def _build_fields(solution: RingSolution, jets=None) -> _Fields:
-    """The field bundle from (grads, hesses) of a 2D solution or (u', u'') of a radial one.
+    """The field bundle from 2D (grads, hesses), by default the solver grid's stencil jets.
 
-    jets defaults to the degree-3 fit of solution.values.  Raises on the
-    |grad u| floor and orients the curvature to be positive toward grad u.
+    Radially the level sets are spheres: kappa = 1/r and K = r^(1-n).  Raises
+    on the |grad u| floor and orients the curvature to be positive toward grad u.
     """
     node_shape = solution.values.shape
     if solution.kind == "ring2d":
-        grads, hesses = jets if jets is not None else grid_field_fit(
-            solution, solution.values, degree=3)
+        if jets is None:
+            if node_shape[0] < 5:
+                raise TooCloseToBoundary("grid has too few s-layers for the one-sided Hessian")
+            grid = solution.grid if solution.grid is not None else RingGrid(solution.domain)
+            jets = grid.physical_gradient(solution.values), grid.physical_hessian(solution.values)
+        grads, hesses = jets
         gnorm = np.linalg.norm(grads, axis=-1)
         _require_gradient_floor(gnorm)
         kappa_pre = level_curve_curvature_2d(grads, hesses)
@@ -160,26 +168,19 @@ def _build_fields(solution: RingSolution, jets=None) -> _Fields:
         deriv = 2.0 * np.einsum("nta,ntab,ntb->nt", grads, hesses, grads)
         coords = solution.coords.reshape(-1, 2)
         ns, nt = node_shape
-        boundary = np.concatenate([np.arange(nt), np.arange((ns - 1) * nt, ns * nt)])
-        owner = weakref.ref(solution)  # the bundle lives on the solution: no cycle
-        boundary_grads = lambda: boundary_gradients(owner())
+        outer, inner = np.arange(nt), np.arange((ns - 1) * nt, ns * nt)
     else:
-        up, upp = jets if jets is not None else radial_profile_fit(solution, degree=3)[:2]
+        up, upp = radial_profile_fit(solution, degree=3)[:2]
         gnorm = np.abs(up)
         _require_gradient_floor(gnorm)
-        k, kappa_min = np.empty((2,) + up.shape)
-        flipped = False
-        for i, r in enumerate(solution.r):
-            x = np.zeros(solution.n)
-            x[0] = r
-            cd = curvature_matrix(radial_jet(x, up[i], upp[i], None, order=2), mode="aligned")
-            k[i], kappa_min[i] = cd.gauss, cd.principal[0]
-            flipped = flipped or cd.flipped
+        kappa_min = 1.0 / solution.r
+        k = solution.r ** (1 - solution.n)
+        # the unoriented curvature matrix is -sign(u')/r I
+        flipped = bool(np.any(up > 0.0))
         # grad(|grad u|^2) . grad u = 2 U'^2 U'' for a radial profile
         deriv = 2.0 * up**2 * upp
         coords = solution.r[:, None]
-        boundary = np.array([0, up.shape[0] - 1])
-        boundary_grads = lambda: (gnorm[[-1]], gnorm[[0]])
+        outer, inner = np.array([up.shape[0] - 1]), np.array([0])
     row = gnorm.size // node_shape[0]
     flat = {}
     for name, a in (("gnorm", gnorm), ("k", k), ("kappa_min", kappa_min), ("deriv", deriv)):
@@ -191,9 +192,9 @@ def _build_fields(solution: RingSolution, jets=None) -> _Fields:
         interior=slice(INTERIOR_MARGIN_LAYERS * row,
                        (node_shape[0] - INTERIOR_MARGIN_LAYERS) * row),
         coords=coords,
-        boundary=boundary,
+        outer=outer,
+        inner=inner,
         node_shape=node_shape,
-        boundary_gradients=boundary_grads,
     )
 
 
@@ -322,9 +323,8 @@ def _require_semilinear_ring(solution: RingSolution, equation_text: str):
 
 def _corollary_inputs(fields: _Fields) -> tuple:
     """(min interior K, min boundary K, min outer |grad u|, max inner |grad u|)."""
-    g_out, g_in = fields.boundary_gradients()
     return (float(np.min(fields.k[fields.interior])), float(np.min(fields.k[fields.boundary])),
-            float(np.min(g_out)), float(np.max(g_in)))
+            float(np.min(fields.gnorm[fields.outer])), float(np.max(fields.gnorm[fields.inner])))
 
 
 def corollary_bound_poisson(
@@ -397,24 +397,24 @@ def check_gradient_monotonicity(
     """
     _require_semilinear_ring(solution, "gradient monotonicity is stated for Delta u = f(u)")
     fields = _gated_fields(solution)
-    g_out, g_in = fields.boundary_gradients()
-    min_all, max_all = float(np.min(fields.gnorm)), float(np.max(fields.gnorm))
-    min_outer, max_inner = float(np.min(g_out)), float(np.max(g_in))
+    gnorm = fields.gnorm
+    min_int, max_int = float(np.min(gnorm[fields.interior])), float(np.max(gnorm[fields.interior]))
+    min_outer, max_inner = float(np.min(gnorm[fields.outer])), float(np.max(gnorm[fields.inner]))
 
     h = solution.h
     scale_d = float(np.max(np.abs(fields.deriv[fields.interior])))
     tol = (50.0 * scale_d if c_tol is None else c_tol) * h * h
-    gtol = 50.0 * max_all * h * h
+    gtol = 50.0 * float(np.max(gnorm)) * h * h
     d_min, loc = fields.extremum(fields.deriv, np.argmin, fields.interior)
     # three sub-margins (positivity + the two extremum locations), each scaled
     # by its own tolerance, folded so pass <=> margin >= -tolerance
     quotients = [d_min / tol,
-                 (min_all - min_outer) / gtol,
-                 (max_inner - max_all) / gtol]
+                 (min_int - min_outer) / gtol,
+                 (max_inner - max_int) / gtol]
     margin = float(min(quotients) * tol)
     notes = ["flags sampled", f"min directional derivative {d_min:.6g}",
-             f"min|grad| {min_all:.6g} vs outer {min_outer:.6g}",
-             f"max|grad| {max_all:.6g} vs inner {max_inner:.6g}"]
+             f"interior min|grad| {min_int:.6g} vs outer {min_outer:.6g}",
+             f"interior max|grad| {max_int:.6g} vs inner {max_inner:.6g}"]
     return CheckReport(
         name="gradient-monotonicity",
         interior_extremum=d_min,
@@ -548,12 +548,13 @@ def convergence_study(problem: str, grids: list) -> list[dict]:
             err = float(np.max(np.abs(sol.values - exact)))
             h = sol.h
         elif problem == "sphere-curvature":
-            dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt)
+            # off concentric circles: there -r is linear in s and the stencils are exact
+            dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(2.0), n_s=ns, n_t=nt)
             grid = RingGrid(dom)
             r = np.linalg.norm(grid.x, axis=-1)
             sol = RingSolution(kind="ring2d", equation="minimal", values=-r,
                                residual_norm=0.0, h=grid.spacing(), domain=dom,
-                               coords=grid.x)
+                               coords=grid.x, grid=grid)
             fields = solution_fields(sol)
             interior = fields.interior
             err = float(np.max(np.abs(fields.k[interior] - 1.0 / r.reshape(-1)[interior])))

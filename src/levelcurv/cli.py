@@ -321,7 +321,11 @@ def main(argv=None) -> int:
         print(f"verdict: {report['verdict']} ({wall:.2f}s)")
 
     if cfg.output:
-        paths = emit_report(report, cfg.output, solutions=solutions)
+        try:
+            paths = emit_report(report, cfg.output, solutions=solutions)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
         if not args.quiet:
             for p in paths:
                 print(f"wrote {p}")

@@ -388,12 +388,12 @@ def _radial_value(datum, radius: float, geometry: RadialGeometry, path: str) -> 
             return catenoid_value(radius, anchor=a)
         from scipy.integrate import quad
 
-        val, _ = quad(
-            lambda s: 1.0 / math.sqrt(s ** (2 * (n - 1)) - 1.0),
-            a,
-            radius,
-            epsabs=1e-12,
-            epsrel=1e-12,
-        )
+        try:
+            val, _ = quad(lambda s: 1.0 / math.sqrt(s ** (2 * (n - 1)) - 1.0), a, radius,
+                          epsabs=1e-12, epsrel=1e-12)
+        except OverflowError:
+            val = math.inf
+        if not math.isfinite(val):
+            raise ConfigError(f"{path}: catenoid data is not finite at radius {radius:g}")
         return float(val)
     return math.log(geometry.b / radius) / math.log(geometry.b / a)

@@ -8,9 +8,9 @@ on smooth data the Hessian converges at second order.
 One engine serves both granularities.  For each expansion center it solves
 the weighted normal equations only for the derivative coefficients asked
 for, which turns the fit into a few rows that map window values to
-derivatives.  Batched recovery at every grid node (the hot path of the
-theorem checks) builds those rows one s-row at a time and applies them with
-one gather and one matmul; the single-point API is a one-node call.
+derivatives.  Batched recovery at every grid node (the psi-harmonicity
+check's degree-4 fit) builds those rows one s-row at a time and applies them
+with one gather and one matmul; the single-point API is a one-node call.
 """
 
 from __future__ import annotations

@@ -171,6 +171,9 @@ class RingGrid:
     def d_ss(self, u: np.ndarray) -> np.ndarray:
         out = np.zeros_like(u)
         out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / self.ds**2
+        if u.shape[0] >= 5:  # one-sided five-point rows; a four-row grid leaves them zero
+            w = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / (12.0 * self.ds**2)
+            out[0], out[-1] = w @ u[:5], w @ u[::-1][:5]
         return out
 
     def d_tt(self, u: np.ndarray) -> np.ndarray:
@@ -181,6 +184,9 @@ class RingGrid:
         up = np.roll(u, -1, axis=1)
         um = np.roll(u, 1, axis=1)
         out[1:-1] = (up[2:] - um[2:] - up[:-2] + um[:-2]) / (4.0 * self.ds * self.dt)
+        # the one-sided d_s of the central d_t on the boundary rows
+        out[0] = self.d_s(self.d_t(u[:3]))[0]
+        out[-1] = self.d_s(self.d_t(u[-3:]))[-1]
         return out
 
     def physical_gradient(self, u: np.ndarray) -> np.ndarray:
@@ -189,7 +195,7 @@ class RingGrid:
         return np.einsum("ntm,ntma->nta", np.stack([us, ut], axis=-1), self.inv)
 
     def physical_hessian(self, u: np.ndarray) -> np.ndarray:
-        """(ns, nt, 2, 2) Hessian on interior rows (boundary rows invalid)."""
+        """(ns, nt, 2, 2) Hessian; one-sided in s at the two boundary rows."""
         us, ut = self.d_s(u), self.d_t(u)
         ref2 = np.zeros(u.shape + (2, 2))
         ref2[..., 0, 0] = self.d_ss(u)
@@ -462,14 +468,3 @@ def solve_semilinear_ring2d(
     return _solve_ring2d(domain, outer_data, inner_data, "semilinear", rhs=rhs,
                          tol=tol, max_iter=max_iter, initial=initial)
 
-
-def boundary_gradients(solution: RingSolution) -> tuple[np.ndarray, np.ndarray]:
-    """|grad u| on the outer (s=0) and inner (s=1) boundary rows.
-
-    One-sided three-point differences along s, central in t, mapped through
-    the exact metric: second-order accurate on the boundary itself.
-    """
-    grid = solution.grid if solution.grid is not None else RingGrid(solution.domain)
-    grad = grid.physical_gradient(solution.values)
-    norms = np.linalg.norm(grad, axis=-1)
-    return norms[0], norms[-1]

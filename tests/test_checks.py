@@ -13,13 +13,22 @@ from levelcurv.checks import (
     convergence_study,
     corollary_bound_minimal,
     corollary_bound_poisson,
+    solution_fields,
 )
 from levelcurv.errors import HypothesisViolated, NotAMinimalJet, TooCoarse
 from levelcurv.fields import RadialMinimalField, SphereDistanceField, catenoid_value
 from levelcurv.geometry import TestFunctionSpec
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import linear_u_rhs, zero_rhs
-from levelcurv.ring2d import Circle, Ellipse, RingDomain2D, solve_minimal_ring2d, solve_semilinear_ring2d
+from levelcurv.ring2d import (
+    Circle,
+    Ellipse,
+    RingDomain2D,
+    RingGrid,
+    solve_minimal_ring2d,
+    solve_semilinear_ring2d,
+)
+from levelcurv.solution import RingSolution
 
 THETA_HALF = TestFunctionSpec.minimal_theta(-0.5)
 
@@ -184,11 +193,35 @@ class TestGradientMonotonicity:
         rep = check_gradient_monotonicity(sol)
         assert rep.passed
 
+    def test_planted_reversed_gradient_fails(self):
+        # u = (4 - |x|^2)/3 has 0/1 data, but |grad u| = 2r/3 is largest on the outer circle
+        dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=128, n_t=256)
+        grid = RingGrid(dom)
+        u = (4.0 - np.sum(grid.x**2, axis=-1)) / 3.0
+        sol = RingSolution(kind="ring2d", equation="semilinear", values=u, residual_norm=0.0,
+                           h=grid.spacing(), rhs=zero_rhs(), domain=dom, coords=grid.x,
+                           grid=grid)
+        rep = check_gradient_monotonicity(sol)
+        assert not rep.passed
+        assert rep.margin < -rep.tolerance
+
     def test_constant_data_guard(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
         sol = solve_semilinear_ring2d(dom, np.zeros(64), np.zeros(64), zero_rhs())
         with pytest.raises(HypothesisViolated):
             check_gradient_monotonicity(sol)
+
+
+class TestFieldBundle:
+    @pytest.mark.parametrize("n, inner, outer, flipped", [(3, 0.0, 1.0, True),
+                                                          (4, 1.0, 0.0, False)])
+    def test_radial_curvature_closed_form(self, n, inner, outer, flipped):
+        sol = solve_semilinear_radial(n, 1.0, 2.0, inner, outer, zero_rhs(), samples=101)
+        fields = solution_fields(sol)
+        assert np.allclose(fields.k, sol.r ** (1 - n), rtol=1e-15, atol=0.0)
+        assert np.allclose(fields.kappa_min, 1.0 / sol.r, rtol=1e-15, atol=0.0)
+        assert bool(np.any(sol.u_prime > 0)) is flipped
+        assert fields.notes == (("orientation flipped",) if flipped else ())
 
 
 class TestHarmonicPsi:

@@ -85,6 +85,7 @@ CONFIG_ERRORS = [
     pytest.param(minimal_ring_config(checks=["harmonic-psi"]), id="harmonic-psi-without-grids"),
     pytest.param({**radial_config("check-theorem"), "checks": ["harmonic-psi"],
                   "grids": [[17, 32], [33, 64]]}, id="harmonic-psi-radial"),
+    pytest.param(radial_config(b=1e308), id="radial-catenoid-overflow"),
 ]
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -192,22 +193,22 @@ class TestRunVerdicts:
         assert report["error"]["type"] == "HypothesisViolated"
 
     def test_min_and_max_share_one_fit(self, monkeypatch):
-        degrees = []
-        real_fit = checks.grid_field_fit
+        builds = []
+        real_build = checks._build_fields
 
-        def counting_fit(*args, **kwargs):
-            degrees.append(kwargs.get("degree"))
-            return real_fit(*args, **kwargs)
+        def counting_build(solution, jets=None):
+            builds.append(solution.values.shape)
+            return real_build(solution, jets)
 
-        monkeypatch.setattr(checks, "grid_field_fit", counting_fit)
+        monkeypatch.setattr(checks, "_build_fields", counting_build)
         cfg = parse_config(minimal_ring_config(checks=["min", "max"]))
         report, _ = run(cfg)
         assert report["verdict"] == "AllPass"
-        assert degrees == [3]
-        run(cfg)  # a new run solves anew and fits anew: nothing carries over
-        assert degrees == [3, 3]
+        assert builds == [(17, 32)]
+        run(cfg)  # a new run solves anew and builds anew: nothing carries over
+        assert builds == [(17, 32)] * 2
 
-        degrees.clear()
+        builds.clear()
         cfg = parse_config({
             "command": "check-theorem",
             "problem": {
@@ -227,9 +228,9 @@ class TestRunVerdicts:
         report, _ = run(cfg)
         assert report["verdict"] == "AllPass"
         assert [c["name"] for c in report["checks"]][1] == "gradient-monotonicity"
-        assert degrees == [3]
+        assert builds == [(17, 32)]
         run(cfg)
-        assert degrees == [3, 3]
+        assert builds == [(17, 32)] * 2
 
     def test_jet_verify_suite(self):
         cfg = parse_config({"command": "jet-verify", "seed": 0,
@@ -310,6 +311,12 @@ class TestCurvatureCommand:
         assert "psi_min" not in curv and "psi_max" not in curv
         assert "solution" in solutions
 
+    def test_four_row_grid_too_close_to_boundary(self):
+        # the one-sided Hessian rows need five s-layers
+        report, _ = run(_curvature_config({**self.RING, "grid": [4, 16]}))
+        assert report["verdict"] == "NumericalFailure"
+        assert report["error"]["type"] == "TooCloseToBoundary"
+
     @pytest.mark.parametrize("geometry", [RING, RADIAL])
     def test_psi_only_with_spec(self, geometry):
         report, _ = run(_curvature_config(geometry, spec=self.SPEC))
@@ -374,6 +381,13 @@ class TestExitCodes:
         [check] = report["checks"]
         assert check["tolerance"] == tolerance
         assert check["pass"] is True
+
+    def test_unwritable_out_exit_two(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert main(["lemma32", "--out", str(blocker / "x"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
 
     def test_command_mismatch_exit_two(self, tmp_path):
         path = tmp_path / "cfg.json"

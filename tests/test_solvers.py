@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from levelcurv.checks import solution_fields
 from levelcurv.errors import DidNotConverge, NoSolution
 from levelcurv.fields import catenoid_value
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
@@ -14,7 +15,7 @@ from levelcurv.ring2d import (
     Circle,
     Ellipse,
     RingDomain2D,
-    boundary_gradients,
+    RingGrid,
     solve_minimal_ring2d,
     solve_semilinear_ring2d,
 )
@@ -164,7 +165,8 @@ class TestRing2D:
         dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=65, n_t=128)
         outer = np.full(128, catenoid_value(4.0, anchor=2.0))
         sol = solve_minimal_ring2d(dom, outer, np.zeros(128))
-        g_out, g_in = boundary_gradients(sol)
+        fields = solution_fields(sol)
+        g_out, g_in = fields.gnorm[fields.outer], fields.gnorm[fields.inner]
         assert np.max(np.abs(g_out - 1 / math.sqrt(15.0))) < 5e-4
         assert np.max(np.abs(g_in - 1 / math.sqrt(3.0))) < 5e-3
 
@@ -179,12 +181,29 @@ class TestRing2D:
             real_init(self, domain)
 
         monkeypatch.setattr(ring2d.RingGrid, "__init__", counting_init)
-        g_out, g_in = boundary_gradients(sol)
+        fields = solution_fields(sol)
         assert built == []
         # a solution that carries no grid gets one built, with the same result
-        ref_out, ref_in = boundary_gradients(dataclasses.replace(sol, grid=None))
+        ref = solution_fields(dataclasses.replace(sol, grid=None))
         assert len(built) == 1
-        assert np.array_equal(g_out, ref_out) and np.array_equal(g_in, ref_in)
+        assert np.array_equal(fields.gnorm, ref.gnorm) and np.array_equal(fields.k, ref.k)
+
+    def test_boundary_row_hessian_order_two(self):
+        # log(x^2 + 1.25 y^2) is not resolved exactly by the stencils on the ellipse ring
+        errors, hs = [], []
+        for ns, nt in [(17, 32), (33, 64), (65, 128)]:
+            grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt))
+            x, y = grid.x[..., 0], grid.x[..., 1]
+            q = x * x + 1.25 * y * y
+            exact = np.stack([2.0 / q - 4.0 * x * x / q**2, -5.0 * x * y / q**2,
+                              -5.0 * x * y / q**2, 2.5 / q - 6.25 * y * y / q**2],
+                             axis=-1).reshape(x.shape + (2, 2))
+            err = np.abs(grid.physical_hessian(np.log(q)) - exact)[[0, -1]]
+            errors.append(float(np.max(err)))
+            hs.append(grid.spacing())
+        orders = [math.log(errors[i] / errors[i + 1]) / math.log(hs[i] / hs[i + 1])
+                  for i in range(2)]
+        assert min(orders) >= 1.9
 
     def test_determinism_bitwise(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=17, n_t=32)
