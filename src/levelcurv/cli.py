@@ -26,7 +26,7 @@ from .checks import (
     solution_fields,
 )
 from .config import COMMANDS, RunConfig, apply_overrides, parse_config
-from .errors import ConfigError, LevelCurvError, NonpositiveCurvature
+from .errors import ConfigError, DidNotConverge, LevelCurvError, NonpositiveCurvature
 from .fields import RadialMinimalField, ScherkField
 from .geometry import TestFunctionSpec
 from .identities import (
@@ -85,6 +85,7 @@ def solve_problem(cfg: RunConfig, grid=None):
 
 
 def _solver_meta(sol) -> dict:
+    """Solver summary; a ring2d run adds its tolerances and per-iteration linear solves."""
     return {
         "kind": sol.kind,
         "equation": sol.equation,
@@ -92,6 +93,7 @@ def _solver_meta(sol) -> dict:
         "residual_norm": sol.residual_norm,
         "h": sol.h,
         "max_principle_violation": sol.max_principle_violation(),
+        **sol.meta,
     }
 
 
@@ -254,6 +256,9 @@ def run(cfg: RunConfig) -> tuple[dict, dict]:
     except LevelCurvError as exc:
         report["checks"] = []
         report["error"] = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, DidNotConverge):
+            report["error"]["iterations"] = exc.iterations
+            report["error"]["residual"] = exc.residual if math.isfinite(exc.residual) else None
         report["verdict"] = "NumericalFailure"
         return report, {}
     report["checks"] = checks

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .errors import DidNotConverge
 from .solution import RingSolution
@@ -201,7 +201,7 @@ class RingGrid:
         ref2[..., 0, 0] = self.d_ss(u)
         ref2[..., 0, 1] = ref2[..., 1, 0] = self.d_st(u)
         ref2[..., 1, 1] = self.d_tt(u)
-        chain = np.einsum("ntmv,ntma,ntvb->ntab", ref2, self.inv, self.inv)
+        chain = np.swapaxes(self.inv, -1, -2) @ ref2 @ self.inv
         bend = np.einsum("ntm,ntmab->ntab", np.stack([us, ut], axis=-1), self.t_tensor)
         return chain + bend
 
@@ -271,7 +271,7 @@ class _RingOperator:
         grad = grid.physical_gradient(u)
         f = self._f_matrix(grad)
         inv = grid.inv
-        aft = np.einsum("ntma,ntab,ntvb->ntmv", inv, f, inv)
+        aft = inv @ f @ np.swapaxes(inv, -1, -2)
         m_ss = aft[..., 0, 0]
         m_st = 2.0 * aft[..., 0, 1]
         m_tt = aft[..., 1, 1]
@@ -291,48 +291,111 @@ class _RingOperator:
             diag_extra = -self.rhs.f_u(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
         return m_ss, m_st, m_tt, m_s, m_t, diag_extra
 
-    def assemble(self, u: np.ndarray, freeze_f: bool = False):
-        """Sparse Jacobian over interior unknowns + boundary coupling vector."""
-        grid = self.grid
-        ns, nt = grid.n_s, grid.n_t
-        n_int = (ns - 2) * nt
-        m_ss, m_st, m_tt, m_s, m_t, diag_extra = self._linearization_fields(u, freeze_f)
-        fields = np.stack([m_ss, m_st, m_tt, m_s, m_t], axis=-1)[1:-1]  # interior rows
+    def assemble(self, fields) -> csr_matrix:
+        """Sparse Jacobian over the interior unknowns from ``_linearization_fields``.
 
-        i_idx = np.arange(1, ns - 1)[:, None]
+        The Dirichlet rows are fixed, so their couplings are left out: the
+        Newton and Picard steps solve for a correction that vanishes there.
+        """
+        ns, nt = self.grid.n_s, self.grid.n_t
+        n_int = (ns - 2) * nt
+        *coeffs, diag_extra = fields
+        stacked = np.stack(coeffs, axis=-1)[1:-1]  # interior rows
+
+        i_idx = np.arange(ns - 2)[:, None]
         j_idx = np.arange(nt)[None, :]
-        row_of = ((i_idx - 1) * nt + j_idx).ravel()
+        row_of = np.broadcast_to(i_idx * nt + j_idx, (ns - 2, nt))
 
         rows, cols, data = [], [], []
-        bdry = np.zeros(n_int)
         for (oi, oj) in _OFFSETS:
-            coeff = (fields @ self.stencils[(oi, oj)]).ravel()
+            coeff = stacked @ self.stencils[(oi, oj)]
             if oi == 0 and oj == 0:
-                coeff = coeff + diag_extra[1:-1].ravel()
-            ii = (i_idx + oi)
-            jj = (j_idx + oj) % nt
-            target = np.broadcast_to(ii, (ns - 2, nt)).ravel()
-            tcol = ((ii - 1) * nt + jj)
-            tcol = np.broadcast_to(tcol, (ns - 2, nt)).ravel()
-            interior_mask = (target >= 1) & (target <= ns - 2)
-            rows.append(row_of[interior_mask])
-            cols.append(tcol[interior_mask])
-            data.append(coeff[interior_mask])
-            # Dirichlet rows fold into the constant part
-            bmask = ~interior_mask
-            if np.any(bmask):
-                bvals = np.where(target == 0, u[0][np.broadcast_to(jj, (ns - 2, nt)).ravel()],
-                                 u[-1][np.broadcast_to(jj, (ns - 2, nt)).ravel()])
-                bdry[bmask] += coeff[bmask] * bvals[bmask]
-        mat = csr_matrix(
+                coeff = coeff + diag_extra[1:-1]
+            target = np.broadcast_to(i_idx + oi, (ns - 2, nt))
+            keep = (target >= 0) & (target < ns - 2)
+            rows.append(row_of[keep])
+            cols.append((target * nt + (j_idx + oj) % nt)[keep])
+            data.append(coeff[keep])
+        return csr_matrix(
             (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
             shape=(n_int, n_int),
         )
-        return mat, bdry
+
+
+def _averaged_preconditioner(fields, ds: float, dt: float) -> LinearOperator | None:
+    """Inverse of the t-averaged Jacobian, or None when a Thomas pivot is not finite.
+
+    With every coefficient averaged over t per s-row the operator commutes with
+    shifts in t, so each Fourier mode theta = k dt decouples into a tridiagonal
+    system in s (Hockney 1965).  It is applied as rfft in t, a Thomas sweep in
+    s vectorized over the modes (forward elimination done once here), irfft.
+    """
+    m_ss, m_st, m_tt, m_s, m_t, d = (f[1:-1].mean(axis=1)[:, None] for f in fields)
+    rows, nt = fields[0].shape[0] - 2, fields[0].shape[1]
+    theta = np.arange(nt // 2 + 1) * dt
+    sin = np.sin(theta)[None, :]
+    cross = 1j * m_st * sin / (2.0 * ds * dt)
+    lower = m_ss / ds**2 - m_s / (2.0 * ds) - cross
+    upper = m_ss / ds**2 + m_s / (2.0 * ds) + cross
+    diag = (-2.0 * m_ss / ds**2 - 4.0 * m_tt * np.sin(theta / 2.0)[None, :] ** 2 / dt**2
+            + 1j * m_t * sin / dt + d)
+
+    inv_pivot = np.empty_like(diag)
+    sup = np.zeros_like(diag)  # upper / pivot after elimination
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(rows):
+            pivot = diag[i] - lower[i] * sup[i - 1] if i else diag[0]
+            inv_pivot[i] = 1.0 / pivot
+            sup[i] = upper[i] * inv_pivot[i]
+    if not np.all(np.isfinite(inv_pivot)):
+        return None
+
+    def apply(r: np.ndarray) -> np.ndarray:
+        y = np.fft.rfft(r.reshape(rows, nt), axis=1)
+        y[0] *= inv_pivot[0]
+        for i in range(1, rows):
+            y[i] = (y[i] - lower[i] * y[i - 1]) * inv_pivot[i]
+        for i in range(rows - 2, -1, -1):
+            y[i] -= sup[i] * y[i + 1]
+        return np.fft.irfft(y, n=nt, axis=1).ravel()
+
+    return LinearOperator((rows * nt, rows * nt), matvec=apply, dtype=float)
 
 
 # frozen-coefficient steps before Newton, minimal equation only
 _PICARD_STEPS = 5
+# Inexact Newton-Krylov (Knoll & Keyes 2004): each linear solve stops once GMRES
+# has cut the residual by this relative factor, a fixed forcing term in the
+# sense of Eisenstat & Walker 1996.  Picard is only a warm start.
+_PICARD_FORCING = 1e-3
+_NEWTON_FORCING = 1e-8
+_GMRES_RESTART = 50
+_GMRES_MAX_ITER = 500  # inner iterations before the splu fallback
+
+
+def _linear_solve(op: _RingOperator, u: np.ndarray, rhs: np.ndarray, freeze_f: bool,
+                  forcing: float):
+    """Solve J(u) x = rhs; returns (x, linear solver path, Krylov iterations).
+
+    GMRES runs under the t-averaged preconditioner; sparse LU is the fallback
+    when GMRES stops short of ``forcing`` or the preconditioner breaks down.
+    """
+    fields = op._linearization_fields(u, freeze_f)
+    mat = op.assemble(fields)
+    precond = _averaged_preconditioner(fields, op.grid.ds, op.grid.dt)
+    krylov = 0
+    if precond is not None:
+        def count(_):
+            nonlocal krylov
+            krylov += 1
+
+        restart = min(_GMRES_RESTART, _GMRES_MAX_ITER)
+        x, info = gmres(mat, rhs, rtol=forcing, atol=0.0, restart=restart,
+                        maxiter=-(-_GMRES_MAX_ITER // restart), M=precond,
+                        callback=count, callback_type="pr_norm")
+        if info == 0:
+            return x, "gmres", krylov
+    return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs), "splu", krylov
 
 
 def _solve_ring2d(
@@ -360,17 +423,6 @@ def _solve_ring2d(
         s = np.linspace(0.0, 1.0, ns)[:, None]
         u = (1.0 - s) * outer_data[None, :] + s * inner_data[None, :]
 
-    if np.allclose(outer_data, inner_data) and (
-        equation == "minimal" or rhs is None or getattr(rhs, "is_zero", False)
-    ):
-        # constant data, homogeneous equation: the blend is already constant
-        if np.ptp(outer_data) == 0.0:
-            return RingSolution(
-                kind="ring2d", equation=equation, values=u, residual_norm=0.0,
-                h=grid.spacing(), iterations=0, rhs=rhs, domain=domain,
-                coords=grid.x, grid=grid, meta={"picard": 0, "grid": (ns, nt)},
-            )
-
     # rounding floor of the discrete operator (second differences divide
     # the eps-level noise of u by ds^2); tol below it cannot be reached
     m_ss, m_st, m_tt, m_s, m_t, _ = op._linearization_fields(u, freeze_f=True)
@@ -382,31 +434,53 @@ def _solve_ring2d(
         + np.abs(m_t) / grid.dt
     ))
     u_scale = 1.0 + float(max(np.max(np.abs(outer_data)), np.max(np.abs(inner_data))))
-    tol = max(tol, 32.0 * np.finfo(float).eps * coeff_scale * u_scale)
+    tol_used = float(max(tol, 32.0 * np.finfo(float).eps * coeff_scale * u_scale))
+    # per iteration: which linear solver ran and how many GMRES iterations it took
+    paths, krylov = [], []
+
+    def solution(values, res_norm, iterations):
+        return RingSolution(
+            kind="ring2d", equation=equation, values=values, residual_norm=res_norm,
+            h=grid.spacing(), iterations=iterations, rhs=rhs, domain=domain,
+            coords=grid.x, grid=grid,
+            meta={"grid": (ns, nt), "tol": tol, "tol_used": tol_used,
+                  "linear_solver": paths, "krylov_iterations": krylov},
+        )
+
+    if np.allclose(outer_data, inner_data) and (
+        equation == "minimal" or rhs is None or getattr(rhs, "is_zero", False)
+    ):
+        # constant data, homogeneous equation: the blend is already constant
+        if np.ptp(outer_data) == 0.0:
+            return solution(u, 0.0, 0)
 
     res = op.residual(u)
     res_norm = float(np.max(np.abs(res)))
     iterations = 0
 
+    # The frozen operator applied to u is the minimal residual itself, so each
+    # Picard step solves for the correction from u.
     for _ in range(_PICARD_STEPS if equation == "minimal" else 0):
-        if res_norm <= tol:
+        if res_norm <= tol_used:
             break
-        mat, bdry = op.assemble(u, freeze_f=True)
-        sol = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(-bdry)
-        u[1:-1] = sol.reshape(ns - 2, nt)
+        delta, path, its = _linear_solve(op, u, -res.ravel(), True, _PICARD_FORCING)
+        paths.append(path)
+        krylov.append(its)
+        u[1:-1] += delta.reshape(ns - 2, nt)
         res = op.residual(u)
         res_norm = float(np.max(np.abs(res)))
         iterations += 1
 
-    while res_norm > tol:
+    while res_norm > tol_used:
         if iterations >= max_iter:
             raise DidNotConverge(
                 f"ring2d {equation} solver stalled at residual {res_norm:.3e}",
                 iterations=iterations,
                 residual=res_norm,
             )
-        mat, _ = op.assemble(u, freeze_f=False)
-        delta = splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(-res.ravel())
+        delta, path, its = _linear_solve(op, u, -res.ravel(), False, _NEWTON_FORCING)
+        paths.append(path)
+        krylov.append(its)
         step = 1.0
         accepted = False
         for _ in range(8):
@@ -427,19 +501,7 @@ def _solve_ring2d(
             )
         iterations += 1
 
-    return RingSolution(
-        kind="ring2d",
-        equation=equation,
-        values=u,
-        residual_norm=res_norm,
-        h=grid.spacing(),
-        iterations=iterations,
-        rhs=rhs,
-        domain=domain,
-        coords=grid.x,
-        grid=grid,
-        meta={"grid": (ns, nt)},
-    )
+    return solution(u, res_norm, iterations)
 
 
 def solve_minimal_ring2d(

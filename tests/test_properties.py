@@ -1,6 +1,7 @@
 """Property tests: the pointwise identities hold on every drawn polynomial
-field, reports survive a render/parse round trip, and configs reject unknown
-keys wherever they appear.
+field, K and psi do not change when the field is rotated or translated,
+reports survive a render/parse round trip, and configs reject unknown keys
+wherever they appear.
 
 Fields are drawn like random_test_jet draws them (degree 4, coefficients in
 [-1, 1], nondegenerate at the origin); the tolerances are those of the
@@ -8,6 +9,7 @@ fixed-seed identity tests.
 """
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError, NonpositiveCurvature
-from levelcurv.geometry import TestFunctionSpec
+from levelcurv.geometry import TestFunctionSpec, curvature_matrix, rotate_jet, weighted_curvature
 from levelcurv.identities import codazzi_residual, phi_gradient_identity_residual, uiia_residual
 from levelcurv.polyfield import MAX_DEGREE, PolyField, _multi_indices, _nondegenerate
 from levelcurv.report import parse_report, render_json
@@ -29,14 +31,19 @@ SPECS = st.one_of(
 
 
 @st.composite
-def origin_jets(draw):
-    """Order-3 jet at the origin of a drawn nondegenerate PolyField."""
+def origin_fields(draw):
+    """A drawn PolyField that is nondegenerate at the origin."""
     n = draw(st.sampled_from([2, 3, 4]))
     indices = _multi_indices(n, MAX_DEGREE)
     coeffs = draw(st.lists(COEFF, min_size=len(indices), max_size=len(indices)))
-    jet = PolyField(n, dict(zip(indices, coeffs))).jet(np.zeros(n), order=3)
-    assume(_nondegenerate(jet, min_grad=0.1, min_det=1e-4))
-    return jet
+    field = PolyField(n, dict(zip(indices, coeffs)))
+    assume(_nondegenerate(field.jet(np.zeros(n), order=2), min_grad=0.1, min_det=1e-4))
+    return field
+
+
+def origin_jets():
+    """Order-3 jet at the origin of a drawn nondegenerate PolyField."""
+    return origin_fields().map(lambda field: field.jet(np.zeros(field.dim), order=3))
 
 
 @settings(max_examples=400, derandomize=True, deadline=None)
@@ -49,6 +56,40 @@ def test_identities_hold_on_drawn_fields(jet, spec):
     except NonpositiveCurvature:
         return
     assert residual < 1e-9
+
+
+def _k_and_psi(jet, spec):
+    gauss = curvature_matrix(jet).gauss
+    return gauss, weighted_curvature(spec, jet.grad_norm**2, gauss)
+
+
+def _translated(field, offset):
+    """v(x) = u(x - offset) as a PolyField, by Taylor expansion about the origin."""
+    return PolyField(field.dim, {
+        alpha: field.partial(alpha).evaluate(-offset) / math.prod(map(math.factorial, alpha))
+        for alpha in _multi_indices(field.dim, MAX_DEGREE)
+    })
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(origin_jets(), SPECS, st.data())
+def test_k_and_psi_invariant_under_rotation(jet, spec, data):
+    n = jet.dim
+    q, r = np.linalg.qr(np.reshape(data.draw(st.lists(COEFF, min_size=n * n, max_size=n * n)),
+                                   (n, n)))
+    assume(np.min(np.abs(np.diag(r))) > 0.1)
+    for got, want in zip(_k_and_psi(rotate_jet(jet, q), spec), _k_and_psi(jet, spec)):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(origin_fields(), SPECS, st.lists(st.floats(-4.0, 4.0), min_size=4, max_size=4))
+def test_k_and_psi_invariant_under_translation(field, spec, offset):
+    offset = np.array(offset[: field.dim])
+    moved = _translated(field, offset).jet(offset, order=3)
+    origin = field.jet(np.zeros(field.dim), order=3)
+    for got, want in zip(_k_and_psi(moved, spec), _k_and_psi(origin, spec)):
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
 
 REPORT_VALUES = st.recursive(

@@ -1,4 +1,5 @@
 import copy
+import functools
 import json
 import math
 from pathlib import Path
@@ -7,6 +8,8 @@ import numpy as np
 import pytest
 
 import levelcurv.checks as checks
+import levelcurv.cli as cli
+from levelcurv import ring2d
 from levelcurv.cli import main, run
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
@@ -158,6 +161,33 @@ class TestRunVerdicts:
         assert report["verdict"] == "AllPass"
         assert report["checks"][0]["pass"] is True
         assert report["solver"]["max_principle_violation"] <= 1e-12
+
+    def test_solver_block_records_linear_solves(self):
+        cfg = parse_config(minimal_ring_config())
+        report, _ = run(cfg)
+        solver = report["solver"]
+        assert solver["tol"] == 1e-10
+        assert solver["tol_used"] >= solver["tol"]
+        assert solver["residual_norm"] <= solver["tol_used"]
+        assert solver["iterations"] > 0
+        assert solver["linear_solver"] == ["gmres"] * solver["iterations"]
+        assert len(solver["krylov_iterations"]) == solver["iterations"]
+        assert render_json(run(cfg)[0]) == render_json(report)
+
+    def test_stall_keeps_iterations_and_residual(self, monkeypatch):
+        monkeypatch.setattr(cli, "solve_minimal_ring2d",
+                            functools.partial(ring2d.solve_minimal_ring2d, max_iter=2))
+        cfg = minimal_ring_config()
+        cfg["problem"]["boundary"] = {"outer": "constant:0", "inner": "constant:1"}
+        report, _ = run(parse_config(cfg))
+        assert report["verdict"] == "NumericalFailure"
+        error = report["error"]
+        assert error["type"] == "DidNotConverge"
+        # the cap is checked once the Picard warm start has run
+        assert error["iterations"] == ring2d._PICARD_STEPS
+        assert error["residual"] > 1e-10
+        assert f"{error['residual']:.3e}" in error["message"]
+        assert parse_report(render_json(report))["error"] == error
 
     def test_numerical_failure_no_solution(self):
         cfg = {

@@ -210,3 +210,56 @@ class TestRing2D:
         s1 = solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
         s2 = solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
         assert np.array_equal(s1.values, s2.values)
+
+
+class TestNewtonKrylov:
+    """GMRES under the t-averaged preconditioner, with sparse LU as the fallback."""
+
+    ELLIPSE = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=64, n_t=128)
+
+    def _ellipse(self):
+        return solve_minimal_ring2d(self.ELLIPSE, np.zeros(128), np.ones(128))
+
+    def test_gmres_matches_splu(self, monkeypatch):
+        krylov = self._ellipse()
+        monkeypatch.setattr(ring2d, "_averaged_preconditioner", lambda *args: None)
+        direct = self._ellipse()
+        assert krylov.meta["linear_solver"] == ["gmres"] * krylov.iterations
+        assert direct.meta["linear_solver"] == ["splu"] * direct.iterations
+        assert direct.meta["krylov_iterations"] == [0] * direct.iterations
+        assert krylov.iterations == direct.iterations
+        assert np.max(np.abs(krylov.values - direct.values)) < 1e-12
+
+    def test_stalled_gmres_falls_back_to_splu(self, monkeypatch):
+        krylov = self._ellipse()
+        monkeypatch.setattr(ring2d, "_GMRES_MAX_ITER", 1)
+        capped = self._ellipse()
+        assert capped.iterations == krylov.iterations
+        assert capped.meta["linear_solver"] == ["splu"] * capped.iterations
+        assert capped.meta["krylov_iterations"] == [1] * capped.iterations
+        assert np.max(np.abs(capped.values - krylov.values)) < 1e-12
+
+    def test_semilinear_circle_one_newton_step(self):
+        # the metric of a circle ring does not depend on t, so the t-averaged
+        # preconditioner is the exact inverse and GMRES needs one iteration
+        dom = RingDomain2D(Circle(2.0, center=(1.3, -0.4)), Circle(1.0, center=(1.3, -0.4)),
+                           n_s=64, n_t=128, center=(1.3, -0.4))
+        sol = solve_semilinear_ring2d(dom, np.zeros(128), np.ones(128), linear_u_rhs(1.0))
+        assert sol.iterations == 1
+        assert sol.meta["linear_solver"] == ["gmres"]
+        assert sol.meta["krylov_iterations"] == [1]
+
+    def test_preconditioner_inverts_t_invariant_operator(self):
+        # coefficients that vary in s only: every Fourier mode is solved exactly
+        grid = RingGrid(RingDomain2D(Circle(2.0), Circle(1.0), n_s=17, n_t=32))
+        rng = np.random.default_rng(0)
+        rows = rng.uniform(-0.5, 0.5, size=(6, 17, 1)) + np.array([1, 0, 1, 0, 0, -1])[:, None, None]
+        fields = tuple(np.broadcast_to(f, (17, 32)) for f in rows)
+        mat = ring2d._RingOperator(grid, "semilinear").assemble(fields)
+        precond = ring2d._averaged_preconditioner(fields, grid.ds, grid.dt)
+        x = rng.standard_normal(mat.shape[0])
+        assert np.max(np.abs(precond.matvec(mat @ x) - x)) < 1e-10
+
+    def test_singular_pivot_gives_no_preconditioner(self):
+        zero = np.zeros((9, 16))
+        assert ring2d._averaged_preconditioner((zero,) * 6, 0.125, 2.0 * math.pi / 16) is None
