@@ -47,11 +47,13 @@ from .geometry import (
 )
 from .identities import (
     CurvatureDerivatives,
+    IdentityResiduals,
     PhiJet,
     QuadraticBoundInstance,
     QuadraticBoundResult,
     codazzi_residual,
     curvature_derivatives,
+    identity_residuals,
     lb_psi_residual_2d,
     lemma_quadratic_bound,
     minimal_master_identity_residual,
@@ -60,7 +62,7 @@ from .identities import (
     quadratic_max_oracle,
     uiia_residual,
 )
-from .polyfield import PolyField, random_test_jet
+from .polyfield import PolyField, RandomJets, random_test_jet, random_test_jets
 from .radial import solve_minimal_radial, solve_semilinear_radial
 from .recover import recover_jet
 from .rhs import (

@@ -1,24 +1,26 @@
 """Minimal forward-mode dual numbers.
 
 Used to differentiate the curvature-matrix field exactly (to machine
-precision, no truncation error) along a coordinate direction: seed the jet
+precision, no truncation error) along coordinate directions: seed the jet
 entries with their own directional derivatives and push them through the
-chart formula.
+chart formula.  Values and derivatives are floats or arrays that broadcast
+together, so one Dual can carry a batch of points, and a trailing axis of
+directions in ``der`` against a length-one axis in ``val``.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 
 class Dual:
-    """value + first derivative along one fixed direction."""
+    """value + first derivative along fixed directions, elementwise."""
 
     __slots__ = ("val", "der")
 
-    def __init__(self, val: float, der: float = 0.0):
-        self.val = float(val)
-        self.der = float(der)
+    def __init__(self, val, der=0.0):
+        self.val = val
+        self.der = der
 
     def __repr__(self):
         return f"Dual({self.val!r}, {self.der!r})"
@@ -65,12 +67,12 @@ class Dual:
 
 def dual_sqrt(x):
     if isinstance(x, Dual):
-        s = math.sqrt(x.val)
+        s = np.sqrt(x.val)
         return Dual(s, 0.5 * x.der / s)
-    return math.sqrt(x)
+    return np.sqrt(x)
 
 
 def dual_log(x):
     if isinstance(x, Dual):
-        return Dual(math.log(x.val), x.der / x.val)
-    return math.log(x)
+        return Dual(np.log(x.val), x.der / x.val)
+    return np.log(x)

@@ -22,6 +22,7 @@ log K is well defined.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -46,22 +47,84 @@ _JACOBI_TOL = 1e-13
 # ---------------------------------------------------------------------------
 
 def _symmetrize_matrix(m: np.ndarray) -> np.ndarray:
-    return (m + m.T) / 2.0
+    return (m + np.swapaxes(m, -1, -2)) / 2.0
+
+
+def _fsum(terms: list) -> np.ndarray:
+    """Elementwise ``math.fsum`` of equally shaped arrays of finite floats.
+
+    The terms are grown into a nonoverlapping expansion by error-free TwoSum
+    steps, which is then rounded from its largest part down the way
+    ``math.fsum`` rounds its partials, half-even ties across parts included.
+    So each element is the correctly rounded sum of its terms.
+    """
+    parts: list = []
+    for x in terms:
+        grown = []
+        for p in parts:
+            hi = x + p
+            virt = hi - x
+            grown.append((x - (hi - virt)) + (p - virt))
+            x = hi
+        parts = grown + [x]
+    hi = parts[-1]
+    lo = np.zeros_like(hi)
+    below = np.zeros_like(hi)  # largest nonzero part under the first inexact step
+    exact = np.ones(np.shape(hi), dtype=bool)
+    for p in reversed(parts[:-1]):
+        below = np.where(~exact & (below == 0.0), p, below)
+        total = hi + p
+        err = p - (total - hi)
+        hi = np.where(exact, total, hi)
+        lo = np.where(exact, err, lo)
+        exact &= err == 0.0
+    doubled = hi + 2.0 * lo
+    tie = (np.sign(lo) * np.sign(below) > 0.0) & (doubled - hi == 2.0 * lo)
+    return np.where(tie, doubled, hi) + 0.0  # a zero sum is +0.0, as math.fsum gives it
+
+
+@functools.cache
+def _triple_groups(n: int) -> tuple:
+    """Index tables of the permutation groups of the sorted index triples.
+
+    ``slots[s, g]`` is the s-th permutation of group g (padded with its first
+    one, and masked off by ``used``, past the group's size), ``sizes[g]`` is
+    the group's size and ``group_of[i, j, k]`` the group holding (i, j, k).
+    """
+    groups = [sorted(set(itertools.permutations(triple)))
+              for triple in itertools.combinations_with_replacement(range(n), 3)]
+    width = max(len(g) for g in groups)
+    slots = np.array([[g[s] if s < len(g) else g[0] for g in groups] for s in range(width)])
+    used = np.array([[s < len(g) for g in groups] for s in range(width)])
+    sizes = np.array([float(len(g)) for g in groups])
+    group_of = np.empty((n, n, n), dtype=int)
+    for index, g in enumerate(groups):
+        for perm in g:
+            group_of[perm] = index
+    for table in (slots, used, sizes, group_of):
+        table.flags.writeable = False
+    return slots, used, sizes, group_of
 
 
 def _symmetrize_third(t: np.ndarray) -> np.ndarray:
-    # One canonical average per sorted triple, assigned to every permutation,
-    # so the result is bitwise symmetric.
-    n = t.shape[0]
-    out = np.empty_like(t)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                perms = set(itertools.permutations((i, j, k)))
-                v = math.fsum(t[p] for p in perms) / len(perms)
-                for p in perms:
-                    out[p] = v
-    return out
+    # One correctly rounded mean per sorted triple, assigned to every
+    # permutation, so the result is bitwise symmetric.  The permutation
+    # groups (1, 3 or 6 entries) are padded with zeros to the largest size,
+    # which leaves each correctly rounded sum unchanged, so one _fsum covers
+    # them all.
+    slots, used, sizes, group_of = _triple_groups(t.shape[-1])
+    terms = [np.where(ok, t[..., idx[:, 0], idx[:, 1], idx[:, 2]], 0.0)
+             for idx, ok in zip(slots, used)]
+    return (_fsum(terms) / sizes)[..., group_of]
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis.
+
+    The matmul runs the per-vector BLAS dot that ``np.linalg.norm`` runs, so
+    a vector gets the same bits alone as inside any batch.
+    """
+    return np.sqrt((v[..., None, :] @ v[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -70,7 +133,9 @@ class Jet:
 
     grad has shape (n,), hess (n, n) exactly symmetric, third (n, n, n)
     exactly symmetric under all index permutations (or None when only a
-    second-order jet is available).
+    second-order jet is available).  Leading axes, shared by all three,
+    make a batch of jets: grad (..., n), hess (..., n, n), third
+    (..., n, n, n).
     """
 
     grad: np.ndarray
@@ -82,31 +147,36 @@ class Jet:
         hess = np.asarray(self.hess, dtype=float)
         object.__setattr__(self, "grad", grad)
         object.__setattr__(self, "hess", hess)
-        n = grad.shape[0]
+        if grad.ndim == 0:
+            raise ValueError("jets require a gradient vector")
+        n = grad.shape[-1]
+        batch = grad.shape[:-1]
         if n < 2:
             raise ValueError("jets require dimension n >= 2")
         if n > 9:
             raise ValueError("frames with n - 1 > 8 are out of scope")
-        if hess.shape != (n, n):
+        if hess.shape != batch + (n, n):
             raise ValueError(f"hess shape {hess.shape} does not match n={n}")
-        if not np.array_equal(hess, hess.T):
+        if not np.array_equal(hess, np.swapaxes(hess, -1, -2)):
             raise ValueError("hess must be exactly symmetric")
         if self.third is not None:
             third = np.asarray(self.third, dtype=float)
             object.__setattr__(self, "third", third)
-            if third.shape != (n, n, n):
+            if third.shape != batch + (n, n, n):
                 raise ValueError(f"third shape {third.shape} does not match n={n}")
-            for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
-                if not np.array_equal(third, np.transpose(third, perm)):
+            for a, b in [(-1, -2), (-2, -3), (-1, -3)]:
+                if not np.array_equal(third, np.swapaxes(third, a, b)):
                     raise ValueError("third must be symmetric under index permutations")
 
     @property
     def dim(self) -> int:
-        return self.grad.shape[0]
+        return self.grad.shape[-1]
 
     @property
-    def grad_norm(self) -> float:
-        return float(np.linalg.norm(self.grad))
+    def grad_norm(self):
+        """|grad u|: a float for one jet, an array over a batch."""
+        norm = _norm(self.grad)
+        return float(norm) if norm.ndim == 0 else norm
 
 
 def make_jet(grad, hess, third=None) -> Jet:
@@ -118,12 +188,15 @@ def make_jet(grad, hess, third=None) -> Jet:
 
 
 def rotate_jet(jet: Jet, q: np.ndarray) -> Jet:
-    """Covariant transform of a jet under y = Q x (grad -> Q grad, etc.)."""
-    grad = q @ jet.grad
-    hess = _symmetrize_matrix(q @ jet.hess @ q.T)
+    """Covariant transform of a jet under y = Q x (grad -> Q grad, etc.).
+
+    A batch of jets takes one rotation or a batch of rotations (..., n, n).
+    """
+    grad = (q @ jet.grad[..., None])[..., 0]
+    hess = _symmetrize_matrix(q @ jet.hess @ np.swapaxes(q, -1, -2))
     third = None
     if jet.third is not None:
-        third = np.einsum("ai,bj,ck,ijk->abc", q, q, q, jet.third)
+        third = np.einsum("...ai,...bj,...ck,...ijk->...abc", q, q, q, jet.third)
         third = _symmetrize_third(third)
     return Jet(grad, hess, third)
 
@@ -136,46 +209,48 @@ class LevelSetFrame:
     aligned_jet: Jet
 
 
+def _plane_rotation(n: int, k: int, c: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Rotations by (c, s) in the (k, n-1) plane, one per element of c."""
+    rot = np.broadcast_to(np.eye(n), c.shape + (n, n)).copy()
+    rot[..., k, k] = c
+    rot[..., k, n - 1] = -s
+    rot[..., n - 1, k] = s
+    rot[..., n - 1, n - 1] = c
+    return rot
+
+
 def align_frame(jet: Jet) -> LevelSetFrame:
     """Rotate coordinates so the gradient becomes (0, ..., 0, |grad|).
 
     Built from a deterministic sequence of Givens rotations in the (k, n)
     planes, with a final 180-degree rotation in the (1, n) plane if needed to
-    make the last component positive.
+    make the last component positive.  A batch of jets is aligned
+    elementwise: each jet gets the same rotation it gets alone.
 
     Raises GradientTooSmall when |grad| < 1e-8: the theorems assume a
     nonvanishing gradient and silently regularizing would mask that.
     """
     n = jet.dim
-    gnorm = jet.grad_norm
-    if gnorm < GRAD_FLOOR:
-        raise GradientTooSmall(f"|grad| = {gnorm:.3e} below floor {GRAD_FLOOR:.0e}")
-    g = jet.grad / gnorm
-    q = np.eye(n)
+    gnorm = _norm(jet.grad)
+    if np.any(gnorm < GRAD_FLOOR):
+        raise GradientTooSmall(f"|grad| = {np.min(gnorm):.3e} below floor {GRAD_FLOOR:.0e}")
+    g = jet.grad / gnorm[..., None]
+    q = np.broadcast_to(np.eye(n), gnorm.shape + (n, n))
     for k in range(n - 1):
-        gk, gn = g[k], g[n - 1]
-        r = math.hypot(gk, gn)
-        if r == 0.0 or gk == 0.0:
-            continue
-        c, s = gn / r, gk / r
-        rot = np.eye(n)
-        rot[k, k] = c
-        rot[k, n - 1] = -s
-        rot[n - 1, k] = s
-        rot[n - 1, n - 1] = c
+        gk, gn = g[..., k], g[..., n - 1]
+        r = np.hypot(gk, gn)
+        skip = gk == 0.0  # nothing to rotate (this includes r == 0)
+        r = np.where(skip, 1.0, r)
+        rot = _plane_rotation(n, k, np.where(skip, 1.0, gn / r), np.where(skip, 0.0, gk / r))
         q = rot @ q
-        g = rot @ g
-    if g[n - 1] < 0.0:
-        rot = np.eye(n)
-        rot[0, 0] = -1.0
-        rot[n - 1, n - 1] = -1.0
-        q = rot @ q
-        g = rot @ g
+        g = (rot @ g[..., None])[..., 0]
+    flip = g[..., n - 1] < 0.0
+    half_turn = _plane_rotation(n, 0, np.where(flip, -1.0, 1.0), np.zeros(flip.shape))
+    q = half_turn @ q
     aligned = rotate_jet(jet, q)
     # Pin the rounding dust so downstream aligned-point formulas are exact.
-    grad = aligned.grad.copy()
-    grad[: n - 1] = 0.0
-    grad[n - 1] = gnorm
+    grad = np.zeros_like(aligned.grad)
+    grad[..., n - 1] = gnorm
     aligned = Jet(grad, aligned.hess, aligned.third)
     return LevelSetFrame(rotation=q, aligned_jet=aligned)
 
@@ -394,7 +469,7 @@ def curvature_matrix(jet: Jet, mode: str = "aligned") -> CurvatureData:
         h = second_fundamental_h(jet)
         a_pre = _raw_curvature_entries(jet)
     elif mode == "aligned":
-        frame = align_frame(jet)
+        frame = align_frame(Jet(jet.grad, jet.hess))  # the matrix needs no third derivatives
         aj = frame.aligned_jet
         un = gnorm
         w = 1.0

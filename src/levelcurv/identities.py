@@ -15,9 +15,11 @@ each other:
   central differences on a closed-form supplier,
 * the quadratic-polynomial bound Q <= 4 mu^2 Gamma.
 
-The first three take the order-3 jet at the point and align it themselves;
-the finite-difference checks take a closed-form supplier with a
-``jet(point, order)`` method.
+The first three take the order-3 jet at the point and align it themselves.
+``identity_residuals`` evaluates them over a batch of jets with kernels that
+are elementwise over the batch, and the single-jet functions run the same
+kernels on a batch of one.  The finite-difference checks take a closed-form
+supplier with a ``jet(point, order)`` method.
 
 All identity checks use the pre-flip sign convention of the curvature matrix,
 because that is the convention the formulas are derived in; the orientation
@@ -26,6 +28,7 @@ flip is a presentation device for user-facing K only.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -49,16 +52,16 @@ from .geometry import (
 )
 
 # ---------------------------------------------------------------------------
-# generic curvature-matrix entries (float or Dual scalars, u_n > 0 chart)
+# generic curvature-matrix entries (float or Dual entries, u_n > 0 chart)
 # ---------------------------------------------------------------------------
 
 
 def _entries_generic(grad: list, hess: list, n: int) -> list:
     """Level-set curvature matrix entries from scalar jet entries.
 
-    Works elementwise over any scalar type supporting +,-,*,/ and dual_sqrt
-    (floats and Duals).  Assumes the u_n > 0 branch, which holds at and near
-    aligned points.
+    Works elementwise over any entry type supporting +,-,*,/ and dual_sqrt
+    (floats, arrays over a batch, and Duals of either).  Assumes the
+    u_n > 0 branch, which holds at and near aligned points.
     """
     un = grad[n - 1]
     g2 = grad[0] * grad[0]
@@ -110,57 +113,104 @@ def _det_generic(a: list, m: int):
     raise ValueError("determinant expansion implemented for sizes 1-3")
 
 
+def _matrix(entries: list) -> np.ndarray:
+    """Nested lists of equally shaped entries as one (..., rows, cols) array;
+    entries of shape (..., k) give (..., k, rows, cols)."""
+    return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
+
+
 def curvature_entries_float(jet: Jet) -> np.ndarray:
     """Pre-flip curvature matrix from a jet with u_n > 0 (e.g. an aligned jet)."""
     n = jet.dim
-    a = _entries_generic(list(jet.grad), [list(row) for row in jet.hess], n)
-    return np.array([[float(a[i][j]) for j in range(n - 1)] for i in range(n - 1)])
+    grad = [jet.grad[..., i] for i in range(n)]
+    hess = [[jet.hess[..., i, j] for j in range(n)] for i in range(n)]
+    return _matrix(_entries_generic(grad, hess, n))
 
 
-def _seeded(jet: Jet, axis: int) -> tuple[list, list]:
-    """Dual gradient and curvature entries of the jet, seeded along ``axis``.
+def _seeded(jet: Jet) -> tuple[list, list]:
+    """Dual gradient and curvature entries of the jet, seeded along every axis.
 
-    Each jet entry carries its own derivative along coordinate ``axis`` (so
-    third derivatives feed the Hessian seeds); pushing the duals through the
-    chart formula gives the exact chain-rule derivative of a_ij along that
-    axis, with no truncation error.
+    Each jet entry carries its derivatives along all n coordinates in the
+    trailing axis of its ``der`` (so third derivatives feed the Hessian
+    seeds); pushing the duals through the chart formula gives the exact
+    chain-rule derivatives of a_ij along every axis, with no truncation
+    error.  Values keep a trailing axis of length one.  A batch of jets is
+    seeded in one pass.
     """
     if jet.third is None:
         raise ValueError("order-3 jet required to differentiate the curvature field")
     n = jet.dim
-    grad = [Dual(jet.grad[al], jet.hess[al, axis]) for al in range(n)]
+    grad = [Dual(jet.grad[..., al, None], jet.hess[..., al, :]) for al in range(n)]
     hess = [
-        [Dual(jet.hess[al, be], jet.third[al, be, axis]) for be in range(n)]
+        [Dual(jet.hess[..., al, be, None], jet.third[..., al, be, :]) for be in range(n)]
         for al in range(n)
     ]
     return grad, _entries_generic(grad, hess, n)
-
-
-def curvature_entries_dual(jet: Jet, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Value and exact directional derivative of the curvature-matrix field."""
-    _, a = _seeded(jet, axis)
-    m = jet.dim - 1
-    val = np.array([[a[i][j].val for j in range(m)] for i in range(m)])
-    der = np.array([[a[i][j].der for j in range(m)] for i in range(m)])
-    return val, der
 
 
 @dataclass(frozen=True)
 class CurvatureDerivatives:
     """Spatial derivatives a_ij,k of the curvature-matrix field, plus sigma1."""
 
-    a_k: np.ndarray  # shape (n, n-1, n-1): derivative along each axis
-    sigma1: float
+    a_k: np.ndarray  # shape (..., n, n-1, n-1): derivative along each axis
+    sigma1: float | np.ndarray
 
 
 def curvature_derivatives(jet: Jet) -> CurvatureDerivatives:
-    n = jet.dim
-    ders = []
-    val = None
-    for axis in range(n):
-        val, der = curvature_entries_dual(jet, axis)
-        ders.append(der)
-    return CurvatureDerivatives(a_k=np.array(ders), sigma1=float(np.trace(val)))
+    """a_ij,k of one jet or a batch of jets, from one seeding."""
+    _, a = _seeded(jet)
+    val = _matrix([[e.val[..., 0] for e in row] for row in a])
+    return CurvatureDerivatives(
+        a_k=_matrix([[e.der for e in row] for row in a]),
+        sigma1=np.trace(val, axis1=-2, axis2=-1),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the batched identity engine
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class IdentityResiduals:
+    """Residuals of the three pointwise identities, one entry per jet of a batch.
+
+    ``admissible`` marks the jets whose level set is strictly convex at the
+    point; the phi-gradient identity is checked only there, and ``phi`` is
+    0.0 elsewhere.
+    """
+
+    codazzi: np.ndarray
+    uiia: np.ndarray
+    phi: np.ndarray
+    admissible: np.ndarray
+
+
+def identity_residuals(jet: Jet, spec: TestFunctionSpec) -> IdentityResiduals:
+    """All three identity residuals of a batch of order-3 jets in one pass.
+
+    The aligned batch is seeded once, along every axis, and its a_ij,k serve
+    both the Codazzi and the u_iia checks; the convex-oriented batch is
+    seeded once for the phi-gradient identity.  Every kernel is elementwise
+    over the batch, so a jet's residuals do not depend on the batch it is in.
+    """
+    aligned = align_frame(jet).aligned_jet
+    a0 = curvature_entries_float(aligned)
+    a_k = curvature_derivatives(aligned).a_k
+    oriented, b0, convex = _convex_oriented(jet, aligned, a0)
+    phi, det_positive = _phi_residuals(oriented, b0, convex, spec)
+    admissible = convex & det_positive
+    return IdentityResiduals(
+        codazzi=_codazzi_residuals(aligned, a_k),
+        uiia=_uiia_residuals(aligned, a0, a_k),
+        phi=np.where(admissible, phi, 0.0),
+        admissible=admissible,
+    )
+
+
+def _batch_of_one(jet: Jet) -> Jet:
+    third = None if jet.third is None else jet.third[None]
+    return Jet(jet.grad[None], jet.hess[None], third)
 
 
 # ---------------------------------------------------------------------------
@@ -172,34 +222,44 @@ def codazzi_closed_form(jet: Jet) -> np.ndarray:
     """a_ij,k at an aligned point via the closed form
     -u_n^{-1} u_ijk + u_n^{-2} (u_ij u_kn + u_ik u_jn + u_jk u_in)."""
     n = jet.dim
-    un = float(jet.grad[-1])
     m = n - 1
-    h = jet.hess
-    t = jet.third
-    out = np.empty((m, m, m))
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                out[i, j, k] = -t[i, j, k] / un + (
-                    h[i, j] * h[k, n - 1] + h[i, k] * h[j, n - 1] + h[j, k] * h[i, n - 1]
-                ) / (un * un)
-    return out
+    un = jet.grad[..., n - 1, None, None, None]
+    h = jet.hess[..., :m, :m]
+    hn = jet.hess[..., :m, n - 1]
+    t = jet.third[..., :m, :m, :m]
+    hn_i = hn[..., :, None, None]
+    hn_j = hn[..., None, :, None]
+    hn_k = hn[..., None, None, :]
+    return -t / un + (
+        h[..., :, :, None] * hn_k + h[..., :, None, :] * hn_j + h[..., None, :, :] * hn_i
+    ) / (un * un)
 
 
 def codazzi_field_form(jet: Jet) -> np.ndarray:
     """a_ij,k by exact differentiation of the curvature-matrix field."""
-    return np.moveaxis(curvature_derivatives(jet).a_k[: jet.dim - 1], 0, -1)
+    return _field_form(curvature_derivatives(jet).a_k)
 
 
-def _commutator(t: np.ndarray) -> float:
-    return float(np.max(np.abs(t - np.transpose(t, (0, 2, 1)))))
+def _field_form(a_k: np.ndarray) -> np.ndarray:
+    """a_ij,k over the tangential axes k, from the derivatives along every axis."""
+    return np.moveaxis(a_k[..., :-1, :, :], -3, -1)
+
+
+def _commutator(t: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(t - np.swapaxes(t, -1, -2)), axis=(-3, -2, -1))
+
+
+def _codazzi_residuals(aligned: Jet, a_k: np.ndarray) -> np.ndarray:
+    return np.maximum(
+        _commutator(codazzi_closed_form(aligned)), _commutator(_field_form(a_k))
+    )
 
 
 def codazzi_residual(jet: Jet) -> float:
     """max |a_ij,k - a_ik,j| in the frame aligned at the point of an order-3
     jet, worst of the two routes."""
-    aj = align_frame(jet).aligned_jet
-    return max(_commutator(codazzi_closed_form(aj)), _commutator(codazzi_field_form(aj)))
+    aligned = align_frame(_batch_of_one(jet)).aligned_jet
+    return float(_codazzi_residuals(aligned, curvature_derivatives(aligned).a_k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -213,22 +273,53 @@ def _rho_dual(spec: TestFunctionSpec, t: Dual) -> Dual:
     return dual_log(t) * (0.5 * spec.param)
 
 
-def _convex_oriented(jet: Jet) -> tuple[Jet, np.ndarray]:
+def _where_jet(mask: np.ndarray, a: Jet, b: Jet) -> Jet:
+    """Jet of ``a`` where ``mask`` holds and of ``b`` elsewhere, per batch element."""
+
+    def pick(x, y):
+        return np.where(mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim)), x, y)
+
+    return Jet(pick(a.grad, b.grad), pick(a.hess, b.hess), pick(a.third, b.third))
+
+
+def _convex_oriented(
+    jet: Jet, aligned: Jet, a0: np.ndarray
+) -> tuple[Jet, np.ndarray, np.ndarray]:
     """Aligned jet of u or of -u, whichever has a positive definite pre-flip
-    matrix, with that matrix."""
-    aj = align_frame(jet).aligned_jet
-    a0 = curvature_entries_float(aj)
-    eig = np.linalg.eigvalsh(a0)
-    if eig[-1] < 0.0:
-        aj = align_frame(Jet(-jet.grad, -jet.hess, -jet.third)).aligned_jet
-        a0 = curvature_entries_float(aj)
-        eig = np.linalg.eigvalsh(a0)
-    if eig[0] <= 0.0:
-        raise NonpositiveCurvature(
-            "level set not strictly convex at the point (eigenvalues "
-            f"{np.array2string(eig, precision=3)})"
-        )
-    return aj, a0
+    matrix, with that matrix and whether it is positive definite."""
+    flip = np.linalg.eigvalsh(a0)[..., -1] < 0.0
+    if np.any(flip):
+        negated = align_frame(Jet(-jet.grad, -jet.hess, -jet.third)).aligned_jet
+        aligned = _where_jet(flip, negated, aligned)
+        a0 = np.where(flip[..., None, None], curvature_entries_float(negated), a0)
+    return aligned, a0, np.linalg.eigvalsh(a0)[..., 0] > 0.0
+
+
+def _phi_residuals(
+    oriented: Jet, a0: np.ndarray, convex: np.ndarray, spec: TestFunctionSpec
+) -> tuple[np.ndarray, np.ndarray]:
+    """phi-gradient residual per jet, and whether det(a) > 0 there.
+
+    Entries outside ``convex`` are computed on a stand-in identity matrix
+    and must be discarded by the caller.
+    """
+    n = oriented.dim
+    m = n - 1
+    a0inv = np.linalg.inv(np.where(convex[..., None, None], a0, np.eye(m)))
+    gnorm = oriented.grad[..., n - 1, None]
+    t0 = gnorm * gnorm
+    grad, a_dual = _seeded(oriented)
+    t_dual = grad[0] * grad[0]
+    for gi in grad[1:]:
+        t_dual = t_dual + gi * gi
+    det_dual = _det_generic(a_dual, m)
+    with np.errstate(divide="ignore", invalid="ignore"):  # det <= 0 off `convex`
+        lhs = (_rho_dual(spec, t_dual) + dual_log(det_dual)).der
+    contraction = 0.0
+    for i, j in itertools.product(range(m), repeat=2):
+        contraction = contraction + a0inv[..., i, j, None] * a_dual[i][j].der
+    rhs = contraction + spec.rho_prime(t0) * t_dual.der
+    return np.max(np.abs(lhs - rhs), axis=-1), det_dual.val[..., 0] > 0.0
 
 
 def phi_gradient_identity_residual(jet: Jet, spec: TestFunctionSpec) -> float:
@@ -237,33 +328,41 @@ def phi_gradient_identity_residual(jet: Jet, spec: TestFunctionSpec) -> float:
     The left side differentiates phi = rho(t) + log det(a) directly through
     the composite expression with dual numbers; the right side contracts the
     matrix inverse with the field derivatives (Jacobi's formula), so the two
-    sides share no linear algebra.
+    sides share no linear algebra.  Raises NonpositiveCurvature when the
+    level set is not strictly convex at the point.
     """
-    aj, a0 = _convex_oriented(jet)
-    n = aj.dim
-    a0inv = np.linalg.inv(a0)
-    t0 = aj.grad_norm**2
-    worst = 0.0
-    for axis in range(n):
-        grad, a_dual = _seeded(aj, axis)
-        t_dual = grad[0] * grad[0]
-        for gi in grad[1:]:
-            t_dual = t_dual + gi * gi
-        det_dual = _det_generic(a_dual, n - 1)
-        if det_dual.val <= 0.0:
-            raise NonpositiveCurvature("det(a) <= 0 while forming log K")
-        lhs = (_rho_dual(spec, t_dual) + dual_log(det_dual)).der
-        a_der = np.array(
-            [[a_dual[i][j].der for j in range(n - 1)] for i in range(n - 1)]
+    jet = _batch_of_one(jet)
+    aligned = align_frame(jet).aligned_jet
+    oriented, a0, convex = _convex_oriented(jet, aligned, curvature_entries_float(aligned))
+    if not convex[0]:
+        raise NonpositiveCurvature(
+            "level set not strictly convex at the point (eigenvalues "
+            f"{np.array2string(np.linalg.eigvalsh(a0[0]), precision=3)})"
         )
-        rhs = float(np.sum(a0inv * a_der)) + spec.rho_prime(t0) * t_dual.der
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    phi, det_positive = _phi_residuals(oriented, a0, convex, spec)
+    if not det_positive[0]:
+        raise NonpositiveCurvature("det(a) <= 0 while forming log K")
+    return float(phi[0])
 
 
 # ---------------------------------------------------------------------------
 # third-derivative exchange relation at aligned points
 # ---------------------------------------------------------------------------
+
+
+def _uiia_residuals(aligned: Jet, a0: np.ndarray, a_k: np.ndarray) -> np.ndarray:
+    """max over i, a of |u_iia + u_n a_ii,a - 2 u_n^{-1} u_ni u_ia + u_na a_ii|."""
+    n = aligned.dim
+    diag = np.arange(n - 1)
+    h = aligned.hess
+    un = aligned.grad[..., n - 1, None, None]
+    lhs = aligned.third[..., diag, diag, :]  # (..., i, a)
+    rhs = (
+        -un * np.swapaxes(a_k[..., :, diag, diag], -1, -2)
+        + 2.0 / un * h[..., diag, n - 1, None] * h[..., diag, :]
+        - h[..., None, n - 1, :] * a0[..., diag, diag, None]
+    )
+    return np.max(np.abs(lhs - rhs), axis=(-2, -1))
 
 
 def uiia_residual(jet: Jet) -> float:
@@ -273,22 +372,9 @@ def uiia_residual(jet: Jet) -> float:
     its point; a_ii and a_ii,a use the pre-flip sign convention the relation
     is derived in.
     """
-    aj = align_frame(jet).aligned_jet
-    n = aj.dim
-    un = float(aj.grad[-1])
-    a0 = curvature_entries_float(aj)
-    a_k = curvature_derivatives(aj).a_k
-    worst = 0.0
-    for axis in range(n):
-        for i in range(n - 1):
-            lhs = aj.third[i, i, axis]
-            rhs = (
-                -un * a_k[axis, i, i]
-                + 2.0 / un * aj.hess[i, n - 1] * aj.hess[i, axis]
-                - aj.hess[n - 1, axis] * a0[i, i]
-            )
-            worst = max(worst, abs(lhs - rhs))
-    return worst
+    aligned = align_frame(_batch_of_one(jet)).aligned_jet
+    a0 = curvature_entries_float(aligned)
+    return float(_uiia_residuals(aligned, a0, curvature_derivatives(aligned).a_k)[0])
 
 
 # ---------------------------------------------------------------------------

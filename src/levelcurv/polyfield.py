@@ -9,6 +9,7 @@ differentiation.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,37 +113,87 @@ class PolyField:
         return Jet(grad, hess, third)
 
 
-def _nondegenerate(jet: Jet, min_grad: float, min_det: float) -> bool:
-    """|grad| >= min_grad and the pre-orientation curvature matrix has |det| >= min_det."""
-    if jet.grad_norm < min_grad:
-        return False
+def _nondegenerate(jet: Jet, min_grad: float, min_det: float) -> np.ndarray:
+    """|grad| >= min_grad and the pre-orientation curvature matrix has
+    |det| >= min_det, elementwise over a batch of jets."""
     n = jet.dim
-    aj = align_frame(jet).aligned_jet
-    a_pre = -aj.hess[: n - 1, : n - 1] / aj.grad[-1]
-    return abs(float(np.linalg.det(a_pre))) >= min_det
+    grad = jet.grad.reshape(-1, n)
+    hess = jet.hess.reshape(-1, n, n)
+    ok = np.asarray(jet.grad_norm >= min_grad).reshape(-1)
+    aj = align_frame(Jet(grad[ok], hess[ok])).aligned_jet
+    a_pre = -aj.hess[:, : n - 1, : n - 1] / aj.grad[:, -1, None, None]
+    ok[ok] = np.abs(np.linalg.det(a_pre)) >= min_det
+    return ok.reshape(jet.grad.shape[:-1])
+
+
+def _origin_jets(coeffs: np.ndarray, n: int) -> Jet:
+    """Order-3 jets at the origin of the fields with these coefficient rows.
+
+    A derivative at the origin is its monomial's coefficient times the
+    multi-index factorial, bitwise what PolyField.jet(origin, 3) evaluates.
+    """
+    column = {alpha: col for col, alpha in enumerate(_multi_indices(n, MAX_DEGREE))}
+
+    def derivative(axes: tuple[int, ...]) -> np.ndarray:
+        alpha = tuple(axes.count(axis) for axis in range(n))
+        return coeffs[:, column[alpha]] * math.prod(map(math.factorial, alpha))
+
+    grad = np.stack([derivative((i,)) for i in range(n)], axis=-1)
+    hess = np.empty((len(coeffs), n, n))
+    for i, j in itertools.product(range(n), repeat=2):
+        hess[:, i, j] = derivative((i, j))
+    third = np.empty((len(coeffs), n, n, n))
+    for i, j, k in itertools.product(range(n), repeat=3):
+        third[:, i, j, k] = derivative((i, j, k))
+    return Jet(grad, hess, third)
 
 
 RANDOM_JET_DIMS = (2, 3, 4)
 
 
-def random_test_jet(seed: int, n: int, min_grad: float = 0.1, min_det: float = 1e-4) -> PolyField:
-    """Deterministic random degree-4 field, nondegenerate at the origin.
+@dataclass(frozen=True)
+class RandomJets:
+    """Seeded random fields: coefficient rows and their order-3 origin jets."""
 
-    Coefficients are uniform in [-1, 1]; the draw is resampled until, at the
-    origin, |grad| >= 0.1 and the pre-orientation curvature matrix has
-    |det| >= 1e-4.  Raises ExhaustedResampling after 1000 attempts.
+    n: int
+    coeffs: np.ndarray  # (fields, terms), terms in _multi_indices order
+    jets: Jet  # batch of one order-3 jet at the origin per field
+
+    def field(self, index: int) -> PolyField:
+        return PolyField(self.n, dict(zip(_multi_indices(self.n, MAX_DEGREE), self.coeffs[index])))
+
+
+def random_test_jets(seeds, n: int, min_grad: float = 0.1, min_det: float = 1e-4) -> RandomJets:
+    """Deterministic random degree-4 fields, one per seed, nondegenerate at the origin.
+
+    Each seed owns a ``default_rng(seed)`` stream.  Coefficients are uniform
+    in [-1, 1]; a field's draw is repeated from its own stream until, at the
+    origin, |grad| >= min_grad and the pre-orientation curvature matrix has
+    |det| >= min_det, so a field does not depend on the batch it is drawn
+    in.  Raises ExhaustedResampling when a field needs more than 1000 draws.
     """
     if n not in RANDOM_JET_DIMS:
         raise ValueError(f"random test jets support n in {RANDOM_JET_DIMS}, got {n}")
-    rng = np.random.default_rng(seed)
-    indices = _multi_indices(n, MAX_DEGREE)
-    origin = np.zeros(n)
+    seeds = list(seeds)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    coeffs = np.empty((len(seeds), len(_multi_indices(n, MAX_DEGREE))))
+    redraw = np.arange(len(seeds))
     for _ in range(1000):
-        values = rng.uniform(-1.0, 1.0, size=len(indices))
-        field = PolyField(n, dict(zip(indices, values)))
-        if _nondegenerate(field.jet(origin, order=2), min_grad, min_det):
-            return field
-    raise ExhaustedResampling(f"no nondegenerate field after 1000 draws (seed={seed}, n={n})")
+        for b in redraw:
+            coeffs[b] = rngs[b].uniform(-1.0, 1.0, size=coeffs.shape[1])
+        jets = _origin_jets(coeffs[redraw], n)
+        redraw = redraw[~_nondegenerate(Jet(jets.grad, jets.hess), min_grad, min_det)]
+        if redraw.size == 0:
+            return RandomJets(n, coeffs, _origin_jets(coeffs, n))
+    raise ExhaustedResampling(
+        f"no nondegenerate field after 1000 draws (seed={seeds[redraw[0]]}, n={n})"
+    )
+
+
+def random_test_jet(seed: int, n: int, min_grad: float = 0.1, min_det: float = 1e-4) -> PolyField:
+    """Deterministic random degree-4 field, nondegenerate at the origin: the
+    field of ``random_test_jets([seed], n)``."""
+    return random_test_jets([seed], n, min_grad, min_det).field(0)
 
 
 def quadratic_field(dim: int, grad, hess) -> PolyField:

@@ -163,11 +163,12 @@ def solve_semilinear_radial(
     # rounding floor of the discrete operator: the residual cannot be driven
     # below ~eps * |u| / h^2 in double precision on fine grids
     u_scale = 1.0 + max(abs(u_a), abs(u_b))
-    tol = max(tol, 32.0 * np.finfo(float).eps * u_scale * (4.0 / h**2 + (n - 1) / (h * a)))
+    floor = 32.0 * np.finfo(float).eps * u_scale * (4.0 / h**2 + (n - 1) / (h * a))
+    tol_used = float(max(tol, floor))
     res = residual(u)
     res_norm = float(np.max(np.abs(res))) if res.size else 0.0
     it = 0
-    while res_norm > tol:
+    while res_norm > tol_used:
         if it >= max_iter:
             raise DidNotConverge(
                 f"radial Newton stalled at residual {res_norm:.3e}",
@@ -218,4 +219,5 @@ def solve_semilinear_radial(
         r=r,
         u_prime=u_prime,
         flux=None,
+        meta={"tol": tol, "tol_used": tol_used},
     )

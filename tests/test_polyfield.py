@@ -1,7 +1,17 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from levelcurv.polyfield import PolyField, quadratic_field, random_test_jet
+from levelcurv.polyfield import (
+    MAX_DEGREE,
+    PolyField,
+    _multi_indices,
+    _nondegenerate,
+    quadratic_field,
+    random_test_jet,
+    random_test_jets,
+)
 
 
 def brute_partial(field, point, order, h=1e-4):
@@ -85,3 +95,36 @@ class TestRandomTestJet:
             aj = align_frame(jet).aligned_jet
             a_pre = -aj.hess[: n - 1, : n - 1] / aj.grad[-1]
             assert abs(np.linalg.det(a_pre)) >= 1e-4
+
+
+def reference_draw(seed, n):
+    """One field's draw loop: redraw from default_rng(seed) until nondegenerate.
+
+    Returns the accepted coefficients and the number of draws it took.
+    """
+    rng = np.random.default_rng(seed)
+    indices = _multi_indices(n, MAX_DEGREE)
+    for draws in itertools.count(1):
+        values = rng.uniform(-1.0, 1.0, size=len(indices))
+        field = PolyField(n, dict(zip(indices, values)))
+        if _nondegenerate(field.jet(np.zeros(n), order=2), 0.1, 1e-4):
+            return values, draws
+
+
+class TestRandomTestJets:
+    # seed 54 at n=2 is rejected on its first draw
+    SEEDS = range(60)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_coefficients_match_the_per_seed_draw(self, n):
+        batch = random_test_jets(self.SEEDS, n)
+        draws = []
+        for row, seed in enumerate(self.SEEDS):
+            values, count = reference_draw(seed, n)
+            draws.append(count)
+            assert batch.coeffs[row].tobytes() == values.tobytes()
+            single = random_test_jet(seed, n)
+            assert list(single.coeffs) == _multi_indices(n, MAX_DEGREE)
+            assert np.array(list(single.coeffs.values())).tobytes() == values.tobytes()
+        if n == 2:
+            assert draws[54] > 1

@@ -1,7 +1,8 @@
 """Property tests: the pointwise identities hold on every drawn polynomial
-field, K and psi do not change when the field is rotated or translated,
-reports survive a render/parse round trip, and configs reject unknown keys
-wherever they appear.
+field, a field's identity residuals do not depend on the batch it is
+evaluated in, K and psi do not change when the field is rotated or
+translated, reports survive a render/parse round trip, and configs reject
+unknown keys wherever they appear.
 
 Fields are drawn like random_test_jet draws them (degree 4, coefficients in
 [-1, 1], nondegenerate at the origin); the tolerances are those of the
@@ -13,13 +14,25 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError, NonpositiveCurvature
-from levelcurv.geometry import TestFunctionSpec, curvature_matrix, rotate_jet, weighted_curvature
-from levelcurv.identities import codazzi_residual, phi_gradient_identity_residual, uiia_residual
+from levelcurv.geometry import (
+    Jet,
+    TestFunctionSpec,
+    _fsum,
+    curvature_matrix,
+    rotate_jet,
+    weighted_curvature,
+)
+from levelcurv.identities import (
+    codazzi_residual,
+    identity_residuals,
+    phi_gradient_identity_residual,
+    uiia_residual,
+)
 from levelcurv.polyfield import MAX_DEGREE, PolyField, _multi_indices, _nondegenerate
 from levelcurv.report import parse_report, render_json
 
@@ -56,6 +69,55 @@ def test_identities_hold_on_drawn_fields(jet, spec):
     except NonpositiveCurvature:
         return
     assert residual < 1e-9
+
+
+@st.composite
+def origin_batches(draw):
+    """Order-3 origin jets of 1-6 drawn nondegenerate fields of one dimension,
+    in a drawn order."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    indices = _multi_indices(n, MAX_DEGREE)
+    rows = draw(st.lists(st.lists(COEFF, min_size=len(indices), max_size=len(indices)),
+                         min_size=1, max_size=6))
+    jets = [PolyField(n, dict(zip(indices, row))).jet(np.zeros(n), order=3) for row in rows]
+    jets = [jet for jet in jets if _nondegenerate(jet, min_grad=0.1, min_det=1e-4)]
+    assume(jets)
+    return draw(st.permutations(jets))
+
+
+def _stack(jets):
+    return Jet(*(np.stack(parts) for parts in zip(*((j.grad, j.hess, j.third) for j in jets))))
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(origin_batches(), SPECS)
+def test_identity_residuals_do_not_depend_on_the_batch(jets, spec):
+    # the single-jet functions evaluate each jet alone, as a batch of one
+    batch = identity_residuals(_stack(jets), spec)
+    for k, jet in enumerate(jets):
+        assert codazzi_residual(jet) == batch.codazzi[k]
+        assert uiia_residual(jet) == batch.uiia[k]
+        if batch.admissible[k]:
+            assert phi_gradient_identity_residual(jet, spec) == batch.phi[k]
+        else:
+            with pytest.raises(NonpositiveCurvature):
+                phi_gradient_identity_residual(jet, spec)
+
+
+SUMMANDS = st.one_of(
+    st.floats(-1e300, 1e300),
+    st.builds(math.ldexp, st.integers(-8, 8).map(float), st.integers(-60, 60)),
+)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(st.lists(SUMMANDS, min_size=1, max_size=6))
+@example([1.0, 2.0**-53, 2.0**-106])  # a tie broken by a lower part
+@example([1.0, 2.0**-53, -(2.0**-106)])
+@example([-0.0, -0.0])
+def test_fsum_matches_math_fsum(terms):
+    got = _fsum([np.array([t]) for t in terms])
+    assert got.tobytes() == np.array([math.fsum(terms) + 0.0]).tobytes()
 
 
 def _k_and_psi(jet, spec):

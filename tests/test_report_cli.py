@@ -9,11 +9,13 @@ import pytest
 
 import levelcurv.checks as checks
 import levelcurv.cli as cli
+import levelcurv.identities as identities
 from levelcurv import ring2d
 from levelcurv.cli import main, run
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
-from levelcurv.polyfield import PolyField
+from levelcurv.identities import identity_residuals
+from levelcurv.polyfield import random_test_jet, random_test_jets
 from levelcurv.report import emit_report, parse_report, render_json, solution_csv_lines
 
 
@@ -174,6 +176,23 @@ class TestRunVerdicts:
         assert len(solver["krylov_iterations"]) == solver["iterations"]
         assert render_json(run(cfg)[0]) == render_json(report)
 
+    def test_radial_solver_block_records_raised_tolerance(self):
+        cfg = {
+            "command": "solve",
+            "problem": {
+                "equation": "semilinear",
+                "geometry": {"kind": "radial", "n": 2, "a": 1.0, "b": 2.0, "samples": 4001},
+                "boundary": {"outer": "constant:0", "inner": "constant:1"},
+                "rhs": {"name": "linear-u", "scale": 1.0},
+            },
+            "tolerances": {"solver_tol": 1e-14},
+        }
+        solver = run(parse_config(cfg))[0]["solver"]
+        # 1e-14 is below the rounding floor of the 4001-sample operator
+        assert solver["tol"] == 1e-14
+        assert solver["tol_used"] > solver["tol"]
+        assert solver["residual_norm"] <= solver["tol_used"]
+
     def test_stall_keeps_iterations_and_residual(self, monkeypatch):
         monkeypatch.setattr(cli, "solve_minimal_ring2d",
                             functools.partial(ring2d.solve_minimal_ring2d, max_iter=2))
@@ -271,20 +290,56 @@ class TestRunVerdicts:
         assert {"codazzi:n=2", "uiia:n=2", "phi-gradient:n=2",
                 "master:catenoid-2d", "master:scherk-2d", "master:radial-3d"} <= names
 
-    def test_jet_verify_evaluates_one_jet_per_field(self, monkeypatch):
-        orders = []
-        real_jet = PolyField.jet
+    def test_jet_verify_reads_one_origin_jet_per_field(self, monkeypatch):
+        batches = []
 
-        def counting_jet(self, point, order=3):
-            orders.append(order)
-            return real_jet(self, point, order=order)
+        def recording_jets(seeds, n):
+            batch = random_test_jets(seeds, n)
+            batches.append(batch)
+            return batch
 
-        monkeypatch.setattr(PolyField, "jet", counting_jet)
+        checked = []
+
+        def recording_residuals(jet, spec):
+            checked.append(jet)
+            return identity_residuals(jet, spec)
+
+        monkeypatch.setattr(cli, "random_test_jets", recording_jets)
+        monkeypatch.setattr(cli, "identity_residuals", recording_residuals)
         fields = 4
         report, _ = run(parse_config({"command": "jet-verify", "seed": 0,
                                       "options": {"fields": fields, "dims": [2, 3]}}))
         assert report["verdict"] == "AllPass"
-        assert orders.count(3) == 2 * fields  # one order-3 jet per field and dimension
+        # one order-3 origin jet per field and dimension, each checked once
+        assert [b.n for b in batches] == [2, 3]
+        assert [c is b.jets for c, b in zip(checked, batches)] == [True, True]
+        for batch in batches:
+            assert batch.jets.grad.shape == (fields, batch.n)
+            origin = np.zeros(batch.n)
+            for k in range(fields):
+                want = random_test_jet(k, batch.n).jet(origin, 3)
+                for got, ref in zip((batch.jets.grad, batch.jets.hess, batch.jets.third),
+                                    (want.grad, want.hess, want.third)):
+                    assert got[k].tobytes() == ref.tobytes()
+
+    def test_jet_verify_seeding_passes_do_not_grow_with_fields(self, monkeypatch):
+        dims = [2, 3]
+        passes = []
+        real_seeded = identities._seeded
+
+        def counting_seeded(jet):
+            passes.append(jet.dim)
+            return real_seeded(jet)
+
+        monkeypatch.setattr(identities, "_seeded", counting_seeded)
+        counts = []
+        for fields in (3, 12):
+            passes.clear()
+            run(parse_config({"command": "jet-verify", "seed": 0,
+                              "options": {"fields": fields, "dims": dims}}))
+            counts.append(len(passes))
+        # one pass on the aligned batch and one on the convex-oriented batch
+        assert counts[0] == counts[1] <= sum(2 * n for n in dims)
 
     def test_lemma32(self):
         report, _ = run(parse_config({"command": "lemma32", "seed": 1,
@@ -433,6 +488,18 @@ class TestExitCodes:
         report = parse_report((tmp_path / "X.json").read_text())
         assert report["verdict"] == "AllPass"
         assert all(c["pass"] is True for c in report["checks"])
+
+    def test_shipped_jet_verify_config_is_byte_identical(self, tmp_path):
+        argv = ["jet-verify", "--config", str(CONFIG_DIR / "jet-verify.json"),
+                "--out", str(tmp_path / "run"), "--quiet"]
+        runs = []
+        for _ in range(2):
+            assert main(argv) == 0
+            runs.append((tmp_path / "run.json").read_bytes())
+        first, second = runs
+        assert first == second
+        report = parse_report(first.decode())
+        assert [c["fields"] for c in report["checks"][:6]] == [400, 400, 400, 400, 400, 152]
 
     def test_harmonic_psi_needs_minimal_exit_two(self, tmp_path):
         cfg = {
