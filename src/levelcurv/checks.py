@@ -37,6 +37,9 @@ from .solution import RingSolution
 
 INTERIOR_MARGIN_LAYERS = 2
 MIN_INTERIOR_LAYERS = 8
+# Extremum ties, in units in the last place of the extremum.  The interior psi
+# minimum of the shipped ellipse ring and its mirror image differ by 22 ulps.
+EXTREMUM_TIE_ULPS = 64
 
 
 @dataclass
@@ -130,10 +133,16 @@ class _Fields:
         return spec.weight(self.gnorm**2) * self.k if spec is not None else self.k.copy()
 
     def extremum(self, field: np.ndarray, pick, nodes) -> tuple:
-        """(value, location) of pick (np.argmin or np.argmax) over field[nodes]."""
+        """(value, location) of pick (np.argmin or np.argmax) over field[nodes].
+
+        The location is that of the lowest node index among the values within
+        EXTREMUM_TIE_ULPS of the extremum, so mirror-image nodes that tie up
+        to rounding do not trade places when the rounding changes.
+        """
         values = field[nodes]
-        i = int(pick(values))
-        return float(values[i]), tuple(float(v) for v in self.coords[nodes][i])
+        value = values[int(pick(values))]
+        tied = np.abs(values - value) <= EXTREMUM_TIE_ULPS * np.spacing(np.abs(value))
+        return float(value), tuple(float(v) for v in self.coords[nodes][int(np.argmax(tied))])
 
     def require_strict_convexity(self, what: str):
         kappa = self.kappa_min[self.interior].reshape((-1,) + self.node_shape[1:])

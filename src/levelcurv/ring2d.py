@@ -116,7 +116,16 @@ class RingDomain2D:
 # ---------------------------------------------------------------------------
 
 class RingGrid:
-    """All exact metric data of the transfinite map on the (s, t) grid."""
+    """All exact metric data of the transfinite map on the (s, t) grid.
+
+    The metric is kept as contiguous (n_s, n_t) planes, built once per grid:
+
+    * ``s_x, s_y, t_x, t_y``: the inverse Jacobian, i.e. the physical
+      gradients of the reference coordinates s and t;
+    * ``g_ss, g_st, g_tt``: the inverse metric grad xi_mu . grad xi_nu;
+    * ``s_xx, s_xy, s_yy`` and ``t_xx, t_xy, t_yy``: the physical Hessians of
+      s and t, with their traces ``lap_s`` and ``lap_t``.
+    """
 
     def __init__(self, domain: RingDomain2D):
         self.domain = domain
@@ -124,37 +133,40 @@ class RingGrid:
         self.n_s, self.n_t = ns, nt
         self.ds = 1.0 / (ns - 1)
         self.dt = 2.0 * math.pi / nt
-        s = np.linspace(0.0, 1.0, ns)[:, None, None]
-        t = (np.arange(nt) * self.dt)[None, :]
-        g0 = domain.outer.point(t[0])
-        g1 = domain.inner.point(t[0])
-        g0d1, g1d1 = domain.outer.d1(t[0]), domain.inner.d1(t[0])
-        g0d2, g1d2 = domain.outer.d2(t[0]), domain.inner.d2(t[0])
-        self.x = (1.0 - s) * g0[None, :, :] + s * g1[None, :, :]
-        x_s = np.broadcast_to((g1 - g0)[None, :, :], self.x.shape)
-        x_t = (1.0 - s) * g0d1[None, :, :] + s * g1d1[None, :, :]
-        x_st = np.broadcast_to((g1d1 - g0d1)[None, :, :], self.x.shape)
-        x_tt = (1.0 - s) * g0d2[None, :, :] + s * g1d2[None, :, :]
+        s = np.linspace(0.0, 1.0, ns)[:, None]
+        t = np.arange(nt) * self.dt
+        g0, g1 = domain.outer.point(t), domain.inner.point(t)
+        g0d1, g1d1 = domain.outer.d1(t), domain.inner.d1(t)
+        g0d2, g1d2 = domain.outer.d2(t), domain.inner.d2(t)
+        self.x = (1.0 - s[..., None]) * g0[None, :, :] + s[..., None] * g1[None, :, :]
+        # derivatives of the map per physical component; x_s and x_st do not depend on s
+        x_s, y_s = (g1 - g0).T
+        x_st, y_st = (g1d1 - g0d1).T
+        x_t, y_t = ((1.0 - s) * g0d1[:, k] + s * g1d1[:, k] for k in (0, 1))
+        x_tt, y_tt = ((1.0 - s) * g0d2[:, k] + s * g1d2[:, k] for k in (0, 1))
 
-        jac = np.stack([x_s, x_t], axis=-1)  # (ns, nt, 2 phys, 2 ref)
-        det = jac[..., 0, 0] * jac[..., 1, 1] - jac[..., 0, 1] * jac[..., 1, 0]
+        det = x_s * y_t - x_t * y_s
         if np.min(np.abs(det)) < 1e-12:
             raise ValueError("degenerate transfinite map (zero Jacobian)")
-        inv = np.empty_like(jac)  # inv[mu, lam] = d xi_mu / d x_lam
-        inv[..., 0, 0] = jac[..., 1, 1] / det
-        inv[..., 0, 1] = -jac[..., 0, 1] / det
-        inv[..., 1, 0] = -jac[..., 1, 0] / det
-        inv[..., 1, 1] = jac[..., 0, 0] / det
-        self.inv = inv
+        self.s_x, self.s_y = y_t / det, -x_t / det
+        self.t_x, self.t_y = -y_s / det, x_s / det
+        self.g_ss = self.s_x * self.s_x + self.s_y * self.s_y
+        self.g_st = self.s_x * self.t_x + self.s_y * self.t_y
+        self.g_tt = self.t_x * self.t_x + self.t_y * self.t_y
 
-        # second derivatives of the map: S[lam, mu, nu] with (mu, nu) in {s, t}
-        second = np.zeros(self.x.shape + (2, 2))
-        second[..., 0, 1] = x_st
-        second[..., 1, 0] = x_st
-        second[..., 1, 1] = x_tt
-        # curvature of the inverse map: T[i, a, b] = d^2 xi_i / dx_a dx_b
-        inner = np.einsum("ntlmv,ntma,ntvb->ntlab", second, inv, inv)
-        self.t_tensor = -np.einsum("ntil,ntlab->ntiab", inv, inner)
+        def coordinate_hessian(xi_x, xi_y):
+            # d^2 xi / dx_a dx_b = -grad xi . x_{mu nu} (grad xi_mu)_a (grad xi_nu)_b,
+            # where x_st and x_tt are the only nonzero second derivatives of the map
+            p = -(xi_x * x_st + xi_y * y_st)
+            q = -(xi_x * x_tt + xi_y * y_tt)
+            return (2.0 * p * self.s_x * self.t_x + q * self.t_x * self.t_x,
+                    p * (self.s_x * self.t_y + self.t_x * self.s_y) + q * self.t_x * self.t_y,
+                    2.0 * p * self.s_y * self.t_y + q * self.t_y * self.t_y)
+
+        self.s_xx, self.s_xy, self.s_yy = coordinate_hessian(self.s_x, self.s_y)
+        self.t_xx, self.t_xy, self.t_yy = coordinate_hessian(self.t_x, self.t_y)
+        self.lap_s = self.s_xx + self.s_yy
+        self.lap_t = self.t_xx + self.t_yy
 
     # -- discrete derivatives of a node field (periodic in t) ----------------
 
@@ -179,31 +191,30 @@ class RingGrid:
     def d_tt(self, u: np.ndarray) -> np.ndarray:
         return (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / self.dt**2
 
-    def d_st(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        up = np.roll(u, -1, axis=1)
-        um = np.roll(u, 1, axis=1)
-        out[1:-1] = (up[2:] - um[2:] - up[:-2] + um[:-2]) / (4.0 * self.ds * self.dt)
-        # the one-sided d_s of the central d_t on the boundary rows
-        out[0] = self.d_s(self.d_t(u[:3]))[0]
-        out[-1] = self.d_s(self.d_t(u[-3:]))[-1]
-        return out
+    # -- physical derivatives, one-sided in s at the two boundary rows ---------
+
+    def gradient_planes(self, us: np.ndarray, ut: np.ndarray) -> tuple:
+        """(u_x, u_y) from the reference first derivatives."""
+        return self.s_x * us + self.t_x * ut, self.s_y * us + self.t_y * ut
+
+    def hessian_planes(self, u: np.ndarray, us: np.ndarray, ut: np.ndarray) -> tuple:
+        """(u_xx, u_xy, u_yy): the chain rule through the inverse Jacobian plus the bend terms."""
+        uss, ust, utt = self.d_ss(u), self.d_s(ut), self.d_tt(u)
+        # rows of (u_ss u_st; u_st u_tt) times the inverse Jacobian
+        a_x, a_y = uss * self.s_x + ust * self.t_x, uss * self.s_y + ust * self.t_y
+        b_x, b_y = ust * self.s_x + utt * self.t_x, ust * self.s_y + utt * self.t_y
+        return (self.s_x * a_x + self.t_x * b_x + us * self.s_xx + ut * self.t_xx,
+                self.s_x * a_y + self.t_x * b_y + us * self.s_xy + ut * self.t_xy,
+                self.s_y * a_y + self.t_y * b_y + us * self.s_yy + ut * self.t_yy)
 
     def physical_gradient(self, u: np.ndarray) -> np.ndarray:
-        """(ns, nt, 2) gradient; one-sided in s at the two boundary rows."""
-        us, ut = self.d_s(u), self.d_t(u)
-        return np.einsum("ntm,ntma->nta", np.stack([us, ut], axis=-1), self.inv)
+        """(ns, nt, 2) gradient."""
+        return np.stack(self.gradient_planes(self.d_s(u), self.d_t(u)), axis=-1)
 
     def physical_hessian(self, u: np.ndarray) -> np.ndarray:
-        """(ns, nt, 2, 2) Hessian; one-sided in s at the two boundary rows."""
-        us, ut = self.d_s(u), self.d_t(u)
-        ref2 = np.zeros(u.shape + (2, 2))
-        ref2[..., 0, 0] = self.d_ss(u)
-        ref2[..., 0, 1] = ref2[..., 1, 0] = self.d_st(u)
-        ref2[..., 1, 1] = self.d_tt(u)
-        chain = np.swapaxes(self.inv, -1, -2) @ ref2 @ self.inv
-        bend = np.einsum("ntm,ntmab->ntab", np.stack([us, ut], axis=-1), self.t_tensor)
-        return chain + bend
+        """(ns, nt, 2, 2) Hessian."""
+        u_xx, u_xy, u_yy = self.hessian_planes(u, self.d_s(u), self.d_t(u))
+        return np.stack([u_xx, u_xy, u_xy, u_yy], axis=-1).reshape(u.shape + (2, 2))
 
     def spacing(self) -> float:
         """Representative physical spacing: the largest node-to-node step."""
@@ -216,77 +227,91 @@ class RingGrid:
 # nonlinear solver
 # ---------------------------------------------------------------------------
 
+# The nine-point stencil; the first interior row has no (-1, *) neighbours and
+# the last none at (1, *).  In this order the columns of a row ascend, except
+# where t wraps: on t-column 0 the t-offset -1 comes last in each s-block, and
+# on t-column n_t - 1 the t-offset +1 comes first.
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+_WRAP_FIRST = [1, 2, 0, 4, 5, 3, 7, 8, 6]
+_WRAP_LAST = [2, 0, 1, 5, 3, 4, 8, 6, 7]
 
 
-def _stencils(ds: float, dt: float) -> dict:
-    c = {o: np.zeros(5) for o in _OFFSETS}  # [ss, st, tt, s, t]
-    c[(-1, 0)][0] = c[(1, 0)][0] = 1.0 / ds**2
-    c[(0, 0)][0] = -2.0 / ds**2
-    c[(0, -1)][2] = c[(0, 1)][2] = 1.0 / dt**2
-    c[(0, 0)][2] = -2.0 / dt**2
-    for si, ti, sgn in [(1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)]:
-        c[(si, ti)][1] = sgn / (4.0 * ds * dt)
-    c[(1, 0)][3] = 1.0 / (2.0 * ds)
-    c[(-1, 0)][3] = -1.0 / (2.0 * ds)
-    c[(0, 1)][4] = 1.0 / (2.0 * dt)
-    c[(0, -1)][4] = -1.0 / (2.0 * dt)
-    return c
+def _stencil_entries(per_node: np.ndarray) -> np.ndarray:
+    """Entries of a (rows, nt, 9) per-node, per-offset array in CSR order, columns ascending.
+
+    Reorders the two wrapping t-columns of ``per_node`` in place.
+    """
+    per_node[:, 0] = per_node[:, 0, _WRAP_FIRST]
+    per_node[:, -1] = per_node[:, -1, _WRAP_LAST]
+    return np.concatenate([per_node[0, :, 3:].ravel(), per_node[1:-1].ravel(),
+                           per_node[-1, :, :6].ravel()])
 
 
 class _RingOperator:
-    """Assembles residual and Jacobian of the discretized equation."""
+    """Residual and Jacobian of the discretized equation on one grid.
+
+    Both read one coefficient pass: the equation written on the (s, t) grid
+    as m_ss u_ss + m_st u_st + m_tt u_tt + n_s u_s + n_t u_t (= F^{ab} u_ab).
+    """
 
     def __init__(self, grid: RingGrid, equation: str, rhs=None):
         self.grid = grid
         self.equation = equation
         self.rhs = rhs
-        self.stencils = _stencils(grid.ds, grid.dt)
+        rows, nt = grid.n_s - 2, grid.n_t
+        oi, oj = np.array(_OFFSETS).T
+        cols = (np.arange(rows)[:, None, None] + oi) * nt + (np.arange(nt)[None, :, None] + oj) % nt
+        row_len = np.full(rows * nt, 9)
+        row_len[:nt] = row_len[-nt:] = 6
+        # shared by every assembled matrix, so none may change them in place
+        self._indices = _stencil_entries(cols).astype(np.int32)
+        self._indptr = np.concatenate([[0], np.cumsum(row_len)]).astype(np.int32)
+        self._indices.flags.writeable = self._indptr.flags.writeable = False
 
-    def _f_matrix(self, grad: np.ndarray) -> np.ndarray:
+    def coefficients(self, us: np.ndarray, ut: np.ndarray) -> tuple:
+        """(m_ss, m_st, m_tt, n_s, n_t) at the reference gradient (us, ut).
+
+        Minimal: F = q I - g g^T with g = grad u and q = 1 + |g|^2, so with
+        G the inverse metric and w = G (us, ut) the second-order part is
+        m = q G - w w^T and n_xi = q lap xi - g^T hess(xi) g.  Semilinear: F = I.
+        """
+        grid = self.grid
         if self.equation == "semilinear":
-            f = np.zeros(grad.shape[:-1] + (2, 2))
-            f[..., 0, 0] = 1.0
-            f[..., 1, 1] = 1.0
-            return f
-        g1, g2 = grad[..., 0], grad[..., 1]
-        f = np.empty(grad.shape[:-1] + (2, 2))
-        f[..., 0, 0] = 1.0 + g2 * g2
-        f[..., 1, 1] = 1.0 + g1 * g1
-        f[..., 0, 1] = f[..., 1, 0] = -g1 * g2
-        return f
+            return grid.g_ss, 2.0 * grid.g_st, grid.g_tt, grid.lap_s, grid.lap_t
+        w_s, w_t = grid.g_ss * us + grid.g_st * ut, grid.g_st * us + grid.g_tt * ut
+        q = 1.0 + us * w_s + ut * w_t
+        g_x, g_y = grid.gradient_planes(us, ut)
+        xx, xy, yy = g_x * g_x, 2.0 * g_x * g_y, g_y * g_y
+        n_s = q * grid.lap_s - (xx * grid.s_xx + xy * grid.s_xy + yy * grid.s_yy)
+        n_t = q * grid.lap_t - (xx * grid.t_xx + xy * grid.t_xy + yy * grid.t_yy)
+        return (q * grid.g_ss - w_s * w_s, 2.0 * (q * grid.g_st - w_s * w_t),
+                q * grid.g_tt - w_t * w_t, n_s, n_t)
 
     def residual(self, u: np.ndarray) -> np.ndarray:
+        """The discrete equation on the interior rows."""
         grid = self.grid
-        grad = grid.physical_gradient(u)
-        hess = grid.physical_hessian(u)
-        f = self._f_matrix(grad)
-        res = np.einsum("ntab,ntab->nt", f, hess)
+        us, ut = grid.d_s(u), grid.d_t(u)
+        m_ss, m_st, m_tt, n_s, n_t = self.coefficients(us, ut)
+        res = (m_ss * grid.d_ss(u) + m_st * grid.d_s(ut) + m_tt * grid.d_tt(u)
+               + n_s * us + n_t * ut)[1:-1]
         if self.equation == "semilinear":
-            res = res - self.rhs.f(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
-        return res[1:-1]
+            res -= self.rhs.f(grid.x[1:-1].reshape(-1, 2), u[1:-1].reshape(-1)).reshape(res.shape)
+        return res
 
     def _linearization_fields(self, u: np.ndarray, freeze_f: bool):
+        """(m_ss, m_st, m_tt, m_s, m_t, diagonal) of the Jacobian (Picard: F frozen)."""
         grid = self.grid
-        grad = grid.physical_gradient(u)
-        f = self._f_matrix(grad)
-        inv = grid.inv
-        aft = inv @ f @ np.swapaxes(inv, -1, -2)
-        m_ss = aft[..., 0, 0]
-        m_st = 2.0 * aft[..., 0, 1]
-        m_tt = aft[..., 1, 1]
-        n_s = np.einsum("ntab,ntab->nt", f, grid.t_tensor[..., 0, :, :])
-        n_t = np.einsum("ntab,ntab->nt", f, grid.t_tensor[..., 1, :, :])
-        m_s, m_t = n_s.copy(), n_t.copy()
-        diag_extra = np.zeros_like(m_ss)
+        us, ut = grid.d_s(u), grid.d_t(u)
+        m_ss, m_st, m_tt, m_s, m_t = self.coefficients(us, ut)
+        diag_extra = np.zeros_like(u)
         if self.equation == "minimal" and not freeze_f:
-            hess = grid.physical_hessian(u)
-            g1, g2 = grad[..., 0], grad[..., 1]
-            h11, h12, h22 = hess[..., 0, 0], hess[..., 0, 1], hess[..., 1, 1]
-            p1 = 2.0 * g1 * h22 - 2.0 * g2 * h12
-            p2 = 2.0 * g2 * h11 - 2.0 * g1 * h12
-            m_s = m_s + p1 * inv[..., 0, 0] + p2 * inv[..., 0, 1]
-            m_t = m_t + p1 * inv[..., 1, 0] + p2 * inv[..., 1, 1]
+            # dF/d(grad u) : hess u, pulled back to (u_s, u_t)
+            g_x, g_y = grid.gradient_planes(us, ut)
+            h_xx, h_xy, h_yy = grid.hessian_planes(u, us, ut)
+            p1 = 2.0 * (g_x * h_yy - g_y * h_xy)
+            p2 = 2.0 * (g_y * h_xx - g_x * h_xy)
+            m_s = m_s + p1 * grid.s_x + p2 * grid.s_y
+            m_t = m_t + p1 * grid.t_x + p2 * grid.t_y
         if self.equation == "semilinear" and not freeze_f:
             diag_extra = -self.rhs.f_u(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
         return m_ss, m_st, m_tt, m_s, m_t, diag_extra
@@ -296,30 +321,22 @@ class _RingOperator:
 
         The Dirichlet rows are fixed, so their couplings are left out: the
         Newton and Picard steps solve for a correction that vanishes there.
+        The nine-point pattern is built once per operator; only the entries
+        are filled here.
         """
-        ns, nt = self.grid.n_s, self.grid.n_t
-        n_int = (ns - 2) * nt
-        *coeffs, diag_extra = fields
-        stacked = np.stack(coeffs, axis=-1)[1:-1]  # interior rows
-
-        i_idx = np.arange(ns - 2)[:, None]
-        j_idx = np.arange(nt)[None, :]
-        row_of = np.broadcast_to(i_idx * nt + j_idx, (ns - 2, nt))
-
-        rows, cols, data = [], [], []
-        for (oi, oj) in _OFFSETS:
-            coeff = stacked @ self.stencils[(oi, oj)]
-            if oi == 0 and oj == 0:
-                coeff = coeff + diag_extra[1:-1]
-            target = np.broadcast_to(i_idx + oi, (ns - 2, nt))
-            keep = (target >= 0) & (target < ns - 2)
-            rows.append(row_of[keep])
-            cols.append((target * nt + (j_idx + oj) % nt)[keep])
-            data.append(coeff[keep])
-        return csr_matrix(
-            (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-            shape=(n_int, n_int),
-        )
+        m_ss, m_st, m_tt, m_s, m_t, diag_extra = (f[1:-1] for f in fields)
+        ds, dt = self.grid.ds, self.grid.dt
+        ss, tt, s, t = m_ss * (1.0 / ds**2), m_tt * (1.0 / dt**2), m_s * (0.5 / ds), m_t * (0.5 / dt)
+        st = m_st * (1.0 / (4.0 * ds * dt))
+        per_node = np.empty(m_ss.shape + (9,))
+        per_node[..., 0] = per_node[..., 8] = st
+        per_node[..., 2] = per_node[..., 6] = -st
+        per_node[..., 1], per_node[..., 7] = ss - s, ss + s
+        per_node[..., 3], per_node[..., 5] = tt - t, tt + t
+        per_node[..., 4] = m_ss * (-2.0 / ds**2) + m_tt * (-2.0 / dt**2) + diag_extra
+        n_int = m_ss.size
+        return csr_matrix((_stencil_entries(per_node), self._indices, self._indptr),
+                          shape=(n_int, n_int))
 
 
 def _averaged_preconditioner(fields, ds: float, dt: float) -> LinearOperator | None:

@@ -223,6 +223,24 @@ class TestFieldBundle:
         assert bool(np.any(sol.u_prime > 0)) is flipped
         assert fields.notes == (("orientation flipped",) if flipped else ())
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_extremum_location_stable_under_one_ulp(self, sign):
+        # twin extrema at nodes 3 and 9; nudging either one by an ulp keeps node 3
+        pick = np.argmin if sign > 0 else np.argmax
+        field = sign * np.linspace(1.0, 2.0, 12)
+        field[3] = field[9] = sign * 0.5
+        bundle = checks._Fields(
+            gnorm=field, k=field, kappa_min=field, deriv=field, notes=(),
+            interior=slice(0, 12), coords=np.arange(12.0)[:, None],
+            outer=np.array([0]), inner=np.array([11]), node_shape=(12,))
+        for node in (3, 9):
+            for toward in (-np.inf, np.inf):
+                nudged = field.copy()
+                nudged[node] = np.nextafter(field[node], toward)
+                value, location = bundle.extremum(nudged, pick, bundle.interior)
+                assert value == nudged[pick(nudged)]
+                assert location == (3.0,)
+
 
 class TestHarmonicPsi:
     def test_closed_form_catenoid(self):

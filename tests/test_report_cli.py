@@ -341,6 +341,21 @@ class TestRunVerdicts:
         # one pass on the aligned batch and one on the convex-oriented batch
         assert counts[0] == counts[1] <= sum(2 * n for n in dims)
 
+    def test_jet_verify_chunks_match_one_batch(self, monkeypatch):
+        cfg = {"command": "jet-verify", "seed": 3, "options": {"fields": 30, "dims": [2, 3]}}
+        whole, _ = run(parse_config(cfg))
+        batch_sizes = []
+
+        def recording_jets(seeds, n):
+            batch_sizes.append(len(seeds))
+            return random_test_jets(seeds, n)
+
+        monkeypatch.setattr(cli, "JET_VERIFY_CHUNK", 7)
+        monkeypatch.setattr(cli, "random_test_jets", recording_jets)
+        chunked, _ = run(parse_config(cfg))
+        assert batch_sizes == [7, 7, 7, 7, 2] * 2
+        assert render_json(chunked) == render_json(whole)
+
     def test_lemma32(self):
         report, _ = run(parse_config({"command": "lemma32", "seed": 1,
                                       "options": {"instances": 20}}))

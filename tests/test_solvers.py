@@ -4,12 +4,13 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.sparse import coo_matrix
 
 from levelcurv.checks import solution_fields
 from levelcurv.errors import DidNotConverge, NoSolution
 from levelcurv.fields import catenoid_value
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
-from levelcurv.rhs import linear_u_rhs, zero_rhs
+from levelcurv.rhs import SemilinearRHS, linear_u_rhs, zero_rhs
 from levelcurv import ring2d
 from levelcurv.ring2d import (
     Circle,
@@ -263,3 +264,91 @@ class TestNewtonKrylov:
     def test_singular_pivot_gives_no_preconditioner(self):
         zero = np.zeros((9, 16))
         assert ring2d._averaged_preconditioner((zero,) * 6, 0.125, 2.0 * math.pi / 16) is None
+
+
+class TestLinearization:
+    """The assembled Jacobian is the derivative of the residual it solves against."""
+
+    @staticmethod
+    def _cubic_rhs():
+        return SemilinearRHS(name="cubic", f=lambda x, u: u**3 + np.asarray(x)[:, 0],
+                             f_u=lambda x, u: 3.0 * u**2)
+
+    @staticmethod
+    def _coo_reference(op, fields):
+        # the nine-point stencils per offset as [ss, st, tt, s, t] weights, summed per entry
+        ds, dt = op.grid.ds, op.grid.dt
+        stencil = {o: np.zeros(5) for o in ring2d._OFFSETS}
+        stencil[(-1, 0)][0] = stencil[(1, 0)][0] = 1.0 / ds**2
+        stencil[(0, 0)][0] = -2.0 / ds**2
+        stencil[(0, -1)][2] = stencil[(0, 1)][2] = 1.0 / dt**2
+        stencil[(0, 0)][2] = -2.0 / dt**2
+        for si, ti, sgn in [(1, 1, 1.0), (1, -1, -1.0), (-1, 1, -1.0), (-1, -1, 1.0)]:
+            stencil[(si, ti)][1] = sgn / (4.0 * ds * dt)
+        stencil[(1, 0)][3], stencil[(-1, 0)][3] = 1.0 / (2.0 * ds), -1.0 / (2.0 * ds)
+        stencil[(0, 1)][4], stencil[(0, -1)][4] = 1.0 / (2.0 * dt), -1.0 / (2.0 * dt)
+        *coeffs, diag = (f[1:-1] for f in fields)
+        rows, nt = diag.shape
+        i, j = np.arange(rows)[:, None], np.arange(nt)[None, :]
+        r, c, v = [], [], []
+        for (oi, oj) in ring2d._OFFSETS:
+            entry = sum(w * f for w, f in zip(stencil[(oi, oj)], coeffs))
+            if (oi, oj) == (0, 0):
+                entry = entry + diag
+            target = np.broadcast_to(i + oi, (rows, nt))
+            keep = (target >= 0) & (target < rows)
+            r.append(np.broadcast_to(i * nt + j, (rows, nt))[keep])
+            c.append((target * nt + (j + oj) % nt)[keep])
+            v.append(entry[keep])
+        return coo_matrix((np.concatenate(v), (np.concatenate(r), np.concatenate(c))),
+                          shape=(rows * nt, rows * nt)).tocsr()
+
+    @pytest.mark.parametrize("n_s,n_t", [(4, 8), (9, 16)])
+    def test_assemble_matches_coo_reference(self, n_s, n_t):
+        grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=n_s, n_t=n_t))
+        op = ring2d._RingOperator(grid, "minimal")
+        rng = np.random.default_rng(5)
+        for _ in range(2):  # the pattern is reused by the second matrix
+            fields = tuple(rng.standard_normal((n_s, n_t)) for _ in range(6))
+            mat, ref = op.assemble(fields), self._coo_reference(op, fields)
+            assert np.array_equal(mat.indptr, ref.indptr)
+            assert np.array_equal(mat.indices, ref.indices)
+            assert np.array_equal(mat.data, ref.data)
+
+    @staticmethod
+    def _newton_matches_central_difference(dom, equation, rhs=None):
+        grid = RingGrid(dom)
+        op = ring2d._RingOperator(grid, equation, rhs)
+        ns, nt = grid.n_s, grid.n_t
+        s = np.linspace(0.0, 1.0, ns)[:, None]
+        x, y = grid.x[..., 0], grid.x[..., 1]
+        u = s + 0.1 * s * (1.0 - s) * np.sin(x + 2.0 * y)
+        v = np.random.default_rng(3).standard_normal((ns - 2, nt))
+        mat = op.assemble(op._linearization_fields(u, freeze_f=False))
+        eps = 1e-6
+        plus, minus = u.copy(), u.copy()
+        plus[1:-1] += eps * v
+        minus[1:-1] -= eps * v
+        fd = ((op.residual(plus) - op.residual(minus)) / (2.0 * eps)).ravel()
+        jv = mat @ v.ravel()
+        return float(np.max(np.abs(jv - fd)) / np.max(np.abs(jv)))
+
+    def test_minimal_newton_jacobian_is_residual_derivative(self):
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64)
+        assert self._newton_matches_central_difference(dom, "minimal") < 1e-6
+
+    def test_semilinear_newton_jacobian_is_residual_derivative(self):
+        dom = RingDomain2D(Circle(2.0, center=(0.3, -0.2)), Circle(1.0, center=(0.6, 0.1)),
+                           n_s=33, n_t=64, center=(0.4, -0.1))
+        assert self._newton_matches_central_difference(dom, "semilinear", self._cubic_rhs()) < 1e-6
+
+    def test_minimal_residual_is_f_contracted_with_hessian(self):
+        # the (s, t) coefficients reproduce F(grad u) : hess u in physical coordinates
+        grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64))
+        x, y = grid.x[..., 0], grid.x[..., 1]
+        u = np.log(x * x + 1.25 * y * y)
+        g, h = grid.physical_gradient(u), grid.physical_hessian(u)
+        f = (1.0 + np.sum(g * g, axis=-1))[..., None, None] * np.eye(2) - g[..., :, None] * g[..., None, :]
+        expected = np.sum(f * h, axis=(-2, -1))[1:-1]
+        res = ring2d._RingOperator(grid, "minimal").residual(u)
+        assert np.max(np.abs(res - expected)) < 1e-12 * np.max(np.abs(expected))
