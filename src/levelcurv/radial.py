@@ -6,8 +6,9 @@ boundary data pin c through one scalar quadrature equation, solved here by
 bisection.  Graph solutions exist only for |c| < a^(n-1); data steeper than
 that is reported as NoSolution, a legitimate outcome rather than a failure.
 
-The semilinear equation u'' + (n-1) u'/r = f(x, u) is solved by damped Newton
-on a second-order central-difference discretization.
+The semilinear equation u'' + (n-1) u'/r = f(x, u) is solved on a
+second-order central-difference discretization by the damped-Newton driver the
+2D ring solver shares (``solution._damped_newton``), with a tridiagonal step.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ import numpy as np
 from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
 
-from .errors import DidNotConverge, NoSolution
-from .solution import RingSolution
+from .errors import NoSolution
+from .solution import RingSolution, _damped_newton
 
 _QUAD_TOL = 1e-12
 _FLUX_EDGE = 1.0 - 1e-12
@@ -148,60 +149,34 @@ def solve_semilinear_radial(
         raise ValueError(f"need 0 < a < b, got a={a:g}, b={b:g}")
     r = np.linspace(a, b, samples)
     h = float(r[1] - r[0])
-    u = u_a + (u_b - u_a) * (r - a) / (b - a)
     x = np.zeros((samples, n))
     x[:, 0] = r
+    lower = 1.0 / h**2 - (n - 1) / (2.0 * h * r[1:-1])
+    upper = 1.0 / h**2 + (n - 1) / (2.0 * h * r[1:-1])
 
-    def residual(uv: np.ndarray) -> np.ndarray:
+    def residual(uv: np.ndarray) -> tuple:
         f_vals = rhs.f(x[1:-1], uv[1:-1])
         return (
             (uv[2:] - 2.0 * uv[1:-1] + uv[:-2]) / h**2
             + (n - 1) / r[1:-1] * (uv[2:] - uv[:-2]) / (2.0 * h)
             - f_vals
-        )
+        ), uv
+
+    def linearize(res: np.ndarray, uv: np.ndarray, frozen: bool) -> tuple:
+        ab = np.zeros((3, samples - 2))
+        ab[0, 1:] = upper[:-1]
+        ab[1, :] = -2.0 / h**2 - rhs.f_u(x[1:-1], uv[1:-1])
+        ab[2, :-1] = lower[1:]
+        return ab, -res
 
     # rounding floor of the discrete operator: the residual cannot be driven
     # below ~eps * |u| / h^2 in double precision on fine grids
     u_scale = 1.0 + max(abs(u_a), abs(u_b))
     floor = 32.0 * np.finfo(float).eps * u_scale * (4.0 / h**2 + (n - 1) / (h * a))
-    tol_used = float(max(tol, floor))
-    res = residual(u)
-    res_norm = float(np.max(np.abs(res))) if res.size else 0.0
-    it = 0
-    while res_norm > tol_used:
-        if it >= max_iter:
-            raise DidNotConverge(
-                f"radial Newton stalled at residual {res_norm:.3e}",
-                iterations=it,
-                residual=res_norm,
-            )
-        fu = rhs.f_u(x[1:-1], u[1:-1])
-        lower = 1.0 / h**2 - (n - 1) / (2.0 * h * r[1:-1])
-        diag = -2.0 / h**2 - fu
-        upper = 1.0 / h**2 + (n - 1) / (2.0 * h * r[1:-1])
-        m = samples - 2
-        ab = np.zeros((3, m))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diag
-        ab[2, :-1] = lower[1:]
-        delta = solve_banded((1, 1), ab, -res)
-        step = 1.0
-        for _ in range(8):
-            trial = u.copy()
-            trial[1:-1] += step * delta
-            trial_res = residual(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < res_norm:
-                u, res, res_norm = trial, trial_res, trial_norm
-                break
-            step *= 0.5
-        else:
-            raise DidNotConverge(
-                f"radial Newton line search failed at residual {res_norm:.3e}",
-                iterations=it,
-                residual=res_norm,
-            )
-        it += 1
+    u = u_a + (u_b - u_a) * (r - a) / (b - a)
+    u, res_norm, meta = _damped_newton(
+        residual, linearize, lambda system: solve_banded((1, 1), *system), u, tol,
+        lambda _: floor, max_iter, "radial Newton")
 
     u_prime = np.gradient(u, r, edge_order=2)
     u_prime[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
@@ -211,7 +186,7 @@ def solve_semilinear_radial(
         values=u,
         residual_norm=res_norm,
         h=h,
-        iterations=it,
+        iterations=len(meta["phases"]),
         rhs=rhs,
         n=n,
         a=a,
@@ -219,5 +194,5 @@ def solve_semilinear_radial(
         r=r,
         u_prime=u_prime,
         flux=None,
-        meta={"tol": tol, "tol_used": tol_used},
+        meta=meta,
     )

@@ -9,9 +9,10 @@ second-order central differences on the (s, t) grid.
 
 The minimal surface equation is written in nondivergence form
 F^{ab}(grad u) u_ab = 0 with F = (1 + |grad u|^2) I - grad u grad u^T and
-solved by a short Picard warm start (F frozen) followed by damped Newton.
-The semilinear equation Delta u = f(x, u) uses the same machinery with F = I
-and a -f_u diagonal term in the Jacobian.
+solved by a short Picard warm start (F frozen) followed by damped Newton, both
+run by the driver the radial solver shares (``solution._damped_newton``).
+The semilinear equation Delta u = f(x, u) uses the same machinery with F = I;
+the minimal operator carries f = 0.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
-from .errors import DidNotConverge
-from .solution import RingSolution
+from .rhs import zero_rhs
+from .solution import RingSolution, _damped_newton
 
 
 # ---------------------------------------------------------------------------
@@ -197,9 +198,9 @@ class RingGrid:
         """(u_x, u_y) from the reference first derivatives."""
         return self.s_x * us + self.t_x * ut, self.s_y * us + self.t_y * ut
 
-    def hessian_planes(self, u: np.ndarray, us: np.ndarray, ut: np.ndarray) -> tuple:
-        """(u_xx, u_xy, u_yy): the chain rule through the inverse Jacobian plus the bend terms."""
-        uss, ust, utt = self.d_ss(u), self.d_s(ut), self.d_tt(u)
+    def hessian_planes(self, us, ut, uss, ust, utt) -> tuple:
+        """(u_xx, u_xy, u_yy) from the reference derivatives: the chain rule
+        through the inverse Jacobian plus the bend terms."""
         # rows of (u_ss u_st; u_st u_tt) times the inverse Jacobian
         a_x, a_y = uss * self.s_x + ust * self.t_x, uss * self.s_y + ust * self.t_y
         b_x, b_y = ust * self.s_x + utt * self.t_x, ust * self.s_y + utt * self.t_y
@@ -213,7 +214,8 @@ class RingGrid:
 
     def physical_hessian(self, u: np.ndarray) -> np.ndarray:
         """(ns, nt, 2, 2) Hessian."""
-        u_xx, u_xy, u_yy = self.hessian_planes(u, self.d_s(u), self.d_t(u))
+        us, ut = self.d_s(u), self.d_t(u)
+        u_xx, u_xy, u_yy = self.hessian_planes(us, ut, self.d_ss(u), self.d_s(ut), self.d_tt(u))
         return np.stack([u_xx, u_xy, u_xy, u_yy], axis=-1).reshape(u.shape + (2, 2))
 
     def spacing(self) -> float:
@@ -250,14 +252,16 @@ def _stencil_entries(per_node: np.ndarray) -> np.ndarray:
 class _RingOperator:
     """Residual and Jacobian of the discretized equation on one grid.
 
-    Both read one coefficient pass: the equation written on the (s, t) grid
-    as m_ss u_ss + m_st u_st + m_tt u_tt + n_s u_s + n_t u_t (= F^{ab} u_ab).
+    The equation is written on the (s, t) grid as m_ss u_ss + m_st u_st +
+    m_tt u_tt + n_s u_s + n_t u_t - f(x, u) (= F^{ab} u_ab - f); the minimal
+    operator carries f = 0.  One coefficient pass per iterate: ``residual``
+    returns the planes it read, and the linear step is built from them.
     """
 
     def __init__(self, grid: RingGrid, equation: str, rhs=None):
         self.grid = grid
         self.equation = equation
-        self.rhs = rhs
+        self.rhs = rhs or zero_rhs()
         rows, nt = grid.n_s - 2, grid.n_t
         oi, oj = np.array(_OFFSETS).T
         cols = (np.arange(rows)[:, None, None] + oi) * nt + (np.arange(nt)[None, :, None] + oj) % nt
@@ -287,34 +291,36 @@ class _RingOperator:
         return (q * grid.g_ss - w_s * w_s, 2.0 * (q * grid.g_st - w_s * w_t),
                 q * grid.g_tt - w_t * w_t, n_s, n_t)
 
-    def residual(self, u: np.ndarray) -> np.ndarray:
-        """The discrete equation on the interior rows."""
-        grid = self.grid
-        us, ut = grid.d_s(u), grid.d_t(u)
-        m_ss, m_st, m_tt, n_s, n_t = self.coefficients(us, ut)
-        res = (m_ss * grid.d_ss(u) + m_st * grid.d_s(ut) + m_tt * grid.d_tt(u)
-               + n_s * us + n_t * ut)[1:-1]
-        if self.equation == "semilinear":
-            res -= self.rhs.f(grid.x[1:-1].reshape(-1, 2), u[1:-1].reshape(-1)).reshape(res.shape)
-        return res
+    def residual(self, u: np.ndarray) -> tuple:
+        """(discrete equation on the interior rows, planes it read).
 
-    def _linearization_fields(self, u: np.ndarray, freeze_f: bool):
-        """(m_ss, m_st, m_tt, m_s, m_t, diagonal) of the Jacobian (Picard: F frozen)."""
+        The planes are (u, (u_s, u_t, u_ss, u_st, u_tt), coefficients).
+        """
         grid = self.grid
         us, ut = grid.d_s(u), grid.d_t(u)
-        m_ss, m_st, m_tt, m_s, m_t = self.coefficients(us, ut)
-        diag_extra = np.zeros_like(u)
-        if self.equation == "minimal" and not freeze_f:
+        uss, ust, utt = grid.d_ss(u), grid.d_s(ut), grid.d_tt(u)
+        m_ss, m_st, m_tt, n_s, n_t = coefficients = self.coefficients(us, ut)
+        res = (m_ss * uss + m_st * ust + m_tt * utt + n_s * us + n_t * ut)[1:-1]
+        res -= self.rhs.f(grid.x[1:-1].reshape(-1, 2), u[1:-1].reshape(-1)).reshape(res.shape)
+        return res, (u, (us, ut, uss, ust, utt), coefficients)
+
+    def _linearization_fields(self, planes: tuple, frozen: bool):
+        """(m_ss, m_st, m_tt, m_s, m_t, diagonal) of the Jacobian at the planes of ``residual``.
+
+        A Picard step (``frozen``) keeps F at its value; a Newton step adds its derivative.
+        """
+        grid = self.grid
+        u, (us, ut, *second), (m_ss, m_st, m_tt, m_s, m_t) = planes
+        if self.equation == "minimal" and not frozen:
             # dF/d(grad u) : hess u, pulled back to (u_s, u_t)
             g_x, g_y = grid.gradient_planes(us, ut)
-            h_xx, h_xy, h_yy = grid.hessian_planes(u, us, ut)
+            h_xx, h_xy, h_yy = grid.hessian_planes(us, ut, *second)
             p1 = 2.0 * (g_x * h_yy - g_y * h_xy)
             p2 = 2.0 * (g_y * h_xx - g_x * h_xy)
             m_s = m_s + p1 * grid.s_x + p2 * grid.s_y
             m_t = m_t + p1 * grid.t_x + p2 * grid.t_y
-        if self.equation == "semilinear" and not freeze_f:
-            diag_extra = -self.rhs.f_u(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
-        return m_ss, m_st, m_tt, m_s, m_t, diag_extra
+        diag = -self.rhs.f_u(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
+        return m_ss, m_st, m_tt, m_s, m_t, diag
 
     def assemble(self, fields) -> csr_matrix:
         """Sparse Jacobian over the interior unknowns from ``_linearization_fields``.
@@ -390,14 +396,15 @@ _GMRES_RESTART = 50
 _GMRES_MAX_ITER = 500  # inner iterations before the splu fallback
 
 
-def _linear_solve(op: _RingOperator, u: np.ndarray, rhs: np.ndarray, freeze_f: bool,
-                  forcing: float):
-    """Solve J(u) x = rhs; returns (x, linear solver path, Krylov iterations).
+def _linear_solve(op: _RingOperator, fields: tuple, rhs: np.ndarray, frozen: bool):
+    """Solve J x = rhs for the Jacobian of ``_linearization_fields``.
+
+    Returns (x, linear solver path, Krylov iterations).
 
     GMRES runs under the t-averaged preconditioner; sparse LU is the fallback
-    when GMRES stops short of ``forcing`` or the preconditioner breaks down.
+    when GMRES stops short of the forcing term or the preconditioner breaks down.
     """
-    fields = op._linearization_fields(u, freeze_f)
+    forcing = _PICARD_FORCING if frozen else _NEWTON_FORCING
     mat = op.assemble(fields)
     precond = _averaged_preconditioner(fields, op.grid.ds, op.grid.dt)
     krylov = 0
@@ -439,86 +446,44 @@ def _solve_ring2d(
     else:
         s = np.linspace(0.0, 1.0, ns)[:, None]
         u = (1.0 - s) * outer_data[None, :] + s * inner_data[None, :]
-
-    # rounding floor of the discrete operator (second differences divide
-    # the eps-level noise of u by ds^2); tol below it cannot be reached
-    m_ss, m_st, m_tt, m_s, m_t, _ = op._linearization_fields(u, freeze_f=True)
-    coeff_scale = float(np.max(
-        np.abs(m_ss) * 4.0 / grid.ds**2
-        + np.abs(m_st) / (grid.ds * grid.dt)
-        + np.abs(m_tt) * 4.0 / grid.dt**2
-        + np.abs(m_s) / grid.ds
-        + np.abs(m_t) / grid.dt
-    ))
     u_scale = 1.0 + float(max(np.max(np.abs(outer_data)), np.max(np.abs(inner_data))))
-    tol_used = float(max(tol, 32.0 * np.finfo(float).eps * coeff_scale * u_scale))
+
+    def rounding_floor(planes):
+        # rounding floor of the discrete operator (second differences divide
+        # the eps-level noise of u by ds^2); tol below it cannot be reached
+        m_ss, m_st, m_tt, m_s, m_t = planes[-1]
+        coeff_scale = float(np.max(
+            np.abs(m_ss) * 4.0 / grid.ds**2
+            + np.abs(m_st) / (grid.ds * grid.dt)
+            + np.abs(m_tt) * 4.0 / grid.dt**2
+            + np.abs(m_s) / grid.ds
+            + np.abs(m_t) / grid.dt
+        ))
+        return 32.0 * np.finfo(float).eps * coeff_scale * u_scale
+
     # per iteration: which linear solver ran and how many GMRES iterations it took
     paths, krylov = [], []
 
-    def solution(values, res_norm, iterations):
-        return RingSolution(
-            kind="ring2d", equation=equation, values=values, residual_norm=res_norm,
-            h=grid.spacing(), iterations=iterations, rhs=rhs, domain=domain,
-            coords=grid.x, grid=grid,
-            meta={"grid": (ns, nt), "tol": tol, "tol_used": tol_used,
-                  "linear_solver": paths, "krylov_iterations": krylov},
-        )
+    def linearize(res, planes, frozen):
+        return op._linearization_fields(planes, frozen), -res.ravel(), frozen
 
-    if np.allclose(outer_data, inner_data) and (
-        equation == "minimal" or rhs is None or getattr(rhs, "is_zero", False)
-    ):
-        # constant data, homogeneous equation: the blend is already constant
-        if np.ptp(outer_data) == 0.0:
-            return solution(u, 0.0, 0)
-
-    res = op.residual(u)
-    res_norm = float(np.max(np.abs(res)))
-    iterations = 0
+    def solve(system):
+        delta, path, its = _linear_solve(op, *system)
+        paths.append(path)
+        krylov.append(its)
+        return delta.reshape(ns - 2, nt)
 
     # The frozen operator applied to u is the minimal residual itself, so each
     # Picard step solves for the correction from u.
-    for _ in range(_PICARD_STEPS if equation == "minimal" else 0):
-        if res_norm <= tol_used:
-            break
-        delta, path, its = _linear_solve(op, u, -res.ravel(), True, _PICARD_FORCING)
-        paths.append(path)
-        krylov.append(its)
-        u[1:-1] += delta.reshape(ns - 2, nt)
-        res = op.residual(u)
-        res_norm = float(np.max(np.abs(res)))
-        iterations += 1
-
-    while res_norm > tol_used:
-        if iterations >= max_iter:
-            raise DidNotConverge(
-                f"ring2d {equation} solver stalled at residual {res_norm:.3e}",
-                iterations=iterations,
-                residual=res_norm,
-            )
-        delta, path, its = _linear_solve(op, u, -res.ravel(), False, _NEWTON_FORCING)
-        paths.append(path)
-        krylov.append(its)
-        step = 1.0
-        accepted = False
-        for _ in range(8):
-            trial = u.copy()
-            trial[1:-1] += step * delta.reshape(ns - 2, nt)
-            trial_res = op.residual(trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if trial_norm < res_norm:
-                u, res, res_norm = trial, trial_res, trial_norm
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            raise DidNotConverge(
-                f"ring2d {equation} Newton line search failed at {res_norm:.3e}",
-                iterations=iterations,
-                residual=res_norm,
-            )
-        iterations += 1
-
-    return solution(u, res_norm, iterations)
+    u, res_norm, meta = _damped_newton(
+        op.residual, linearize, solve, u, tol, rounding_floor, max_iter,
+        f"ring2d {equation} solver", picard_steps=_PICARD_STEPS if equation == "minimal" else 0)
+    return RingSolution(
+        kind="ring2d", equation=equation, values=u, residual_norm=res_norm,
+        h=grid.spacing(), iterations=len(meta["phases"]), rhs=rhs, domain=domain,
+        coords=grid.x, grid=grid,
+        meta={"grid": (ns, nt), "linear_solver": paths, "krylov_iterations": krylov, **meta},
+    )
 
 
 def solve_minimal_ring2d(

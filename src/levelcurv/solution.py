@@ -1,4 +1,4 @@
-"""Discrete solution containers shared by the solvers, checks and reporting."""
+"""Discrete solution containers and the damped-Newton driver shared by the solvers."""
 
 from __future__ import annotations
 
@@ -6,6 +6,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
+
+from .errors import DidNotConverge
 
 
 @dataclass
@@ -65,3 +67,49 @@ class RingSolution:
         over = float(np.max(interior) - np.max(bdry))
         under = float(np.min(bdry) - np.min(interior))
         return max(0.0, over, under)
+
+
+def _damped_newton(evaluate, linearize, solve, u, tol, floor, max_iter, name, picard_steps=0):
+    """The nonlinear iteration of every solver; returns (u, residual norm, meta).
+
+    ``evaluate(u)`` returns (interior residual, state),
+    ``linearize(residual, state, frozen)`` the linear system built from that
+    same evaluation and ``solve(system)`` its interior correction, so each
+    iterate is evaluated once and its state is dropped before the solve.
+    ``tol`` is raised to the rounding floor ``floor(state)`` of the first
+    evaluation.  The first ``picard_steps`` steps are frozen and taken at full
+    length; every later step is halved up to 8 times until the max-norm
+    residual decreases.  ``max_iter`` is checked before Newton steps only.
+    ``meta`` holds ``tol``, ``tol_used`` and, per step, its phase, the residual
+    norm after it and its length.
+    """
+    res, state = evaluate(u)
+    meta = {"tol": tol, "tol_used": float(max(tol, floor(state))),
+            "phases": [], "residual_norms": [], "step_lengths": []}
+    norm = float(np.max(np.abs(res), initial=0.0))
+    while norm > meta["tol_used"]:
+        iterations = len(meta["phases"])
+        picard = iterations < picard_steps
+        if not picard and iterations >= max_iter:
+            raise DidNotConverge(f"{name} stalled at residual {norm:.3e}",
+                                 iterations=iterations, residual=norm)
+        # the evaluated state lives until its system is built, the system until it is solved
+        system, state = linearize(res, state, picard), None
+        delta, system = solve(system), None
+        step = 1.0
+        for _ in range(8):
+            trial = u.copy()
+            trial[1:-1] += step * delta
+            res, state = evaluate(trial)
+            trial_norm = float(np.max(np.abs(res), initial=0.0))
+            if picard or trial_norm < norm:
+                break
+            step *= 0.5
+        else:
+            raise DidNotConverge(f"{name} line search failed at residual {norm:.3e}",
+                                 iterations=iterations, residual=norm)
+        u, norm = trial, trial_norm
+        meta["phases"].append("picard" if picard else "newton")
+        meta["residual_norms"].append(norm)
+        meta["step_lengths"].append(step)
+    return u, norm, meta

@@ -174,7 +174,18 @@ class TestRunVerdicts:
         assert solver["iterations"] > 0
         assert solver["linear_solver"] == ["gmres"] * solver["iterations"]
         assert len(solver["krylov_iterations"]) == solver["iterations"]
+        self._assert_trace(solver)
+        assert solver["phases"][0] == "picard"
         assert render_json(run(cfg)[0]) == render_json(report)
+
+    @staticmethod
+    def _assert_trace(solver):
+        # per iteration: phase, residual norm after the step and accepted step length
+        for key in ("phases", "residual_norms", "step_lengths"):
+            assert len(solver[key]) == solver["iterations"]
+        assert set(solver["phases"]) <= {"picard", "newton"}
+        assert solver["residual_norms"][-1] == solver["residual_norm"]
+        assert all(0.0 < step <= 1.0 for step in solver["step_lengths"])
 
     def test_radial_solver_block_records_raised_tolerance(self):
         cfg = {
@@ -192,6 +203,9 @@ class TestRunVerdicts:
         assert solver["tol"] == 1e-14
         assert solver["tol_used"] > solver["tol"]
         assert solver["residual_norm"] <= solver["tol_used"]
+        self._assert_trace(solver)
+        assert solver["iterations"] > 0 and set(solver["phases"]) == {"newton"}
+        assert render_json(run(parse_config(cfg))[0]["solver"]) == render_json(solver)
 
     def test_stall_keeps_iterations_and_residual(self, monkeypatch):
         monkeypatch.setattr(cli, "solve_minimal_ring2d",

@@ -11,7 +11,7 @@ from levelcurv.errors import DidNotConverge, NoSolution
 from levelcurv.fields import catenoid_value
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import SemilinearRHS, linear_u_rhs, zero_rhs
-from levelcurv import ring2d
+from levelcurv import radial, ring2d
 from levelcurv.ring2d import (
     Circle,
     Ellipse,
@@ -100,6 +100,15 @@ class TestSemilinearRadial:
         with pytest.raises(DidNotConverge):
             solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(1.0), max_iter=0)
 
+    def test_line_search_failure(self, monkeypatch):
+        # every halving of a reversed Newton step raises the residual
+        real = radial.solve_banded
+        monkeypatch.setattr(radial, "solve_banded", lambda *args: -real(*args))
+        with pytest.raises(DidNotConverge, match="line search failed") as caught:
+            solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(1.0), samples=101)
+        assert caught.value.iterations == 0
+        assert math.isfinite(caught.value.residual) and caught.value.residual > 0.0
+
 
 class TestRingDomain:
     def test_rejects_inner_outside_outer(self):
@@ -142,7 +151,45 @@ class TestRing2D:
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=9, n_t=16)
         sol = solve_minimal_ring2d(dom, np.full(16, 0.7), np.full(16, 0.7))
         assert sol.iterations == 0
+        assert sol.residual_norm == 0.0
         assert np.all(sol.values == 0.7)
+        # a nonconstant start with constant data is solved, not returned as it is
+        start = np.random.default_rng(0).standard_normal((9, 16))
+        sol = solve_minimal_ring2d(dom, np.full(16, 0.7), np.full(16, 0.7), initial=start)
+        assert sol.iterations > 0
+        assert np.max(np.abs(sol.values - 0.7)) < 1e-12
+
+    @pytest.mark.parametrize("equation", ["minimal", "semilinear"])
+    def test_nearly_equal_constant_data_is_solved(self, equation):
+        # constant outer data and inner data 5e-6 above it: the blend is not a solution
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64)
+        outer, inner = np.full(64, 1.0), np.full(64, 1.000005)
+        if equation == "minimal":
+            sol = solve_minimal_ring2d(dom, outer, inner)
+        else:
+            sol = solve_semilinear_ring2d(dom, outer, inner, zero_rhs())
+        assert sol.iterations > 0
+        res, _ = ring2d._RingOperator(RingGrid(dom), equation, sol.rhs).residual(sol.values)
+        assert sol.residual_norm == float(np.max(np.abs(res))) <= sol.meta["tol_used"]
+
+    def test_line_search_failure(self, monkeypatch):
+        real = ring2d._linear_solve
+
+        def reversed_step(*args):
+            x, path, its = real(*args)
+            return -x, path, its
+
+        monkeypatch.setattr(ring2d, "_linear_solve", reversed_step)
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=17, n_t=32)
+        with pytest.raises(DidNotConverge, match="line search failed") as caught:
+            solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
+        assert caught.value.iterations == 0
+        assert math.isfinite(caught.value.residual) and caught.value.residual > 0.0
+        # the minimal solve takes its Picard steps at full length before the line search
+        with pytest.raises(DidNotConverge, match="line search failed") as caught:
+            solve_minimal_ring2d(dom, np.zeros(32), np.ones(32))
+        assert caught.value.iterations == ring2d._PICARD_STEPS
+        assert math.isfinite(caught.value.residual) and caught.value.residual > 0.0
 
     def test_ellipse_ring_bounds_and_max_principle(self):
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64)
@@ -240,6 +287,22 @@ class TestNewtonKrylov:
         assert capped.meta["krylov_iterations"] == [1] * capped.iterations
         assert np.max(np.abs(capped.values - krylov.values)) < 1e-12
 
+    def test_one_coefficient_pass_per_evaluation(self, monkeypatch):
+        # the linear step and the rounding floor read the planes of the last evaluation
+        calls = {"coefficients": 0, "residual": 0}
+        for name in calls:
+            real = getattr(ring2d._RingOperator, name)
+
+            def counted(self, *args, real=real, name=name):
+                calls[name] += 1
+                return real(self, *args)
+
+            monkeypatch.setattr(ring2d._RingOperator, name, counted)
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=128, n_t=256)
+        sol = solve_minimal_ring2d(dom, np.zeros(256), np.ones(256))
+        assert calls["coefficients"] == calls["residual"] == sol.iterations + 1 == 7
+        assert sol.meta["step_lengths"] == [1.0] * sol.iterations
+
     def test_semilinear_circle_one_newton_step(self):
         # the metric of a circle ring does not depend on t, so the t-averaged
         # preconditioner is the exact inverse and GMRES needs one iteration
@@ -324,12 +387,12 @@ class TestLinearization:
         x, y = grid.x[..., 0], grid.x[..., 1]
         u = s + 0.1 * s * (1.0 - s) * np.sin(x + 2.0 * y)
         v = np.random.default_rng(3).standard_normal((ns - 2, nt))
-        mat = op.assemble(op._linearization_fields(u, freeze_f=False))
+        mat = op.assemble(op._linearization_fields(op.residual(u)[1], frozen=False))
         eps = 1e-6
         plus, minus = u.copy(), u.copy()
         plus[1:-1] += eps * v
         minus[1:-1] -= eps * v
-        fd = ((op.residual(plus) - op.residual(minus)) / (2.0 * eps)).ravel()
+        fd = ((op.residual(plus)[0] - op.residual(minus)[0]) / (2.0 * eps)).ravel()
         jv = mat @ v.ravel()
         return float(np.max(np.abs(jv - fd)) / np.max(np.abs(jv)))
 
@@ -342,6 +405,24 @@ class TestLinearization:
                            n_s=33, n_t=64, center=(0.4, -0.1))
         assert self._newton_matches_central_difference(dom, "semilinear", self._cubic_rhs()) < 1e-6
 
+    def test_minimal_zero_rhs_terms_change_no_bit(self):
+        # the minimal operator subtracts f = 0 and adds -f_u = -0.0 to the diagonal unbranched
+        grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=17, n_t=32))
+        op = ring2d._RingOperator(grid, "minimal")
+        s = np.linspace(0.0, 1.0, 17)[:, None]
+        u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
+        res, planes = op.residual(u)
+        (us, ut, uss, ust, utt), (m_ss, m_st, m_tt, n_s, n_t) = planes[1:]
+        bare = (m_ss * uss + m_st * ust + m_tt * utt + n_s * us + n_t * ut)[1:-1]
+        assert res.tobytes() == bare.tobytes()
+        x = np.random.default_rng(1).standard_normal(15 * 32)
+        for frozen in (True, False):
+            fields = op._linearization_fields(planes, frozen)
+            zero = fields[:5] + (np.zeros_like(u),)
+            assert op.assemble(fields).data.tobytes() == op.assemble(zero).data.tobytes()
+            precond = [ring2d._averaged_preconditioner(f, grid.ds, grid.dt) for f in (fields, zero)]
+            assert precond[0].matvec(x).tobytes() == precond[1].matvec(x).tobytes()
+
     def test_minimal_residual_is_f_contracted_with_hessian(self):
         # the (s, t) coefficients reproduce F(grad u) : hess u in physical coordinates
         grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64))
@@ -350,5 +431,5 @@ class TestLinearization:
         g, h = grid.physical_gradient(u), grid.physical_hessian(u)
         f = (1.0 + np.sum(g * g, axis=-1))[..., None, None] * np.eye(2) - g[..., :, None] * g[..., None, :]
         expected = np.sum(f * h, axis=(-2, -1))[1:-1]
-        res = ring2d._RingOperator(grid, "minimal").residual(u)
+        res = ring2d._RingOperator(grid, "minimal").residual(u)[0]
         assert np.max(np.abs(res - expected)) < 1e-12 * np.max(np.abs(expected))
