@@ -5,11 +5,12 @@ assumed (a failed precondition raises HypothesisViolated and must never be
 read as a counterexample), interior and boundary values come from one field
 bundle per solution (on 2D rings the solver's own stencil jets, one-sided
 in s on the boundary rows), and verdicts carry explicit margins against an
-O(h^2)-scaled tolerance.  Only psi harmonicity refits u (degree 4).
+O(h^2)-scaled tolerance.  No check refits u.
 
 "Interior" always excludes the two grid layers nearest each boundary, where
 the one-sided stencils reach; comparing differently-accurate estimators
-would poison the margins.
+would poison the margins.  The psi-harmonicity residual, which differences
+the stencil jets once more, reads the fixed band 1/4 <= s <= 3/4 instead.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .errors import HypothesisViolated, TooCloseToBoundary, TooCoarse
 from .geometry import GRAD_FLOOR, TestFunctionSpec, level_curve_curvature_2d
 from .identities import lb_psi_residual_2d
-from .recover import grid_field_fit, radial_profile_fit
+from .recover import radial_profile_fit
 from .rhs import admissibility_check, zero_rhs
 from .ring2d import (
     Circle,
@@ -154,20 +155,21 @@ class _Fields:
             )
 
 
-def _build_fields(solution: RingSolution, jets=None) -> _Fields:
-    """The field bundle from 2D (grads, hesses), by default the solver grid's stencil jets.
+def _build_fields(solution: RingSolution) -> _Fields:
+    """The field bundle of a solution; on 2D rings from the solver grid's stencil jets.
 
-    Radially the level sets are spheres: kappa = 1/r and K = r^(1-n).  Raises
-    on the |grad u| floor and orients the curvature to be positive toward grad u.
+    A 2D solution that carries no grid gets one here and keeps it.  Radially
+    the level sets are spheres: kappa = 1/r and K = r^(1-n).  Raises on the
+    |grad u| floor and orients the curvature to be positive toward grad u.
     """
     node_shape = solution.values.shape
     if solution.kind == "ring2d":
-        if jets is None:
-            if node_shape[0] < 5:
-                raise TooCloseToBoundary("grid has too few s-layers for the one-sided Hessian")
-            grid = solution.grid if solution.grid is not None else RingGrid(solution.domain)
-            jets = grid.physical_gradient(solution.values), grid.physical_hessian(solution.values)
-        grads, hesses = jets
+        if node_shape[0] < 5:
+            raise TooCloseToBoundary("grid has too few s-layers for the one-sided Hessian")
+        if solution.grid is None:
+            solution.grid = RingGrid(solution.domain)
+        grads = solution.grid.physical_gradient(solution.values)
+        hesses = solution.grid.physical_hessian(solution.values)
         gnorm = np.linalg.norm(grads, axis=-1)
         _require_gradient_floor(gnorm)
         kappa_pre = level_curve_curvature_2d(grads, hesses)
@@ -442,29 +444,24 @@ def check_gradient_monotonicity(
 # Laplace-Beltrami harmonicity of psi in 2D
 # ---------------------------------------------------------------------------
 
-def _discrete_lb_residual(solution: RingSolution) -> float:
-    """max over deep-interior nodes of F^{ab} psi_ab on a discrete solution.
+def _discrete_lb_residual(solution: RingSolution, spec: TestFunctionSpec) -> float:
+    """max |F^{ab} psi_ab| over the nodes with 1/4 <= s <= 3/4 of a minimal ring solution.
 
-    Differentiating a recovered field twice is noise-sensitive: degree-4 fits
-    keep the estimator error smooth enough that the residual still decays at
-    second order, where degree-3 fits stall.
+    u's jets come from the field bundle and psi's Hessian from the same grid
+    stencils.  The band is one physical region on every grid, so a refinement
+    order compares the same quantity throughout.
     """
-    spec = TestFunctionSpec.minimal_theta(-0.5)
-    # stay clear of the one-sided fit rows on both passes
-    deep = slice(7, solution.values.shape[0] - 7)
-    grads, hesses, hess_rows = grid_field_fit(
-        solution, solution.values, degree=4, hessian_rows=deep
-    )
-    fields = _build_fields(solution, (grads, hesses))
+    fields = _gated_fields(solution)
     fields.require_strict_convexity("psi harmonicity")
-    psi_hess = hess_rows.apply(fields.psi(spec))
-    g1, g2 = grads[deep, :, 0], grads[deep, :, 1]
-    t = fields.gnorm.reshape(fields.node_shape)[deep] ** 2
-    lb = (
-        (1.0 + t - g1 * g1) * psi_hess[..., 0, 0]
-        - 2.0 * g1 * g2 * psi_hess[..., 0, 1]
-        + (1.0 + t - g2 * g2) * psi_hess[..., 1, 1]
-    )
+    ns = fields.node_shape[0]
+    four_s = 4 * np.arange(ns)  # 4 s (n_s - 1) on each s-row, exact in integers
+    band = (four_s >= ns - 1) & (four_s <= 3 * (ns - 1))
+    grid = solution.grid  # the bundle's grid
+    psi_hess = grid.physical_hessian(fields.psi(spec).reshape(fields.node_shape))[band]
+    g = grid.physical_gradient(solution.values)[band]
+    # F = (1 + |g|^2) I - g g^T
+    lb = ((1.0 + np.sum(g * g, axis=-1)) * np.trace(psi_hess, axis1=-2, axis2=-1)
+          - np.einsum("nta,ntab,ntb->nt", g, psi_hess, g))
     return float(np.max(np.abs(lb)))
 
 
@@ -473,9 +470,11 @@ def check_harmonic_psi_2d(source, points=None, tol: float = 1e-6) -> CheckReport
 
     source may be a closed-form supplier (requires sample points; pass when
     the residual is below tol) or a list of >= 2 RingSolutions on refined
-    grids (pass when the residual decays at measured order >= 1.5).  Both
-    paths enforce minimality: a non-minimal supplier jet raises
-    NotAMinimalJet, a non-minimal solution HypothesisViolated.
+    grids.  A solution's residual is max |F^{ab} psi_ab| over the band
+    1/4 <= s <= 3/4, from its stencil jets; the check passes when it decays
+    at measured order >= 1.5.  Both paths enforce minimality: a non-minimal
+    supplier jet raises NotAMinimalJet, a non-minimal solution
+    HypothesisViolated.
     """
     if hasattr(source, "jet"):
         if points is None:
@@ -502,7 +501,8 @@ def check_harmonic_psi_2d(source, points=None, tol: float = 1e-6) -> CheckReport
         raise HypothesisViolated(
             f"psi harmonicity needs minimal graphs, got equation {', '.join(equations)}"
         )
-    residuals = [_discrete_lb_residual(s) for s in solutions]
+    spec = TestFunctionSpec.minimal_theta(-0.5)
+    residuals = [_discrete_lb_residual(s, spec) for s in solutions]
     hs = [s.h for s in solutions]
     orders = [
         math.log(residuals[i] / residuals[i + 1]) / math.log(hs[i] / hs[i + 1])

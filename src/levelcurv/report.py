@@ -1,8 +1,9 @@
 """Deterministic report emission.
 
 Reports are plain dicts rendered to JSON with sorted keys and floats printed
-at 17 significant digits, which round-trip exactly: identical runs produce
-byte-identical files, and parse(emit(report)) == report field for field.
+at 17 significant digits, whole ones with a trailing ".0", which round-trip
+exactly: identical runs produce byte-identical files, and
+parse(emit(report)) == report field for field, types included.
 Volatile quantities (wall time) are printed to the console but kept out of
 the emitted JSON for that reason.
 """
@@ -19,9 +20,9 @@ import numpy as np
 def _fmt_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"non-finite float {x!r} in report")
-    if x == 0.0 and math.copysign(1.0, x) < 0.0:
-        return "-0.0"  # "-0" would parse back as the int 0
-    return f"{x:.17g}"
+    text = f"{x:.17g}"
+    # a whole float such as 1.0 or -0.0 prints as "1" or "-0", which parse back as ints
+    return text + ".0" if text.lstrip("-").isdigit() else text
 
 
 def render_json(obj, indent: int = 0) -> str:

@@ -79,7 +79,8 @@ def _damped_newton(evaluate, linearize, solve, u, tol, floor, max_iter, name, pi
     ``tol`` is raised to the rounding floor ``floor(state)`` of the first
     evaluation.  The first ``picard_steps`` steps are frozen and taken at full
     length; every later step is halved up to 8 times until the max-norm
-    residual decreases.  ``max_iter`` is checked before Newton steps only.
+    residual decreases.  At most ``max_iter`` steps are taken, Picard ones
+    included.
     ``meta`` holds ``tol``, ``tol_used`` and, per step, its phase, the residual
     norm after it and its length.
     """
@@ -90,7 +91,7 @@ def _damped_newton(evaluate, linearize, solve, u, tol, floor, max_iter, name, pi
     while norm > meta["tol_used"]:
         iterations = len(meta["phases"])
         picard = iterations < picard_steps
-        if not picard and iterations >= max_iter:
+        if iterations >= max_iter:
             raise DidNotConverge(f"{name} stalled at residual {norm:.3e}",
                                  iterations=iterations, residual=norm)
         # the evaluated state lives until its system is built, the system until it is solved

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import levelcurv.checks as checks
-import levelcurv.recover as recover
 from levelcurv.checks import (
     CheckReport,
     check_extremum_on_boundary,
@@ -242,6 +241,26 @@ class TestFieldBundle:
                 assert location == (3.0,)
 
 
+def _ellipse_minimal_family(grids):
+    sols = []
+    for ns, nt in grids:
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
+        sols.append(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt)))
+    return sols
+
+
+@pytest.fixture(scope="module")
+def criterion9_family():
+    return _ellipse_minimal_family([(25, 48), (49, 96), (97, 192)])
+
+
+def _refinement_orders(solutions, spec):
+    residuals = [checks._discrete_lb_residual(s, spec) for s in solutions]
+    return [math.log(residuals[i] / residuals[i + 1])
+            / math.log(solutions[i].h / solutions[i + 1].h)
+            for i in range(len(solutions) - 1)]
+
+
 class TestHarmonicPsi:
     def test_closed_form_catenoid(self):
         cat = RadialMinimalField(2, flux=-1.0)
@@ -250,14 +269,17 @@ class TestHarmonicPsi:
         assert rep.passed
         assert rep.interior_extremum < 1e-10
 
-    def test_discrete_refinement(self):
-        sols = []
-        for ns, nt in [(25, 48), (49, 96), (97, 192)]:
-            dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-            sols.append(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt)))
-        rep = check_harmonic_psi_2d(sols)
+    def test_discrete_refinement(self, criterion9_family):
+        rep = check_harmonic_psi_2d(criterion9_family)
         assert rep.passed
-        assert rep.margin >= 0  # measured order above 1.5
+        orders = _refinement_orders(criterion9_family, THETA_HALF)
+        assert all(1.9 <= o <= 2.1 for o in orders)
+        assert rep.margin == pytest.approx(min(orders) - 1.5, rel=1e-12)
+
+    def test_wrong_weight_fails_refinement(self, criterion9_family):
+        # psi = K (theta = 0) is not harmonic: its residual does not decay
+        orders = _refinement_orders(criterion9_family, TestFunctionSpec.minimal_theta(0.0))
+        assert max(orders) < 1.5
 
     def test_closed_form_rejects_non_minimal(self):
         with pytest.raises(NotAMinimalJet):
@@ -271,25 +293,21 @@ class TestHarmonicPsi:
         with pytest.raises(HypothesisViolated, match="minimal"):
             check_harmonic_psi_2d(sols)
 
-    def test_fit_rows_built_once_per_grid(self, monkeypatch):
-        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=25, n_t=48)
-        sol = solve_minimal_ring2d(dom, np.zeros(48), np.ones(48))
-        fits, builds = [], []
-        real_fit, real_rows = checks.grid_field_fit, recover._derivative_rows
+    def test_check_reuses_the_cached_bundle(self, monkeypatch):
+        sols = _ellipse_minimal_family([(25, 48), (33, 64)])
+        builds, grids = [], []
+        real_build = checks._build_fields
 
-        def counting_fit(*args, **kwargs):
-            fits.append(kwargs.get("degree"))
-            return real_fit(*args, **kwargs)
+        def counting_build(solution):
+            builds.append(solution.values.shape)
+            return real_build(solution)
 
-        def counting_rows(*args):
-            builds.append(args[0].shape[0])
-            return real_rows(*args)
-
-        monkeypatch.setattr(checks, "grid_field_fit", counting_fit)
-        monkeypatch.setattr(recover, "_derivative_rows", counting_rows)
-        checks._discrete_lb_residual(sol)
-        assert fits == [4]  # u is fitted once; psi reuses the kept Hessian rows
-        assert builds == [48] * 25  # one build per s-row, none for psi
+        monkeypatch.setattr(checks, "_build_fields", counting_build)
+        monkeypatch.setattr(checks, "RingGrid", lambda *args: grids.append(args))
+        first = check_harmonic_psi_2d(sols)
+        assert check_harmonic_psi_2d(sols) == first
+        assert builds == [(25, 48), (33, 64)]  # one bundle per solution, read by both calls
+        assert grids == []  # psi's Hessian uses the solver's own grid
 
 
 class TestConvergenceStudy:

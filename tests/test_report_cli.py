@@ -216,8 +216,8 @@ class TestRunVerdicts:
         assert report["verdict"] == "NumericalFailure"
         error = report["error"]
         assert error["type"] == "DidNotConverge"
-        # the cap is checked once the Picard warm start has run
-        assert error["iterations"] == ring2d._PICARD_STEPS
+        # the cap counts every step, the Picard warm start included
+        assert error["iterations"] == 2
         assert error["residual"] > 1e-10
         assert f"{error['residual']:.3e}" in error["message"]
         assert parse_report(render_json(report))["error"] == error
@@ -259,9 +259,9 @@ class TestRunVerdicts:
         builds = []
         real_build = checks._build_fields
 
-        def counting_build(solution, jets=None):
+        def counting_build(solution):
             builds.append(solution.values.shape)
-            return real_build(solution, jets)
+            return real_build(solution)
 
         monkeypatch.setattr(checks, "_build_fields", counting_build)
         cfg = parse_config(minimal_ring_config(checks=["min", "max"]))
