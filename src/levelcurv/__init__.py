@@ -64,7 +64,6 @@ from .identities import (
 )
 from .polyfield import PolyField, RandomJets, random_test_jet, random_test_jets
 from .radial import solve_minimal_radial, solve_semilinear_radial
-from .recover import recover_jet
 from .rhs import (
     RHSFlags,
     SemilinearRHS,

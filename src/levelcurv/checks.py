@@ -23,7 +23,6 @@ import numpy as np
 from .errors import HypothesisViolated, TooCloseToBoundary, TooCoarse
 from .geometry import GRAD_FLOOR, TestFunctionSpec, level_curve_curvature_2d
 from .identities import lb_psi_residual_2d
-from .recover import radial_profile_fit
 from .rhs import admissibility_check, zero_rhs
 from .ring2d import (
     Circle,
@@ -156,16 +155,17 @@ class _Fields:
 
 
 def _build_fields(solution: RingSolution) -> _Fields:
-    """The field bundle of a solution; on 2D rings from the solver grid's stencil jets.
+    """The field bundle of a solution: on 2D rings from the solver grid's
+    stencil jets, radially from the solver's own u' and u''.
 
     A 2D solution that carries no grid gets one here and keeps it.  Radially
     the level sets are spheres: kappa = 1/r and K = r^(1-n).  Raises on the
     |grad u| floor and orients the curvature to be positive toward grad u.
     """
     node_shape = solution.values.shape
+    if node_shape[0] < 5:
+        raise TooCloseToBoundary("grid has too few layers for the one-sided second derivative")
     if solution.kind == "ring2d":
-        if node_shape[0] < 5:
-            raise TooCloseToBoundary("grid has too few s-layers for the one-sided Hessian")
         if solution.grid is None:
             solution.grid = RingGrid(solution.domain)
         grads = solution.grid.physical_gradient(solution.values)
@@ -181,7 +181,7 @@ def _build_fields(solution: RingSolution) -> _Fields:
         ns, nt = node_shape
         outer, inner = np.arange(nt), np.arange((ns - 1) * nt, ns * nt)
     else:
-        up, upp = radial_profile_fit(solution, degree=3)[:2]
+        up, upp = solution.u_prime, solution.u_second
         gnorm = np.abs(up)
         _require_gradient_floor(gnorm)
         kappa_min = 1.0 / solution.r
@@ -225,7 +225,7 @@ def solution_fields(solution: RingSolution) -> _Fields:
 
 
 def _guard_ring_resolution(solution: RingSolution):
-    """A ring thinner than the angular node spacing starves the recovery stencils."""
+    """A ring thinner than the angular node spacing starves the derivative stencils."""
     if solution.kind != "ring2d":
         return
     gap = getattr(solution.domain, "min_gap", None)
@@ -404,7 +404,8 @@ def check_gradient_monotonicity(
 
     For the convex-ring semilinear problem the norm of the gradient must
     increase along grad u, so its minimum sits on the outer boundary and its
-    maximum on the inner one.
+    maximum on the inner one.  Each of these three sub-margins has its own
+    tolerance; the report carries the one with the least slack.
     """
     _require_semilinear_ring(solution, "gradient monotonicity is stated for Delta u = f(u)")
     fields = _gated_fields(solution)
@@ -417,12 +418,10 @@ def check_gradient_monotonicity(
     tol = (50.0 * scale_d if c_tol is None else c_tol) * h * h
     gtol = 50.0 * float(np.max(gnorm)) * h * h
     d_min, loc = fields.extremum(fields.deriv, np.argmin, fields.interior)
-    # three sub-margins (positivity + the two extremum locations), each scaled
-    # by its own tolerance, folded so pass <=> margin >= -tolerance
-    quotients = [d_min / tol,
-                 (min_int - min_outer) / gtol,
-                 (max_inner - max_int) / gtol]
-    margin = float(min(quotients) * tol)
+    # least slack margin + tolerance: pass <=> margin >= -tolerance <=> every
+    # sub-margin holds, for any tolerance >= 0
+    margin, tol = min([(d_min, tol), (min_int - min_outer, gtol), (max_inner - max_int, gtol)],
+                      key=lambda sub: sub[0] + sub[1])
     notes = ["flags sampled", f"min directional derivative {d_min:.6g}",
              f"interior min|grad| {min_int:.6g} vs outer {min_outer:.6g}",
              f"interior max|grad| {max_int:.6g} vs inner {max_inner:.6g}"]
@@ -432,7 +431,7 @@ def check_gradient_monotonicity(
         interior_location=loc,
         boundary_extremum=min_outer,
         boundary_location=(),
-        margin=margin,
+        margin=float(margin),
         tolerance=float(tol),
         passed=bool(margin >= -tol),
         grid_h=h,

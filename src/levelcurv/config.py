@@ -20,6 +20,7 @@ from .errors import ConfigError
 from .fields import catenoid_value
 from .geometry import TestFunctionSpec
 from .polyfield import RANDOM_JET_DIMS
+from .radial import profile_integral
 from .rhs import SemilinearRHS, inverse_square_rhs, linear_u_rhs, zero_rhs
 from .ring2d import MIN_GRID, Circle, Ellipse, RingDomain2D
 
@@ -386,14 +387,11 @@ def _radial_value(datum, radius: float, geometry: RadialGeometry, path: str) -> 
             raise ConfigError(f"{path}: catenoid data needs a >= 1")
         if n == 2:
             return catenoid_value(radius, anchor=a)
-        from scipy.integrate import quad
-
         try:
-            val, _ = quad(lambda s: 1.0 / math.sqrt(s ** (2 * (n - 1)) - 1.0), a, radius,
-                          epsabs=1e-12, epsrel=1e-12)
+            val = profile_integral(1.0, n, a, radius)
         except OverflowError:
             val = math.inf
         if not math.isfinite(val):
             raise ConfigError(f"{path}: catenoid data is not finite at radius {radius:g}")
-        return float(val)
+        return val
     return math.log(geometry.b / radius) / math.log(geometry.b / a)

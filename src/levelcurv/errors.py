@@ -52,7 +52,7 @@ class DidNotConverge(LevelCurvError):
 
 
 class TooCloseToBoundary(LevelCurvError):
-    """Jet recovery stencil would reach past the grid boundary."""
+    """A derivative stencil would reach past the grid boundary."""
 
 
 class HypothesisViolated(LevelCurvError):

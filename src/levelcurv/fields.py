@@ -49,22 +49,24 @@ class RadialMinimalField:
     flux c < 0 gives a field decreasing outward, whose level spheres are
     convex with respect to grad u (the orientation the maximum-principle
     identities are written in); |flux| = 1 is the catenoid normalization.
+    ``u_prime`` and ``u_second`` take a radius or an array of radii.
     """
 
     n: int
     flux: float = -1.0
 
-    def _d(self, r: float) -> float:
+    def _d(self, r):
         m = 2 * (self.n - 1)
         d = r**m - self.flux**2
-        if d <= 0.0:
-            raise OutOfDomain(f"radial minimal profile needs r^{m} > c^2, got r = {r:g}")
+        if np.any(d <= 0.0):
+            raise OutOfDomain(
+                f"radial minimal profile needs r^{m} > c^2, got r = {float(np.min(r)):g}")
         return d
 
-    def u_prime(self, r: float) -> float:
-        return self.flux / math.sqrt(self._d(r))
+    def u_prime(self, r):
+        return self.flux / np.sqrt(self._d(r))
 
-    def u_second(self, r: float) -> float:
+    def u_second(self, r):
         m = 2 * (self.n - 1)
         return -(self.flux * m / 2.0) * r ** (m - 1) * self._d(r) ** -1.5
 

@@ -5,10 +5,12 @@ sqrt(1 + u'^2) is a constant c, so u'(r) = c / sqrt(r^(2(n-1)) - c^2) and the
 boundary data pin c through one scalar quadrature equation, solved here by
 bisection.  Graph solutions exist only for |c| < a^(n-1); data steeper than
 that is reported as NoSolution, a legitimate outcome rather than a failure.
+The solution carries u' and u'' of that closed form.
 
 The semilinear equation u'' + (n-1) u'/r = f(x, u) is solved on a
 second-order central-difference discretization by the damped-Newton driver the
-2D ring solver shares (``solution._damped_newton``), with a tridiagonal step.
+2D ring solver shares (``solution._damped_newton``), with a tridiagonal step;
+its u' and u'' are the difference stencils of the converged u.
 """
 
 from __future__ import annotations
@@ -21,13 +23,15 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
 
 from .errors import NoSolution
+from .fields import RadialMinimalField
+from .ring2d import second_difference
 from .solution import RingSolution, _damped_newton
 
 _QUAD_TOL = 1e-12
 _FLUX_EDGE = 1.0 - 1e-12
 
 
-def _profile_integral(c: float, n: int, a: float, b: float) -> float:
+def profile_integral(c: float, n: int, a: float, b: float) -> float:
     """integral_a^b c / sqrt(s^(2(n-1)) - c^2) ds (adaptive quadrature)."""
     if c == 0.0:
         return 0.0
@@ -58,7 +62,7 @@ def solve_minimal_radial(
     """Radial minimal-surface profile with u(a) = u_a, u(b) = u_b.
 
     Finds the flux constant by bisection so the profile integral matches the
-    data, then samples u (panelwise Gauss quadrature) and u' (closed form).
+    data, then samples u (panelwise Gauss quadrature), u' and u'' (closed form).
     """
     if not (0.0 < a < b):
         raise ValueError(f"need 0 < a < b, got a={a:g}, b={b:g}")
@@ -71,7 +75,7 @@ def solve_minimal_radial(
     else:
         target = abs(delta)
         hi = c_max * _FLUX_EDGE
-        reachable = _profile_integral(hi, n, a, b)
+        reachable = profile_integral(hi, n, a, b)
         if reachable < target:
             raise NoSolution(
                 f"boundary jump {target:g} exceeds the steepest radial graph "
@@ -80,7 +84,7 @@ def solve_minimal_radial(
         lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
-            if _profile_integral(mid, n, a, b) < target:
+            if profile_integral(mid, n, a, b) < target:
                 lo = mid
             else:
                 hi = mid
@@ -89,26 +93,19 @@ def solve_minimal_radial(
         c = math.copysign(0.5 * (lo + hi), delta)
 
     r = np.linspace(a, b, samples)
-    m = 2 * (n - 1)
-    u_prime = c / np.sqrt(r**m - c * c) if c != 0.0 else np.zeros_like(r)
+    profile = RadialMinimalField(n, c)
+    u_prime, u_second = profile.u_prime(r), profile.u_second(r)
 
     # cumulative profile by fixed Gauss-Legendre panels (integrand is smooth)
-    u = np.empty_like(r)
-    u[0] = u_a
-    if c == 0.0:
-        u[:] = u_a
-    else:
+    u = np.full_like(r, u_a)
+    if c != 0.0:
         nodes, weights = np.polynomial.legendre.leggauss(12)
+        mid, half = 0.5 * (r[1:] + r[:-1]), 0.5 * (r[1:] - r[:-1])
+        panels = profile.u_prime(mid[:, None] + half[:, None] * nodes)
         for i in range(samples - 1):
-            mid = 0.5 * (r[i] + r[i + 1])
-            half = 0.5 * (r[i + 1] - r[i])
-            s = mid + half * nodes
-            u[i + 1] = u[i] + half * float(
-                weights @ (c / np.sqrt(s**m - c * c))
-            )
+            u[i + 1] = u[i] + half[i] * float(weights @ panels[i])
 
     # pointwise residual of div(grad u / sqrt(1 + |grad u|^2)) in radial form
-    u_second = -(c * m / 2.0) * r ** (m - 1) * (r**m - c * c) ** -1.5 if c != 0.0 else np.zeros_like(r)
     w3 = (1.0 + u_prime**2) ** 1.5
     residual = ((n - 1) * u_prime * (1.0 + u_prime**2) / r + u_second) / w3
     res_norm = float(np.max(np.abs(residual)))
@@ -124,7 +121,8 @@ def solve_minimal_radial(
         a=a,
         b=b,
         r=r,
-        u_prime=np.asarray(u_prime),
+        u_prime=u_prime,
+        u_second=u_second,
         flux=c,
     )
 
@@ -180,6 +178,8 @@ def solve_semilinear_radial(
 
     u_prime = np.gradient(u, r, edge_order=2)
     u_prime[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
+    # u'' from the stencils of u, not from the equation, so checks measure u
+    u_second = second_difference(u, h)
     return RingSolution(
         kind="radial",
         equation="semilinear",
@@ -193,6 +193,7 @@ def solve_semilinear_radial(
         b=b,
         r=r,
         u_prime=u_prime,
+        u_second=u_second,
         flux=None,
         meta=meta,
     )

@@ -112,6 +112,17 @@ class RingDomain2D:
         self.min_gap = float(gap)
 
 
+def second_difference(u: np.ndarray, h: float) -> np.ndarray:
+    """d^2 u / dx^2 along axis 0 on nodes spaced h: central inside, one-sided
+    five-point rows at both ends (left zero on fewer than five nodes)."""
+    out = np.zeros_like(u)
+    out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / h**2
+    if u.shape[0] >= 5:
+        w = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / (12.0 * h**2)
+        out[0], out[-1] = w @ u[:5], w @ u[::-1][:5]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # metric of the transfinite map
 # ---------------------------------------------------------------------------
@@ -182,12 +193,7 @@ class RingGrid:
         return (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * self.dt)
 
     def d_ss(self, u: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(u)
-        out[1:-1] = (u[2:] - 2.0 * u[1:-1] + u[:-2]) / self.ds**2
-        if u.shape[0] >= 5:  # one-sided five-point rows; a four-row grid leaves them zero
-            w = np.array([35.0, -104.0, 114.0, -56.0, 11.0]) / (12.0 * self.ds**2)
-            out[0], out[-1] = w @ u[:5], w @ u[::-1][:5]
-        return out
+        return second_difference(u, self.ds)
 
     def d_tt(self, u: np.ndarray) -> np.ndarray:
         return (np.roll(u, -1, axis=1) - 2.0 * u + np.roll(u, 1, axis=1)) / self.dt**2

@@ -14,8 +14,9 @@ from .errors import DidNotConverge
 class RingSolution:
     """A converged PDE solution on a convex ring.
 
-    kind="radial": values/u_prime are samples on the uniform radius grid ``r``
-    of an n-dimensional radially symmetric problem on [a, b].
+    kind="radial": values, u_prime and u_second are samples of u, u' and u''
+    on the uniform radius grid ``r`` of an n-dimensional radially symmetric
+    problem on [a, b].
 
     kind="ring2d": values has shape (N_s, N_t) on the boundary-fitted grid of
     ``domain`` (s=0 the outer curve, s=1 the inner curve, t periodic).
@@ -37,6 +38,7 @@ class RingSolution:
     b: float | None = None
     r: np.ndarray | None = None
     u_prime: np.ndarray | None = None
+    u_second: np.ndarray | None = None
     flux: float | None = None
     # 2D fields
     domain: Any = None

@@ -21,7 +21,7 @@ from levelcurv.checks import (
     corollary_bound_poisson,
 )
 from levelcurv.errors import NonpositiveCurvature
-from levelcurv.fields import RadialMinimalField, ScherkField, catenoid_value
+from levelcurv.fields import RadialMinimalField, ScherkField, catenoid_value, radial_jet
 from levelcurv.geometry import TestFunctionSpec, catenoid_oracle, curvature_matrix, weighted_curvature
 from levelcurv.identities import (
     QuadraticBoundInstance,
@@ -34,7 +34,6 @@ from levelcurv.identities import (
 )
 from levelcurv.polyfield import random_test_jet
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
-from levelcurv.recover import recover_jet
 from levelcurv.rhs import admissibility_check, inverse_square_rhs, linear_u_rhs, zero_rhs
 from levelcurv.ring2d import Circle, Ellipse, RingDomain2D, solve_minimal_ring2d, solve_semilinear_ring2d
 
@@ -114,7 +113,7 @@ def test_criterion_01_catenoid_sharpness():
     for i in range(3, 403):
         x = np.zeros(n)
         x[0] = sol.r[i]
-        jet = recover_jet(sol, x, order=2)
+        jet = radial_jet(x, sol.u_prime[i], sol.u_second[i], None, order=2)
         cd = curvature_matrix(jet)
         psi = weighted_curvature(THETA_HALF, jet.grad_norm**2, cd.gauss)
         worst_pipeline = max(worst_pipeline, abs(psi - 1.0))

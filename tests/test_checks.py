@@ -88,7 +88,7 @@ class TestExtremumChecks:
             check_extremum_on_boundary(sol, THETA_HALF, which="min")
 
     def test_thin_ring_guard(self):
-        # gap far below the angular spacing starves the recovery stencils
+        # gap far below the angular spacing starves the derivative stencils
         dom = RingDomain2D(Circle(1.03), Circle(1.0), n_s=33, n_t=16)
         sol = solve_semilinear_ring2d(dom, np.zeros(16), np.ones(16), zero_rhs())
         with pytest.raises(TooCoarse):
@@ -204,6 +204,22 @@ class TestGradientMonotonicity:
         assert not rep.passed
         assert rep.margin < -rep.tolerance
 
+    @pytest.mark.parametrize("c_tol", [None, 0.0])
+    def test_verdict_is_every_sub_margin(self, c_tol):
+        sol = solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(1.0), samples=201)
+        rep = check_gradient_monotonicity(sol, c_tol=c_tol)
+        fields = solution_fields(sol)
+        g, inner_rows = fields.gnorm, fields.gnorm[fields.interior]
+        gtol = 50.0 * float(np.max(g)) * sol.h * sol.h
+        tol = (50.0 * float(np.max(np.abs(fields.deriv[fields.interior]))) if c_tol is None
+               else c_tol) * sol.h * sol.h
+        subs = [(rep.interior_extremum, tol),
+                (float(np.min(inner_rows) - g[fields.outer].min()), gtol),
+                (float(g[fields.inner].max() - np.max(inner_rows)), gtol)]
+        assert (rep.margin, rep.tolerance) in subs
+        assert rep.passed == all(m >= -t for m, t in subs)
+        assert rep.passed == (rep.margin >= -rep.tolerance)
+
     def test_constant_data_guard(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
         sol = solve_semilinear_ring2d(dom, np.zeros(64), np.zeros(64), zero_rhs())
@@ -221,6 +237,15 @@ class TestFieldBundle:
         assert np.allclose(fields.kappa_min, 1.0 / sol.r, rtol=1e-15, atol=0.0)
         assert bool(np.any(sol.u_prime > 0)) is flipped
         assert fields.notes == (("orientation flipped",) if flipped else ())
+
+    def test_radial_minimal_gradient_is_the_solver_profile(self):
+        # criterion 5's n = 4 ring: |grad u| at r = a is |c| / sqrt(a^6 - c^2)
+        sol = solve_minimal_radial(4, 2.0, 4.0, 1.0, 0.0, samples=301)
+        exact = abs(sol.flux) / math.sqrt(2.0**6 - sol.flux**2)
+        fields = solution_fields(sol)
+        assert fields.gnorm[fields.inner[0]] == pytest.approx(exact, rel=1e-12, abs=0.0)
+        assert corollary_bound_minimal(sol).grad_max_inner == pytest.approx(exact, rel=1e-12,
+                                                                            abs=0.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
     def test_extremum_location_stable_under_one_ulp(self, sign):

@@ -496,6 +496,28 @@ class TestExitCodes:
         assert check["tolerance"] == tolerance
         assert check["pass"] is True
 
+    def test_zero_check_tolerance_gradient_monotonicity(self, tmp_path):
+        # --tol 0 zeroes the positivity tolerance; the verdict must still be a report
+        cfg = {
+            "command": "check-theorem",
+            "problem": {
+                "equation": "semilinear",
+                "geometry": {"kind": "ring2d", "outer": {"kind": "circle", "radius": 2.0},
+                             "inner": {"kind": "circle", "radius": 1.0}, "grid": [24, 48]},
+                "boundary": {"outer": "constant:0", "inner": "constant:1"},
+                "rhs": {"name": "linear-u", "scale": 1.0},
+            },
+            "checks": ["gradient-monotonicity"],
+        }
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "X"
+        code = main(["check-theorem", "--config", str(path), "--out", str(out), "--tol", "0",
+                     "--quiet"])
+        [check] = parse_report((tmp_path / "X.json").read_text())["checks"]
+        assert code == (0 if check["pass"] else 1)
+        assert check["pass"] == (check["margin"] >= -check["tolerance"])
+
     def test_unwritable_out_exit_two(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -66,6 +66,17 @@ class TestSemilinearRadial:
         exact = 1.0 - np.log(sol.r)
         assert np.max(np.abs(sol.values - exact)) < 1e-9
 
+    def test_second_derivative_converges_at_the_ends(self):
+        # u = 1 - log(r)/log 2 has u'' = 1/(r^2 log 2); the end rows are one-sided
+        errs, hs = [], []
+        for samples in (51, 101, 201):
+            sol = solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, zero_rhs(), samples=samples)
+            exact = 1.0 / (sol.r**2 * math.log(2.0))
+            errs.append(np.max(np.abs(sol.u_second - exact)))
+            hs.append(sol.h)
+        orders = [math.log(errs[i] / errs[i + 1]) / math.log(hs[i] / hs[i + 1]) for i in (0, 1)]
+        assert min(orders) >= 1.8
+
     def test_harmonic_n3_exact_at_nodes(self):
         # the discrete operator annihilates r^-1 exactly
         sol = solve_semilinear_radial(3, 1.0, 2.0, 1.0, 0.0, zero_rhs(), samples=201)
