@@ -334,7 +334,7 @@ def main(argv=None) -> int:
     if cfg.output:
         try:
             paths = emit_report(report, cfg.output, solutions=solutions)
-        except OSError as exc:
+        except (OSError, TypeError, ValueError) as exc:  # unwritable path or unrenderable value
             print(f"output error: {exc}", file=sys.stderr)
             return 2
         if not args.quiet:

@@ -19,7 +19,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 from scipy.linalg import solve_banded
 
 from .errors import NoSolution
@@ -35,6 +34,10 @@ def profile_integral(c: float, n: int, a: float, b: float) -> float:
     """integral_a^b c / sqrt(s^(2(n-1)) - c^2) ds (adaptive quadrature)."""
     if c == 0.0:
         return 0.0
+    # imported here: scipy.integrate loads scipy.optimize and scipy.special, which
+    # no 2D run needs
+    from scipy.integrate import IntegrationWarning, quad
+
     m = 2 * (n - 1)
     with warnings.catch_warnings():
         # near the flux limit the integrand is root-singular at s = a; the
@@ -84,6 +87,8 @@ def solve_minimal_radial(
         lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:  # adjacent floats: the bracket cannot move
+                break
             if profile_integral(mid, n, a, b) < target:
                 lo = mid
             else:

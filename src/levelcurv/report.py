@@ -56,46 +56,51 @@ def parse_report(text: str) -> dict:
     return json.loads(text)
 
 
-def solution_csv_lines(solution) -> list[str]:
-    """CSV export: (r, u, u_prime) radial or (s, t, x1, x2, u) for 2D grids."""
+def solution_csv_text(solution) -> str:
+    """CSV export: (r, u, u_prime) radial or (s, t, x1, x2, u) for 2D grids.
+
+    Every float is printed with "%.17g", which round-trips exactly.  A 2D grid
+    repeats each s along its row and each t down its column, so those are
+    formatted once and baked into one template per row; only x1, x2 and u are
+    formatted per node.
+    """
     if solution.kind == "radial":
-        header = "r,u,u_prime"
-        columns = [solution.r, solution.values, solution.u_prime]
-    else:
-        header = "s,t,x1,x2,u"
-        ns, nt = solution.values.shape
-        s, t = np.meshgrid(np.linspace(0.0, 1.0, ns), np.arange(nt) * (2.0 * math.pi / nt),
-                           indexing="ij")
-        columns = [s, t, solution.coords[..., 0], solution.coords[..., 1], solution.values]
-    table = np.column_stack([np.ravel(c) for c in columns])
+        table = np.column_stack([solution.r, solution.values, solution.u_prime])
+        _require_finite(table)
+        return "r,u,u_prime\n" + "".join(["%.17g,%.17g,%.17g\n" % tuple(row)
+                                            for row in table.tolist()])
+    ns, nt = solution.values.shape
+    nodes = np.concatenate([solution.coords, solution.values[..., None]], axis=-1)
+    _require_finite(nodes)
+    s_text = ["%.17g" % s for s in np.linspace(0.0, 1.0, ns).tolist()]
+    columns = [",%.17g,%%.17g,%%.17g,%%.17g" % t
+               for t in (np.arange(nt) * (2.0 * math.pi / nt)).tolist()]
+    rows = [(s + ("\n" + s).join(columns)) % tuple(values)
+            for s, values in zip(s_text, nodes.reshape(ns, 3 * nt).tolist())]
+    return "s,t,x1,x2,u\n" + "\n".join(rows) + "\n"
+
+
+def _require_finite(table: np.ndarray) -> None:
     finite = np.isfinite(table)
     if not finite.all():
         raise ValueError(f"non-finite float {float(table[~finite][0])!r} in report")
-    row = ",".join(["%.17g"] * table.shape[1])
-    return [header] + [row % tuple(values) for values in table.tolist()]
 
 
 def emit_report(report: dict, prefix: str, solutions=None) -> list[str]:
-    """Write <prefix>.json (+ one CSV per solution) and an artifact index."""
+    """Write <prefix>.json (+ one CSV per solution) and an artifact index.
+
+    Every text is rendered before any file is opened, so a report or solution
+    that cannot be rendered writes nothing.
+    """
+    texts = {prefix + ".json": render_json(report) + "\n"}
+    for name, sol in (solutions or {}).items():
+        texts[f"{prefix}.{name}.csv"] = solution_csv_text(sol)
+    index = {"artifacts": [os.path.basename(p) for p in texts]}
+    texts[prefix + ".index.json"] = render_json(index) + "\n"
     out_dir = os.path.dirname(prefix)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    text = render_json(report)  # before any file is opened: a failed render writes nothing
-    paths = []
-    json_path = prefix + ".json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.write("\n")
-    paths.append(json_path)
-    for name, sol in (solutions or {}).items():
-        csv_path = f"{prefix}.{name}.csv"
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(solution_csv_lines(sol)))
-            fh.write("\n")
-        paths.append(csv_path)
-    index_path = prefix + ".index.json"
-    with open(index_path, "w", encoding="utf-8") as fh:
-        fh.write(render_json({"artifacts": [os.path.basename(p) for p in paths]}))
-        fh.write("\n")
-    paths.append(index_path)
-    return paths
+    for path, text in texts.items():
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    return list(texts)

@@ -2,6 +2,9 @@ import copy
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -10,13 +13,14 @@ import pytest
 import levelcurv.checks as checks
 import levelcurv.cli as cli
 import levelcurv.identities as identities
+import levelcurv.report as report_module
 from levelcurv import ring2d
 from levelcurv.cli import main, run
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
 from levelcurv.identities import identity_residuals
 from levelcurv.polyfield import random_test_jet, random_test_jets
-from levelcurv.report import emit_report, parse_report, render_json, solution_csv_lines
+from levelcurv.report import emit_report, parse_report, render_json, solution_csv_text
 
 
 def minimal_ring_config(**overrides):
@@ -388,6 +392,20 @@ def _parse_csv(lines):
     return np.array([[float(v) for v in line.split(",")] for line in lines])
 
 
+def _reference_csv(sol):
+    """The CSV export formatted one node at a time, every float with "%.17g"."""
+    if sol.kind == "radial":
+        header, columns = "r,u,u_prime", [sol.r, sol.values, sol.u_prime]
+    else:
+        ns, nt = sol.values.shape
+        s, t = np.meshgrid(np.linspace(0.0, 1.0, ns), np.arange(nt) * (2.0 * math.pi / nt),
+                           indexing="ij")
+        header = "s,t,x1,x2,u"
+        columns = [s, t, sol.coords[..., 0], sol.coords[..., 1], sol.values]
+    rows = zip(*(np.ravel(c).tolist() for c in columns))
+    return "\n".join([header] + [",".join("%.17g" % v for v in row) for row in rows]) + "\n"
+
+
 def _curvature_config(geometry, spec=None):
     cfg = {
         "command": "curvature",
@@ -525,6 +543,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("output error:") and err.count("\n") == 1
 
+    def test_unrenderable_report_exit_two(self, tmp_path, capsys, monkeypatch):
+        def failing_render(obj, indent=0):
+            raise TypeError("cannot serialize <class 'object'> in a report")
+
+        monkeypatch.setattr(report_module, "render_json", failing_render)
+        assert main(["lemma32", "--out", str(tmp_path / "x"), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("output error:") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    def test_ring_run_does_not_load_quadrature(self):
+        # scipy.integrate (and the scipy.optimize it pulls in) is needed only by the
+        # radial minimal solver's quadrature
+        cfg = json.dumps(minimal_ring_config())
+        code = (
+            "import json, sys\n"
+            "from levelcurv.cli import run\n"
+            "from levelcurv.config import parse_config\n"
+            f"report, _ = run(parse_config(json.loads({cfg!r})))\n"
+            "assert report['verdict'] == 'AllPass', report['verdict']\n"
+            "assert 'scipy.integrate' not in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     def test_command_mismatch_exit_two(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"command": "lemma32"}))
@@ -601,6 +646,33 @@ class TestReportEmission:
             emit_report({"value": object()}, str(tmp_path / "bad"))
         assert list(tmp_path.iterdir()) == []
 
+    def test_nonfinite_solution_writes_nothing(self, tmp_path):
+        report, solutions = run(parse_config(minimal_ring_config(command="solve", checks=[],
+                                                                 spec=None)))
+        solutions["solution"].values[3, 5] = float("nan")
+        with pytest.raises(ValueError, match="non-finite float nan"):
+            emit_report(report, str(tmp_path / "out" / "run"), solutions=solutions)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("grid", [[17, 32], [9, 20]])
+    def test_csv_matches_per_node_formatting(self, grid):
+        cfg = minimal_ring_config(command="solve", checks=[], spec=None)
+        cfg["problem"]["geometry"]["grid"] = grid
+        _, solutions = run(parse_config(cfg))
+        sol = solutions["solution"]
+        assert (sol.coords < 0.0).any()
+        text = solution_csv_text(sol)
+        assert text == _reference_csv(sol)
+        lines = text.splitlines()
+        # s = 0 and s = 1 print as whole numbers, not as the JSON's 0.0 and 1.0
+        assert lines[1].startswith("0,0,")
+        assert lines[-1].startswith("1,")
+        assert len(lines) == 1 + grid[0] * grid[1]
+
+    def test_radial_csv_matches_per_row_formatting(self):
+        _, solutions = run(parse_config(radial_config(samples=33)))
+        assert solution_csv_text(solutions["solution"]) == _reference_csv(solutions["solution"])
+
     def test_float_precision_survives(self):
         obj = {"x": 1.0 / 3.0, "y": 0.1, "z": [math.pi, 1e-300]}
         parsed = parse_report(render_json(obj))
@@ -620,7 +692,7 @@ class TestReportEmission:
         }
         report, solutions = run(parse_config(cfg))
         sol = solutions["solution"]
-        lines = solution_csv_lines(sol)
+        lines = solution_csv_text(sol).splitlines()
         assert lines[0] == "r,u,u_prime"
         assert len(lines) == 22
         expected = np.column_stack([sol.r, sol.values, sol.u_prime])
@@ -629,7 +701,7 @@ class TestReportEmission:
         report2, solutions2 = run(parse_config(minimal_ring_config(command="solve",
                                                                    checks=[], spec=None)))
         sol2 = solutions2["solution"]
-        lines2 = solution_csv_lines(sol2)
+        lines2 = solution_csv_text(sol2).splitlines()
         assert lines2[0] == "s,t,x1,x2,u"
         assert len(lines2) == 1 + 17 * 32
         s, t = np.meshgrid(np.linspace(0.0, 1.0, 17), np.arange(32) * (2.0 * math.pi / 32),
@@ -644,7 +716,7 @@ class TestReportEmission:
         sol = solutions["solution"]
         sol.values[3, 5] = float("nan")
         with pytest.raises(ValueError, match="non-finite float nan"):
-            solution_csv_lines(sol)
+            solution_csv_text(sol)
 
     def test_index_file(self, tmp_path):
         report, solutions = run(parse_config(minimal_ring_config()))

@@ -52,6 +52,15 @@ class TestMinimalRadial:
         assert sol.values[0] == pytest.approx(1.0)
         assert sol.values[-1] == pytest.approx(0.0, abs=1e-11)
 
+    def test_flux_bisection_stops_at_adjacent_floats(self, monkeypatch):
+        calls = []
+        integral = radial.profile_integral
+        monkeypatch.setattr(radial, "profile_integral",
+                            lambda *args: calls.append(args) or integral(*args))
+        sol = solve_minimal_radial(3, 2.0, 4.0, 1.0, 0.0)
+        assert sol.flux == -3.32140883203261
+        assert len(calls) <= 70
+
     def test_determinism(self):
         s1 = solve_minimal_radial(3, 2, 4, 1.0, 0.0)
         s2 = solve_minimal_radial(3, 2, 4, 1.0, 0.0)
