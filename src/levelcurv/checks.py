@@ -260,10 +260,11 @@ def check_extremum_on_boundary(
 ) -> CheckReport:
     """Does psi attain its min (and/or max) on the boundary?
 
-    which is "min", "max" or "both"; for "both" the reported margin is the
-    worse of the two.  Tolerance is c_tol * h^2 with c_tol defaulting to
-    50 * max|psi|; tol_abs overrides it outright (used where a profile is
-    known in closed form and discretization error does not scale with h^2).
+    which is "min", "max" or "both"; for "both" the report, extrema and
+    locations included, is the side with the worse margin (min on a tie).
+    Tolerance is c_tol * h^2 with c_tol defaulting to 50 * max|psi|; tol_abs
+    overrides it outright (used where a profile is known in closed form and
+    discretization error does not scale with h^2).
     """
     if which not in ("min", "max", "both"):
         raise ValueError("which must be 'min', 'max' or 'both'")
@@ -290,12 +291,11 @@ def check_extremum_on_boundary(
         i_val, i_loc, b_val, b_loc = compare(np.argmax)
         reports["max"] = (i_val, i_loc, b_val, b_loc, b_val - i_val)
 
-    key = "min" if "min" in reports else "max"
-    margin = min(r[4] for r in reports.values())
     if which == "both":
         for nm, r in reports.items():
             notes.append(f"{nm}-margin {r[4]:.3e}")
-    i_val, i_loc, b_val, b_loc, _ = reports[key]
+    # min() keeps the first of equal margins, and "min" is inserted first
+    i_val, i_loc, b_val, b_loc, margin = min(reports.values(), key=lambda r: r[4])
     return CheckReport(
         name=f"extremum-{which}:{spec.describe()}",
         interior_extremum=i_val,

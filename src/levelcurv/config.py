@@ -36,6 +36,14 @@ COMMANDS = (
 
 CHECK_NAMES = ("min", "max", "both", "gradient-monotonicity", "harmonic-psi")
 
+# the tolerance keys each command reads; any other non-null entry is a config error
+TOLERANCE_KEYS = {
+    "solve": {"solver_tol"},
+    "curvature": {"solver_tol"},
+    "check-theorem": {"c_tol", "tol_abs", "solver_tol"},
+    "check-corollary": {"tol_abs", "corollary_rel", "solver_tol"},
+}
+
 OPTION_DEFAULTS = {"fields": 100, "dims": [2, 3], "instances": 200, "problem": "laplace-annulus"}
 
 
@@ -178,7 +186,7 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("grids: expected a list of [n_s, n_t] pairs")
         cfg.grids = [_pair(g, f"grids[{k}]", _integer) for k, g in enumerate(raw["grids"])]
     if "tolerances" in raw:
-        cfg.tolerances = _tolerances(raw["tolerances"])
+        cfg.tolerances = _tolerances(raw["tolerances"], command)
     if "options" in raw:
         cfg.options = _options(raw["options"])
     if raw.get("spec") is not None:
@@ -211,7 +219,7 @@ def _check_command_requirements(cfg: RunConfig):
             raise ConfigError(f"grids: need n_s >= {MIN_GRID[0]}, n_t >= {MIN_GRID[1]}")
 
 
-def _tolerances(node) -> dict:
+def _tolerances(node, command: str) -> dict:
     """Tolerance overrides; a null entry means the default, and so does a missing one."""
     _object(node, {"c_tol", "tol_abs", "solver_tol", "corollary_rel"}, "tolerances")
     out = {}
@@ -220,6 +228,9 @@ def _tolerances(node) -> dict:
             if _finite(v, f"tolerances.{k}") < 0:
                 raise ConfigError(f"tolerances.{k} must be nonnegative")
             out[k] = v
+    unread = sorted(set(out) - TOLERANCE_KEYS.get(command, set()))
+    if unread:
+        raise ConfigError(f"tolerances {unread} are not read by {command}")
     return out
 
 

@@ -12,6 +12,12 @@ Two charts are supported:
 * aligned  -- the jet is first rotated so grad u = (0, ..., 0, |grad u|);
               there the matrix collapses to -(tangential Hessian)/u_n.
 
+The raw chart formula is written once, in ``chart_curvature_entries``, on
+scalar entries: ``curvature_matrix(mode="raw")`` feeds it floats and the
+identity engine feeds it batches and dual numbers.  Principal curvatures come
+from numpy's symmetric eigensolver, and K from the cofactor expansion in
+``det_entries`` up to 3x3 (from LAPACK above).
+
 Sign convention: the raw formula produces a matrix that is positive definite
 when the level set is convex with respect to the upward normal grad u.  Fields
 that grow away from their convex level sets (e.g. the outward-increasing
@@ -30,6 +36,7 @@ from enum import Enum
 
 import numpy as np
 
+from .dual import dual_sqrt
 from .errors import (
     DegenerateChart,
     GradientTooSmall,
@@ -39,7 +46,6 @@ from .errors import (
 
 GRAD_FLOOR = 1e-8
 CLASSIFY_TOL = 1e-9
-_JACOBI_TOL = 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -256,88 +262,70 @@ def align_frame(jet: Jet) -> LevelSetFrame:
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigenvalues (closed form for sizes 1-3, cyclic Jacobi above)
+# generic entry formulas (floats, arrays over a batch, or Duals of either)
 # ---------------------------------------------------------------------------
 
-def sym_eigvals(a: np.ndarray) -> np.ndarray:
-    """Ascending eigenvalues of a small symmetric matrix.
+def _dot(xs, ys):
+    """Left-to-right sum of the products x_k y_k over the shorter sequence."""
+    acc = xs[0] * ys[0]
+    for x, y in zip(xs[1:], ys[1:]):
+        acc = acc + x * y
+    return acc
 
-    Sizes 1-3 use closed forms; larger sizes use cyclic Jacobi sweeps iterated
-    to an off-diagonal norm of 1e-13 relative to the Frobenius scale.  Both
-    routes are deterministic.
-    """
-    a = np.asarray(a, dtype=float)
-    m = a.shape[0]
+
+def det_entries(a):
+    """Cofactor expansion of a 1x1, 2x2 or 3x3 matrix given by its entries a[i][j]."""
+    m = len(a)
     if m == 1:
-        return a[0, :1].copy()
+        return a[0][0]
     if m == 2:
-        half_tr = (a[0, 0] + a[1, 1]) / 2.0
-        d = math.hypot((a[0, 0] - a[1, 1]) / 2.0, a[0, 1])
-        return np.array([half_tr - d, half_tr + d])
+        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
     if m == 3:
-        return _eigvals3(a)
-    return _jacobi_eigvals(a)
-
-
-def _eigvals3(a: np.ndarray) -> np.ndarray:
-    p1 = a[0, 1] ** 2 + a[0, 2] ** 2 + a[1, 2] ** 2
-    if p1 == 0.0:
-        return np.sort(np.diag(a))
-    q = np.trace(a) / 3.0
-    p2 = (a[0, 0] - q) ** 2 + (a[1, 1] - q) ** 2 + (a[2, 2] - q) ** 2 + 2.0 * p1
-    p = math.sqrt(p2 / 6.0)
-    b = (a - q * np.eye(3)) / p
-    r = _det3(b) / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    e1 = q + 2.0 * p * math.cos(phi)
-    e3 = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    e2 = 3.0 * q - e1 - e3
-    return np.sort(np.array([e1, e2, e3]))
-
-
-def _jacobi_eigvals(a: np.ndarray) -> np.ndarray:
-    a = a.copy()
-    m = a.shape[0]
-    scale = max(np.linalg.norm(a), 1.0)
-    for _ in range(64):
-        off = math.sqrt(max(0.0, (a * a).sum() - (np.diag(a) ** 2).sum()))
-        if off <= _JACOBI_TOL * scale:
-            break
-        for p in range(m - 1):
-            for qi in range(p + 1, m):
-                if abs(a[p, qi]) <= 1e-18 * scale:
-                    continue
-                tau = (a[qi, qi] - a[p, p]) / (2.0 * a[p, qi])
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(m)
-                rot[p, p] = rot[qi, qi] = c
-                rot[p, qi] = s
-                rot[qi, p] = -s
-                a = rot.T @ a @ rot
-    return np.sort(np.diag(a))
-
-
-def _det3(a: np.ndarray) -> float:
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
+        return (
+            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
+            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
+            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
+        )
+    raise ValueError("determinant expansion implemented for sizes 1-3")
 
 
 def sym_det(a: np.ndarray) -> float:
-    """Determinant matching the eigenvalue route (closed form up to 3x3)."""
-    m = a.shape[0]
-    if m == 1:
-        return float(a[0, 0])
-    if m == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    if m == 3:
-        return _det3(a)
-    return float(np.prod(_jacobi_eigvals(a)))
+    """Determinant: the cofactor expansion up to 3x3, LAPACK above."""
+    return float(det_entries(a)) if a.shape[0] <= 3 else float(np.linalg.det(a))
+
+
+def _h_entries(grad, hess) -> list:
+    """Entries h_ij = u_n^2 u_ij + u_nn u_i u_j - u_n u_j u_in - u_n u_i u_jn, i, j < n."""
+    n = len(grad)
+    un = grad[n - 1]
+    return [[un * un * hess[i][j]
+             + hess[n - 1][n - 1] * grad[i] * grad[j]
+             - un * grad[j] * hess[i][n - 1]
+             - un * grad[i] * hess[j][n - 1]
+             for j in range(n - 1)] for i in range(n - 1)]
+
+
+def chart_curvature_entries(grad, hess) -> list:
+    """Level-set curvature matrix entries a[i][j] in the raw chart with u_n > 0.
+
+    a = (-h + (g hg^T + hg g^T)/d - g g^T (g . hg)/d^2) / (|grad u| u_n^2) with
+    g = (u_1, ..., u_{n-1}), hg = h g, W = |grad u|/u_n and d = W (1 + W) u_n^2.
+    Works elementwise over any entry type supporting +, -, *, / and
+    dual_sqrt (floats, arrays over a batch, and Duals of either); the
+    entries are symmetric up to rounding.  The formula is odd in u, so a
+    u_n < 0 chart reads it on -u and negates the result.
+    """
+    un = grad[len(grad) - 1]
+    norm = dual_sqrt(_dot(grad, grad))
+    w = norm / un
+    h = _h_entries(grad, hess)
+    hg = [_dot(row, grad) for row in h]
+    quad = _dot(hg, grad)
+    denom = w * (1.0 + w) * un * un
+    scale = norm * un * un
+    return [[(-h[i][j] + (grad[i] * hg[j] + grad[j] * hg[i]) / denom
+              - grad[i] * grad[j] * quad / (denom * denom)) / scale
+             for j in range(len(h))] for i in range(len(h))]
 
 
 # ---------------------------------------------------------------------------
@@ -384,31 +372,9 @@ def second_fundamental_h(jet: Jet) -> np.ndarray:
     b_ij = -|u_n| h_ij / (|grad u| u_n^3), so the sign of h (relative to u_n)
     encodes convexity with respect to the chosen normal.
     """
-    un = float(jet.grad[-1])
-    if un == 0.0:
+    if jet.grad[-1] == 0.0:
         raise DegenerateChart("u_n = 0: h_ij is chart-degenerate here")
-    n = jet.dim
-    gt = jet.grad[: n - 1]
-    ht = jet.hess[: n - 1, : n - 1]
-    hn = jet.hess[: n - 1, n - 1]
-    unn = jet.hess[n - 1, n - 1]
-    h = un * un * ht + unn * np.outer(gt, gt) - un * np.outer(hn, gt) - un * np.outer(gt, hn)
-    return _symmetrize_matrix(h)
-
-
-def _raw_curvature_entries(jet: Jet) -> np.ndarray:
-    """Level-set curvature matrix in the raw chart (u_n != 0 required)."""
-    n = jet.dim
-    un = float(jet.grad[-1])
-    gnorm = jet.grad_norm
-    w = gnorm / abs(un)
-    h = second_fundamental_h(jet)
-    gt = jet.grad[: n - 1]
-    hg = h @ gt
-    denom = w * (1.0 + w) * un * un
-    b = (np.outer(gt, hg) + np.outer(hg, gt)) / denom
-    c = np.outer(gt, gt) * float(gt @ hg) / (w * (1.0 + w) * un * un) ** 2
-    return _symmetrize_matrix((-h + b - c) / (gnorm * un * un))
+    return _symmetrize_matrix(np.array(_h_entries(jet.grad, jet.hess)))
 
 
 class Convexity(Enum):
@@ -442,11 +408,9 @@ class CurvatureData:
 
 
 def _orient(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
-    kappa = sym_eigvals(a)
+    kappa = np.linalg.eigvalsh(a)
     if kappa[-1] < 0.0:  # negative definite: flip to the geometric convention
-        a = -a
-        kappa = np.sort(-kappa)
-        return a, kappa, True
+        return -a, -kappa[::-1], True
     return a, kappa, False
 
 
@@ -464,10 +428,12 @@ def curvature_matrix(jet: Jet, mode: str = "aligned") -> CurvatureData:
         un = float(jet.grad[-1])
         if un == 0.0:
             raise DegenerateChart("u_n = 0 in raw mode; align first")
+        sign = math.copysign(1.0, un)
         w = gnorm / abs(un)
-        normal = math.copysign(1.0, un) * jet.grad / gnorm
+        normal = sign * jet.grad / gnorm
         h = second_fundamental_h(jet)
-        a_pre = _raw_curvature_entries(jet)
+        a_pre = sign * _symmetrize_matrix(
+            np.array(chart_curvature_entries(sign * jet.grad, sign * jet.hess)))
     elif mode == "aligned":
         frame = align_frame(Jet(jet.grad, jet.hess))  # the matrix needs no third derivatives
         aj = frame.aligned_jet
@@ -491,9 +457,9 @@ def convexity_classify(a: np.ndarray, tol: float = CLASSIFY_TOL) -> Convexity:
     scale, Convex when it is only degenerate to within that scale, NonConvex
     otherwise.
     """
-    kappa = sym_eigvals(np.asarray(a, dtype=float))
+    kappa = np.linalg.eigvalsh(np.asarray(a, dtype=float))
     kmin, kmax = float(kappa[0]), float(kappa[-1])
-    kabs = float(np.max(np.abs(kappa))) if kappa.size else 0.0
+    kabs = float(np.max(np.abs(kappa)))
     if kmin > tol * max(1.0, kmax):
         return Convexity.STRICTLY_CONVEX
     if kmin >= -tol * max(1.0, kabs):

@@ -5,7 +5,8 @@ each other:
 
 * the Codazzi symmetry of the curvature-matrix derivatives, computed both
   from the closed-form derivative expression and by exact (dual-number)
-  differentiation of the chart formula,
+  differentiation of the chart formula (``geometry.chart_curvature_entries``,
+  the one ``curvature_matrix(mode="raw")`` reads),
 * the gradient identity for phi = rho(|grad u|^2) + log det(a), where the
   reference side is Jacobi's formula d(log det a) = tr(a^{-1} da),
 * the third-derivative exchange relation u_iia = -u_n a_ii,a + 2 u_n^{-1}
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import Dual, dual_log, dual_sqrt
+from .dual import Dual, dual_log
 from .errors import (
     GradientTooSmall,
     InvalidInstance,
@@ -46,71 +47,12 @@ from .geometry import (
     Jet,
     TestFunctionSpec,
     align_frame,
+    chart_curvature_entries,
+    det_entries,
     level_curve_curvature_2d,
     rotate_jet,
     sym_det,
 )
-
-# ---------------------------------------------------------------------------
-# generic curvature-matrix entries (float or Dual entries, u_n > 0 chart)
-# ---------------------------------------------------------------------------
-
-
-def _entries_generic(grad: list, hess: list, n: int) -> list:
-    """Level-set curvature matrix entries from scalar jet entries.
-
-    Works elementwise over any entry type supporting +,-,*,/ and dual_sqrt
-    (floats, arrays over a batch, and Duals of either).  Assumes the
-    u_n > 0 branch, which holds at and near aligned points.
-    """
-    un = grad[n - 1]
-    g2 = grad[0] * grad[0]
-    for gi in grad[1:]:
-        g2 = g2 + gi * gi
-    norm = dual_sqrt(g2)
-    w = norm / un
-    m = n - 1
-    h = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            h[i][j] = (
-                un * un * hess[i][j]
-                + hess[n - 1][n - 1] * grad[i] * grad[j]
-                - un * grad[j] * hess[i][n - 1]
-                - un * grad[i] * hess[j][n - 1]
-            )
-    hg = [None] * m
-    for i in range(m):
-        acc = h[i][0] * grad[0]
-        for l in range(1, m):
-            acc = acc + h[i][l] * grad[l]
-        hg[i] = acc
-    quad = hg[0] * grad[0]
-    for i in range(1, m):
-        quad = quad + hg[i] * grad[i]
-    denom = w * (1.0 + w) * un * un
-    scale = norm * un * un
-    a = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            bij = (grad[i] * hg[j] + grad[j] * hg[i]) / denom
-            cij = grad[i] * grad[j] * quad / (denom * denom)
-            a[i][j] = (-h[i][j] + bij - cij) / scale
-    return a
-
-
-def _det_generic(a: list, m: int):
-    if m == 1:
-        return a[0][0]
-    if m == 2:
-        return a[0][0] * a[1][1] - a[0][1] * a[1][0]
-    if m == 3:
-        return (
-            a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-            - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-            + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-        )
-    raise ValueError("determinant expansion implemented for sizes 1-3")
 
 
 def _matrix(entries: list) -> np.ndarray:
@@ -124,7 +66,7 @@ def curvature_entries_float(jet: Jet) -> np.ndarray:
     n = jet.dim
     grad = [jet.grad[..., i] for i in range(n)]
     hess = [[jet.hess[..., i, j] for j in range(n)] for i in range(n)]
-    return _matrix(_entries_generic(grad, hess, n))
+    return _matrix(chart_curvature_entries(grad, hess))
 
 
 def _seeded(jet: Jet) -> tuple[list, list]:
@@ -145,7 +87,7 @@ def _seeded(jet: Jet) -> tuple[list, list]:
         [Dual(jet.hess[..., al, be, None], jet.third[..., al, be, :]) for be in range(n)]
         for al in range(n)
     ]
-    return grad, _entries_generic(grad, hess, n)
+    return grad, chart_curvature_entries(grad, hess)
 
 
 @dataclass(frozen=True)
@@ -312,7 +254,7 @@ def _phi_residuals(
     t_dual = grad[0] * grad[0]
     for gi in grad[1:]:
         t_dual = t_dual + gi * gi
-    det_dual = _det_generic(a_dual, m)
+    det_dual = det_entries(a_dual)
     with np.errstate(divide="ignore", invalid="ignore"):  # det <= 0 off `convex`
         lhs = (_rho_dual(spec, t_dual) + dual_log(det_dual)).der
     contraction = 0.0

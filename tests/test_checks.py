@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -56,6 +57,25 @@ class TestExtremumChecks:
         assert rep.passed
         # psi is identically 1 on the catenoid: both margins are O(h^2) noise
         assert abs(rep.margin) < rep.tolerance
+
+    def test_both_reports_the_worse_side(self):
+        # planting u + 0.3 sin(2 pi u)/(2 pi) on a minimal solution puts the
+        # max of psi inside (margin -1.6e-1) while the min stays on the boundary
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=64, n_t=128)
+        sol = solve_minimal_ring2d(dom, np.zeros(128), np.ones(128))
+        u = sol.values
+        planted = dataclasses.replace(sol, values=u + 0.3 * np.sin(2 * math.pi * u) / (2 * math.pi))
+        both = check_extremum_on_boundary(planted, THETA_HALF, which="both")
+        low = check_extremum_on_boundary(planted, THETA_HALF, which="min")
+        high = check_extremum_on_boundary(planted, THETA_HALF, which="max")
+        assert low.margin > 0 > high.margin
+        assert both.margin == high.margin
+        assert (both.interior_extremum, both.boundary_extremum) == (
+            high.interior_extremum, high.boundary_extremum)
+        assert both.interior_extremum == pytest.approx(1.7075, abs=1e-4)
+        assert both.boundary_extremum == pytest.approx(1.5444, abs=1e-4)
+        assert both.interior_location == high.interior_location
+        assert both.boundary_location == high.boundary_location
 
     def test_harmonic_annulus_power_minus2(self, harmonic_annulus_2d):
         # psi = |grad u|^-2 K = r / C^2 grows outward: min on the inner boundary

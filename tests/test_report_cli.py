@@ -506,6 +506,24 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error:")
         assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
+    @pytest.mark.parametrize("cfg, flags", [
+        pytest.param(radial_config("check-corollary"), ["--tol", "1e9"], id="corollary-tol-flag"),
+        pytest.param({"command": "lemma32"}, ["--tol", "3"], id="lemma32-tol-flag"),
+        pytest.param({**radial_config("check-corollary"), "tolerances": {"c_tol": 2.0}}, [],
+                     id="corollary-c_tol"),
+        pytest.param({"command": "jet-verify", "tolerances": {"solver_tol": 1e-8}}, [],
+                     id="jet-verify-solver_tol"),
+    ])
+    def test_unread_tolerance_exit_two(self, cfg, flags, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([cfg["command"], "--config", str(path), "--quiet", *flags]) == 2
+        assert "not read by" in capsys.readouterr().err
+
+    def test_null_tolerance_is_not_a_setting(self):
+        cfg = {"command": "lemma32", "tolerances": {"c_tol": None}}
+        assert parse_config(cfg).tolerances == {}
+
     @pytest.mark.parametrize("tol_abs, tolerance", [(0, 0.0), (None, 1e-6)])
     def test_zero_tolerance_honoured(self, tol_abs, tolerance):
         cfg = {**radial_config("check-corollary"), "tolerances": {"tol_abs": tol_abs}}
@@ -634,8 +652,8 @@ class TestReportEmission:
         report, solutions = run(parse_config(minimal_ring_config()))
         p1 = emit_report(report, str(tmp_path / "a"), solutions=solutions)
         p2 = emit_report(report, str(tmp_path / "b"), solutions=solutions)
-        text1 = open(p1[0]).read()
-        text2 = open(p2[0]).read()
+        text1 = Path(p1[0]).read_text()
+        text2 = Path(p2[0]).read_text()
         assert text1 == text2
         parsed = parse_report(text1)
         assert render_json(parsed) + "\n" == text1
@@ -721,7 +739,7 @@ class TestReportEmission:
     def test_index_file(self, tmp_path):
         report, solutions = run(parse_config(minimal_ring_config()))
         paths = emit_report(report, str(tmp_path / "run"), solutions=solutions)
-        index = json.loads(open(paths[-1]).read())
+        index = json.loads(Path(paths[-1]).read_text())
         assert "run.json" in index["artifacts"]
 
     def test_report_without_solution_has_no_csv(self, tmp_path):
