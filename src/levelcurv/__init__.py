@@ -60,6 +60,7 @@ from .identities import (
     phi_gradient_identity_residual,
     phi_jet_fd,
     quadratic_max_oracle,
+    random_quadratic_instances,
     uiia_residual,
 )
 from .polyfield import PolyField, RandomJets, random_test_jet, random_test_jets

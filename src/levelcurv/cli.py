@@ -35,6 +35,7 @@ from .identities import (
     lemma_quadratic_bound,
     minimal_master_identity_residual,
     quadratic_max_oracle,
+    random_quadratic_instances,
 )
 from .polyfield import random_test_jets
 from .radial import solve_minimal_radial, solve_semilinear_radial
@@ -212,28 +213,19 @@ def _run_jet_verify(cfg: RunConfig):
 
 def _run_lemma32(cfg: RunConfig):
     instances = cfg.options["instances"]
-    rng = np.random.default_rng(cfg.seed)
-    worst = -np.inf
-    for _ in range(instances):
-        m = int(rng.integers(1, 7))
-        inst = QuadraticBoundInstance(
-            lam=float(rng.uniform(0.0, 3.0)),
-            mu=float(rng.uniform(-2.0, 2.0)),
-            b=rng.uniform(0.1, 5.0, size=m),
-            c=rng.uniform(-3.0, 3.0, size=m),
-        )
-        res = lemma_quadratic_bound(inst)
-        worst = max(worst, quadratic_max_oracle(inst) - res.bound)
+    worst = max(
+        np.max(quadratic_max_oracle(inst) - lemma_quadratic_bound(inst).bound)
+        for inst in random_quadratic_instances(np.random.default_rng(cfg.seed), instances)
+    )
     checks = [_check_entry("lemma32:random-suite", -worst, LEMMA32_SLACK,
                            worst <= LEMMA32_SLACK, excess=float(worst), instances=instances)]
-    for name, inst in (
-        ("lemma32:worked-free", QuadraticBoundInstance(0.0, 1.0, np.array([1.0]), np.array([1.0]))),
-        ("lemma32:worked-coupled", QuadraticBoundInstance(1.0, 1.0, np.array([1.0]), np.array([1.0]))),
-    ):
-        res = lemma_quadratic_bound(inst)
-        gap = abs(quadratic_max_oracle(inst) - res.bound)
+    worked = QuadraticBoundInstance([0.0, 1.0], [1.0, 1.0], [[1.0], [1.0]], [[1.0], [1.0]])
+    res = lemma_quadratic_bound(worked)
+    gaps = np.abs(quadratic_max_oracle(worked) - res.bound)
+    for name, gap, gamma, bound in zip(("lemma32:worked-free", "lemma32:worked-coupled"),
+                                       gaps, res.gamma, res.bound):
         checks.append(_check_entry(name, -gap, LEMMA32_EQUALITY, gap <= LEMMA32_EQUALITY,
-                                   gamma=res.gamma, bound=res.bound))
+                                   gamma=float(gamma), bound=float(bound)))
     return checks, {}, {}
 
 

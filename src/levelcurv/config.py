@@ -202,6 +202,11 @@ def _check_command_requirements(cfg: RunConfig):
     needs_problem = cfg.command in ("solve", "curvature", "check-theorem", "check-corollary")
     if needs_problem and cfg.problem is None:
         raise ConfigError(f"{cfg.command} requires a problem block")
+    radial_minimal = cfg.problem is not None and cfg.problem.u_ab is not None \
+        and cfg.problem.equation == "minimal"
+    if radial_minimal and "solver_tol" in cfg.tolerances:
+        # the radial minimal solution is a quadrature; its flux bisection runs to adjacent floats
+        raise ConfigError("tolerances ['solver_tol'] are not read by the radial minimal solver")
     if cfg.command == "check-theorem":
         if not cfg.checks:
             raise ConfigError("check-theorem requires a checks list")

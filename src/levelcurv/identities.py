@@ -14,7 +14,8 @@ each other:
 * the full-strength master identity for the linearized minimal surface
   operator applied to phi, with derivatives of a and phi taken by sixth-order
   central differences on a closed-form supplier,
-* the quadratic-polynomial bound Q <= 4 mu^2 Gamma.
+* the quadratic-polynomial bound Q <= 4 mu^2 Gamma, on batches of quadratics
+  of one size.
 
 The first three take the order-3 jet at the point and align it themselves.
 ``identity_residuals`` evaluates them over a batch of jets with kernels that
@@ -326,69 +327,100 @@ def uiia_residual(jet: Jet) -> float:
 
 @dataclass(frozen=True)
 class QuadraticBoundInstance:
-    """Q(X) = -sum b_i X_i^2 - lam (sum X_i)^2 + 4 mu sum c_i X_i."""
+    """A batch of B quadratics of one size m,
+    Q(X) = -sum b_i X_i^2 - lam (sum X_i)^2 + 4 mu sum c_i X_i.
 
-    lam: float
-    mu: float
+    ``lam`` and ``mu`` have shape (B,), ``b`` and ``c`` shape (B, m); scalars and
+    length-m vectors give a batch of one.
+    """
+
+    lam: np.ndarray
+    mu: np.ndarray
     b: np.ndarray
     c: np.ndarray
 
     def __post_init__(self):
-        b = np.atleast_1d(np.asarray(self.b, dtype=float))
-        c = np.atleast_1d(np.asarray(self.c, dtype=float))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        if self.lam < 0.0:
-            raise InvalidInstance(f"lambda must be >= 0, got {self.lam:g}")
+        lam = np.atleast_1d(np.asarray(self.lam, dtype=float))
+        mu = np.atleast_1d(np.asarray(self.mu, dtype=float))
+        b = np.atleast_2d(np.asarray(self.b, dtype=float))
+        c = np.atleast_2d(np.asarray(self.c, dtype=float))
+        for name, value in (("lam", lam), ("mu", mu), ("b", b), ("c", c)):
+            object.__setattr__(self, name, value)
+        if np.any(lam < 0.0):
+            raise InvalidInstance(f"lambda must be >= 0, got {lam[lam < 0.0][0]:g}")
         if b.shape != c.shape:
             raise InvalidInstance("b and c must have the same length")
+        if lam.shape != mu.shape or lam.shape != b.shape[:1] or b.ndim != 2:
+            raise InvalidInstance("lam and mu must hold one value per row of b and c")
         if np.any(b <= 0.0):
             raise InvalidInstance("all b_i must be positive")
 
-    def q(self, x: np.ndarray) -> float:
+    def q(self, x: np.ndarray) -> np.ndarray:
+        """Q of each row at the points x of shape (B, m); shape (B,)."""
         x = np.asarray(x, dtype=float)
-        return float(
-            -np.sum(self.b * x * x) - self.lam * np.sum(x) ** 2 + 4.0 * self.mu * np.sum(self.c * x)
+        return (
+            -np.sum(self.b * x * x, axis=-1)
+            - self.lam * np.sum(x, axis=-1) ** 2
+            + 4.0 * self.mu * np.sum(self.c * x, axis=-1)
         )
 
 
 @dataclass(frozen=True)
 class QuadraticBoundResult:
-    gamma: float
-    bound: float
+    """Gamma and the bound 4 mu^2 Gamma of each row, shape (B,)."""
+
+    gamma: np.ndarray
+    bound: np.ndarray
 
 
 def lemma_quadratic_bound(inst: QuadraticBoundInstance) -> QuadraticBoundResult:
     """Gamma = sum c_i^2/b_i - lam (1 + lam sum 1/b_i)^{-1} (sum c_i/b_i)^2;
     the bound 4 mu^2 Gamma dominates sup Q."""
     inv_b = 1.0 / inst.b
-    gamma = float(
-        np.sum(inst.c**2 * inv_b)
-        - inst.lam / (1.0 + inst.lam * np.sum(inv_b)) * np.sum(inst.c * inv_b) ** 2
-    )
+    coupling = inst.lam / (1.0 + inst.lam * np.sum(inv_b, axis=-1))
+    gamma = np.sum(inst.c**2 * inv_b, axis=-1) - coupling * np.sum(inst.c * inv_b, axis=-1) ** 2
     return QuadraticBoundResult(gamma=gamma, bound=4.0 * inst.mu**2 * gamma)
 
 
-def quadratic_max_oracle(inst: QuadraticBoundInstance) -> float:
-    """Independent maximization of the concave quadratic.
+def quadratic_max_oracle(inst: QuadraticBoundInstance) -> np.ndarray:
+    """Independent maximization of each concave quadratic of the batch.
 
-    Normally solves the stationarity system of Q exactly; falls back to a
-    dense grid search on [-10, 10]^m if the quadratic form is near-singular.
+    Solves the stationarity systems 2 (diag(b) + lam 1 1^T) X = 4 mu c in one
+    batched solve; a row with min b_i < 1e-8 (a near-singular quadratic form)
+    is instead maximized by dense grid search on [-10, 10]^m.
     """
-    m = inst.b.shape[0]
-    if m == 0:
-        return 0.0
-    if np.min(inst.b) < 1e-8:
+    m = inst.b.shape[1]
+    singular = np.any(inst.b < 1e-8, axis=-1)
+    rows = ~singular
+    a = np.eye(m) * inst.b[rows, None, :] + inst.lam[rows, None, None]
+    rhs = 4.0 * inst.mu[rows, None] * inst.c[rows]
+    x_star = np.zeros_like(inst.b)
+    x_star[rows] = np.linalg.solve(2.0 * a, rhs[..., None])[..., 0]
+    out = inst.q(x_star)
+    if np.any(singular):
         pts_per_dim = 41 if m <= 3 else 9
         axes = [np.linspace(-10.0, 10.0, pts_per_dim)] * m
-        grids = np.meshgrid(*axes, indexing="ij")
-        x = np.stack([g.ravel() for g in grids], axis=-1)
+        x = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
         s = x.sum(axis=1)
-        q = -(x * x) @ inst.b - inst.lam * s * s + 4.0 * inst.mu * (x @ inst.c)
-        return float(np.max(q))
-    a = np.diag(inst.b) + inst.lam * np.ones((m, m))
-    x_star = np.linalg.solve(2.0 * a, 4.0 * inst.mu * inst.c)
-    return inst.q(x_star)
+        for k in np.flatnonzero(singular):
+            q = -(x * x) @ inst.b[k] - inst.lam[k] * s * s + 4.0 * inst.mu[k] * (x @ inst.c[k])
+            out[k] = np.max(q)
+    return out
+
+
+def random_quadratic_instances(rng: np.random.Generator, count: int) -> list:
+    """``count`` random instances, drawn one at a time (m in 1..6, then lam, mu, b
+    and c) and grouped into one batch per size m, in increasing m."""
+    rows: dict[int, list] = {}
+    for _ in range(count):
+        m = int(rng.integers(1, 7))
+        rows.setdefault(m, []).append((
+            rng.uniform(0.0, 3.0),
+            rng.uniform(-2.0, 2.0),
+            rng.uniform(0.1, 5.0, size=m),
+            rng.uniform(-3.0, 3.0, size=m),
+        ))
+    return [QuadraticBoundInstance(*map(np.array, zip(*rows[m]))) for m in sorted(rows)]
 
 
 # ---------------------------------------------------------------------------

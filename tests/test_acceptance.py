@@ -30,6 +30,7 @@ from levelcurv.identities import (
     minimal_master_identity_residual,
     phi_gradient_identity_residual,
     quadratic_max_oracle,
+    random_quadratic_instances,
     uiia_residual,
 )
 from levelcurv.polyfield import random_test_jet
@@ -282,23 +283,12 @@ def test_criterion_07_identity_suite():
 
 def test_criterion_08_quadratic_bound_suite():
     t0 = time.perf_counter()
-    rng = np.random.default_rng(7)
-    worst = -np.inf
-    for _ in range(200):
-        m = int(rng.integers(1, 7))
-        inst = QuadraticBoundInstance(
-            lam=float(rng.uniform(0.0, 3.0)),
-            mu=float(rng.uniform(-2.0, 2.0)),
-            b=rng.uniform(0.1, 5.0, size=m),
-            c=rng.uniform(-3.0, 3.0, size=m),
-        )
-        worst = max(worst, quadratic_max_oracle(inst) - lemma_quadratic_bound(inst).bound)
-    eq_gaps = []
-    for inst in (
-        QuadraticBoundInstance(0.0, 1.0, np.array([1.0]), np.array([1.0])),
-        QuadraticBoundInstance(1.0, 1.0, np.array([1.0]), np.array([1.0])),
-    ):
-        eq_gaps.append(abs(quadratic_max_oracle(inst) - lemma_quadratic_bound(inst).bound))
+    worst = max(
+        np.max(quadratic_max_oracle(inst) - lemma_quadratic_bound(inst).bound)
+        for inst in random_quadratic_instances(np.random.default_rng(7), 200)
+    )
+    worked = QuadraticBoundInstance([0.0, 1.0], [1.0, 1.0], [[1.0], [1.0]], [[1.0], [1.0]])
+    eq_gaps = np.abs(quadratic_max_oracle(worked) - lemma_quadratic_bound(worked).bound)
     ok = worst <= 1e-9 and max(eq_gaps) <= 1e-12
     _verdict(
         "criterion-8 quadratic bound",

@@ -520,6 +520,24 @@ class TestExitCodes:
         assert main([cfg["command"], "--config", str(path), "--quiet", *flags]) == 2
         assert "not read by" in capsys.readouterr().err
 
+    THEOREM = {"checks": ["min"], "spec": {"kind": "minimal-theta", "theta": -0.5}}
+
+    @pytest.mark.parametrize("command", ["solve", "curvature", "check-theorem", "check-corollary"])
+    def test_radial_minimal_solver_tol_exit_two(self, command, tmp_path, capsys):
+        # the radial minimal solver bisects the flux to adjacent floats and reads no solver_tol
+        cfg = {**radial_config(command), **self.THEOREM, "tolerances": {"solver_tol": 1e-2}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(path), "--quiet"]) == 2
+        assert "['solver_tol'] are not read by the radial minimal solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "curvature", "check-theorem", "check-corollary"])
+    def test_radial_semilinear_reads_solver_tol(self, command):
+        cfg = {**radial_config(command), **self.THEOREM, "tolerances": {"solver_tol": 1e-8}}
+        cfg["problem"] = {**cfg["problem"], "equation": "semilinear",
+                          "rhs": {"name": "linear-u", "scale": 1.0}}
+        assert parse_config(cfg).tolerances == {"solver_tol": 1e-8}
+
     def test_null_tolerance_is_not_a_setting(self):
         cfg = {"command": "lemma32", "tolerances": {"c_tol": None}}
         assert parse_config(cfg).tolerances == {}
