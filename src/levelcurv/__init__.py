@@ -48,7 +48,6 @@ from .geometry import (
 from .identities import (
     CurvatureDerivatives,
     IdentityResiduals,
-    PhiJet,
     QuadraticBoundInstance,
     QuadraticBoundResult,
     codazzi_residual,
@@ -58,7 +57,6 @@ from .identities import (
     lemma_quadratic_bound,
     minimal_master_identity_residual,
     phi_gradient_identity_residual,
-    phi_jet_fd,
     quadratic_max_oracle,
     random_quadratic_instances,
     uiia_residual,

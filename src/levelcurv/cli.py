@@ -46,8 +46,7 @@ from .ring2d import solve_minimal_ring2d, solve_semilinear_ring2d
 CODAZZI_TOL = 1e-9
 PHI_GRAD_TOL = 1e-8
 UIIA_TOL = 1e-9
-MASTER_TRIVIAL_TOL = 1e-10
-MASTER_TOL = 1e-6
+MASTER_TOL = 1e-11
 LEMMA32_SLACK = 1e-9
 LEMMA32_EQUALITY = 1e-12
 # jet-verify fields drawn and checked per batch (about 3.4 KB each)
@@ -197,17 +196,12 @@ def _run_jet_verify(cfg: RunConfig):
             residual=worst_phi, fields=admissible))
 
     # master identity on the closed-form suppliers
-    cat2 = RadialMinimalField(2, flux=-1.0)
-    r_cat = minimal_master_identity_residual(cat2, np.array([1.8, 2.4]), -0.5)
-    checks.append(_check_entry("master:catenoid-2d", -r_cat, MASTER_TRIVIAL_TOL,
-                               r_cat < MASTER_TRIVIAL_TOL, residual=r_cat))
-    r_sch = minimal_master_identity_residual(ScherkField(), np.array([0.4, 0.9]), -0.5)
-    checks.append(_check_entry("master:scherk-2d", -r_sch, MASTER_TOL,
-                               r_sch < MASTER_TOL, residual=r_sch))
-    cat3 = RadialMinimalField(3, flux=-1.0)
-    r_rad = minimal_master_identity_residual(cat3, np.array([0.0, 0.0, 3.0]), 0.0)
-    checks.append(_check_entry("master:radial-3d", -r_rad, MASTER_TOL,
-                               r_rad < MASTER_TOL, residual=r_rad))
+    for name, supplier, point, theta in (
+            ("master:catenoid-2d", RadialMinimalField(2, flux=-1.0), [1.8, 2.4], -0.5),
+            ("master:scherk-2d", ScherkField(), [0.4, 0.9], -0.5),
+            ("master:radial-3d", RadialMinimalField(3, flux=-1.0), [0.0, 0.0, 3.0], 0.0)):
+        res = minimal_master_identity_residual(supplier, np.array(point), theta)
+        checks.append(_check_entry(name, -res, MASTER_TOL, res < MASTER_TOL, residual=res))
     return checks, {}, {}
 
 

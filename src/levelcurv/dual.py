@@ -6,6 +6,10 @@ entries with their own directional derivatives and push them through the
 chart formula.  Values and derivatives are floats or arrays that broadcast
 together, so one Dual can carry a batch of points, and a trailing axis of
 directions in ``der`` against a length-one axis in ``val``.
+
+A Dual whose value and derivative are Duals seeded along the same direction
+carries the second derivative along it in ``der.der``; the arithmetic and
+``dual_sqrt``/``dual_log`` recurse into such nested values unchanged.
 """
 
 from __future__ import annotations
@@ -67,12 +71,12 @@ class Dual:
 
 def dual_sqrt(x):
     if isinstance(x, Dual):
-        s = np.sqrt(x.val)
+        s = dual_sqrt(x.val)
         return Dual(s, 0.5 * x.der / s)
     return np.sqrt(x)
 
 
 def dual_log(x):
     if isinstance(x, Dual):
-        return Dual(np.log(x.val), x.der / x.val)
+        return Dual(dual_log(x.val), x.der / x.val)
     return np.log(x)

@@ -16,30 +16,23 @@ from .errors import OutOfDomain
 from .geometry import Jet, make_jet
 
 
-def radial_jet(x: np.ndarray, up: float, upp: float, uppp: float | None, order: int = 3) -> Jet:
-    """Jet of u(x) = U(|x - 0|) from radial derivatives U', U'', U''' at r = |x|."""
+def radial_jet(x: np.ndarray, g) -> Jet:
+    """Jet of u(x) = G(|x|^2/2) at x from G', G'', ... at s = |x|^2/2, one per order.
+
+    u_i = G' x_i and u_ij = G'' x_i x_j + G' d_ij (d the identity); u_ijk is
+    the symmetric part of G''' x x x + 3 G'' d x, and u_ijkl that of
+    G'''' x x x x + 6 G''' d x x + 3 G'' d d.
+    """
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        raise OutOfDomain("radial jets are singular at the origin")
-    e = x / r
-    grad = up * e
-    eye = np.eye(n)
-    hess = upp * np.outer(e, e) + (up / r) * (eye - np.outer(e, e))
-    third = None
-    if order >= 3:
-        if uppp is None:
-            raise ValueError("third radial derivative required for an order-3 jet")
-        ee = np.outer(e, e)
-        eee = np.einsum("a,b,c->abc", e, e, e)
-        sym = (
-            np.einsum("ab,c->abc", eye, e)
-            + np.einsum("ac,b->abc", eye, e)
-            + np.einsum("bc,a->abc", eye, e)
-        )
-        third = uppp * eee + (upp / r) * (sym - 3.0 * eee) + (up / r**2) * (3.0 * eee - sym)
-    return make_jet(grad, hess, third)
+    eye = np.eye(x.shape[0])
+    xx = np.outer(x, x)
+    third = fourth = None
+    if len(g) >= 3:
+        third = g[2] * np.multiply.outer(xx, x) + 3.0 * g[1] * np.multiply.outer(eye, x)
+    if len(g) >= 4:
+        fourth = (g[3] * np.multiply.outer(xx, xx) + 6.0 * g[2] * np.multiply.outer(eye, xx)
+                  + 3.0 * g[1] * np.multiply.outer(eye, eye))
+    return make_jet(g[0] * x, g[1] * xx + g[0] * eye, third, fourth)
 
 
 @dataclass(frozen=True)
@@ -70,28 +63,20 @@ class RadialMinimalField:
         m = 2 * (self.n - 1)
         return -(self.flux * m / 2.0) * r ** (m - 1) * self._d(r) ** -1.5
 
-    def u_third(self, r: float) -> float:
-        m = 2 * (self.n - 1)
-        d = self._d(r)
-        return (
-            -(self.flux * m / 2.0)
-            * r ** (m - 2)
-            * d**-2.5
-            * ((m - 1) * d - 1.5 * m * r**m)
-        )
-
-    def grad_norm_sq(self, r: float) -> float:
-        return self.flux**2 / self._d(r)
-
-    def gauss(self, r: float) -> float:
-        """Geometric Gaussian curvature of the level sphere of radius r."""
-        return r ** (1 - self.n)
-
     def jet(self, x, order: int = 3) -> Jet:
+        """Jet of u = G(|x|^2/2), where G' = c D^{-1/2} with D(s) = (2s)^n - 2 c^2 s."""
         x = np.asarray(x, dtype=float)
-        r = float(np.linalg.norm(x))
-        uppp = self.u_third(r) if order >= 3 else None
-        return radial_jet(x, self.u_prime(r), self.u_second(r), uppp, order)
+        n, c = self.n, self.flux
+        q = float(x @ x)  # 2s
+        d = q * self._d(math.sqrt(q))
+        d1 = 2.0 * n * q ** (n - 1) - 2.0 * c * c
+        d2 = 4.0 * n * (n - 1) * q ** (n - 2)
+        d3 = 8.0 * n * (n - 1) * (n - 2) * q ** (n - 3)
+        g = [c * d**-0.5,
+             -0.5 * c * d**-1.5 * d1,
+             c * (0.75 * d**-2.5 * d1 * d1 - 0.5 * d**-1.5 * d2),
+             c * (-1.875 * d**-3.5 * d1**3 + 2.25 * d**-2.5 * d1 * d2 - 0.5 * d**-1.5 * d3)]
+        return radial_jet(x, g[:order])
 
 
 @dataclass(frozen=True)
@@ -108,12 +93,16 @@ class ScherkField:
         s1, s2 = 1.0 + t1 * t1, 1.0 + t2 * t2  # sec^2
         grad = np.array([-t1, t2])
         hess = np.array([[-s1, 0.0], [0.0, s2]])
-        third = None
+        third = fourth = None
         if order >= 3:
             third = np.zeros((2, 2, 2))
             third[0, 0, 0] = -2.0 * s1 * t1
             third[1, 1, 1] = 2.0 * s2 * t2
-        return make_jet(grad, hess, third)
+        if order >= 4:
+            fourth = np.zeros((2, 2, 2, 2))
+            fourth[0, 0, 0, 0] = -2.0 * s1 * (s1 + 2.0 * t1 * t1)
+            fourth[1, 1, 1, 1] = 2.0 * s2 * (s2 + 2.0 * t2 * t2)
+        return make_jet(grad, hess, third, fourth)
 
 
 @dataclass(frozen=True)
@@ -126,8 +115,13 @@ class SphereDistanceField:
 
     def jet(self, x, order: int = 3) -> Jet:
         x = np.asarray(x, dtype=float)
-        center = np.asarray(self.center if self.center else np.zeros(self.dim))
-        return radial_jet(x - center, self.sign, 0.0, 0.0 if order >= 3 else None, order)
+        y = x - np.asarray(self.center if self.center else np.zeros(self.dim))
+        r = float(np.linalg.norm(y))
+        if r == 0.0:
+            raise OutOfDomain("radial jets are singular at the origin")
+        # u = sign sqrt(2s), so G' = sign/r, G'' = -sign/r^3, G''' = 3 sign/r^5, ...
+        g = [self.sign / r, -self.sign / r**3, 3.0 * self.sign / r**5, -15.0 * self.sign / r**7]
+        return radial_jet(y, g[:order])
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)

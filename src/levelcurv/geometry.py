@@ -1,7 +1,7 @@
 """Pointwise differential geometry of level sets.
 
-Everything here is a pure function of a jet (point values of grad/Hess/third
-derivatives of a scalar field u).  The central object is the symmetric
+Everything here is a pure function of a jet (point values of the derivatives
+of a scalar field u up to fourth order).  The central object is the symmetric
 curvature matrix a of the level hypersurface {u = const}: its eigenvalues are
 the principal curvatures and det(a) the Gaussian curvature K.
 
@@ -90,20 +90,20 @@ def _fsum(terms: list) -> np.ndarray:
 
 
 @functools.cache
-def _triple_groups(n: int) -> tuple:
-    """Index tables of the permutation groups of the sorted index triples.
+def _index_groups(n: int, order: int) -> tuple:
+    """Index tables of the permutation groups of the sorted index tuples of an order.
 
     ``slots[s, g]`` is the s-th permutation of group g (padded with its first
     one, and masked off by ``used``, past the group's size), ``sizes[g]`` is
-    the group's size and ``group_of[i, j, k]`` the group holding (i, j, k).
+    the group's size and ``group_of[i, j, ...]`` the group holding (i, j, ...).
     """
-    groups = [sorted(set(itertools.permutations(triple)))
-              for triple in itertools.combinations_with_replacement(range(n), 3)]
+    groups = [sorted(set(itertools.permutations(index)))
+              for index in itertools.combinations_with_replacement(range(n), order)]
     width = max(len(g) for g in groups)
     slots = np.array([[g[s] if s < len(g) else g[0] for g in groups] for s in range(width)])
     used = np.array([[s < len(g) for g in groups] for s in range(width)])
     sizes = np.array([float(len(g)) for g in groups])
-    group_of = np.empty((n, n, n), dtype=int)
+    group_of = np.empty((n,) * order, dtype=int)
     for index, g in enumerate(groups):
         for perm in g:
             group_of[perm] = index
@@ -112,15 +112,14 @@ def _triple_groups(n: int) -> tuple:
     return slots, used, sizes, group_of
 
 
-def _symmetrize_third(t: np.ndarray) -> np.ndarray:
-    # One correctly rounded mean per sorted triple, assigned to every
-    # permutation, so the result is bitwise symmetric.  The permutation
-    # groups (1, 3 or 6 entries) are padded with zeros to the largest size,
-    # which leaves each correctly rounded sum unchanged, so one _fsum covers
-    # them all.
-    slots, used, sizes, group_of = _triple_groups(t.shape[-1])
-    terms = [np.where(ok, t[..., idx[:, 0], idx[:, 1], idx[:, 2]], 0.0)
-             for idx, ok in zip(slots, used)]
+def _symmetrize(t: np.ndarray, order: int) -> np.ndarray:
+    # One correctly rounded mean per sorted index tuple of the trailing
+    # ``order`` axes, assigned to every permutation, so the result is bitwise
+    # symmetric.  The permutation groups are padded with zeros to the largest
+    # size, which leaves each correctly rounded sum unchanged, so one _fsum
+    # covers them all.
+    slots, used, sizes, group_of = _index_groups(t.shape[-1], order)
+    terms = [np.where(ok, t[(Ellipsis, *idx.T)], 0.0) for idx, ok in zip(slots, used)]
     return (_fsum(terms) / sizes)[..., group_of]
 
 
@@ -135,18 +134,19 @@ def _norm(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Jet:
-    """Derivatives of a scalar field at one point, up to third order.
+    """Derivatives of a scalar field at one point, up to fourth order.
 
-    grad has shape (n,), hess (n, n) exactly symmetric, third (n, n, n)
-    exactly symmetric under all index permutations (or None when only a
-    second-order jet is available).  Leading axes, shared by all three,
-    make a batch of jets: grad (..., n), hess (..., n, n), third
-    (..., n, n, n).
+    grad has shape (n,), hess (n, n) exactly symmetric, third (n, n, n) and
+    fourth (n, n, n, n) exactly symmetric under all index permutations (or
+    None when the jet stops at a lower order; fourth needs third).  Leading
+    axes, shared by all four, make a batch of jets: grad (..., n), hess
+    (..., n, n), and so on.
     """
 
     grad: np.ndarray
     hess: np.ndarray
     third: np.ndarray | None = None
+    fourth: np.ndarray | None = None
 
     def __post_init__(self):
         grad = np.asarray(self.grad, dtype=float)
@@ -165,14 +165,18 @@ class Jet:
             raise ValueError(f"hess shape {hess.shape} does not match n={n}")
         if not np.array_equal(hess, np.swapaxes(hess, -1, -2)):
             raise ValueError("hess must be exactly symmetric")
-        if self.third is not None:
-            third = np.asarray(self.third, dtype=float)
-            object.__setattr__(self, "third", third)
-            if third.shape != batch + (n, n, n):
-                raise ValueError(f"third shape {third.shape} does not match n={n}")
-            for a, b in [(-1, -2), (-2, -3), (-1, -3)]:
-                if not np.array_equal(third, np.swapaxes(third, a, b)):
-                    raise ValueError("third must be symmetric under index permutations")
+        if self.fourth is not None and self.third is None:
+            raise ValueError("a fourth-order jet needs its third derivatives")
+        for name, order in (("third", 3), ("fourth", 4)):
+            if getattr(self, name) is None:
+                continue
+            t = np.asarray(getattr(self, name), dtype=float)
+            object.__setattr__(self, name, t)
+            if t.shape != batch + (n,) * order:
+                raise ValueError(f"{name} shape {t.shape} does not match n={n}")
+            # the swaps of neighbouring index axes generate every permutation
+            if not all(np.array_equal(t, np.swapaxes(t, -k, -k - 1)) for k in range(1, order)):
+                raise ValueError(f"{name} must be symmetric under index permutations")
 
     @property
     def dim(self) -> int:
@@ -185,12 +189,14 @@ class Jet:
         return float(norm) if norm.ndim == 0 else norm
 
 
-def make_jet(grad, hess, third=None) -> Jet:
-    """Build a Jet, symmetrizing hess/third so the exact-equality invariant holds."""
+def make_jet(grad, hess, third=None, fourth=None) -> Jet:
+    """Build a Jet, symmetrizing hess/third/fourth so the exact-equality invariant holds."""
     hess = _symmetrize_matrix(np.asarray(hess, dtype=float))
     if third is not None:
-        third = _symmetrize_third(np.asarray(third, dtype=float))
-    return Jet(np.asarray(grad, dtype=float), hess, third)
+        third = _symmetrize(np.asarray(third, dtype=float), 3)
+    if fourth is not None:
+        fourth = _symmetrize(np.asarray(fourth, dtype=float), 4)
+    return Jet(np.asarray(grad, dtype=float), hess, third, fourth)
 
 
 def rotate_jet(jet: Jet, q: np.ndarray) -> Jet:
@@ -200,11 +206,14 @@ def rotate_jet(jet: Jet, q: np.ndarray) -> Jet:
     """
     grad = (q @ jet.grad[..., None])[..., 0]
     hess = _symmetrize_matrix(q @ jet.hess @ np.swapaxes(q, -1, -2))
-    third = None
+    third = fourth = None
     if jet.third is not None:
         third = np.einsum("...ai,...bj,...ck,...ijk->...abc", q, q, q, jet.third)
-        third = _symmetrize_third(third)
-    return Jet(grad, hess, third)
+        third = _symmetrize(third, 3)
+    if jet.fourth is not None:
+        fourth = np.einsum("...ai,...bj,...ck,...dl,...ijkl->...abcd", q, q, q, q, jet.fourth)
+        fourth = _symmetrize(fourth, 4)
+    return Jet(grad, hess, third, fourth)
 
 
 @dataclass(frozen=True)
@@ -257,7 +266,7 @@ def align_frame(jet: Jet) -> LevelSetFrame:
     # Pin the rounding dust so downstream aligned-point formulas are exact.
     grad = np.zeros_like(aligned.grad)
     grad[..., n - 1] = gnorm
-    aligned = Jet(grad, aligned.hess, aligned.third)
+    aligned = Jet(grad, aligned.hess, aligned.third, aligned.fourth)
     return LevelSetFrame(rotation=q, aligned_jet=aligned)
 
 

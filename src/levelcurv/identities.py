@@ -12,16 +12,19 @@ each other:
 * the third-derivative exchange relation u_iia = -u_n a_ii,a + 2 u_n^{-1}
   u_ni u_ia - u_na a_ii at aligned points,
 * the full-strength master identity for the linearized minimal surface
-  operator applied to phi, with derivatives of a and phi taken by sixth-order
-  central differences on a closed-form supplier,
+  operator applied to phi, and the Laplace-Beltrami harmonicity of psi on 2D
+  minimal graphs, with the derivatives of a and phi taken exactly from the
+  order-4 jet of a closed-form supplier,
 * the quadratic-polynomial bound Q <= 4 mu^2 Gamma, on batches of quadratics
   of one size.
 
 The first three take the order-3 jet at the point and align it themselves.
 ``identity_residuals`` evaluates them over a batch of jets with kernels that
 are elementwise over the batch, and the single-jet functions run the same
-kernels on a batch of one.  The finite-difference checks take a closed-form
-supplier with a ``jet(point, order)`` method.
+kernels on a batch of one.  The master identity and the psi-harmonicity
+residual take a closed-form supplier with a ``jet(point, order)`` method that
+gives order-4 jets, and push its jet at each point once through the chart
+formula as duals of duals, seeded twice along every axis.
 
 All identity checks use the pre-flip sign convention of the curvature matrix,
 because that is the convention the formulas are derived in; the orientation
@@ -52,7 +55,6 @@ from .geometry import (
     det_entries,
     level_curve_curvature_2d,
     rotate_jet,
-    sym_det,
 )
 
 
@@ -89,6 +91,37 @@ def _seeded(jet: Jet) -> tuple[list, list]:
         for al in range(n)
     ]
     return grad, chart_curvature_entries(grad, hess)
+
+
+def _seeded_twice(jet: Jet, spec: TestFunctionSpec, sign: float = 1.0) -> tuple[list, Dual]:
+    """Curvature entries a_ij and phi = rho(|grad u|^2) + log(sign det a) of an
+    order-4 jet, as duals of duals seeded twice along every axis.
+
+    Each jet entry is seeded as in ``_seeded``, and its value and derivative
+    are themselves duals along the same axis, the derivative's own derivative
+    holding the entry's second derivative along that axis.  One pass through
+    the chart formula, ``det_entries`` and ``_rho_dual`` then gives, exactly,
+    the first derivatives along every axis in ``.val.der`` (a_ij,a and phi_a)
+    and the second derivatives along each in ``.der.der`` (phi_aa).  Raises
+    NonpositiveCurvature when sign det(a) <= 0 at the point.
+    """
+    if jet.fourth is None:
+        raise ValueError("order-4 jet required for second derivatives of phi")
+    n = jet.dim
+    third_aa = np.diagonal(jet.third, axis1=-2, axis2=-1)  # u_i,aa
+    fourth_aa = np.diagonal(jet.fourth, axis1=-2, axis2=-1)  # u_ij,aa
+
+    def seed(val, der, der2):
+        return Dual(Dual(val[..., None], der), Dual(der, der2))
+
+    grad = [seed(jet.grad[..., i], jet.hess[..., i, :], third_aa[..., i, :]) for i in range(n)]
+    hess = [[seed(jet.hess[..., i, j], jet.third[..., i, j, :], fourth_aa[..., i, j, :])
+             for j in range(n)] for i in range(n)]
+    a = chart_curvature_entries(grad, hess)
+    det = det_entries(a) * sign
+    if np.any(det.val.val <= 0.0):
+        raise NonpositiveCurvature("det(a) <= 0 while forming phi")
+    return a, _rho_dual(spec, sum(g * g for g in grad)) + dual_log(det)
 
 
 @dataclass(frozen=True)
@@ -409,152 +442,22 @@ def quadratic_max_oracle(inst: QuadraticBoundInstance) -> np.ndarray:
 
 
 def random_quadratic_instances(rng: np.random.Generator, count: int) -> list:
-    """``count`` random instances, drawn one at a time (m in 1..6, then lam, mu, b
-    and c) and grouped into one batch per size m, in increasing m."""
-    rows: dict[int, list] = {}
-    for _ in range(count):
-        m = int(rng.integers(1, 7))
-        rows.setdefault(m, []).append((
-            rng.uniform(0.0, 3.0),
-            rng.uniform(-2.0, 2.0),
-            rng.uniform(0.1, 5.0, size=m),
-            rng.uniform(-3.0, 3.0, size=m),
-        ))
-    return [QuadraticBoundInstance(*map(np.array, zip(*rows[m]))) for m in sorted(rows)]
+    """``count`` random instances as one batch per size m, in increasing m.
 
-
-# ---------------------------------------------------------------------------
-# sixth-order finite differences on closed-form suppliers
-# ---------------------------------------------------------------------------
-
-_FD_OFFSETS = np.array([-3, -2, -1, 0, 1, 2, 3], dtype=float)
-_FD1_W = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
-_FD2_W = np.array([2.0, -27.0, 270.0, -490.0, 270.0, -27.0, 2.0]) / 180.0
-
-
-def fd6_first(values: np.ndarray, h: float):
-    return np.tensordot(_FD1_W, values, axes=(0, 0)) / h
-
-
-def fd6_second(values: np.ndarray, h: float):
-    return np.tensordot(_FD2_W, values, axes=(0, 0)) / (h * h)
-
-
-def _richardson(coarse, fine):
-    """One halving step for an O(h^6) formula: error drops to O(h^8)."""
-    return (64.0 * fine - coarse) / 63.0
-
-
-def _default_step(point: np.ndarray) -> float:
-    return 1e-2 * max(1.0, float(np.linalg.norm(point)))
-
-
-def _axis_lines(sample, h: float, n: int):
-    """For each axis in turn, sample(off * h * e_axis) at the seven stencil offsets."""
-    eye = np.eye(n)
-    for axis in range(n):
-        yield [sample(off * h * eye[axis]) for off in _FD_OFFSETS]
-
-
-def _extrapolated(derivatives, point: np.ndarray, fd_step: float | None) -> tuple:
-    """derivatives(h), a tuple of arrays, at fd_step; without one, Richardson
-    over the default step and its half."""
-    if fd_step is not None:
-        return derivatives(float(fd_step))
-    h = _default_step(point)
-    return tuple(_richardson(c, f) for c, f in zip(derivatives(h), derivatives(h / 2.0)))
-
-
-def _supplier_jet(supplier, point: np.ndarray, where: str) -> Jet:
-    """Order-2 jet of a closed-form supplier, with |grad u| above the floor."""
-    jet = supplier.jet(point, order=2)
-    if jet.grad_norm < GRAD_FLOOR:
-        raise GradientTooSmall(f"gradient below floor at {where}")
-    return jet
-
-
-def _rotated_sampler(supplier, point: np.ndarray, rot: np.ndarray):
-    """y -> (a, |grad u|^2) at point + rot^T y, a in the rotated frame."""
-
-    def sample(y: np.ndarray) -> tuple[np.ndarray, float]:
-        j = rotate_jet(supplier.jet(point + rot.T @ y, order=2), rot)
-        return curvature_entries_float(j), float(j.grad @ j.grad)
-
-    return sample
-
-
-def _phi(spec: TestFunctionSpec, a: np.ndarray, t: float) -> float:
-    """phi = rho(t) + log det(a)."""
-    det = sym_det(a)
-    if det <= 0.0:
-        raise NonpositiveCurvature("det(a) <= 0 while forming phi")
-    return float(spec.rho(t) + math.log(det))
-
-
-# ---------------------------------------------------------------------------
-# jets of phi = rho(|grad u|^2) + log det(a)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PhiJet:
-    """Value, gradient and (symmetric) Hessian of phi at one point."""
-
-    phi: float
-    grad_phi: np.ndarray
-    hess_phi: np.ndarray
-
-    def __post_init__(self):
-        asym = float(np.max(np.abs(self.hess_phi - self.hess_phi.T)))
-        if asym > 1e-12 * (1.0 + float(np.max(np.abs(self.hess_phi)))):
-            raise ValueError(f"hess_phi asymmetric by {asym:.3e}")
-
-
-def phi_jet_fd(
-    supplier,
-    point,
-    spec: TestFunctionSpec,
-    fd_step: float | None = None,
-) -> PhiJet:
-    """Jet of phi on a closed-form supplier, in the frame aligned at the point.
-
-    Diagonal second derivatives use the sixth-order stencil directly; mixed
-    ones nest two first-derivative stencils (still sixth order).  The result
-    is symmetrized from its one-sided evaluations, which agree to rounding.
+    The sizes (m in 1..6) are drawn first, as one array; then each size, in
+    increasing m, draws its rows' lam, mu, b and c, one array each.
     """
-    point = np.asarray(point, dtype=float)
-    jet0 = _supplier_jet(supplier, point, "the phi-jet point")
-    n = jet0.dim
-    sample = _rotated_sampler(supplier, point, align_frame(jet0).rotation)
-
-    def phi_at(y: np.ndarray) -> float:
-        return _phi(spec, *sample(y))
-
-    h = fd_step if fd_step is not None else _default_step(point)
-    lines = [np.array(line) for line in _axis_lines(phi_at, h, n)]
-    grad_phi = np.array([fd6_first(vals, h) for vals in lines])
-    hess_phi = np.diag([fd6_second(vals, h) for vals in lines])
-    eye = np.eye(n)
-    for a_ax in range(n):
-        for b_ax in range(a_ax + 1, n):
-            inner = np.array(
-                [
-                    fd6_first(
-                        np.array(
-                            [
-                                phi_at(oa * h * eye[a_ax] + ob * h * eye[b_ax])
-                                for ob in _FD_OFFSETS
-                            ]
-                        ),
-                        h,
-                    )
-                    for oa in _FD_OFFSETS
-                ]
-            )
-            val = fd6_first(inner, h)
-            hess_phi[a_ax, b_ax] = hess_phi[b_ax, a_ax] = val
-    phi0 = float(lines[0][3])
-    return PhiJet(phi=phi0, grad_phi=grad_phi, hess_phi=hess_phi)
+    sizes = rng.integers(1, 7, size=count)
+    batches = []
+    for m in np.unique(sizes):
+        rows = int(np.count_nonzero(sizes == m))
+        batches.append(QuadraticBoundInstance(
+            rng.uniform(0.0, 3.0, size=rows),
+            rng.uniform(-2.0, 2.0, size=rows),
+            rng.uniform(0.1, 5.0, size=(rows, m)),
+            rng.uniform(-3.0, 3.0, size=(rows, m)),
+        ))
+    return batches
 
 
 # ---------------------------------------------------------------------------
@@ -579,40 +482,41 @@ def _require_minimal(jet: Jet) -> None:
         raise NotAMinimalJet(f"minimal equation residual {eq_res:.3e} at the point")
 
 
-def _diagonalizing_rotation(jet: Jet) -> tuple[np.ndarray, Jet]:
-    """Rotation aligning the gradient and diagonalizing the tangential Hessian."""
-    frame = align_frame(jet)
+def _supplier_jet(supplier, point: np.ndarray, where: str) -> Jet:
+    """Order-4 jet of a closed-form supplier, with |grad u| above the floor."""
+    jet = supplier.jet(point, order=4)
+    if jet.grad_norm < GRAD_FLOOR:
+        raise GradientTooSmall(f"gradient below floor at {where}")
+    return jet
+
+
+def _diagonalized(jet: Jet) -> Jet:
+    """The jet in the frame that aligns the gradient and diagonalizes the
+    tangential Hessian."""
+    frame = align_frame(Jet(jet.grad, jet.hess))  # the rotation needs no higher derivatives
     n = jet.dim
     ht = frame.aligned_jet.hess[: n - 1, : n - 1]
     _, vecs = np.linalg.eigh((ht + ht.T) / 2.0)
     r2 = np.eye(n)
     r2[: n - 1, : n - 1] = vecs.T
-    rot = r2 @ frame.rotation
-    return rot, rotate_jet(jet, rot)
+    return rotate_jet(jet, r2 @ frame.rotation)
 
 
-def minimal_master_identity_residual(
-    supplier,
-    point,
-    theta: float,
-    fd_step: float | None = None,
-) -> float:
+def minimal_master_identity_residual(supplier, point, theta: float) -> float:
     """|LHS - RHS| of the second-order identity for F^{ab} phi_ab on a minimal jet.
 
     LHS is sum_a F^{aa} phi_aa (F is diagonal in the normalized frame) and RHS
     is the expanded right-hand side in terms of a_ij, its first derivatives,
     u_ni, sigma1 and grad phi, with rho(t) = theta (log t - log(1+t)).
-    Derivatives of the a and phi fields are sixth-order central differences on
-    the supplier; when fd_step is not given, the default 1e-2 * length-scale
-    step is combined with one halving via Richardson extrapolation.
+    The derivatives of a and phi are exact: the supplier's order-4 jet, taken
+    to that frame, goes once through ``_seeded_twice``.
     """
-    point = np.asarray(point, dtype=float)
     spec = TestFunctionSpec.minimal_theta(theta)
-    jet0 = _supplier_jet(supplier, point, "the master-identity point")
+    jet0 = _supplier_jet(supplier, np.asarray(point, dtype=float), "the master-identity point")
     _require_minimal(jet0)
 
     n = jet0.dim
-    rot, aligned0 = _diagonalizing_rotation(jet0)
+    aligned0 = _diagonalized(jet0)
     m = n - 1
     un = float(aligned0.grad[-1])
     diag = np.diag(aligned0.hess)[:m]
@@ -627,18 +531,9 @@ def minimal_master_identity_residual(
     t0 = un * un
     rho_p = spec.rho_prime(t0)
     rho_pp = spec.rho_double_prime(t0)
-    sample = _rotated_sampler(supplier, point, rot)
-
-    def derivatives(h: float):
-        phi1, phi2, a_der = [], [], []
-        for line in _axis_lines(sample, h, n):
-            phi_vals = np.array([_phi(spec, a, t) for a, t in line])
-            phi1.append(fd6_first(phi_vals, h))
-            phi2.append(fd6_second(phi_vals, h))
-            a_der.append(fd6_first(np.array([a for a, _ in line]), h))
-        return np.array(phi1), np.array(phi2), np.array(a_der)
-
-    phi1, phi2, a_der = _extrapolated(derivatives, point, fd_step)
+    a, phi = _seeded_twice(aligned0, spec)
+    phi1, phi2 = phi.val.der, phi.der.der
+    a_der = _matrix([[e.val.der for e in row] for row in a])  # (axis, i, j)
 
     f_diag = np.full(n, 1.0 + un * un)
     f_diag[n - 1] = 1.0
@@ -671,7 +566,7 @@ def minimal_master_identity_residual(
     t9 = -2.0 / un * float(np.sum(uni * phi1[:m])) - 2.0 * sigma1 * phi1[n - 1]
 
     rhs = t1 + t2 + t3 + t4 + t5 + t6 + t7 + t8 + t9
-    return abs(lhs - rhs)
+    return float(abs(lhs - rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -679,49 +574,32 @@ def minimal_master_identity_residual(
 # ---------------------------------------------------------------------------
 
 
-def lb_psi_residual_2d(
-    supplier,
-    points,
-    theta: float = -0.5,
-    fd_step: float | None = None,
-) -> float:
+def lb_psi_residual_2d(supplier, points, theta: float = -0.5) -> float:
     """max |sum F^{ab} psi_ab| over sample points, psi = (t/(1+t))^theta * k.
 
     Every sample point must carry a minimal jet (NotAMinimalJet otherwise):
     off minimal graphs the residual proves nothing.  Works in the frame
-    aligned at each sample point so that F is diagonal; the level-curve
-    curvature k is evaluated chart-free at the stencil nodes with a fixed
-    global sign so the psi field stays smooth.
+    aligned at each sample point, where F is diagonal, and reads
+    psi_aa = psi (phi_aa + phi_a^2) from the exact phi_a and phi_aa of the
+    supplier's order-4 jet.  The level-curve curvature k takes one global
+    sign, that of the first sample point, and a point where it is not
+    positive raises NonpositiveCurvature.
     """
     spec = TestFunctionSpec.minimal_theta(theta)
-    points = [np.asarray(p, dtype=float) for p in np.atleast_2d(points)]
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     jet_first = supplier.jet(points[0], order=2)
     k0 = level_curve_curvature_2d(jet_first.grad[None, :], jet_first.hess[None, :, :])[0]
     if k0 == 0.0:
         raise NonpositiveCurvature("level curve is flat at the first sample point")
     sign = math.copysign(1.0, k0)
 
-    def psi_at(x: np.ndarray) -> float:
-        j = supplier.jet(x, order=2)
-        k = sign * level_curve_curvature_2d(j.grad[None, :], j.hess[None, :, :])[0]
-        if k <= 0.0:
-            raise NonpositiveCurvature("level curve lost convexity inside the stencil")
-        t = float(j.grad @ j.grad)
-        return float(spec.weight(t) * k)
-
     worst = 0.0
     for p in points:
         jet0 = _supplier_jet(supplier, p, "a psi-harmonicity point")
         _require_minimal(jet0)
-        frame = align_frame(jet0)
-        rot = frame.rotation
-        un = frame.aligned_jet.grad[-1]
-        f_diag = np.array([1.0 + un * un, 1.0])
-
-        def second_derivs(h: float) -> tuple[np.ndarray]:
-            lines = _axis_lines(lambda y: psi_at(p + rot.T @ y), h, 2)
-            return (np.array([fd6_second(np.array(vals), h) for vals in lines]),)
-
-        (d2,) = _extrapolated(second_derivs, p, fd_step)
-        worst = max(worst, abs(float(f_diag @ d2)))
+        aligned = align_frame(jet0).aligned_jet
+        _, phi = _seeded_twice(aligned, spec, sign)
+        psi_aa = math.exp(phi.val.val[0]) * (phi.der.der + phi.val.der**2)
+        un = aligned.grad[-1]
+        worst = max(worst, abs(float(np.array([1.0 + un * un, 1.0]) @ psi_aa)))
     return worst

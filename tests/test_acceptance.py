@@ -114,7 +114,8 @@ def test_criterion_01_catenoid_sharpness():
     for i in range(3, 403):
         x = np.zeros(n)
         x[0] = sol.r[i]
-        jet = radial_jet(x, sol.u_prime[i], sol.u_second[i], None, order=2)
+        g1 = sol.u_prime[i] / sol.r[i]  # u = G(r^2/2): u' = G' r, u'' = G'' r^2 + G'
+        jet = radial_jet(x, [g1, (sol.u_second[i] - g1) / sol.r[i] ** 2])
         cd = curvature_matrix(jet)
         psi = weighted_curvature(THETA_HALF, jet.grad_norm**2, cd.gauss)
         worst_pipeline = max(worst_pipeline, abs(psi - 1.0))
@@ -276,7 +277,7 @@ def test_criterion_07_identity_suite():
     r_rad = minimal_master_identity_residual(
         RadialMinimalField(3, flux=-1.0), np.array([0.0, 0.0, 3.0]), 0.0
     )
-    ok &= r_cat < 1e-10 and r_sch < 1e-6 and r_rad < 1e-6
+    ok &= r_cat < 1e-11 and r_sch < 1e-11 and r_rad < 1e-11
     details.append(f"master: catenoid={r_cat:.1e} scherk={r_sch:.1e} radial3={r_rad:.1e}")
     _verdict("criterion-7 identity suite", ok, "; ".join(details), t0, cap=60.0)
 
@@ -303,12 +304,12 @@ def test_criterion_09_psi_harmonicity():
     details = []
     cat = RadialMinimalField(2, flux=-1.0)
     pts = [np.array([c * math.cos(a), c * math.sin(a)]) for c in (2.2, 3.0, 3.8) for a in (0.3, 1.4, 4.0)]
-    rep_cat = check_harmonic_psi_2d(cat, pts, tol=1e-10)
-    details.append(f"catenoid residual={rep_cat.interior_extremum:.1e} (<1e-10)")
+    rep_cat = check_harmonic_psi_2d(cat, pts, tol=1e-11)
+    details.append(f"catenoid residual={rep_cat.interior_extremum:.1e} (<1e-11)")
 
     sch_pts = [np.array([0.4, 0.9]), np.array([0.2, 0.8]), np.array([0.5, 1.0])]
-    rep_sch = check_harmonic_psi_2d(ScherkField(), sch_pts, tol=1e-6)
-    details.append(f"scherk residual={rep_sch.interior_extremum:.1e} (<1e-6)")
+    rep_sch = check_harmonic_psi_2d(ScherkField(), sch_pts, tol=1e-11)
+    details.append(f"scherk residual={rep_sch.interior_extremum:.1e} (<1e-11)")
 
     sols = []
     for ns, nt in [(25, 48), (49, 96), (97, 192)]:

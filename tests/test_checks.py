@@ -312,7 +312,7 @@ class TestHarmonicPsi:
         pts = [np.array([2.5, 0.4]), np.array([-1.8, 2.2])]
         rep = check_harmonic_psi_2d(cat, pts)
         assert rep.passed
-        assert rep.interior_extremum < 1e-10
+        assert rep.interior_extremum < 1e-11
 
     def test_discrete_refinement(self, criterion9_family):
         rep = check_harmonic_psi_2d(criterion9_family)

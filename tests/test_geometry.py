@@ -43,6 +43,16 @@ class TestJet:
         jet = make_jet([1.0, 2.0], [[0.0, 1.0 + 1e-15], [1.0, 0.0]])
         assert np.array_equal(jet.hess, jet.hess.T)
 
+    def test_rejects_asymmetric_fourth(self):
+        fourth = np.zeros((2, 2, 2, 2))
+        # symmetric in its last three indices, so only a swap of the first two shows it
+        fourth[0, 1, 1, 1] = 1.0
+        with pytest.raises(ValueError, match="fourth must be symmetric"):
+            Jet(np.array([1.0, 0.0]), np.eye(2), np.zeros((2, 2, 2)), fourth)
+        # the symmetrizer spreads the entry evenly over its four permutations
+        jet = make_jet([1.0, 0.0], np.eye(2), np.zeros((2, 2, 2)), fourth)
+        assert jet.fourth[1, 0, 1, 1] == jet.fourth[1, 1, 1, 0] == 0.25
+
 
 class TestGraphCurvatureMatrix:
     def test_flat_gradient_identity_hessian(self):

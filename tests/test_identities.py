@@ -4,6 +4,8 @@ The full-size suites (100 fields per dimension) run in the acceptance module;
 here smaller samples pin the behavior plus the closed-form special cases.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -29,8 +31,6 @@ class TestDual:
     def test_chain_rule_through_composite(self):
         x = Dual(2.0, 1.0)
         y = dual_log(dual_sqrt(x * x + 3.0) / (1.0 + x))
-        import math
-
         f = lambda t: math.log(math.sqrt(t * t + 3.0) / (1.0 + t))
         h = 1e-7
         assert y.der == pytest.approx((f(2 + h) - f(2 - h)) / (2 * h), rel=1e-7)
@@ -41,6 +41,20 @@ class TestDual:
         z = (1.0 / x) ** 2
         assert z.val == pytest.approx(1.0 / 9.0)
         assert z.der == pytest.approx(-2.0 / 27.0 * 2.0)
+
+    def test_nested_duals_give_second_derivatives(self):
+        # x(t) = 2 + 3t + t^2 (x' = 3, x'' = 2) seeded twice along t at t = 0
+        x = Dual(Dual(2.0, 3.0), Dual(3.0, 2.0))
+        s = dual_sqrt(x)
+        assert (s.val.val, s.val.der, s.der.val) == pytest.approx(
+            (2.0**0.5, 1.5 / 2.0**0.5, 1.5 / 2.0**0.5), rel=1e-15)
+        # (sqrt x)'' = x'' / (2 sqrt x) - x'^2 / (4 x^1.5)
+        assert s.der.der == pytest.approx(1.0 / 2.0**0.5 - 9.0 / (4.0 * 2.0**1.5), rel=1e-15)
+        lg = dual_log(x)
+        assert (lg.val.val, lg.val.der, lg.der.val) == pytest.approx(
+            (math.log(2.0), 1.5, 1.5), rel=1e-15)
+        # (log x)'' = x'' / x - x'^2 / x^2
+        assert lg.der.der == pytest.approx(1.0 - 9.0 / 4.0, rel=1e-15)
 
 
 class TestCodazzi:

@@ -1,24 +1,55 @@
 """The expanded second-order identity for the minimal surface operator.
 
-Closed-form minimal fields (catenoid family, Scherk graph) supply exact jets;
-derivative fields use sixth-order stencils, so residuals isolate the identity
-itself.
+Closed-form minimal fields (catenoid family, Scherk graph) supply exact
+order-4 jets, and the derivatives of a and phi are taken from them exactly
+(duals of duals), so residuals isolate the identity itself at rounding level.
 """
 
-import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
 
+from levelcurv.cli import MASTER_TOL
 from levelcurv.errors import NonpositiveCurvature, NotAMinimalJet
 from levelcurv.fields import RadialMinimalField, ScherkField, SphereDistanceField
+from levelcurv.geometry import TestFunctionSpec, align_frame
 from levelcurv.identities import (
+    _seeded_twice,
+    curvature_derivatives,
+    curvature_entries_float,
     lb_psi_residual_2d,
     minimal_equation_residual,
     minimal_master_identity_residual,
 )
 
 SCHERK_POINT = np.array([0.4, 0.9])
+THETA_HALF = TestFunctionSpec.minimal_theta(-0.5)
+
+
+@dataclass(frozen=True)
+class PerturbedScherk:
+    """Scherk's jets with 1 added to one third or fourth derivative entry.
+
+    The order-2 jet, and with it the minimality gate, is unchanged.
+    """
+
+    index: tuple
+
+    def jet(self, x, order=3):
+        jet = ScherkField().jet(x, order)
+        name = {3: "third", 4: "fourth"}[len(self.index)]
+        if getattr(jet, name) is None:
+            return jet
+        tensor = getattr(jet, name).copy()
+        tensor[self.index] += 1.0
+        return replace(jet, **{name: tensor})
+
+
+def _aligned_phi(supplier, point):
+    """Aligned order-4 jet of the supplier and its phi for theta = -1/2, as nested duals."""
+    aligned = align_frame(supplier.jet(point, 4)).aligned_jet
+    return aligned, _seeded_twice(aligned, THETA_HALF)[1]
 
 
 class TestSuppliers:
@@ -35,17 +66,25 @@ class TestSuppliers:
         assert abs(minimal_equation_residual(fld.jet(x, 2))) < 1e-12
 
     def test_radial_jet_against_finite_differences(self):
-        fld = RadialMinimalField(3, flux=-1.0)
-        x = np.array([1.0, -0.8, 2.0])
-        jet = fld.jet(x, 3)
+        # each order against central differences of the order below it
+        cases = [
+            (RadialMinimalField(2, flux=-1.0), np.array([1.0, -1.6])),
+            (RadialMinimalField(3, flux=-1.0), np.array([1.0, -0.8, 2.0])),
+            (RadialMinimalField(4, flux=-1.0), np.array([0.9, -0.7, 1.1, 0.6])),
+            (ScherkField(), SCHERK_POINT),
+        ]
         h = 1e-5
-        for al in range(3):
-            e = np.zeros(3)
-            e[al] = h
-            fd_grad = (fld.jet(x + e, 2).grad - fld.jet(x - e, 2).grad) / (2 * h)
-            assert np.allclose(jet.hess[:, al], fd_grad, atol=1e-8)
-            fd_hess = (fld.jet(x + e, 2).hess - fld.jet(x - e, 2).hess) / (2 * h)
-            assert np.allclose(jet.third[:, :, al], fd_hess, atol=1e-7)
+        for fld, x in cases:
+            n = x.shape[0]
+            jet = fld.jet(x, 4)
+            for al in range(n):
+                e = np.zeros(n)
+                e[al] = h
+                up, down = fld.jet(x + e, 3), fld.jet(x - e, 3)
+                assert np.allclose(jet.hess[:, al], (up.grad - down.grad) / (2 * h), atol=1e-8)
+                assert np.allclose(jet.third[:, :, al], (up.hess - down.hess) / (2 * h), atol=1e-7)
+                assert np.allclose(jet.fourth[:, :, :, al], (up.third - down.third) / (2 * h),
+                                   atol=1e-6)
 
 
 class TestMasterIdentity:
@@ -53,34 +92,35 @@ class TestMasterIdentity:
         # psi is identically 1, so phi vanishes and both sides are zero
         cat = RadialMinimalField(2, flux=-1.0)
         res = minimal_master_identity_residual(cat, np.array([1.8, 2.4]), -0.5)
-        assert res < 1e-10
+        assert res < 1e-11
 
     def test_scherk_2d(self):
         res = minimal_master_identity_residual(ScherkField(), SCHERK_POINT, -0.5)
-        assert res < 1e-6
+        assert res < 1e-11
 
     def test_radial_3d_theta_zero(self):
         cat3 = RadialMinimalField(3, flux=-1.0)
         res = minimal_master_identity_residual(cat3, np.array([0.0, 0.0, 3.0]), 0.0)
-        assert res < 1e-6
+        assert res < 1e-11
 
     @pytest.mark.parametrize("theta", [-0.5, 0.0, 0.5, 1.0])
     def test_radial_3d_theta_family(self, theta):
         cat3 = RadialMinimalField(3, flux=-1.0)
         res = minimal_master_identity_residual(cat3, np.array([1.2, -0.7, 2.0]), theta)
-        assert res < 1e-6
+        assert res < 1e-11
 
     def test_radial_4d(self):
         cat4 = RadialMinimalField(4, flux=-1.0)
         res = minimal_master_identity_residual(cat4, np.array([0.0, 0.0, 0.0, 2.0]), 0.5)
-        assert res < 1e-6
+        assert res < 1e-11
 
-    def test_fd_order_at_least_four_over_a_decade(self):
-        sch = ScherkField()
-        coarse = minimal_master_identity_residual(sch, SCHERK_POINT, -0.5, fd_step=0.1)
-        fine = minimal_master_identity_residual(sch, SCHERK_POINT, -0.5, fd_step=0.01)
-        order = math.log(coarse / fine) / math.log(10.0)
-        assert order >= 4.0
+    @pytest.mark.parametrize("index", [(0, 0, 0, 0), (0, 0, 0)], ids=["u_1111", "u_111"])
+    def test_perturbed_scherk_fails_the_gate(self, index):
+        # negative control: u_1111 or u_111 off by +1 on a jet that still passes
+        # the minimality gate
+        supplier = PerturbedScherk(index)
+        assert abs(minimal_equation_residual(supplier.jet(SCHERK_POINT, 2))) < 1e-12
+        assert minimal_master_identity_residual(supplier, SCHERK_POINT, -0.5) > MASTER_TOL
 
     def test_rejects_non_minimal_jet(self):
         sphere = SphereDistanceField(3)  # distance cone is not minimal
@@ -98,43 +138,23 @@ class Test2DSpecialization:
     def test_mpn2ok_form(self):
         """For theta = -1/2 in 2D the identity collapses to
         F^{ab} phi_ab = -(1+u_2^2) phi_1^2 - phi_2^2."""
-        from levelcurv.geometry import TestFunctionSpec, align_frame, rotate_jet
-        from levelcurv.identities import _FD_OFFSETS, curvature_entries_float, fd6_first, fd6_second
-
-        sch = ScherkField()
-        spec = TestFunctionSpec.minimal_theta(-0.5)
-        p = SCHERK_POINT
-        frame = align_frame(sch.jet(p, 2))
-        rot = frame.rotation
-        un = frame.aligned_jet.grad[-1]
-
-        def phi_at(y):
-            j = rotate_jet(sch.jet(p + rot.T @ y, 2), rot)
-            a = curvature_entries_float(j)
-            t = float(j.grad @ j.grad)
-            return spec.rho(t) + math.log(a[0, 0])
-
-        h = 0.005
-        phi1 = np.zeros(2)
-        phi2 = np.zeros(2)
-        for axis in range(2):
-            vals = np.array([phi_at(off * h * np.eye(2)[axis]) for off in _FD_OFFSETS])
-            phi1[axis] = fd6_first(vals, h)
-            phi2[axis] = fd6_second(vals, h)
+        aligned, phi = _aligned_phi(ScherkField(), SCHERK_POINT)
+        un = aligned.grad[-1]
+        phi1, phi2 = phi.val.der, phi.der.der
         lhs = (1.0 + un * un) * phi2[0] + phi2[1]
         rhs = -(1.0 + un * un) * phi1[0] ** 2 - phi1[1] ** 2
-        assert lhs == pytest.approx(rhs, abs=1e-7)
+        assert lhs == pytest.approx(rhs, rel=0, abs=1e-11)
 
 
 class TestLaplaceBeltramiPsi:
     def test_catenoid_residual_vanishes(self):
         cat = RadialMinimalField(2, flux=-1.0)
         pts = [np.array([c * np.cos(a), c * np.sin(a)]) for c in (2.2, 3.4) for a in (0.3, 2.1)]
-        assert lb_psi_residual_2d(cat, pts) < 1e-10
+        assert lb_psi_residual_2d(cat, pts) < 1e-11
 
     def test_scherk_residual_small(self):
         pts = [SCHERK_POINT, np.array([0.2, 0.8]), np.array([0.5, 1.0])]
-        assert lb_psi_residual_2d(ScherkField(), pts) < 1e-6
+        assert lb_psi_residual_2d(ScherkField(), pts) < 1e-11
 
     def test_negative_control_wrong_weight(self):
         # theta = 0 makes psi = k, which is not harmonic on Scherk's surface
@@ -148,32 +168,20 @@ class TestLaplaceBeltramiPsi:
             lb_psi_residual_2d(SphereDistanceField(2), [np.array([2.2, 0.3])])
 
 
-class TestPhiJet:
+class TestPhiSecondOrder:
     def test_catenoid_phi_vanishes_identically(self):
-        from levelcurv.geometry import TestFunctionSpec
-        from levelcurv.identities import phi_jet_fd
+        _, phi = _aligned_phi(RadialMinimalField(2, flux=-1.0), np.array([1.8, 2.4]))
+        assert abs(phi.val.val[0]) < 1e-13
+        assert np.max(np.abs(phi.val.der)) < 1e-13
+        assert np.max(np.abs(phi.der.der)) < 1e-13
 
-        cat = RadialMinimalField(2, flux=-1.0)
-        pj = phi_jet_fd(cat, np.array([1.8, 2.4]), TestFunctionSpec.minimal_theta(-0.5))
-        assert abs(pj.phi) < 1e-12
-        assert np.max(np.abs(pj.grad_phi)) < 1e-10
-        assert np.max(np.abs(pj.hess_phi)) < 1e-8
-
-    def test_hessian_symmetric_and_gradient_matches_identity(self):
-        from levelcurv.geometry import TestFunctionSpec, align_frame, rotate_jet
-        from levelcurv.identities import curvature_derivatives, curvature_entries_float, phi_jet_fd
-
-        spec = TestFunctionSpec.minimal_theta(-0.5)
-        sch = ScherkField()
-        pj = phi_jet_fd(sch, SCHERK_POINT, spec, fd_step=5e-3)
-        assert np.array_equal(pj.hess_phi, pj.hess_phi.T)
-        # grad phi from the FD jet must match the contraction identity
-        frame = align_frame(sch.jet(SCHERK_POINT, 2))
-        aj = rotate_jet(sch.jet(SCHERK_POINT, 3), frame.rotation)
-        a0 = curvature_entries_float(aj)
-        t0 = aj.grad_norm**2
-        a_k = curvature_derivatives(aj).a_k
-        for axis, a_der in enumerate(a_k):
-            t_a = 2.0 * float(aj.grad @ aj.hess[:, axis])
-            expected = float(np.sum(np.linalg.inv(a0) * a_der)) + spec.rho_prime(t0) * t_a
-            assert pj.grad_phi[axis] == pytest.approx(expected, abs=1e-9)
+    def test_gradient_matches_jacobi_contraction(self):
+        # phi_a = sum a^{ij} a_ij,a + rho'(t) t_a, the right side from the order-3 engine
+        aligned, phi = _aligned_phi(ScherkField(), SCHERK_POINT)
+        a0_inv = np.linalg.inv(curvature_entries_float(aligned))
+        t0 = aligned.grad_norm**2
+        for axis, a_der in enumerate(curvature_derivatives(aligned).a_k):
+            t_a = 2.0 * float(aligned.grad @ aligned.hess[:, axis])
+            expected = float(np.sum(a0_inv * a_der)) + THETA_HALF.rho_prime(t0) * t_a
+            assert phi.val.der[axis] == pytest.approx(expected, rel=0, abs=1e-13)
+            assert phi.der.val[axis] == pytest.approx(expected, rel=0, abs=1e-13)
