@@ -1,14 +1,13 @@
 """Curvature of convex level sets: solvers, identity checks, boundary-extremum verdicts."""
 
 from .checks import (
-    CheckReport,
-    CorollaryBound,
     check_extremum_on_boundary,
     check_gradient_monotonicity,
     check_harmonic_psi_2d,
     convergence_study,
     corollary_bound_minimal,
     corollary_bound_poisson,
+    report_entry,
 )
 from .errors import (
     ConfigError,

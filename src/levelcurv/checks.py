@@ -16,13 +16,12 @@ the stencil jets once more, reads the fixed band 1/4 <= s <= 3/4 instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import HypothesisViolated, TooCloseToBoundary, TooCoarse
 from .geometry import GRAD_FLOOR, TestFunctionSpec, level_curve_curvature_2d
-from .identities import lb_psi_residual_2d
 from .rhs import admissibility_check, zero_rhs
 from .ring2d import (
     Circle,
@@ -42,62 +41,14 @@ MIN_INTERIOR_LAYERS = 8
 EXTREMUM_TIE_ULPS = 64
 
 
-@dataclass
-class CheckReport:
-    """Outcome of one boundary-extremum / monotonicity / harmonicity check."""
+def report_entry(name: str, margin: float, tolerance: float, passed: bool, **details) -> dict:
+    """The report entry of one check: its verdict, margin and tolerance, then its details.
 
-    name: str
-    interior_extremum: float
-    interior_location: tuple
-    boundary_extremum: float
-    boundary_location: tuple
-    margin: float
-    tolerance: float
-    passed: bool
-    grid_h: float
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "interior_extremum": self.interior_extremum,
-            "interior_location": list(self.interior_location),
-            "boundary_extremum": self.boundary_extremum,
-            "boundary_location": list(self.boundary_location),
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "pass": self.passed,
-            "grid_h": self.grid_h,
-            "notes": list(self.notes),
-        }
-
-
-@dataclass
-class CorollaryBound:
-    """The curvature lower bound of the convex-ring corollaries."""
-
-    name: str
-    min_k_interior: float
-    min_k_boundary: float
-    grad_min_outer: float
-    grad_max_inner: float
-    bound_value: float
-    passed: bool
-    tolerance: float
-    notes: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "min_K_interior": self.min_k_interior,
-            "min_K_boundary": self.min_k_boundary,
-            "grad_min_outer": self.grad_min_outer,
-            "grad_max_inner": self.grad_max_inner,
-            "bound_value": self.bound_value,
-            "pass": self.passed,
-            "tolerance": self.tolerance,
-            "notes": list(self.notes),
-        }
+    Every check of the package returns one, and a report lists them as they
+    are; ``passed`` is computed by the check, each of which states its rule.
+    """
+    return {"name": name, "margin": float(margin), "tolerance": float(tolerance),
+            "pass": bool(passed), **details}
 
 
 # ---------------------------------------------------------------------------
@@ -257,26 +208,27 @@ def check_extremum_on_boundary(
     which: str = "min",
     c_tol: float | None = None,
     tol_abs: float | None = None,
-) -> CheckReport:
+) -> dict:
     """Does psi attain its min (and/or max) on the boundary?
 
-    which is "min", "max" or "both"; for "both" the report, extrema and
+    which is "min", "max" or "both"; for "both" the entry, extrema and
     locations included, is the side with the worse margin (min on a tie).
-    Tolerance is c_tol * h^2 with c_tol defaulting to 50 * max|psi|; tol_abs
-    overrides it outright (used where a profile is known in closed form and
-    discretization error does not scale with h^2).
+    Tolerance is c_tol * h^2 with c_tol defaulting to 50 * max|psi|, or
+    tol_abs where a profile is known in closed form and discretization error
+    does not scale with h^2; at most one of the two may be given.
     """
     if which not in ("min", "max", "both"):
         raise ValueError("which must be 'min', 'max' or 'both'")
+    if c_tol is not None and tol_abs is not None:
+        raise ValueError("give c_tol or tol_abs, not both")
     fields = _gated_fields(solution)
     fields.require_strict_convexity("a boundary-extremum claim")
     psi = fields.psi(spec)
 
     h = solution.h
-    scale = float(np.max(np.abs(psi)))
-    tol = (50.0 * scale if c_tol is None else c_tol) * h * h
-    if tol_abs is not None:
-        tol = tol_abs
+    tol = tol_abs
+    if tol is None:
+        tol = (50.0 * float(np.max(np.abs(psi))) if c_tol is None else c_tol) * h * h
     notes = list(fields.notes)
 
     def compare(pick):
@@ -296,18 +248,10 @@ def check_extremum_on_boundary(
             notes.append(f"{nm}-margin {r[4]:.3e}")
     # min() keeps the first of equal margins, and "min" is inserted first
     i_val, i_loc, b_val, b_loc, margin = min(reports.values(), key=lambda r: r[4])
-    return CheckReport(
-        name=f"extremum-{which}:{spec.describe()}",
-        interior_extremum=i_val,
-        interior_location=i_loc,
-        boundary_extremum=b_val,
-        boundary_location=b_loc,
-        margin=float(margin),
-        tolerance=float(tol),
-        passed=bool(margin >= -tol),
-        grid_h=h,
-        notes=notes,
-    )
+    return report_entry(
+        f"extremum-{which}:{spec.describe()}", margin, tol, margin >= -tol,
+        interior_extremum=i_val, interior_location=list(i_loc),
+        boundary_extremum=b_val, boundary_location=list(b_loc), grid_h=h, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -332,80 +276,64 @@ def _require_semilinear_ring(solution: RingSolution, equation_text: str):
         raise HypothesisViolated(f"f fails the corollary hypotheses: {flags.as_dict()}")
 
 
-def _corollary_inputs(fields: _Fields) -> tuple:
-    """(min interior K, min boundary K, min outer |grad u|, max inner |grad u|)."""
-    return (float(np.min(fields.k[fields.interior])), float(np.min(fields.k[fields.boundary])),
-            float(np.min(fields.gnorm[fields.outer])), float(np.max(fields.gnorm[fields.inner])))
+def _corollary_entry(solution: RingSolution, name: str, ratio, tolerance, notes=()) -> dict:
+    """The entry of a corollary: interior min K against its lower bound.
+
+    bound = ratio(min_outer |grad u|, max_inner |grad u|) * min_boundary K, and
+    ``tolerance`` maps min_boundary K to the slack the verdict allows:
+    pass <=> min_K_interior >= bound - tolerance; margin = min_K_interior - bound.
+    """
+    fields = _gated_fields(solution)
+    fields.require_strict_convexity(f"the corollary bound {name}")
+    min_k_interior = float(np.min(fields.k[fields.interior]))
+    min_k_boundary = float(np.min(fields.k[fields.boundary]))
+    grad_min_outer = float(np.min(fields.gnorm[fields.outer]))
+    grad_max_inner = float(np.max(fields.gnorm[fields.inner]))
+    bound = float(ratio(grad_min_outer, grad_max_inner) * min_k_boundary)
+    tol = tolerance(min_k_boundary)
+    return report_entry(
+        name, min_k_interior - bound, tol, min_k_interior >= bound - tol,
+        min_K_interior=min_k_interior, min_K_boundary=min_k_boundary,
+        grad_min_outer=grad_min_outer, grad_max_inner=grad_max_inner, bound_value=bound,
+        notes=[*notes, *fields.notes])
 
 
-def corollary_bound_poisson(
-    solution: RingSolution, rel_tol: float = 1e-3
-) -> CorollaryBound:
+def corollary_bound_poisson(solution: RingSolution, rel_tol: float = 1e-3) -> dict:
     """min K >= (min_outer |grad u| / max_inner |grad u|)^2 * min_boundary K.
 
     Requires a semilinear solution of the convex-ring problem (0 outer /
     1 inner) whose f is sampled nonnegative, nondecreasing in u, with f(0)=0.
+    The tolerance is rel_tol * min_boundary K.
     """
     _require_semilinear_ring(solution, "the quadratic-ratio bound is for Delta u = f(u)")
-    fields = _gated_fields(solution)
-    fields.require_strict_convexity("the Poisson corollary bound")
-    min_k_interior, min_k_boundary, grad_min_outer, grad_max_inner = _corollary_inputs(fields)
-    bound = (grad_min_outer / grad_max_inner) ** 2 * min_k_boundary
-    tol = rel_tol * min_k_boundary
-    return CorollaryBound(
-        name="poisson-ring-quadratic-ratio",
-        min_k_interior=min_k_interior,
-        min_k_boundary=min_k_boundary,
-        grad_min_outer=grad_min_outer,
-        grad_max_inner=grad_max_inner,
-        bound_value=float(bound),
-        passed=bool(min_k_interior >= bound - tol),
-        tolerance=float(tol),
-        notes=["flags sampled", *fields.notes],
-    )
+    return _corollary_entry(solution, "poisson-ring-quadratic-ratio",
+                            lambda lo, hi: (lo / hi) ** 2, lambda k: rel_tol * k,
+                            notes=["flags sampled"])
 
 
-def corollary_bound_minimal(solution: RingSolution, tol: float = 1e-6) -> CorollaryBound:
+def corollary_bound_minimal(solution: RingSolution, tol: float = 1e-6) -> dict:
     """Minimal-surface ring bound with the sqrt(1+|grad u|^2) factors (n >= 3)."""
     if solution.equation != "minimal":
         raise HypothesisViolated("minimal-surface bound needs a minimal solution")
     if solution.kind != "radial" or solution.n < 3:
         raise HypothesisViolated("the bound is stated for n >= 3 (radial rings here)")
-    fields = _gated_fields(solution)
-    fields.require_strict_convexity("the minimal corollary bound")
-    min_k_interior, min_k_boundary, grad_min_outer, grad_max_inner = _corollary_inputs(fields)
-    bound = (
-        (grad_min_outer / grad_max_inner)
-        * math.sqrt(1.0 + grad_min_outer**2)
-        / math.sqrt(1.0 + grad_max_inner**2)
-        * min_k_boundary
-    )
-    return CorollaryBound(
-        name="minimal-ring-sqrt-ratio",
-        min_k_interior=min_k_interior,
-        min_k_boundary=min_k_boundary,
-        grad_min_outer=grad_min_outer,
-        grad_max_inner=grad_max_inner,
-        bound_value=float(bound),
-        passed=bool(min_k_interior >= bound - tol),
-        tolerance=float(tol),
-        notes=list(fields.notes),
-    )
+    return _corollary_entry(
+        solution, "minimal-ring-sqrt-ratio",
+        lambda lo, hi: lo / hi * math.sqrt(1.0 + lo**2) / math.sqrt(1.0 + hi**2),
+        lambda k: tol)
 
 
 # ---------------------------------------------------------------------------
 # gradient monotonicity (the convex-ring gradient lemma)
 # ---------------------------------------------------------------------------
 
-def check_gradient_monotonicity(
-    solution: RingSolution, c_tol: float | None = None
-) -> CheckReport:
+def check_gradient_monotonicity(solution: RingSolution, c_tol: float | None = None) -> dict:
     """grad(|grad u|^2) . grad u > 0, with |grad u| extrema on the stated sides.
 
     For the convex-ring semilinear problem the norm of the gradient must
     increase along grad u, so its minimum sits on the outer boundary and its
     maximum on the inner one.  Each of these three sub-margins has its own
-    tolerance; the report carries the one with the least slack.
+    tolerance; the entry carries the one with the least slack.
     """
     _require_semilinear_ring(solution, "gradient monotonicity is stated for Delta u = f(u)")
     fields = _gated_fields(solution)
@@ -425,18 +353,9 @@ def check_gradient_monotonicity(
     notes = ["flags sampled", f"min directional derivative {d_min:.6g}",
              f"interior min|grad| {min_int:.6g} vs outer {min_outer:.6g}",
              f"interior max|grad| {max_int:.6g} vs inner {max_inner:.6g}"]
-    return CheckReport(
-        name="gradient-monotonicity",
-        interior_extremum=d_min,
-        interior_location=loc,
-        boundary_extremum=min_outer,
-        boundary_location=(),
-        margin=float(margin),
-        tolerance=float(tol),
-        passed=bool(margin >= -tol),
-        grid_h=h,
-        notes=notes,
-    )
+    return report_entry("gradient-monotonicity", margin, tol, margin >= -tol,
+                        interior_extremum=d_min, interior_location=list(loc),
+                        boundary_extremum=min_outer, boundary_location=[], grid_h=h, notes=notes)
 
 
 # ---------------------------------------------------------------------------
@@ -464,35 +383,16 @@ def _discrete_lb_residual(solution: RingSolution, spec: TestFunctionSpec) -> flo
     return float(np.max(np.abs(lb)))
 
 
-def check_harmonic_psi_2d(source, points=None, tol: float = 1e-6) -> CheckReport:
+def check_harmonic_psi_2d(solutions) -> dict:
     """psi = (t/(1+t))^(-1/2) k is Laplace-Beltrami harmonic on 2D minimal graphs.
 
-    source may be a closed-form supplier (requires sample points; pass when
-    the residual is below tol) or a list of >= 2 RingSolutions on refined
-    grids.  A solution's residual is max |F^{ab} psi_ab| over the band
-    1/4 <= s <= 3/4, from its stencil jets; the check passes when it decays
-    at measured order >= 1.5.  Both paths enforce minimality: a non-minimal
-    supplier jet raises NotAMinimalJet, a non-minimal solution
-    HypothesisViolated.
+    solutions is a list of >= 2 minimal RingSolutions on refined grids (a
+    non-minimal one raises HypothesisViolated).  A solution's residual is
+    max |F^{ab} psi_ab| over the band 1/4 <= s <= 3/4, from its stencil jets;
+    the check passes when it decays at measured order >= 1.5.  On closed-form
+    suppliers identities.lb_psi_residual_2d gives the residual directly.
     """
-    if hasattr(source, "jet"):
-        if points is None:
-            raise ValueError("closed-form harmonicity check needs sample points")
-        residual = lb_psi_residual_2d(source, points)
-        return CheckReport(
-            name="harmonic-psi-2d:closed-form",
-            interior_extremum=residual,
-            interior_location=(),
-            boundary_extremum=0.0,
-            boundary_location=(),
-            margin=-residual,
-            tolerance=tol,
-            passed=bool(residual <= tol),
-            grid_h=0.0,
-            notes=[f"residual {residual:.3e} over {len(np.atleast_2d(points))} points"],
-        )
-
-    solutions = list(source)
+    solutions = list(solutions)
     if len(solutions) < 2:
         raise ValueError("refinement check needs at least two solutions")
     equations = sorted({s.equation for s in solutions} - {"minimal"})
@@ -508,19 +408,12 @@ def check_harmonic_psi_2d(source, points=None, tol: float = 1e-6) -> CheckReport
         for i in range(len(residuals) - 1)
     ]
     min_order = min(orders)
-    return CheckReport(
-        name="harmonic-psi-2d:discrete",
-        interior_extremum=residuals[-1],
-        interior_location=(),
-        boundary_extremum=0.0,
-        boundary_location=(),
-        margin=min_order - 1.5,
-        tolerance=0.0,
-        passed=bool(min_order >= 1.5),
-        grid_h=hs[-1],
+    return report_entry(
+        "harmonic-psi-2d:discrete", min_order - 1.5, 0.0, min_order >= 1.5,
+        interior_extremum=residuals[-1], interior_location=[], boundary_extremum=0.0,
+        boundary_location=[], grid_h=hs[-1],
         notes=[f"residuals {['%.3e' % r for r in residuals]}",
-               f"orders {['%.2f' % o for o in orders]}"],
-    )
+               f"orders {['%.2f' % o for o in orders]}"])
 
 
 # ---------------------------------------------------------------------------

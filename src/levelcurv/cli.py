@@ -23,6 +23,7 @@ from .checks import (
     convergence_study,
     corollary_bound_minimal,
     corollary_bound_poisson,
+    report_entry,
     solution_fields,
 )
 from .config import COMMANDS, RunConfig, apply_overrides, parse_config
@@ -51,13 +52,6 @@ LEMMA32_SLACK = 1e-9
 LEMMA32_EQUALITY = 1e-12
 # jet-verify fields drawn and checked per batch (about 3.4 KB each)
 JET_VERIFY_CHUNK = 1024
-
-
-def _check_entry(name: str, margin: float, tolerance: float, passed: bool, **extra) -> dict:
-    entry = {"name": name, "margin": float(margin), "tolerance": float(tolerance),
-             "pass": bool(passed)}
-    entry.update(extra)
-    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -135,17 +129,17 @@ def _run_check_theorem(cfg: RunConfig):
     for name in cfg.checks:
         if name == "harmonic-psi":
             family = [solve_problem(cfg, grid=g) for g in cfg.grids]
-            checks.append(check_harmonic_psi_2d(family).to_dict())
+            checks.append(check_harmonic_psi_2d(family))
             continue
         if sol is None:
             sol = solve_problem(cfg)
             solutions["solution"] = sol
         if name == "gradient-monotonicity":
-            rep = check_gradient_monotonicity(sol, c_tol=c_tol)
+            checks.append(check_gradient_monotonicity(sol, c_tol=c_tol))
+        elif tol_abs is not None:
+            checks.append(check_extremum_on_boundary(sol, cfg.spec, which=name, tol_abs=tol_abs))
         else:
-            rep = check_extremum_on_boundary(
-                sol, cfg.spec, which=name, c_tol=c_tol, tol_abs=tol_abs)
-        checks.append(rep.to_dict())
+            checks.append(check_extremum_on_boundary(sol, cfg.spec, which=name, c_tol=c_tol))
     meta = {"solver": _solver_meta(sol)} if sol is not None else {}
     return checks, meta, solutions
 
@@ -154,10 +148,10 @@ def _run_check_corollary(cfg: RunConfig):
     tols = cfg.tolerances
     sol = solve_problem(cfg)
     if cfg.problem.equation == "minimal":
-        bound = corollary_bound_minimal(sol, tol=tols.get("tol_abs", 1e-6))
+        entry = corollary_bound_minimal(sol, tol=tols.get("tol_abs", 1e-6))
     else:
-        bound = corollary_bound_poisson(sol, rel_tol=tols.get("corollary_rel", 1e-3))
-    return [bound.to_dict()], {"solver": _solver_meta(sol)}, {"solution": sol}
+        entry = corollary_bound_poisson(sol, rel_tol=tols.get("corollary_rel", 1e-3))
+    return [entry], {"solver": _solver_meta(sol)}, {"solution": sol}
 
 
 def _worst_identity_residuals(first_seed: int, n_fields: int, n: int, spec) -> tuple:
@@ -185,13 +179,13 @@ def _run_jet_verify(cfg: RunConfig):
     for n in cfg.options["dims"]:
         worst_cod, worst_uiia, worst_phi, admissible = _worst_identity_residuals(
             cfg.seed, n_fields, n, spec)
-        checks.append(_check_entry(
+        checks.append(report_entry(
             f"codazzi:n={n}", -worst_cod, CODAZZI_TOL, worst_cod < CODAZZI_TOL,
             residual=worst_cod, fields=n_fields))
-        checks.append(_check_entry(
+        checks.append(report_entry(
             f"uiia:n={n}", -worst_uiia, UIIA_TOL, worst_uiia < UIIA_TOL,
             residual=worst_uiia, fields=n_fields))
-        checks.append(_check_entry(
+        checks.append(report_entry(
             f"phi-gradient:n={n}", -worst_phi, PHI_GRAD_TOL, worst_phi < PHI_GRAD_TOL,
             residual=worst_phi, fields=admissible))
 
@@ -201,7 +195,7 @@ def _run_jet_verify(cfg: RunConfig):
             ("master:scherk-2d", ScherkField(), [0.4, 0.9], -0.5),
             ("master:radial-3d", RadialMinimalField(3, flux=-1.0), [0.0, 0.0, 3.0], 0.0)):
         res = minimal_master_identity_residual(supplier, np.array(point), theta)
-        checks.append(_check_entry(name, -res, MASTER_TOL, res < MASTER_TOL, residual=res))
+        checks.append(report_entry(name, -res, MASTER_TOL, res < MASTER_TOL, residual=res))
     return checks, {}, {}
 
 
@@ -211,14 +205,14 @@ def _run_lemma32(cfg: RunConfig):
         np.max(quadratic_max_oracle(inst) - lemma_quadratic_bound(inst).bound)
         for inst in random_quadratic_instances(np.random.default_rng(cfg.seed), instances)
     )
-    checks = [_check_entry("lemma32:random-suite", -worst, LEMMA32_SLACK,
+    checks = [report_entry("lemma32:random-suite", -worst, LEMMA32_SLACK,
                            worst <= LEMMA32_SLACK, excess=float(worst), instances=instances)]
     worked = QuadraticBoundInstance([0.0, 1.0], [1.0, 1.0], [[1.0], [1.0]], [[1.0], [1.0]])
     res = lemma_quadratic_bound(worked)
     gaps = np.abs(quadratic_max_oracle(worked) - res.bound)
     for name, gap, gamma, bound in zip(("lemma32:worked-free", "lemma32:worked-coupled"),
                                        gaps, res.gamma, res.bound):
-        checks.append(_check_entry(name, -gap, LEMMA32_EQUALITY, gap <= LEMMA32_EQUALITY,
+        checks.append(report_entry(name, -gap, LEMMA32_EQUALITY, gap <= LEMMA32_EQUALITY,
                                    gamma=float(gamma), bound=float(bound)))
     return checks, {}, {}
 

@@ -36,15 +36,19 @@ COMMANDS = (
 
 CHECK_NAMES = ("min", "max", "both", "gradient-monotonicity", "harmonic-psi")
 
-# the tolerance keys each command reads; any other non-null entry is a config error
+# the tolerance keys each command reads (check-theorem's depend on its checks, see
+# _tolerances); any other non-null entry is a config error
 TOLERANCE_KEYS = {
     "solve": {"solver_tol"},
     "curvature": {"solver_tol"},
-    "check-theorem": {"c_tol", "tol_abs", "solver_tol"},
     "check-corollary": {"tol_abs", "corollary_rel", "solver_tol"},
 }
+EXTREMUM_CHECKS = {"min", "max", "both"}
 
 OPTION_DEFAULTS = {"fields": 100, "dims": [2, 3], "instances": 200, "problem": "laplace-annulus"}
+# the option keys each command reads; any other key is a config error
+OPTION_KEYS = {"jet-verify": {"fields", "dims"}, "lemma32": {"instances"},
+               "convergence": {"problem"}}
 
 
 def _require_keys(node: dict, allowed: set, path: str):
@@ -186,9 +190,9 @@ def parse_config(raw: dict) -> RunConfig:
             raise ConfigError("grids: expected a list of [n_s, n_t] pairs")
         cfg.grids = [_pair(g, f"grids[{k}]", _integer) for k, g in enumerate(raw["grids"])]
     if "tolerances" in raw:
-        cfg.tolerances = _tolerances(raw["tolerances"], command)
+        cfg.tolerances = _tolerances(raw["tolerances"], command, cfg.checks)
     if "options" in raw:
-        cfg.options = _options(raw["options"])
+        cfg.options = _options(raw["options"], command)
     if raw.get("spec") is not None:
         cfg.spec = _spec(raw["spec"])
     psi = cfg.command == "check-theorem" and "harmonic-psi" in cfg.checks
@@ -210,7 +214,7 @@ def _check_command_requirements(cfg: RunConfig):
     if cfg.command == "check-theorem":
         if not cfg.checks:
             raise ConfigError("check-theorem requires a checks list")
-        if cfg.spec is None and set(cfg.checks) & {"min", "max", "both"}:
+        if cfg.spec is None and EXTREMUM_CHECKS.intersection(cfg.checks):
             raise ConfigError("extremum checks need a spec block")
         if "harmonic-psi" in cfg.checks:
             if len(cfg.grids) < 2:
@@ -224,7 +228,7 @@ def _check_command_requirements(cfg: RunConfig):
             raise ConfigError(f"grids: need n_s >= {MIN_GRID[0]}, n_t >= {MIN_GRID[1]}")
 
 
-def _tolerances(node, command: str) -> dict:
+def _tolerances(node, command: str, checks: list) -> dict:
     """Tolerance overrides; a null entry means the default, and so does a missing one."""
     _object(node, {"c_tol", "tol_abs", "solver_tol", "corollary_rel"}, "tolerances")
     out = {}
@@ -233,14 +237,28 @@ def _tolerances(node, command: str) -> dict:
             if _finite(v, f"tolerances.{k}") < 0:
                 raise ConfigError(f"tolerances.{k} must be nonnegative")
             out[k] = v
-    unread = sorted(set(out) - TOLERANCE_KEYS.get(command, set()))
+    read, reader = TOLERANCE_KEYS.get(command, set()), command
+    if command == "check-theorem":
+        # tol_abs is read by the extremum checks; c_tol by gradient-monotonicity,
+        # and by the extremum checks when tol_abs is absent
+        extremum = bool(EXTREMUM_CHECKS.intersection(checks))
+        read = {"solver_tol", "tol_abs"} if extremum else {"solver_tol"}
+        if "gradient-monotonicity" in checks or (extremum and "tol_abs" not in out):
+            read.add("c_tol")
+        reader = f"check-theorem with checks {checks}"
+        reader += " and tol_abs" if extremum and "tol_abs" in out else ""
+    unread = sorted(set(out) - read)
     if unread:
-        raise ConfigError(f"tolerances {unread} are not read by {command}")
+        raise ConfigError(f"tolerances {unread} are not read by {reader}")
     return out
 
 
-def _options(node) -> dict:
-    opts = dict(OPTION_DEFAULTS, **_object(node, set(OPTION_DEFAULTS), "options"))
+def _options(node, command: str) -> dict:
+    _object(node, set(OPTION_DEFAULTS), "options")
+    unread = sorted(set(node) - OPTION_KEYS.get(command, set()))
+    if unread:
+        raise ConfigError(f"options {unread} are not read by {command}")
+    opts = dict(OPTION_DEFAULTS, **node)
     for key in ("fields", "instances"):
         if _integer(opts[key], f"options.{key}") < 1:
             raise ConfigError(f"options.{key} must be at least 1")

@@ -129,9 +129,6 @@ class SphereDistanceField:
         return self.sign * float(np.linalg.norm(x - center))
 
 
-def catenoid_value(r: float, n: int = 2, anchor: float | None = None) -> float:
-    """u(r) = integral of 1/sqrt(s^(2(n-1)) - 1); closed form arccosh(r) for n = 2."""
-    if n == 2:
-        v = math.acosh(r)
-        return v - (math.acosh(anchor) if anchor is not None else 0.0)
-    raise ValueError("closed-form catenoid value only available for n = 2")
+def catenoid_value(r: float, anchor: float | None = None) -> float:
+    """u(r) = arccosh(r), the 2D catenoid profile, less arccosh(anchor) when an anchor is given."""
+    return math.acosh(r) - (math.acosh(anchor) if anchor is not None else 0.0)

@@ -26,6 +26,7 @@ from levelcurv.geometry import TestFunctionSpec, catenoid_oracle, curvature_matr
 from levelcurv.identities import (
     QuadraticBoundInstance,
     codazzi_residual,
+    lb_psi_residual_2d,
     lemma_quadratic_bound,
     minimal_master_identity_residual,
     phi_gradient_identity_residual,
@@ -139,9 +140,9 @@ def test_criterion_02_minimal_2d_min_and_max():
         shortfalls = {}
         for grid, sol in family.items():
             rep = check_extremum_on_boundary(sol, THETA_HALF, which="both")
-            ok &= rep.passed
-            shortfalls[grid] = max(0.0, -rep.margin)
-            details.append(f"{label}@{grid[0]}x{grid[1]} margin={rep.margin:.2e} tol={rep.tolerance:.2e}")
+            ok &= rep["pass"]
+            shortfalls[grid] = max(0.0, -rep["margin"])
+            details.append(f"{label}@{grid[0]}x{grid[1]} margin={rep['margin']:.2e} tol={rep['tolerance']:.2e}")
         coarse, fine = shortfalls[(128, 256)], shortfalls[(256, 512)]
         shrinks = fine <= 0.55 * coarse + 1e-14
         ok &= shrinks
@@ -159,8 +160,8 @@ def test_criterion_03_radial_theta_sweep():
         rep = check_extremum_on_boundary(
             sol, TestFunctionSpec.minimal_theta(theta), which="min", tol_abs=1e-6
         )
-        ok &= rep.passed
-        details.append(f"theta={theta:g} margin={rep.margin:.2e}")
+        ok &= rep["pass"]
+        details.append(f"theta={theta:g} margin={rep['margin']:.2e}")
     _verdict("criterion-3 radial theta sweep (n=3)", ok, "; ".join(details), t0, cap=10.0)
 
 
@@ -174,15 +175,15 @@ def test_criterion_04_semilinear_cases():
     for label in ("linear-u", "laplace"):
         sol = semilinear_rings[label]
         rep = check_extremum_on_boundary(sol, TestFunctionSpec.poisson_power(-2), which="min")
-        ok &= rep.passed
-        details.append(f"(ia) {label} margin={rep.margin:.2e}")
+        ok &= rep["pass"]
+        details.append(f"(ia) {label} margin={rep['margin']:.2e}")
 
     # (ib): f = 0 (f_u <= 0 holds) with |grad u|^(n-1)
     rep = check_extremum_on_boundary(
         semilinear_rings["laplace"], TestFunctionSpec.poisson_power(1), which="min"
     )
-    ok &= rep.passed
-    details.append(f"(ib) laplace margin={rep.margin:.2e}")
+    ok &= rep["pass"]
+    details.append(f"(ib) laplace margin={rep['margin']:.2e}")
 
     # (ii): f(x) = (2 + x1)^-2, t^3 f jointly convex
     sol = semilinear_rings["inverse-square"]
@@ -193,8 +194,8 @@ def test_criterion_04_semilinear_cases():
     ok &= flags.nonnegative and flags.f_of_x_only and flags.t3f_convex
     details.append(f"(ii) flags nonneg={flags.nonnegative} t3f={flags.t3f_convex}")
     rep = check_extremum_on_boundary(sol, TestFunctionSpec.poisson_power(1), which="min")
-    ok &= rep.passed
-    details.append(f"(ii) inverse-square margin={rep.margin:.2e}")
+    ok &= rep["pass"]
+    details.append(f"(ii) inverse-square margin={rep['margin']:.2e}")
 
     _verdict("criterion-4 semilinear boundary minima", ok, "; ".join(details), t0, cap=180.0)
 
@@ -214,14 +215,14 @@ def test_criterion_05_corollary_bounds():
     )
     for label, sol in (("harmonic-annulus", annulus), ("linear-u", semilinear_rings["linear-u"])):
         cb = corollary_bound_poisson(sol, rel_tol=1e-3)
-        ok &= cb.passed
-        details.append(f"{label}: minK={cb.min_k_interior:.4f} >= bound={cb.bound_value:.4f}")
+        ok &= cb["pass"]
+        details.append(f"{label}: minK={cb['min_K_interior']:.4f} >= bound={cb['bound_value']:.4f}")
 
     for n in (3, 4):
         sol = _track(solve_minimal_radial(n, 2.0, 4.0, 1.0, 0.0, samples=301))
         cb = corollary_bound_minimal(sol, tol=1e-6)
-        ok &= cb.passed
-        details.append(f"minimal n={n}: margin={cb.min_k_interior - cb.bound_value:.2e}")
+        ok &= cb["pass"]
+        details.append(f"minimal n={n}: margin={cb['margin']:.2e}")
 
     _verdict("criterion-5 corollary bounds", ok, "; ".join(details), t0, cap=30.0)
 
@@ -241,8 +242,8 @@ def test_criterion_06_gradient_monotonicity():
     ]
     for label, sol in cases:
         rep = check_gradient_monotonicity(sol)
-        ok &= rep.passed and rep.interior_extremum > 0.0
-        details.append(f"{label}: min directional derivative {rep.interior_extremum:.3e}")
+        ok &= rep["pass"] and rep["interior_extremum"] > 0.0
+        details.append(f"{label}: min directional derivative {rep['interior_extremum']:.3e}")
     _verdict("criterion-6 gradient monotonicity", ok, "; ".join(details), t0, cap=30.0)
 
 
@@ -304,21 +305,21 @@ def test_criterion_09_psi_harmonicity():
     details = []
     cat = RadialMinimalField(2, flux=-1.0)
     pts = [np.array([c * math.cos(a), c * math.sin(a)]) for c in (2.2, 3.0, 3.8) for a in (0.3, 1.4, 4.0)]
-    rep_cat = check_harmonic_psi_2d(cat, pts, tol=1e-11)
-    details.append(f"catenoid residual={rep_cat.interior_extremum:.1e} (<1e-11)")
+    r_cat = lb_psi_residual_2d(cat, pts)
+    details.append(f"catenoid residual={r_cat:.1e} (<1e-11)")
 
     sch_pts = [np.array([0.4, 0.9]), np.array([0.2, 0.8]), np.array([0.5, 1.0])]
-    rep_sch = check_harmonic_psi_2d(ScherkField(), sch_pts, tol=1e-11)
-    details.append(f"scherk residual={rep_sch.interior_extremum:.1e} (<1e-11)")
+    r_sch = lb_psi_residual_2d(ScherkField(), sch_pts)
+    details.append(f"scherk residual={r_sch:.1e} (<1e-11)")
 
     sols = []
     for ns, nt in [(25, 48), (49, 96), (97, 192)]:
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
         sols.append(_track(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt))))
     rep_disc = check_harmonic_psi_2d(sols)
-    details.append(f"discrete orders {rep_disc.notes[-1]} (>=1.5)")
+    details.append(f"discrete orders {rep_disc['notes'][-1]} (>=1.5)")
 
-    ok = rep_cat.passed and rep_sch.passed and rep_disc.passed
+    ok = r_cat < 1e-11 and r_sch < 1e-11 and rep_disc["pass"]
     _verdict("criterion-9 psi harmonicity", ok, "; ".join(details), t0, cap=120.0)
 
 

@@ -6,7 +6,6 @@ import pytest
 
 import levelcurv.checks as checks
 from levelcurv.checks import (
-    CheckReport,
     check_extremum_on_boundary,
     check_gradient_monotonicity,
     check_harmonic_psi_2d,
@@ -15,9 +14,12 @@ from levelcurv.checks import (
     corollary_bound_poisson,
     solution_fields,
 )
+from levelcurv.cli import run
+from levelcurv.config import parse_config
 from levelcurv.errors import HypothesisViolated, NotAMinimalJet, TooCoarse
 from levelcurv.fields import RadialMinimalField, SphereDistanceField, catenoid_value
 from levelcurv.geometry import TestFunctionSpec
+from levelcurv.identities import lb_psi_residual_2d
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import linear_u_rhs, zero_rhs
 from levelcurv.ring2d import (
@@ -54,9 +56,9 @@ def radial_minimal_ring():
 class TestExtremumChecks:
     def test_catenoid_ring_min_and_max(self, catenoid_ring_2d):
         rep = check_extremum_on_boundary(catenoid_ring_2d, THETA_HALF, which="both")
-        assert rep.passed
+        assert rep["pass"]
         # psi is identically 1 on the catenoid: both margins are O(h^2) noise
-        assert abs(rep.margin) < rep.tolerance
+        assert abs(rep["margin"]) < rep["tolerance"]
 
     def test_both_reports_the_worse_side(self):
         # planting u + 0.3 sin(2 pi u)/(2 pi) on a minimal solution puts the
@@ -68,31 +70,31 @@ class TestExtremumChecks:
         both = check_extremum_on_boundary(planted, THETA_HALF, which="both")
         low = check_extremum_on_boundary(planted, THETA_HALF, which="min")
         high = check_extremum_on_boundary(planted, THETA_HALF, which="max")
-        assert low.margin > 0 > high.margin
-        assert both.margin == high.margin
-        assert (both.interior_extremum, both.boundary_extremum) == (
-            high.interior_extremum, high.boundary_extremum)
-        assert both.interior_extremum == pytest.approx(1.7075, abs=1e-4)
-        assert both.boundary_extremum == pytest.approx(1.5444, abs=1e-4)
-        assert both.interior_location == high.interior_location
-        assert both.boundary_location == high.boundary_location
+        assert low["margin"] > 0 > high["margin"]
+        assert both["margin"] == high["margin"]
+        assert (both["interior_extremum"], both["boundary_extremum"]) == (
+            high["interior_extremum"], high["boundary_extremum"])
+        assert both["interior_extremum"] == pytest.approx(1.7075, abs=1e-4)
+        assert both["boundary_extremum"] == pytest.approx(1.5444, abs=1e-4)
+        assert both["interior_location"] == high["interior_location"]
+        assert both["boundary_location"] == high["boundary_location"]
 
     def test_harmonic_annulus_power_minus2(self, harmonic_annulus_2d):
         # psi = |grad u|^-2 K = r / C^2 grows outward: min on the inner boundary
         rep = check_extremum_on_boundary(
             harmonic_annulus_2d, TestFunctionSpec.poisson_power(-2), which="min"
         )
-        assert rep.passed
-        assert rep.margin > 0
-        assert np.linalg.norm(rep.boundary_location) == pytest.approx(1.0, abs=0.02)
+        assert rep["pass"]
+        assert rep["margin"] > 0
+        assert np.linalg.norm(rep["boundary_location"]) == pytest.approx(1.0, abs=0.02)
 
     def test_harmonic_annulus_power_n_minus_1(self, harmonic_annulus_2d):
         # psi = |grad u| K = C / r^2 decays outward: min on the outer boundary
         rep = check_extremum_on_boundary(
             harmonic_annulus_2d, TestFunctionSpec.poisson_power(1), which="min"
         )
-        assert rep.passed
-        assert np.linalg.norm(rep.boundary_location) == pytest.approx(math.e, abs=0.05)
+        assert rep["pass"]
+        assert np.linalg.norm(rep["boundary_location"]) == pytest.approx(math.e, abs=0.05)
 
     @pytest.mark.parametrize("theta", [-0.5, 0.0, 0.5, 1.0])
     def test_radial_theta_family(self, radial_minimal_ring, theta):
@@ -100,7 +102,11 @@ class TestExtremumChecks:
             radial_minimal_ring, TestFunctionSpec.minimal_theta(theta),
             which="min", tol_abs=1e-6,
         )
-        assert rep.passed
+        assert rep["pass"]
+
+    def test_c_tol_and_tol_abs_are_exclusive(self, radial_minimal_ring):
+        with pytest.raises(ValueError, match="not both"):
+            check_extremum_on_boundary(radial_minimal_ring, THETA_HALF, c_tol=1.0, tol_abs=1e-6)
 
     def test_too_coarse_guard(self):
         sol = solve_minimal_radial(3, 2.0, 4.0, 1.0, 0.0, samples=11)
@@ -124,9 +130,9 @@ class TestExtremumChecks:
         )
         rep = check_extremum_on_boundary(sol, THETA_HALF, which="min")
         rep_f = check_extremum_on_boundary(flipped, THETA_HALF, which="min")
-        assert rep.passed == rep_f.passed
-        assert rep.margin == pytest.approx(rep_f.margin, abs=1e-12)
-        notes = set(rep.notes) ^ set(rep_f.notes)
+        assert rep["pass"] == rep_f["pass"]
+        assert rep["margin"] == pytest.approx(rep_f["margin"], abs=1e-12)
+        notes = set(rep["notes"]) ^ set(rep_f["notes"])
         assert "orientation flipped" in notes  # exactly one of the two flipped
 
     def test_tolerance_scaling_under_refinement(self):
@@ -137,8 +143,8 @@ class TestExtremumChecks:
             outer = np.full(nt, catenoid_value(4.0, anchor=2.0))
             sol = solve_minimal_ring2d(dom, outer, np.zeros(nt))
             rep = check_extremum_on_boundary(sol, THETA_HALF, which="both")
-            assert rep.passed
-            shortfalls.append(max(0.0, -rep.margin))
+            assert rep["pass"]
+            shortfalls.append(max(0.0, -rep["margin"]))
         if shortfalls[0] > 0:
             assert shortfalls[1] <= 0.55 * shortfalls[0]
 
@@ -146,21 +152,21 @@ class TestExtremumChecks:
 class TestCorollaryBounds:
     def test_harmonic_annulus_closed_form(self, harmonic_annulus_2d):
         cb = corollary_bound_poisson(harmonic_annulus_2d)
-        assert cb.passed
+        assert cb["pass"]
         # closed form: |grad u| = 1/r, K = 1/r on (1, e)
-        assert cb.grad_max_inner == pytest.approx(1.0, abs=0.01)
-        assert cb.grad_min_outer == pytest.approx(1.0 / math.e, abs=0.01)
-        assert cb.min_k_boundary == pytest.approx(1.0 / math.e, abs=0.01)
-        assert cb.bound_value == pytest.approx(
-            (cb.grad_min_outer / cb.grad_max_inner) ** 2 * cb.min_k_boundary, abs=1e-14
+        assert cb["grad_max_inner"] == pytest.approx(1.0, abs=0.01)
+        assert cb["grad_min_outer"] == pytest.approx(1.0 / math.e, abs=0.01)
+        assert cb["min_K_boundary"] == pytest.approx(1.0 / math.e, abs=0.01)
+        assert cb["bound_value"] == pytest.approx(
+            (cb["grad_min_outer"] / cb["grad_max_inner"]) ** 2 * cb["min_K_boundary"], abs=1e-14
         )
-        assert cb.min_k_interior >= cb.bound_value
+        assert cb["min_K_interior"] >= cb["bound_value"]
 
     def test_linear_u_ring(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
         sol = solve_semilinear_ring2d(dom, np.zeros(64), np.ones(64), linear_u_rhs(1.0))
         cb = corollary_bound_poisson(sol)
-        assert cb.passed
+        assert cb["pass"]
 
     def test_rejects_bad_rhs(self):
         from levelcurv.rhs import SemilinearRHS
@@ -185,15 +191,15 @@ class TestCorollaryBounds:
     def test_minimal_radial_bound(self, n):
         sol = solve_minimal_radial(n, 2.0, 4.0, 1.0, 0.0, samples=201)
         cb = corollary_bound_minimal(sol)
-        assert cb.passed
-        assert cb.min_k_interior >= cb.bound_value - 1e-6
+        assert cb["pass"]
+        assert cb["min_K_interior"] >= cb["bound_value"] - 1e-6
         expected = (
-            (cb.grad_min_outer / cb.grad_max_inner)
-            * math.sqrt(1 + cb.grad_min_outer**2)
-            / math.sqrt(1 + cb.grad_max_inner**2)
-            * cb.min_k_boundary
+            (cb["grad_min_outer"] / cb["grad_max_inner"])
+            * math.sqrt(1 + cb["grad_min_outer"]**2)
+            / math.sqrt(1 + cb["grad_max_inner"]**2)
+            * cb["min_K_boundary"]
         )
-        assert cb.bound_value == pytest.approx(expected, abs=1e-14)
+        assert cb["bound_value"] == pytest.approx(expected, abs=1e-14)
 
     def test_minimal_bound_rejects_n2(self):
         sol = solve_minimal_radial(2, 2.0, 4.0, 1.0, 0.0, samples=201)
@@ -204,13 +210,13 @@ class TestCorollaryBounds:
 class TestGradientMonotonicity:
     def test_harmonic_annulus(self, harmonic_annulus_2d):
         rep = check_gradient_monotonicity(harmonic_annulus_2d)
-        assert rep.passed
-        assert rep.interior_extremum > 0  # strict positivity of the derivative
+        assert rep["pass"]
+        assert rep["interior_extremum"] > 0  # strict positivity of the derivative
 
     def test_linear_u_radial(self):
         sol = solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(1.0), samples=201)
         rep = check_gradient_monotonicity(sol)
-        assert rep.passed
+        assert rep["pass"]
 
     def test_planted_reversed_gradient_fails(self):
         # u = (4 - |x|^2)/3 has 0/1 data, but |grad u| = 2r/3 is largest on the outer circle
@@ -221,8 +227,8 @@ class TestGradientMonotonicity:
                            h=grid.spacing(), rhs=zero_rhs(), domain=dom, coords=grid.x,
                            grid=grid)
         rep = check_gradient_monotonicity(sol)
-        assert not rep.passed
-        assert rep.margin < -rep.tolerance
+        assert not rep["pass"]
+        assert rep["margin"] < -rep["tolerance"]
 
     @pytest.mark.parametrize("c_tol", [None, 0.0])
     def test_verdict_is_every_sub_margin(self, c_tol):
@@ -233,12 +239,12 @@ class TestGradientMonotonicity:
         gtol = 50.0 * float(np.max(g)) * sol.h * sol.h
         tol = (50.0 * float(np.max(np.abs(fields.deriv[fields.interior]))) if c_tol is None
                else c_tol) * sol.h * sol.h
-        subs = [(rep.interior_extremum, tol),
+        subs = [(rep["interior_extremum"], tol),
                 (float(np.min(inner_rows) - g[fields.outer].min()), gtol),
                 (float(g[fields.inner].max() - np.max(inner_rows)), gtol)]
-        assert (rep.margin, rep.tolerance) in subs
-        assert rep.passed == all(m >= -t for m, t in subs)
-        assert rep.passed == (rep.margin >= -rep.tolerance)
+        assert (rep["margin"], rep["tolerance"]) in subs
+        assert rep["pass"] == all(m >= -t for m, t in subs)
+        assert rep["pass"] == (rep["margin"] >= -rep["tolerance"])
 
     def test_constant_data_guard(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
@@ -264,7 +270,7 @@ class TestFieldBundle:
         exact = abs(sol.flux) / math.sqrt(2.0**6 - sol.flux**2)
         fields = solution_fields(sol)
         assert fields.gnorm[fields.inner[0]] == pytest.approx(exact, rel=1e-12, abs=0.0)
-        assert corollary_bound_minimal(sol).grad_max_inner == pytest.approx(exact, rel=1e-12,
+        assert corollary_bound_minimal(sol)["grad_max_inner"] == pytest.approx(exact, rel=1e-12,
                                                                             abs=0.0)
 
     @pytest.mark.parametrize("sign", [1.0, -1.0])
@@ -310,16 +316,14 @@ class TestHarmonicPsi:
     def test_closed_form_catenoid(self):
         cat = RadialMinimalField(2, flux=-1.0)
         pts = [np.array([2.5, 0.4]), np.array([-1.8, 2.2])]
-        rep = check_harmonic_psi_2d(cat, pts)
-        assert rep.passed
-        assert rep.interior_extremum < 1e-11
+        assert lb_psi_residual_2d(cat, pts) < 1e-11
 
     def test_discrete_refinement(self, criterion9_family):
         rep = check_harmonic_psi_2d(criterion9_family)
-        assert rep.passed
+        assert rep["pass"]
         orders = _refinement_orders(criterion9_family, THETA_HALF)
         assert all(1.9 <= o <= 2.1 for o in orders)
-        assert rep.margin == pytest.approx(min(orders) - 1.5, rel=1e-12)
+        assert rep["margin"] == pytest.approx(min(orders) - 1.5, rel=1e-12)
 
     def test_wrong_weight_fails_refinement(self, criterion9_family):
         # psi = K (theta = 0) is not harmonic: its residual does not decay
@@ -328,7 +332,7 @@ class TestHarmonicPsi:
 
     def test_closed_form_rejects_non_minimal(self):
         with pytest.raises(NotAMinimalJet):
-            check_harmonic_psi_2d(SphereDistanceField(2), [np.array([2.2, 0.3])])
+            lb_psi_residual_2d(SphereDistanceField(2), [np.array([2.2, 0.3])])
 
     def test_discrete_rejects_non_minimal(self):
         sols = []
@@ -371,10 +375,22 @@ class TestConvergenceStudy:
 
 
 class TestReportInvariant:
-    def test_pass_iff_margin_within_tolerance(self):
-        rep = CheckReport(
-            name="x", interior_extremum=1.0, interior_location=(0.0,),
-            boundary_extremum=1.0, boundary_location=(0.0,),
-            margin=-2.0, tolerance=1.0, passed=False, grid_h=0.1,
-        )
-        assert rep.passed == (rep.margin >= -rep.tolerance)
+    def test_pass_iff_margin_within_tolerance(self, catenoid_ring_2d, harmonic_annulus_2d,
+                                              radial_minimal_ring, criterion9_family):
+        """Every entry of every check holds the same contract, whichever check built it."""
+        entries = [check_extremum_on_boundary(catenoid_ring_2d, THETA_HALF, which=which)
+                   for which in ("min", "max", "both")]
+        entries += [check_gradient_monotonicity(harmonic_annulus_2d),
+                    corollary_bound_poisson(harmonic_annulus_2d),
+                    corollary_bound_minimal(radial_minimal_ring),
+                    check_harmonic_psi_2d(criterion9_family)]
+        for cfg in ({"command": "jet-verify", "options": {"fields": 5, "dims": [2]}},
+                    {"command": "lemma32", "options": {"instances": 20}}):
+            entries += run(parse_config(cfg))[0]["checks"]
+        assert len(entries) == 7 + 6 + 3
+        for entry in entries:
+            assert type(entry["name"]) is str
+            assert type(entry["margin"]) is float and math.isfinite(entry["margin"]), entry
+            assert type(entry["tolerance"]) is float and math.isfinite(entry["tolerance"]), entry
+            assert type(entry["pass"]) is bool, entry
+            assert entry["pass"] == (entry["margin"] >= -entry["tolerance"]), entry

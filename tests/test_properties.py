@@ -201,8 +201,8 @@ VALID_CONFIGS = [
         "spec": {"kind": "poisson-power", "power": -2.0},
         "checks": ["min"],
         "tolerances": {"c_tol": 1.0},
-        "options": {"fields": 3},
     },
+    {"command": "jet-verify", "options": {"fields": 3, "dims": [2]}},
     {
         "command": "solve",
         "problem": {"equation": "minimal",

@@ -70,6 +70,8 @@ def _ring_with(**problem):
     return cfg
 
 
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
 # each must exit 2 as a config error, never escape main as an exception that
 # exits 1 and reads as a counterexample
 CONFIG_ERRORS = [
@@ -95,9 +97,14 @@ CONFIG_ERRORS = [
     pytest.param({**radial_config("check-theorem"), "checks": ["harmonic-psi"],
                   "grids": [[17, 32], [33, 64]]}, id="harmonic-psi-radial"),
     pytest.param(radial_config(b=1e308), id="radial-catenoid-overflow"),
+    pytest.param({"command": "lemma32", "options": {"dims": [4], "problem": "constant"}},
+                 id="lemma32-unread-options"),
+    pytest.param({**radial_config("solve"), "options": {"fields": 3}}, id="solve-unread-option"),
 ]
 
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+def _shipped(name):
+    return json.loads((CONFIG_DIR / f"{name}.json").read_text())
 
 
 class TestConfigValidation:
@@ -513,12 +520,37 @@ class TestExitCodes:
                      id="corollary-c_tol"),
         pytest.param({"command": "jet-verify", "tolerances": {"solver_tol": 1e-8}}, [],
                      id="jet-verify-solver_tol"),
+        pytest.param(_shipped("radial-sharpness"), ["--tol", "1e9"],
+                     id="sharpness-tol-flag-beside-tol_abs"),
+        pytest.param({**_shipped("psi-harmonicity"), "tolerances": {"c_tol": 2.0}}, [],
+                     id="harmonic-psi-c_tol"),
+        pytest.param({**_shipped("psi-harmonicity"), "tolerances": {"tol_abs": 1e-3}}, [],
+                     id="harmonic-psi-tol_abs"),
+        pytest.param({**minimal_ring_config(checks=["gradient-monotonicity"]),
+                      "tolerances": {"tol_abs": 1e-3}}, [], id="gradient-monotonicity-tol_abs"),
     ])
     def test_unread_tolerance_exit_two(self, cfg, flags, tmp_path, capsys):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
-        assert main([cfg["command"], "--config", str(path), "--quiet", *flags]) == 2
-        assert "not read by" in capsys.readouterr().err
+        out = tmp_path / "out" / "run"
+        argv = [cfg["command"], "--config", str(path), "--out", str(out), "--quiet", *flags]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not read by" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_c_tol_beside_tol_abs_is_read_by_gradient_monotonicity(self):
+        cfg = {**_ring_with(equation="semilinear", boundary={"outer": "constant:0",
+                                                             "inner": "constant:1"},
+                            rhs={"name": "linear-u", "scale": 1.0}),
+               "spec": {"kind": "poisson-power", "power": -2.0},
+               "checks": ["min", "gradient-monotonicity"],
+               "tolerances": {"c_tol": 0.0, "tol_abs": 1e-3}}
+        report, solutions = run(parse_config(cfg))
+        extremum, gradient = report["checks"]
+        assert extremum["tolerance"] == 1e-3
+        assert gradient == checks.check_gradient_monotonicity(solutions["solution"], c_tol=0.0)
+        assert gradient != checks.check_gradient_monotonicity(solutions["solution"])
 
     THEOREM = {"checks": ["min"], "spec": {"kind": "minimal-theta", "theta": -0.5}}
 
