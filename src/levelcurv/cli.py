@@ -126,10 +126,12 @@ def _run_check_theorem(cfg: RunConfig):
     checks = []
     solutions = {}
     sol = None
+    meta = {}
     for name in cfg.checks:
         if name == "harmonic-psi":
             family = [solve_problem(cfg, grid=g) for g in cfg.grids]
             checks.append(check_harmonic_psi_2d(family))
+            meta["solvers"] = [_solver_meta(s) for s in family]
             continue
         if sol is None:
             sol = solve_problem(cfg)
@@ -140,7 +142,8 @@ def _run_check_theorem(cfg: RunConfig):
             checks.append(check_extremum_on_boundary(sol, cfg.spec, which=name, tol_abs=tol_abs))
         else:
             checks.append(check_extremum_on_boundary(sol, cfg.spec, which=name, c_tol=c_tol))
-    meta = {"solver": _solver_meta(sol)} if sol is not None else {}
+    if sol is not None:
+        meta["solver"] = _solver_meta(sol)
     return checks, meta, solutions
 
 

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import zgttrf, zgttrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, gmres, splu
 
@@ -352,41 +353,41 @@ class _RingOperator:
 
 
 def _averaged_preconditioner(fields, ds: float, dt: float) -> LinearOperator | None:
-    """Inverse of the t-averaged Jacobian, or None when a Thomas pivot is not finite.
+    """Row-scaled, t-averaged inverse of the Jacobian, or None when it cannot be built.
 
-    With every coefficient averaged over t per s-row the operator commutes with
-    shifts in t, so each Fourier mode theta = k dt decouples into a tridiagonal
-    system in s (Hockney 1965).  It is applied as rfft in t, a Thomas sweep in
-    s vectorized over the modes (forward elimination done once here), irfft.
+    Each row is scaled by its stencil diagonal w = 2 m_ss/ds^2 + 2 m_tt/dt^2,
+    normalized by its mean over t per s-row, and the scaled coefficients are
+    averaged over t (a separable approximation in the sense of Concus & Golub
+    1973): P^{-1} r = A_avg(fields / w)^{-1} (r / w).  The averaged operator
+    commutes with shifts in t, so each Fourier mode theta = k dt decouples into
+    a tridiagonal system in s (Hockney 1965).  The modes are laid out one after
+    another as a single block-diagonal tridiagonal system, factored once here
+    by LAPACK ``zgttrf``; each application is rfft in t, one ``zgttrs``, irfft.
+    None when w is not positive and finite, a pivot is zero or a factor is not finite.
     """
-    m_ss, m_st, m_tt, m_s, m_t, d = (f[1:-1].mean(axis=1)[:, None] for f in fields)
     rows, nt = fields[0].shape[0] - 2, fields[0].shape[1]
-    theta = np.arange(nt // 2 + 1) * dt
-    sin = np.sin(theta)[None, :]
+    w = 2.0 * fields[0][1:-1] / ds**2 + 2.0 * fields[2][1:-1] / dt**2
+    if not (np.all(w > 0.0) and np.all(np.isfinite(w))):
+        return None
+    w /= w.mean(axis=1, keepdims=True)
+    m_ss, m_st, m_tt, m_s, m_t, d = ((f[1:-1] / w).mean(axis=1) for f in fields)
+    theta = np.arange(nt // 2 + 1)[:, None] * dt  # mode-major: (modes, rows)
+    sin = np.sin(theta)
     cross = 1j * m_st * sin / (2.0 * ds * dt)
     lower = m_ss / ds**2 - m_s / (2.0 * ds) - cross
     upper = m_ss / ds**2 + m_s / (2.0 * ds) + cross
-    diag = (-2.0 * m_ss / ds**2 - 4.0 * m_tt * np.sin(theta / 2.0)[None, :] ** 2 / dt**2
+    diag = (-2.0 * m_ss / ds**2 - 4.0 * m_tt * np.sin(theta / 2.0) ** 2 / dt**2
             + 1j * m_t * sin / dt + d)
-
-    inv_pivot = np.empty_like(diag)
-    sup = np.zeros_like(diag)  # upper / pivot after elimination
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(rows):
-            pivot = diag[i] - lower[i] * sup[i - 1] if i else diag[0]
-            inv_pivot[i] = 1.0 / pivot
-            sup[i] = upper[i] * inv_pivot[i]
-    if not np.all(np.isfinite(inv_pivot)):
+    # no coupling between the last row of one mode and the first of the next
+    lower[:, 0] = upper[:, -1] = 0.0
+    *factors, info = zgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
+    if info != 0 or not np.all(np.isfinite(np.concatenate(factors[:4]))):
         return None
 
     def apply(r: np.ndarray) -> np.ndarray:
-        y = np.fft.rfft(r.reshape(rows, nt), axis=1)
-        y[0] *= inv_pivot[0]
-        for i in range(1, rows):
-            y[i] = (y[i] - lower[i] * y[i - 1]) * inv_pivot[i]
-        for i in range(rows - 2, -1, -1):
-            y[i] -= sup[i] * y[i + 1]
-        return np.fft.irfft(y, n=nt, axis=1).ravel()
+        y = np.fft.rfft(r.reshape(rows, nt) / w, axis=1).T.reshape(-1, 1)
+        y = zgttrs(*factors, y, overwrite_b=True)[0]
+        return np.fft.irfft(y.reshape(-1, rows).T, n=nt, axis=1).ravel()
 
     return LinearOperator((rows * nt, rows * nt), matvec=apply, dtype=float)
 

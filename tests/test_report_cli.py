@@ -189,6 +189,20 @@ class TestRunVerdicts:
         assert solver["phases"][0] == "picard"
         assert render_json(run(cfg)[0]) == render_json(report)
 
+    def test_harmonic_psi_report_records_every_grid_solve(self, tmp_path):
+        path = CONFIG_DIR / "psi-harmonicity.json"
+        out = tmp_path / "psi"
+        assert main(["check-theorem", "--config", str(path), "--out", str(out), "--quiet"]) == 0
+        report = parse_report((tmp_path / "psi.json").read_text())
+        assert "solver" not in report
+        solvers = report["solvers"]
+        assert [s["grid"] for s in solvers] == _shipped("psi-harmonicity")["grids"]
+        for solver in solvers:
+            assert solver["kind"] == "ring2d" and solver["equation"] == "minimal"
+            assert solver["linear_solver"] == ["gmres"] * solver["iterations"]
+            assert len(solver["krylov_iterations"]) == solver["iterations"]
+            self._assert_trace(solver)
+
     @staticmethod
     def _assert_trace(solver):
         # per iteration: phase, residual norm after the step and accepted step length

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.sparse import coo_matrix
+from scipy.sparse.linalg import splu
 
 from levelcurv.checks import solution_fields
 from levelcurv.errors import DidNotConverge, NoSolution
@@ -285,18 +286,31 @@ class TestNewtonKrylov:
 
     ELLIPSE = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=64, n_t=128)
 
-    def _ellipse(self):
-        return solve_minimal_ring2d(self.ELLIPSE, np.zeros(128), np.ones(128))
+    def _ellipse(self, ry=3.2):
+        dom = dataclasses.replace(self.ELLIPSE, outer=Ellipse(4.0, ry))
+        return solve_minimal_ring2d(dom, np.zeros(128), np.ones(128))
 
-    def test_gmres_matches_splu(self, monkeypatch):
-        krylov = self._ellipse()
-        monkeypatch.setattr(ring2d, "_averaged_preconditioner", lambda *args: None)
-        direct = self._ellipse()
+    def _gmres_and_splu(self, monkeypatch, ry):
+        krylov = self._ellipse(ry)
+        with monkeypatch.context() as patch:
+            patch.setattr(ring2d, "_averaged_preconditioner", lambda *args: None)
+            direct = self._ellipse(ry)
         assert krylov.meta["linear_solver"] == ["gmres"] * krylov.iterations
         assert direct.meta["linear_solver"] == ["splu"] * direct.iterations
         assert direct.meta["krylov_iterations"] == [0] * direct.iterations
         assert krylov.iterations == direct.iterations
+        assert krylov.meta["phases"] == direct.meta["phases"]
+        return krylov, direct
+
+    def test_gmres_matches_splu(self, monkeypatch):
+        krylov, direct = self._gmres_and_splu(monkeypatch, 3.2)
         assert np.max(np.abs(krylov.values - direct.values)) < 1e-12
+        # the row-scaled preconditioner: 25 Krylov steps, against 39 unscaled
+        assert sum(krylov.meta["krylov_iterations"]) < 39
+
+    def test_eccentric_ring_matches_splu(self, monkeypatch):
+        krylov, direct = self._gmres_and_splu(monkeypatch, 1.8)
+        assert np.max(np.abs(krylov.values - direct.values)) < 1e-10
 
     def test_stalled_gmres_falls_back_to_splu(self, monkeypatch):
         krylov = self._ellipse()
@@ -347,6 +361,60 @@ class TestNewtonKrylov:
     def test_singular_pivot_gives_no_preconditioner(self):
         zero = np.zeros((9, 16))
         assert ring2d._averaged_preconditioner((zero,) * 6, 0.125, 2.0 * math.pi / 16) is None
+
+    @staticmethod
+    def _ellipse_fields():
+        # Newton fields of the ellipse ring at a smooth u; they vary in t
+        grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64))
+        op = ring2d._RingOperator(grid, "minimal")
+        s = np.linspace(0.0, 1.0, 33)[:, None]
+        u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
+        return op, op._linearization_fields(op.residual(u)[1], frozen=False)
+
+    def test_preconditioner_is_row_scaled_averaged_operator(self):
+        op, fields = self._ellipse_fields()
+        ds, dt = op.grid.ds, op.grid.dt
+        assert min(np.ptp(fields[k][1:-1], axis=1).max() for k in range(5)) > 0.05
+        w = 2.0 * fields[0][1:-1] / ds**2 + 2.0 * fields[2][1:-1] / dt**2
+        w = w / w.mean(axis=1, keepdims=True)
+        # the boundary rows are read by neither operator
+        averaged = tuple(np.pad((f[1:-1] / w).mean(axis=1, keepdims=True) * np.ones_like(w),
+                                ((1, 1), (0, 0))) for f in fields)
+        r = np.random.default_rng(2).standard_normal(w.size)
+        expected = splu(op.assemble(averaged).tocsc()).solve(r / w.ravel())
+        got = ring2d._averaged_preconditioner(fields, ds, dt).matvec(r)
+        assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
+
+    def _breakdown(self, case):
+        if case == "zero-pivot":
+            # u_tt + d u with d = +-1 alternating in t: invertible, but d averages to
+            # zero over t, so mode 0 of the averaged operator is the zero matrix
+            grid = RingGrid(RingDomain2D(Circle(2.0), Circle(1.0), n_s=9, n_t=16))
+            zero, one = np.zeros((9, 16)), np.ones((9, 16))
+            d = np.broadcast_to(np.where(np.arange(16) % 2, -1.0, 1.0), (9, 16))
+            return ring2d._RingOperator(grid, "semilinear"), (zero, zero, one, zero, zero, d)
+        # one node of m_ss that makes w = 2 m_ss/ds^2 + 2 m_tt/dt^2 negative, or a NaN m_s
+        k, value = {"negative-w": (0, -10.0), "nan": (3, np.nan)}[case]
+        op, fields = self._ellipse_fields()
+        fields = list(fields)
+        fields[k] = fields[k].copy()
+        fields[k][4, 5] = value
+        return op, tuple(fields)
+
+    @pytest.mark.parametrize("case", ["zero-pivot", "negative-w", "nan"])
+    def test_breakdown_gives_no_preconditioner(self, case):
+        op, fields = self._breakdown(case)
+        assert ring2d._averaged_preconditioner(fields, op.grid.ds, op.grid.dt) is None
+
+    @pytest.mark.parametrize("case", ["zero-pivot", "negative-w"])
+    def test_breakdown_falls_back_to_splu(self, case):
+        # a NaN Jacobian has no LU factorization either, so it is left out here
+        op, fields = self._breakdown(case)
+        mat = op.assemble(fields)
+        rhs = np.random.default_rng(4).standard_normal(mat.shape[0])
+        x, path, krylov = ring2d._linear_solve(op, fields, rhs, frozen=False)
+        assert (path, krylov) == ("splu", 0)
+        assert np.max(np.abs(mat @ x - rhs)) < 1e-10
 
 
 class TestLinearization:
