@@ -66,6 +66,8 @@ def solve_minimal_radial(
 
     Finds the flux constant by bisection so the profile integral matches the
     data, then samples u (panelwise Gauss quadrature), u' and u'' (closed form).
+    ``meta`` records the number of bisection steps and the final bracket
+    [lo, hi] of |flux| (both 0 when the data jump is 0).
     """
     if not (0.0 < a < b):
         raise ValueError(f"need 0 < a < b, got a={a:g}, b={b:g}")
@@ -73,6 +75,8 @@ def solve_minimal_radial(
         raise ValueError("minimal radial solver needs n >= 2")
     delta = u_b - u_a
     c_max = a ** (n - 1)
+    lo = hi = 0.0
+    bisections = 0
     if delta == 0.0:
         c = 0.0
     else:
@@ -84,11 +88,11 @@ def solve_minimal_radial(
                 f"boundary jump {target:g} exceeds the steepest radial graph "
                 f"({reachable:g}); no graph solution on [{a:g}, {b:g}]"
             )
-        lo = 0.0
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             if mid == lo or mid == hi:  # adjacent floats: the bracket cannot move
                 break
+            bisections += 1
             if profile_integral(mid, n, a, b) < target:
                 lo = mid
             else:
@@ -129,6 +133,7 @@ def solve_minimal_radial(
         u_prime=u_prime,
         u_second=u_second,
         flux=c,
+        meta={"bisections": bisections, "flux_bracket": [lo, hi]},
     )
 
 

@@ -232,6 +232,20 @@ class TestRunVerdicts:
         assert solver["iterations"] > 0 and set(solver["phases"]) == {"newton"}
         assert render_json(run(parse_config(cfg))[0]["solver"]) == render_json(solver)
 
+    def test_radial_minimal_solver_block_records_bisection(self):
+        cfg = parse_config(radial_config())
+        report, solutions = run(cfg)
+        solver, flux = report["solver"], solutions["solution"].flux
+        lo, hi = solver["flux_bracket"]
+        # the bisection stops when the bracket is 1e-16 of a^(n-1) = 4 wide or its ends are adjacent
+        assert 0 < solver["bisections"] <= 200
+        assert 0.0 < lo < hi <= lo + 4e-16 and lo <= abs(flux) <= hi
+        assert render_json(run(cfg)[0]["solver"]) == render_json(solver)
+        flat = radial_config()
+        flat["problem"]["boundary"]["outer"] = "constant:0"
+        solver = run(parse_config(flat))[0]["solver"]
+        assert solver["bisections"] == 0 and solver["flux_bracket"] == [0.0, 0.0]
+
     def test_stall_keeps_iterations_and_residual(self, monkeypatch):
         monkeypatch.setattr(cli, "solve_minimal_ring2d",
                             functools.partial(ring2d.solve_minimal_ring2d, max_iter=2))
@@ -736,14 +750,15 @@ class TestReportEmission:
             emit_report(report, str(tmp_path / "out" / "run"), solutions=solutions)
         assert list(tmp_path.iterdir()) == []
 
-    @pytest.mark.parametrize("grid", [[17, 32], [9, 20]])
+    # 37 s-rows: two full blocks of 16 and a part
+    @pytest.mark.parametrize("grid", [[17, 32], [9, 20], [37, 20]])
     def test_csv_matches_per_node_formatting(self, grid):
         cfg = minimal_ring_config(command="solve", checks=[], spec=None)
         cfg["problem"]["geometry"]["grid"] = grid
         _, solutions = run(parse_config(cfg))
         sol = solutions["solution"]
         assert (sol.coords < 0.0).any()
-        text = solution_csv_text(sol)
+        text = solution_csv_text(sol).decode("ascii")
         assert text == _reference_csv(sol)
         lines = text.splitlines()
         # s = 0 and s = 1 print as whole numbers, not as the JSON's 0.0 and 1.0
@@ -751,9 +766,21 @@ class TestReportEmission:
         assert lines[-1].startswith("1,")
         assert len(lines) == 1 + grid[0] * grid[1]
 
+    def test_csv_fallback_fields_match_per_node_formatting(self):
+        # 0/1 data on an origin-centred ring: u holds exact zeros and ones, and x1, x2
+        # hold exact zeros and values near 1e-16, which "%.17g" prints itself
+        _, solutions = run(_curvature_config({"kind": "ring2d", "grid": [21, 24],
+                                              "outer": {"kind": "circle", "radius": 4.0},
+                                              "inner": {"kind": "circle", "radius": 2.0}}))
+        sol = solutions["solution"]
+        assert (sol.values == 0.0).any() and (sol.coords == 0.0).any()
+        assert ((np.abs(sol.coords) > 0.0) & (np.abs(sol.coords) < 1e-15)).any()
+        assert solution_csv_text(sol).decode("ascii") == _reference_csv(sol)
+
     def test_radial_csv_matches_per_row_formatting(self):
         _, solutions = run(parse_config(radial_config(samples=33)))
-        assert solution_csv_text(solutions["solution"]) == _reference_csv(solutions["solution"])
+        text = solution_csv_text(solutions["solution"]).decode("ascii")
+        assert text == _reference_csv(solutions["solution"])
 
     def test_float_precision_survives(self):
         obj = {"x": 1.0 / 3.0, "y": 0.1, "z": [math.pi, 1e-300]}
@@ -774,7 +801,7 @@ class TestReportEmission:
         }
         report, solutions = run(parse_config(cfg))
         sol = solutions["solution"]
-        lines = solution_csv_text(sol).splitlines()
+        lines = solution_csv_text(sol).decode("ascii").splitlines()
         assert lines[0] == "r,u,u_prime"
         assert len(lines) == 22
         expected = np.column_stack([sol.r, sol.values, sol.u_prime])
@@ -783,7 +810,7 @@ class TestReportEmission:
         report2, solutions2 = run(parse_config(minimal_ring_config(command="solve",
                                                                    checks=[], spec=None)))
         sol2 = solutions2["solution"]
-        lines2 = solution_csv_text(sol2).splitlines()
+        lines2 = solution_csv_text(sol2).decode("ascii").splitlines()
         assert lines2[0] == "s,t,x1,x2,u"
         assert len(lines2) == 1 + 17 * 32
         s, t = np.meshgrid(np.linspace(0.0, 1.0, 17), np.arange(32) * (2.0 * math.pi / 32),
