@@ -427,27 +427,28 @@ CONVERGENCE_PROBLEMS = ("laplace-annulus", "minimal-circles-catenoid", "sphere-c
 def convergence_study(problem: str, grids: list) -> list[dict]:
     """Solve a closed-form-oracle problem over a grid family; tabulate (h, error, order).
 
-    ``problem`` is one of CONVERGENCE_PROBLEMS.
+    ``problem`` is one of CONVERGENCE_PROBLEMS.  Each solve continues Newton
+    from the previous grid's solution.
     """
     if problem not in CONVERGENCE_PROBLEMS:
         raise ValueError(f"unknown convergence problem {problem!r}")
     rows = []
+    sol = None
     for g in grids:
         ns, nt = g
         if problem == "laplace-annulus":
             dom = RingDomain2D(Circle(math.e), Circle(1.0), n_s=ns, n_t=nt)
-            sol = solve_semilinear_ring2d(dom, np.zeros(nt), np.ones(nt), zero_rhs())
+            sol = solve_semilinear_ring2d(dom, np.zeros(nt), np.ones(nt), zero_rhs(),
+                                          warm_start=sol)
             r = np.linalg.norm(sol.coords, axis=-1)
             err = float(np.max(np.abs(sol.values - (1.0 - np.log(r)))))
-            h = sol.h
         elif problem == "minimal-circles-catenoid":
             dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt)
             outer = np.full(nt, catenoid_value(4.0, anchor=2.0))
-            sol = solve_minimal_ring2d(dom, outer, np.zeros(nt))
+            sol = solve_minimal_ring2d(dom, outer, np.zeros(nt), warm_start=sol)
             r = np.linalg.norm(sol.coords, axis=-1)
             exact = np.arccosh(r) - math.acosh(2.0)
             err = float(np.max(np.abs(sol.values - exact)))
-            h = sol.h
         elif problem == "sphere-curvature":
             # off concentric circles: there -r is linear in s and the stencils are exact
             dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(2.0), n_s=ns, n_t=nt)
@@ -459,13 +460,11 @@ def convergence_study(problem: str, grids: list) -> list[dict]:
             fields = solution_fields(sol)
             interior = fields.interior
             err = float(np.max(np.abs(fields.k[interior] - 1.0 / r.reshape(-1)[interior])))
-            h = sol.h
         else:  # "constant"
             dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=ns, n_t=nt)
-            sol = solve_minimal_ring2d(dom, np.full(nt, 0.7), np.full(nt, 0.7))
+            sol = solve_minimal_ring2d(dom, np.full(nt, 0.7), np.full(nt, 0.7), warm_start=sol)
             err = float(np.max(np.abs(sol.values - 0.7)))
-            h = sol.h
-        rows.append({"h": h, "error": err, "order": None})
+        rows.append({"h": sol.h, "error": err, "order": None})
     for i in range(1, len(rows)):
         e0, e1 = rows[i - 1]["error"], rows[i]["error"]
         h0, h1 = rows[i - 1]["h"], rows[i]["h"]

@@ -58,8 +58,11 @@ JET_VERIFY_CHUNK = 1024
 # problem solving
 # ---------------------------------------------------------------------------
 
-def solve_problem(cfg: RunConfig, grid=None):
-    """Solve the decoded problem on ``grid`` (a ring2d grid of the run) or its own grid."""
+def solve_problem(cfg: RunConfig, grid=None, warm_start=None):
+    """Solve the decoded problem on ``grid`` (a ring2d grid of the run) or its own grid.
+
+    A ring2d solve continues from ``warm_start``, a solution on another grid of the run.
+    """
     problem = cfg.problem
     geom = problem.geometry
     solver_tol = cfg.tolerances.get("solver_tol", 1e-10)
@@ -74,8 +77,9 @@ def solve_problem(cfg: RunConfig, grid=None):
 
     domain, outer, inner = problem.rings[grid or (geom.n_s, geom.n_t)]
     if problem.equation == "minimal":
-        return solve_minimal_ring2d(domain, outer, inner, tol=solver_tol)
-    return solve_semilinear_ring2d(domain, outer, inner, problem.rhs, tol=solver_tol)
+        return solve_minimal_ring2d(domain, outer, inner, tol=solver_tol, warm_start=warm_start)
+    return solve_semilinear_ring2d(domain, outer, inner, problem.rhs, tol=solver_tol,
+                                   warm_start=warm_start)
 
 
 def _solver_meta(sol) -> dict:
@@ -129,7 +133,10 @@ def _run_check_theorem(cfg: RunConfig):
     meta = {}
     for name in cfg.checks:
         if name == "harmonic-psi":
-            family = [solve_problem(cfg, grid=g) for g in cfg.grids]
+            # each grid continues Newton from the previous grid's solution
+            family = []
+            for g in cfg.grids:
+                family.append(solve_problem(cfg, grid=g, warm_start=family[-1] if family else None))
             checks.append(check_harmonic_psi_2d(family))
             meta["solvers"] = [_solver_meta(s) for s in family]
             continue

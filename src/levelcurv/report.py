@@ -196,7 +196,12 @@ def _csv_lines(*groups) -> bytes:
 
 
 def solution_csv_text(solution) -> bytes:
-    """CSV export as ASCII bytes: (r, u, u_prime) radial or (s, t, x1, x2, u) for 2D grids.
+    """CSV export as ASCII bytes: (r, u, u_prime) radial or (s, t, x1, x2, u) for 2D grids."""
+    return b"".join(_csv_blocks(solution))
+
+
+def _csv_blocks(solution) -> list[bytes]:
+    """The CSV export of ``solution`` as consecutive ASCII blocks: the header, then the rows.
 
     Every float is printed as "%.17g" prints it, which round-trips exactly.
     ``_fields`` computes the 17 digits of each value exactly with numpy for
@@ -207,7 +212,7 @@ def solution_csv_text(solution) -> bytes:
     if solution.kind == "radial":
         table = np.column_stack([solution.r, solution.values, solution.u_prime])
         _require_finite(table)
-        return b"r,u,u_prime\n" + _csv_lines(_fields(table))
+        return [b"r,u,u_prime\n", _csv_lines(_fields(table))]
     ns, nt = solution.values.shape
     nodes = np.concatenate([solution.coords, solution.values[..., None]], axis=-1)
     _require_finite(nodes)
@@ -217,7 +222,7 @@ def solution_csv_text(solution) -> bytes:
     for i in range(0, ns, _BLOCK_ROWS):
         rows = slice(i, i + _BLOCK_ROWS)
         parts.append(_csv_lines((s_chars[rows], s_keep[rows]), t_fields, _fields(nodes[rows])))
-    return b"".join(parts)
+    return parts
 
 
 def _require_finite(table: np.ndarray) -> None:
@@ -230,17 +235,18 @@ def emit_report(report: dict, prefix: str, solutions=None) -> list[str]:
     """Write <prefix>.json (+ one CSV per solution) and an artifact index.
 
     Every text is rendered before any file is opened, so a report or solution
-    that cannot be rendered writes nothing.
+    that cannot be rendered writes nothing.  A CSV is kept as its list of
+    blocks and written block by block, never joined into a second copy.
     """
-    texts = {prefix + ".json": (render_json(report) + "\n").encode("utf-8")}
+    texts = {prefix + ".json": [(render_json(report) + "\n").encode("utf-8")]}
     for name, sol in (solutions or {}).items():
-        texts[f"{prefix}.{name}.csv"] = solution_csv_text(sol)
+        texts[f"{prefix}.{name}.csv"] = _csv_blocks(sol)
     index = {"artifacts": [os.path.basename(p) for p in texts]}
-    texts[prefix + ".index.json"] = (render_json(index) + "\n").encode("utf-8")
+    texts[prefix + ".index.json"] = [(render_json(index) + "\n").encode("utf-8")]
     out_dir = os.path.dirname(prefix)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
-    for path, text in texts.items():
+    for path, blocks in texts.items():
         with open(path, "wb") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     return list(texts)

@@ -9,10 +9,19 @@ second-order central differences on the (s, t) grid.
 
 The minimal surface equation is written in nondivergence form
 F^{ab}(grad u) u_ab = 0 with F = (1 + |grad u|^2) I - grad u grad u^T and
-solved by a short Picard warm start (F frozen) followed by damped Newton, both
-run by the driver the radial solver shares (``solution._damped_newton``).
+solved, from a cold start, by a few Picard steps (F frozen) followed by damped
+Newton, both run by the driver the radial solver shares
+(``solution._damped_newton``).
 The semilinear equation Delta u = f(x, u) uses the same machinery with F = I;
 the minimal operator carries f = 0.
+
+A solve starts from the blend of its boundary data, or from a solution of the
+same ring on another grid (``warm_start``; mesh sequencing in the sense of
+Knoll & Keyes 2004).  Every grid of a ring shares the transfinite map, so the
+same (s, t) is the same physical point: the start is this grid's blend plus the
+warm-start solution's deviation from its own blend, interpolated
+trigonometrically in t and by 4-point Lagrange in s.  Newton then runs without
+Picard steps.
 """
 
 from __future__ import annotations
@@ -233,6 +242,62 @@ class RingGrid:
 
 
 # ---------------------------------------------------------------------------
+# grid transfer
+# ---------------------------------------------------------------------------
+
+def _resample_t(u: np.ndarray, n_t: int) -> np.ndarray:
+    """The trigonometric interpolant of each periodic row of ``u`` at n_t nodes.
+
+    The spectrum is zero-padded or truncated.  An even source splits its
+    Nyquist term between the modes +-m/2, so that coefficient is halved; on an
+    even target the modes +-n_t/2 meet in the Nyquist coefficient, which is
+    doubled.  On an unchanged grid the two cancel.
+    """
+    m = u.shape[1]
+    c = np.fft.rfft(u, axis=1, norm="forward")
+    if m % 2 == 0:
+        c[:, m // 2] *= 0.5
+    if n_t % 2 == 0 and n_t // 2 < c.shape[1]:
+        c[:, n_t // 2] *= 2.0
+    return np.fft.irfft(c, n=n_t, axis=1, norm="forward")
+
+
+def _resample_s(u: np.ndarray, n_s: int) -> np.ndarray:
+    """The 4-point Lagrange interpolant of the columns of ``u`` at n_s uniform nodes of [0, 1].
+
+    Each node reads the four source rows around it, shifted inward next to
+    the ends, so cubics in s are reproduced and the end rows are copied exactly.
+    """
+    m = u.shape[0]
+    x = np.arange(n_s) * (m - 1) / (n_s - 1)  # target nodes in source row units
+    first = np.clip(np.floor(x).astype(int) - 1, 0, m - 4)
+    x -= first
+    weights = (-(x - 1.0) * (x - 2.0) * (x - 3.0) / 6.0, x * (x - 2.0) * (x - 3.0) / 2.0,
+               -x * (x - 1.0) * (x - 3.0) / 2.0, x * (x - 1.0) * (x - 2.0) / 6.0)
+    return sum(w[:, None] * u[first + k] for k, w in enumerate(weights))
+
+
+def _blend(outer_data: np.ndarray, inner_data: np.ndarray, n_s: int) -> np.ndarray:
+    """The transfinite blend of the boundary rows over n_s rows: linear in s."""
+    s = np.linspace(0.0, 1.0, n_s)[:, None]
+    return (1.0 - s) * outer_data[None, :] + s * inner_data[None, :]
+
+
+def _warm_start_deviation(warm_start: RingSolution, domain: RingDomain2D) -> np.ndarray:
+    """The deviation of ``warm_start`` from its own blend, interpolated onto ``domain``'s grid.
+
+    It is zero on both boundary rows, so a start built from it keeps the data.
+    """
+    src = warm_start.domain
+    if warm_start.kind != "ring2d" or (src.outer, src.inner, tuple(src.center)) != (
+            domain.outer, domain.inner, tuple(domain.center)):
+        raise ValueError("warm start must be a ring2d solution on the same curves and center")
+    v = warm_start.values
+    deviation = v - _blend(v[0], v[-1], v.shape[0])
+    return _resample_s(_resample_t(deviation, domain.n_t), domain.n_s)
+
+
+# ---------------------------------------------------------------------------
 # nonlinear solver
 # ---------------------------------------------------------------------------
 
@@ -437,7 +502,7 @@ def _solve_ring2d(
     rhs=None,
     tol: float = 1e-10,
     max_iter: int = 50,
-    initial: np.ndarray | None = None,
+    warm_start: RingSolution | None = None,
 ) -> RingSolution:
     grid = RingGrid(domain)
     ns, nt = grid.n_s, grid.n_t
@@ -447,12 +512,9 @@ def _solve_ring2d(
         raise ValueError("boundary data must match the angular grid")
     op = _RingOperator(grid, equation, rhs)
 
-    if initial is not None:
-        u = initial.copy()
-        u[0], u[-1] = outer_data, inner_data
-    else:
-        s = np.linspace(0.0, 1.0, ns)[:, None]
-        u = (1.0 - s) * outer_data[None, :] + s * inner_data[None, :]
+    u = _blend(outer_data, inner_data, ns)
+    if warm_start is not None:
+        u += _warm_start_deviation(warm_start, domain)
     u_scale = 1.0 + float(max(np.max(np.abs(outer_data)), np.max(np.abs(inner_data))))
 
     def rounding_floor(planes):
@@ -481,15 +543,18 @@ def _solve_ring2d(
         return delta.reshape(ns - 2, nt)
 
     # The frozen operator applied to u is the minimal residual itself, so each
-    # Picard step solves for the correction from u.
+    # Picard step solves for the correction from u.  A warm start needs none.
+    picard_steps = _PICARD_STEPS if equation == "minimal" and warm_start is None else 0
     u, res_norm, meta = _damped_newton(
         op.residual, linearize, solve, u, tol, rounding_floor, max_iter,
-        f"ring2d {equation} solver", picard_steps=_PICARD_STEPS if equation == "minimal" else 0)
+        f"ring2d {equation} solver", picard_steps=picard_steps)
+    start = "blend" if warm_start is None else list(warm_start.values.shape)
     return RingSolution(
         kind="ring2d", equation=equation, values=u, residual_norm=res_norm,
         h=grid.spacing(), iterations=len(meta["phases"]), rhs=rhs, domain=domain,
         coords=grid.x, grid=grid,
-        meta={"grid": (ns, nt), "linear_solver": paths, "krylov_iterations": krylov, **meta},
+        meta={"grid": (ns, nt), "start": start, "linear_solver": paths,
+              "krylov_iterations": krylov, **meta},
     )
 
 
@@ -499,11 +564,15 @@ def solve_minimal_ring2d(
     inner_data,
     tol: float = 1e-10,
     max_iter: int = 50,
-    initial: np.ndarray | None = None,
+    warm_start: RingSolution | None = None,
 ) -> RingSolution:
-    """Minimal surface equation on the ring with Dirichlet data per boundary curve."""
+    """Minimal surface equation on the ring with Dirichlet data per boundary curve.
+
+    ``warm_start``, a solution on another grid of the same ring, replaces the
+    blend and the Picard steps as the start of Newton.
+    """
     return _solve_ring2d(domain, outer_data, inner_data, "minimal",
-                         tol=tol, max_iter=max_iter, initial=initial)
+                         tol=tol, max_iter=max_iter, warm_start=warm_start)
 
 
 def solve_semilinear_ring2d(
@@ -513,9 +582,13 @@ def solve_semilinear_ring2d(
     rhs,
     tol: float = 1e-10,
     max_iter: int = 50,
-    initial: np.ndarray | None = None,
+    warm_start: RingSolution | None = None,
 ) -> RingSolution:
-    """Delta u = f(x, u) on the ring with Dirichlet data per boundary curve."""
+    """Delta u = f(x, u) on the ring with Dirichlet data per boundary curve.
+
+    ``warm_start``, a solution on another grid of the same ring, replaces the
+    blend as the start of Newton.
+    """
     return _solve_ring2d(domain, outer_data, inner_data, "semilinear", rhs=rhs,
-                         tol=tol, max_iter=max_iter, initial=initial)
+                         tol=tol, max_iter=max_iter, warm_start=warm_start)
 

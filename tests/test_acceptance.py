@@ -74,10 +74,7 @@ def _minimal_family(label):
         else:
             dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
             outer, inner = np.zeros(nt), np.ones(nt)
-        initial = None
-        if prev is not None:
-            initial = np.repeat(np.repeat(prev.values, 2, axis=0), 2, axis=1)[:ns, :nt]
-        prev = _track(solve_minimal_ring2d(dom, outer, inner, initial=initial))
+        prev = _track(solve_minimal_ring2d(dom, outer, inner, warm_start=prev))
         sols[(ns, nt)] = prev
     _CACHE[label] = sols
     return sols
@@ -315,7 +312,8 @@ def test_criterion_09_psi_harmonicity():
     sols = []
     for ns, nt in [(25, 48), (49, 96), (97, 192)]:
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-        sols.append(_track(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt))))
+        sols.append(_track(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt),
+                                                warm_start=sols[-1] if sols else None)))
     rep_disc = check_harmonic_psi_2d(sols)
     details.append(f"discrete orders {rep_disc['notes'][-1]} (>=1.5)")
 

@@ -296,7 +296,8 @@ def _ellipse_minimal_family(grids):
     sols = []
     for ns, nt in grids:
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-        sols.append(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt)))
+        sols.append(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt),
+                                         warm_start=sols[-1] if sols else None))
     return sols
 
 

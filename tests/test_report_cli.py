@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import functools
 import json
 import math
@@ -186,6 +187,7 @@ class TestRunVerdicts:
         assert solver["linear_solver"] == ["gmres"] * solver["iterations"]
         assert len(solver["krylov_iterations"]) == solver["iterations"]
         self._assert_trace(solver)
+        assert solver["start"] == "blend"
         assert solver["phases"][0] == "picard"
         assert render_json(run(cfg)[0]) == render_json(report)
 
@@ -196,12 +198,17 @@ class TestRunVerdicts:
         report = parse_report((tmp_path / "psi.json").read_text())
         assert "solver" not in report
         solvers = report["solvers"]
-        assert [s["grid"] for s in solvers] == _shipped("psi-harmonicity")["grids"]
+        grids = _shipped("psi-harmonicity")["grids"]
+        assert [s["grid"] for s in solvers] == grids
         for solver in solvers:
             assert solver["kind"] == "ring2d" and solver["equation"] == "minimal"
             assert solver["linear_solver"] == ["gmres"] * solver["iterations"]
             assert len(solver["krylov_iterations"]) == solver["iterations"]
             self._assert_trace(solver)
+        # each grid after the first continues Newton from the previous grid's solution
+        assert [s["start"] for s in solvers] == ["blend", *grids[:-1]]
+        assert solvers[0]["phases"][:5] == ["picard"] * 5
+        assert all(set(s["phases"]) == {"newton"} for s in solvers[1:])
 
     @staticmethod
     def _assert_trace(solver):
@@ -749,6 +756,25 @@ class TestReportEmission:
         with pytest.raises(ValueError, match="non-finite float nan"):
             emit_report(report, str(tmp_path / "out" / "run"), solutions=solutions)
         assert list(tmp_path.iterdir()) == []
+
+    def test_failed_later_solution_writes_nothing(self, tmp_path):
+        # the first CSV renders, the second cannot: neither it nor the report is written
+        report, solutions = run(parse_config(minimal_ring_config(command="solve", checks=[],
+                                                                 spec=None)))
+        bad = dataclasses.replace(solutions["solution"])
+        bad.values = bad.values.copy()
+        bad.values[-2, 0] = float("inf")
+        with pytest.raises(ValueError, match="non-finite float inf"):
+            emit_report(report, str(tmp_path / "run"),
+                        solutions={"solution": solutions["solution"], "later": bad})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_csv_written_in_blocks_matches_joined_text(self, tmp_path):
+        cfg = minimal_ring_config(command="solve", checks=[], spec=None)
+        cfg["problem"]["geometry"]["grid"] = [37, 20]
+        report, solutions = run(parse_config(cfg))
+        paths = emit_report(report, str(tmp_path / "run"), solutions=solutions)
+        assert Path(paths[1]).read_bytes() == solution_csv_text(solutions["solution"])
 
     # 37 s-rows: two full blocks of 16 and a part
     @pytest.mark.parametrize("grid", [[17, 32], [9, 20], [37, 20]])

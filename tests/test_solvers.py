@@ -174,9 +174,11 @@ class TestRing2D:
         assert sol.iterations == 0
         assert sol.residual_norm == 0.0
         assert np.all(sol.values == 0.7)
-        # a nonconstant start with constant data is solved, not returned as it is
-        start = np.random.default_rng(0).standard_normal((9, 16))
-        sol = solve_minimal_ring2d(dom, np.full(16, 0.7), np.full(16, 0.7), initial=start)
+        # a nonconstant start with constant data is solved, not returned as it is:
+        # here the warm start from the 0/1-data solve on a coarser grid
+        coarse = solve_minimal_ring2d(dataclasses.replace(dom, n_s=5, n_t=8),
+                                      np.zeros(8), np.ones(8))
+        sol = solve_minimal_ring2d(dom, np.full(16, 0.7), np.full(16, 0.7), warm_start=coarse)
         assert sol.iterations > 0
         assert np.max(np.abs(sol.values - 0.7)) < 1e-12
 
@@ -279,6 +281,91 @@ class TestRing2D:
         s1 = solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
         s2 = solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
         assert np.array_equal(s1.values, s2.values)
+
+
+class TestWarmStart:
+    """A solve continued from a solution of the same ring on another grid."""
+
+    @staticmethod
+    def _solve(ry, grid, warm_start=None):
+        ns, nt = grid
+        dom = RingDomain2D(Ellipse(4.0, ry), Circle(1.5), n_s=ns, n_t=nt)
+        return solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt), warm_start=warm_start)
+
+    @pytest.mark.parametrize("ry", [3.2, 1.8])
+    @pytest.mark.parametrize("grids", [[(25, 48), (49, 96)], [(49, 96), (25, 48)],
+                                       [(30, 50), (77, 130)]],
+                             ids=["ascending", "descending", "non-nested"])
+    def test_warm_solve_matches_cold_solve(self, ry, grids):
+        coarse = self._solve(ry, grids[0])
+        warm, cold = self._solve(ry, grids[1], warm_start=coarse), self._solve(ry, grids[1])
+        assert coarse.meta["start"] == cold.meta["start"] == "blend"
+        assert cold.meta["phases"][:5] == ["picard"] * 5
+        assert warm.meta["start"] == list(grids[0])
+        assert warm.iterations > 0 and set(warm.meta["phases"]) == {"newton"}
+        assert warm.iterations < cold.iterations
+        assert warm.residual_norm <= warm.meta["tol_used"]
+        assert np.max(np.abs(warm.values - cold.values)) <= min(warm.meta["tol_used"],
+                                                                cold.meta["tol_used"])
+
+    def test_semilinear_warm_start(self):
+        sols = []
+        for ns, nt in [(17, 32), (33, 64)]:
+            dom = RingDomain2D(Ellipse(2.4, 2.0), Circle(1.0), n_s=ns, n_t=nt)
+            sols.append(solve_semilinear_ring2d(dom, np.zeros(nt), np.ones(nt), linear_u_rhs(1.0),
+                                                warm_start=sols[-1] if sols else None))
+        cold = solve_semilinear_ring2d(dom, np.zeros(64), np.ones(64), linear_u_rhs(1.0))
+        assert sols[1].meta["start"] == [17, 32]
+        assert np.max(np.abs(sols[1].values - cold.values)) <= cold.meta["tol_used"]
+
+    @pytest.mark.parametrize("m, n", [(16, 40), (17, 40), (40, 16), (40, 17), (16, 16), (15, 16)])
+    def test_t_interpolation_reproduces_trigonometric_polynomials(self, m, n):
+        k = (min(m, n) - 1) // 2  # the highest frequency both grids resolve
+
+        def poly(nt):
+            t = np.arange(nt) * (2.0 * math.pi / nt)
+            return np.array([0.3 + np.cos(t) - 0.7 * np.sin(2.0 * t) + 0.2 * np.cos(k * t + 0.4)])
+
+        assert np.max(np.abs(ring2d._resample_t(poly(m), n) - poly(n))) < 1e-13
+
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_t_interpolation_keeps_the_nyquist_cosine(self, n):
+        # on 16 nodes cos(8 t) is (-1)^j; its interpolant is cos(8 t) on any finer grid
+        coarse = np.cos(8.0 * np.arange(16) * (2.0 * math.pi / 16))[None, :]
+        fine = np.cos(8.0 * np.arange(n) * (2.0 * math.pi / n))
+        assert np.max(np.abs(ring2d._resample_t(coarse, n) - fine)) < 1e-13
+
+    @pytest.mark.parametrize("m, n", [(4, 9), (9, 4), (7, 23), (23, 7), (30, 77)])
+    def test_s_interpolation_reproduces_cubics(self, m, n):
+        def cubic(ns):
+            s = np.linspace(0.0, 1.0, ns)[:, None]
+            return np.hstack([1.0 - 2.0 * s + 3.0 * s**2 - 4.0 * s**3, s**3, np.ones_like(s)])
+        out = ring2d._resample_s(cubic(m), n)
+        assert np.max(np.abs(out - cubic(n))) < 1e-13
+        assert np.array_equal(out[[0, -1]], cubic(m)[[0, -1]])
+
+    def test_s_interpolation_is_centred(self):
+        # an interior midpoint reads the centred rule (-1, 9, 9, -1)/16 of its four
+        # neighbours; the first midpoint leans on the rows beside the end
+        weights = ring2d._resample_s(np.eye(6), 11)
+        assert np.allclose(weights[5], np.array([0.0, -1.0, 9.0, 9.0, -1.0, 0.0]) / 16.0)
+        assert np.allclose(weights[1], np.array([5.0, 15.0, -5.0, 1.0, 0.0, 0.0]) / 16.0)
+
+    @pytest.mark.parametrize("other", [
+        RingDomain2D(Ellipse(4.0, 3.0), Circle(1.5), n_s=25, n_t=48),
+        RingDomain2D(Ellipse(4.0, 3.2), Circle(1.4), n_s=25, n_t=48),
+        RingDomain2D(Ellipse(4.0, 3.2, center=(0.1, 0.0)), Circle(1.5, center=(0.1, 0.0)),
+                     n_s=25, n_t=48, center=(0.1, 0.0)),
+    ], ids=["outer", "inner", "center"])
+    def test_warm_start_from_another_ring_is_rejected(self, other):
+        start = solve_minimal_ring2d(other, np.zeros(48), np.ones(48))
+        with pytest.raises(ValueError, match="warm start"):
+            self._solve(3.2, (49, 96), warm_start=start)
+
+    def test_radial_warm_start_is_rejected(self):
+        start = solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(1.0), samples=21)
+        with pytest.raises(ValueError, match="warm start"):
+            self._solve(3.2, (25, 48), warm_start=start)
 
 
 class TestNewtonKrylov:
