@@ -32,20 +32,13 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .dual import dual_sqrt
-from .errors import (
-    DegenerateChart,
-    GradientTooSmall,
-    NonpositiveCurvature,
-    OutOfDomain,
-)
+from .errors import DegenerateChart, GradientTooSmall
 
 GRAD_FLOOR = 1e-8
-CLASSIFY_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +297,12 @@ def sym_det(a: np.ndarray) -> float:
 
 
 def _h_entries(grad, hess) -> list:
-    """Entries h_ij = u_n^2 u_ij + u_nn u_i u_j - u_n u_j u_in - u_n u_i u_jn, i, j < n."""
+    """Entries h_ij = u_n^2 u_ij + u_nn u_i u_j - u_n u_j u_in - u_n u_i u_jn, i, j < n.
+
+    The unnormalized second fundamental form: that of the level set is
+    b_ij = -|u_n| h_ij / (|grad u| u_n^3), so the sign of h relative to u_n
+    encodes convexity with respect to the chosen normal.
+    """
     n = len(grad)
     un = grad[n - 1]
     return [[un * un * hess[i][j]
@@ -362,36 +360,6 @@ def graph_curvature_matrix(v_grad: np.ndarray, v_hess: np.ndarray) -> np.ndarray
     return _symmetrize_matrix(a)
 
 
-def level_set_normal(grad: np.ndarray) -> np.ndarray:
-    """Upward unit normal of the level set: sign(u_n) * grad / |grad|."""
-    grad = np.asarray(grad, dtype=float)
-    gnorm = float(np.linalg.norm(grad))
-    if gnorm < GRAD_FLOOR:
-        raise GradientTooSmall(f"|grad| = {gnorm:.3e} below floor {GRAD_FLOOR:.0e}")
-    un = grad[-1]
-    if un == 0.0:
-        raise DegenerateChart("u_n = 0: re-chart or align before taking the normal")
-    return math.copysign(1.0, un) * grad / gnorm
-
-
-def second_fundamental_h(jet: Jet) -> np.ndarray:
-    """The (n-1)x(n-1) form h_ij = u_n^2 u_ij + u_nn u_i u_j - u_n u_j u_in - u_n u_i u_jn.
-
-    Unnormalized: the actual second fundamental form of the level set is
-    b_ij = -|u_n| h_ij / (|grad u| u_n^3), so the sign of h (relative to u_n)
-    encodes convexity with respect to the chosen normal.
-    """
-    if jet.grad[-1] == 0.0:
-        raise DegenerateChart("u_n = 0: h_ij is chart-degenerate here")
-    return _symmetrize_matrix(np.array(_h_entries(jet.grad, jet.hess)))
-
-
-class Convexity(Enum):
-    STRICTLY_CONVEX = "StrictlyConvex"
-    CONVEX = "Convex"
-    NON_CONVEX = "NonConvex"
-
-
 @dataclass(frozen=True)
 class CurvatureData:
     """Curvature package of one level-set point.
@@ -402,9 +370,6 @@ class CurvatureData:
     and K > 0.
     """
 
-    w: float
-    normal: np.ndarray
-    h: np.ndarray
     a: np.ndarray
     principal: np.ndarray
     gauss: float
@@ -438,42 +403,16 @@ def curvature_matrix(jet: Jet, mode: str = "aligned") -> CurvatureData:
         if un == 0.0:
             raise DegenerateChart("u_n = 0 in raw mode; align first")
         sign = math.copysign(1.0, un)
-        w = gnorm / abs(un)
-        normal = sign * jet.grad / gnorm
-        h = second_fundamental_h(jet)
         a_pre = sign * _symmetrize_matrix(
             np.array(chart_curvature_entries(sign * jet.grad, sign * jet.hess)))
     elif mode == "aligned":
         frame = align_frame(Jet(jet.grad, jet.hess))  # the matrix needs no third derivatives
-        aj = frame.aligned_jet
-        un = gnorm
-        w = 1.0
-        normal = jet.grad / gnorm
-        ht = aj.hess[: jet.dim - 1, : jet.dim - 1]
-        h = un * un * ht
-        a_pre = -ht / un
+        a_pre = -frame.aligned_jet.hess[: jet.dim - 1, : jet.dim - 1] / gnorm
     else:
         raise ValueError(f"unknown mode {mode!r}")
     a, kappa, flipped = _orient(a_pre)
     gauss = sym_det(a)
-    return CurvatureData(w=w, normal=normal, h=h, a=a, principal=kappa, gauss=gauss, flipped=flipped)
-
-
-def convexity_classify(a: np.ndarray, tol: float = CLASSIFY_TOL) -> Convexity:
-    """Classify a (geometric-orientation) curvature matrix.
-
-    StrictlyConvex when the smallest eigenvalue clearly dominates the noise
-    scale, Convex when it is only degenerate to within that scale, NonConvex
-    otherwise.
-    """
-    kappa = np.linalg.eigvalsh(np.asarray(a, dtype=float))
-    kmin, kmax = float(kappa[0]), float(kappa[-1])
-    kabs = float(np.max(np.abs(kappa)))
-    if kmin > tol * max(1.0, kmax):
-        return Convexity.STRICTLY_CONVEX
-    if kmin >= -tol * max(1.0, kabs):
-        return Convexity.CONVEX
-    return Convexity.NON_CONVEX
+    return CurvatureData(a=a, principal=kappa, gauss=gauss, flipped=flipped)
 
 
 # ---------------------------------------------------------------------------
@@ -536,51 +475,6 @@ def weighted_curvature(spec: TestFunctionSpec, grad_norm_sq, gauss):
         raise GradientTooSmall("weighted curvature needs |grad u|^2 > 0")
     out = spec.weight(t) * np.asarray(gauss, dtype=float)
     return float(out) if out.ndim == 0 else out
-
-
-def log_weighted_curvature(spec: TestFunctionSpec, grad_norm_sq: float, gauss: float) -> float:
-    """phi = rho(|grad u|^2) + log K; raises NonpositiveCurvature for K <= 0."""
-    if gauss <= 0.0:
-        raise NonpositiveCurvature(f"log K undefined for K = {gauss:.3e}")
-    if grad_norm_sq <= 0.0:
-        raise GradientTooSmall("phi needs |grad u|^2 > 0")
-    return float(spec.rho(grad_norm_sq) + math.log(gauss))
-
-
-# ---------------------------------------------------------------------------
-# catenoid oracle
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CatenoidPoint:
-    grad_norm_sq: float
-    gauss: float
-    psi_minus_half: float
-    u_prime: float
-
-
-def catenoid_oracle(n: int, r: float) -> CatenoidPoint:
-    """Closed-form data of the n-dimensional catenoid at radius r > 1.
-
-    The radial minimal graph with unit flux has u'(r) = 1/sqrt(r^(2(n-1)) - 1),
-    level sets are spheres of radius r with K = r^(1-n), and the weight
-    (t/(1+t))^(-1/2) equals r^(n-1) exactly, so psi_minus_half == 1.  The
-    returned psi is recomputed through weighted_curvature rather than pinned,
-    so it really exercises the pipeline.
-    """
-    if n < 2:
-        raise ValueError("catenoid oracle needs n >= 2")
-    if r <= 1.0:
-        raise OutOfDomain(f"catenoid closed form needs r > 1, got r = {r:g}")
-    denom = r ** (2 * (n - 1)) - 1.0
-    grad_norm_sq = 1.0 / denom
-    gauss = r ** (1 - n)
-    u_prime = 1.0 / math.sqrt(denom)
-    spec = TestFunctionSpec.minimal_theta(-0.5)
-    psi = weighted_curvature(spec, grad_norm_sq, gauss)
-    return CatenoidPoint(
-        grad_norm_sq=grad_norm_sq, gauss=gauss, psi_minus_half=psi, u_prime=u_prime
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -18,13 +18,13 @@ each other:
 * the quadratic-polynomial bound Q <= 4 mu^2 Gamma, on batches of quadratics
   of one size.
 
-The first three take the order-3 jet at the point and align it themselves.
-``identity_residuals`` evaluates them over a batch of jets with kernels that
-are elementwise over the batch, and the single-jet functions run the same
-kernels on a batch of one.  The master identity and the psi-harmonicity
-residual take a closed-form supplier with a ``jet(point, order)`` method that
-gives order-4 jets, and push its jet at each point once through the chart
-formula as duals of duals, seeded twice along every axis.
+The first three are evaluated by ``identity_residuals`` on a batch of
+order-3 jets, which it aligns itself, with kernels that are elementwise over
+the batch, so a jet's residuals do not depend on the batch it is in.  The
+master identity and the psi-harmonicity residual take a closed-form supplier
+with a ``jet(point, order)`` method that gives order-4 jets, and push its jet
+at each point once through the chart formula as duals of duals, seeded twice
+along every axis.
 
 All identity checks use the pre-flip sign convention of the curvature matrix,
 because that is the convention the formulas are derived in; the orientation
@@ -184,11 +184,6 @@ def identity_residuals(jet: Jet, spec: TestFunctionSpec) -> IdentityResiduals:
     )
 
 
-def _batch_of_one(jet: Jet) -> Jet:
-    third = None if jet.third is None else jet.third[None]
-    return Jet(jet.grad[None], jet.hess[None], third)
-
-
 # ---------------------------------------------------------------------------
 # Codazzi symmetry
 # ---------------------------------------------------------------------------
@@ -211,11 +206,6 @@ def codazzi_closed_form(jet: Jet) -> np.ndarray:
     ) / (un * un)
 
 
-def codazzi_field_form(jet: Jet) -> np.ndarray:
-    """a_ij,k by exact differentiation of the curvature-matrix field."""
-    return _field_form(curvature_derivatives(jet).a_k)
-
-
 def _field_form(a_k: np.ndarray) -> np.ndarray:
     """a_ij,k over the tangential axes k, from the derivatives along every axis."""
     return np.moveaxis(a_k[..., :-1, :, :], -3, -1)
@@ -226,16 +216,11 @@ def _commutator(t: np.ndarray) -> np.ndarray:
 
 
 def _codazzi_residuals(aligned: Jet, a_k: np.ndarray) -> np.ndarray:
+    """max |a_ij,k - a_ik,j| per aligned jet, worst of the closed form and the
+    exact field derivative."""
     return np.maximum(
         _commutator(codazzi_closed_form(aligned)), _commutator(_field_form(a_k))
     )
-
-
-def codazzi_residual(jet: Jet) -> float:
-    """max |a_ij,k - a_ik,j| in the frame aligned at the point of an order-3
-    jet, worst of the two routes."""
-    aligned = align_frame(_batch_of_one(jet)).aligned_jet
-    return float(_codazzi_residuals(aligned, curvature_derivatives(aligned).a_k)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +259,13 @@ def _convex_oriented(
 def _phi_residuals(
     oriented: Jet, a0: np.ndarray, convex: np.ndarray, spec: TestFunctionSpec
 ) -> tuple[np.ndarray, np.ndarray]:
-    """phi-gradient residual per jet, and whether det(a) > 0 there.
+    """Residual of phi_a = sum a^{ij} a_ij,a + rho'(t) t_a per jet, maximized
+    over axes, and whether det(a) > 0 there.
+
+    The left side differentiates phi = rho(t) + log det(a) directly through
+    the composite expression with dual numbers; the right side contracts the
+    matrix inverse with the field derivatives (Jacobi's formula), so the two
+    sides share no linear algebra.
 
     Entries outside ``convex`` are computed on a stand-in identity matrix
     and must be discarded by the caller.
@@ -298,29 +289,6 @@ def _phi_residuals(
     return np.max(np.abs(lhs - rhs), axis=-1), det_dual.val[..., 0] > 0.0
 
 
-def phi_gradient_identity_residual(jet: Jet, spec: TestFunctionSpec) -> float:
-    """Residual of phi_a = sum a^{ij} a_ij,a + rho'(t) t_a, maximized over axes.
-
-    The left side differentiates phi = rho(t) + log det(a) directly through
-    the composite expression with dual numbers; the right side contracts the
-    matrix inverse with the field derivatives (Jacobi's formula), so the two
-    sides share no linear algebra.  Raises NonpositiveCurvature when the
-    level set is not strictly convex at the point.
-    """
-    jet = _batch_of_one(jet)
-    aligned = align_frame(jet).aligned_jet
-    oriented, a0, convex = _convex_oriented(jet, aligned, curvature_entries_float(aligned))
-    if not convex[0]:
-        raise NonpositiveCurvature(
-            "level set not strictly convex at the point (eigenvalues "
-            f"{np.array2string(np.linalg.eigvalsh(a0[0]), precision=3)})"
-        )
-    phi, det_positive = _phi_residuals(oriented, a0, convex, spec)
-    if not det_positive[0]:
-        raise NonpositiveCurvature("det(a) <= 0 while forming log K")
-    return float(phi[0])
-
-
 # ---------------------------------------------------------------------------
 # third-derivative exchange relation at aligned points
 # ---------------------------------------------------------------------------
@@ -339,18 +307,6 @@ def _uiia_residuals(aligned: Jet, a0: np.ndarray, a_k: np.ndarray) -> np.ndarray
         - h[..., None, n - 1, :] * a0[..., diag, diag, None]
     )
     return np.max(np.abs(lhs - rhs), axis=(-2, -1))
-
-
-def uiia_residual(jet: Jet) -> float:
-    """Residual of u_iia = -u_n a_ii,a + 2 u_n^{-1} u_ni u_ia - u_na a_ii.
-
-    All ingredients come from the order-3 jet, taken to the frame aligned at
-    its point; a_ii and a_ii,a use the pre-flip sign convention the relation
-    is derived in.
-    """
-    aligned = align_frame(_batch_of_one(jet)).aligned_jet
-    a0 = curvature_entries_float(aligned)
-    return float(_uiia_residuals(aligned, a0, curvature_derivatives(aligned).a_k)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -189,26 +189,3 @@ def random_test_jets(seeds, n: int, min_grad: float = 0.1, min_det: float = 1e-4
         f"no nondegenerate field after 1000 draws (seed={seeds[redraw[0]]}, n={n})"
     )
 
-
-def random_test_jet(seed: int, n: int, min_grad: float = 0.1, min_det: float = 1e-4) -> PolyField:
-    """Deterministic random degree-4 field, nondegenerate at the origin: the
-    field of ``random_test_jets([seed], n)``."""
-    return random_test_jets([seed], n, min_grad, min_det).field(0)
-
-
-def quadratic_field(dim: int, grad, hess) -> PolyField:
-    """u(x) = grad . x + x^T hess x / 2 as an exact PolyField."""
-    grad = np.asarray(grad, dtype=float)
-    hess = np.asarray(hess, dtype=float)
-    coeffs: dict = {}
-    for i in range(dim):
-        alpha = [0] * dim
-        alpha[i] = 1
-        coeffs[tuple(alpha)] = float(grad[i])
-    for i in range(dim):
-        for j in range(i, dim):
-            alpha = [0] * dim
-            alpha[i] += 1
-            alpha[j] += 1
-            coeffs[tuple(alpha)] = float(hess[i, j]) if i != j else float(hess[i, i]) / 2.0
-    return PolyField(dim, coeffs)

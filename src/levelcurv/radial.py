@@ -19,7 +19,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import NoSolution
 from .fields import RadialMinimalField
@@ -34,8 +33,8 @@ def profile_integral(c: float, n: int, a: float, b: float) -> float:
     """integral_a^b c / sqrt(s^(2(n-1)) - c^2) ds (adaptive quadrature)."""
     if c == 0.0:
         return 0.0
-    # imported here: scipy.integrate loads scipy.optimize and scipy.special, which
-    # no 2D run needs
+    # imported here, like every scipy import of the package, so that only the runs
+    # that call it pay for it: scipy.integrate loads scipy.optimize and scipy.special
     from scipy.integrate import IntegrationWarning, quad
 
     m = 2 * (n - 1)
@@ -153,6 +152,8 @@ def solve_semilinear_radial(
     f is evaluated at x = r e_1; radially nonsymmetric right-hand sides belong
     to the 2D solver.
     """
+    from scipy.linalg import solve_banded
+
     if not (0.0 < a < b):
         raise ValueError(f"need 0 < a < b, got a={a:g}, b={b:g}")
     r = np.linspace(a, b, samples)

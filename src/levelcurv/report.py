@@ -3,7 +3,7 @@
 Reports are plain dicts rendered to JSON with sorted keys and floats printed
 at 17 significant digits, whole ones with a trailing ".0", which round-trip
 exactly: identical runs produce byte-identical files, and
-parse(emit(report)) == report field for field, types included.
+json.loads(render_json(report)) == report field for field, types included.
 Volatile quantities (wall time) are printed to the console but kept out of
 the emitted JSON for that reason.
 """
@@ -50,10 +50,6 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj)} in a report")
-
-
-def parse_report(text: str) -> dict:
-    return json.loads(text)
 
 
 # Exact "%.17g" for float arrays.  For 1e-4 <= |x| < 1e17, "%.17g" prints x
@@ -193,11 +189,6 @@ def _csv_lines(*groups) -> bytes:
     chars[..., -1, -1] = ord("\n")
     keep[..., -1] = True
     return chars[keep].tobytes()
-
-
-def solution_csv_text(solution) -> bytes:
-    """CSV export as ASCII bytes: (r, u, u_prime) radial or (s, t, x1, x2, u) for 2D grids."""
-    return b"".join(_csv_blocks(solution))
 
 
 def _csv_blocks(solution) -> list[bytes]:

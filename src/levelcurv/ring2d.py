@@ -30,9 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
-from scipy.sparse import csr_matrix
-from scipy.sparse.linalg import LinearOperator, gmres, splu
 
 from .rhs import zero_rhs
 from .solution import RingSolution, _damped_newton
@@ -394,14 +391,16 @@ class _RingOperator:
         diag = -self.rhs.f_u(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
         return m_ss, m_st, m_tt, m_s, m_t, diag
 
-    def assemble(self, fields) -> csr_matrix:
-        """Sparse Jacobian over the interior unknowns from ``_linearization_fields``.
+    def assemble(self, fields):
+        """Sparse CSR Jacobian over the interior unknowns from ``_linearization_fields``.
 
         The Dirichlet rows are fixed, so their couplings are left out: the
         Newton and Picard steps solve for a correction that vanishes there.
         The nine-point pattern is built once per operator; only the entries
         are filled here.
         """
+        from scipy.sparse import csr_matrix
+
         m_ss, m_st, m_tt, m_s, m_t, diag_extra = (f[1:-1] for f in fields)
         ds, dt = self.grid.ds, self.grid.dt
         ss, tt, s, t = m_ss * (1.0 / ds**2), m_tt * (1.0 / dt**2), m_s * (0.5 / ds), m_t * (0.5 / dt)
@@ -417,8 +416,9 @@ class _RingOperator:
                           shape=(n_int, n_int))
 
 
-def _averaged_preconditioner(fields, ds: float, dt: float) -> LinearOperator | None:
-    """Row-scaled, t-averaged inverse of the Jacobian, or None when it cannot be built.
+def _averaged_preconditioner(fields, ds: float, dt: float):
+    """Row-scaled, t-averaged inverse of the Jacobian as a scipy LinearOperator,
+    or None when it cannot be built.
 
     Each row is scaled by its stencil diagonal w = 2 m_ss/ds^2 + 2 m_tt/dt^2,
     normalized by its mean over t per s-row, and the scaled coefficients are
@@ -430,6 +430,9 @@ def _averaged_preconditioner(fields, ds: float, dt: float) -> LinearOperator | N
     by LAPACK ``zgttrf``; each application is rfft in t, one ``zgttrs``, irfft.
     None when w is not positive and finite, a pivot is zero or a factor is not finite.
     """
+    from scipy.linalg.lapack import zgttrf, zgttrs
+    from scipy.sparse.linalg import LinearOperator
+
     rows, nt = fields[0].shape[0] - 2, fields[0].shape[1]
     w = 2.0 * fields[0][1:-1] / ds**2 + 2.0 * fields[2][1:-1] / dt**2
     if not (np.all(w > 0.0) and np.all(np.isfinite(w))):
@@ -476,6 +479,8 @@ def _linear_solve(op: _RingOperator, fields: tuple, rhs: np.ndarray, frozen: boo
     GMRES runs under the t-averaged preconditioner; sparse LU is the fallback
     when GMRES stops short of the forcing term or the preconditioner breaks down.
     """
+    from scipy.sparse.linalg import gmres, splu
+
     forcing = _PICARD_FORCING if frozen else _NEWTON_FORCING
     mat = op.assemble(fields)
     precond = _averaged_preconditioner(fields, op.grid.ds, op.grid.dt)

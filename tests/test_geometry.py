@@ -4,21 +4,16 @@ import numpy as np
 import pytest
 
 from levelcurv.errors import DegenerateChart, GradientTooSmall, OutOfDomain
-from levelcurv.fields import SphereDistanceField
+from levelcurv.fields import RadialMinimalField, SphereDistanceField
 from levelcurv.geometry import (
-    Convexity,
     Jet,
     TestFunctionSpec,
+    _h_entries,
     align_frame,
-    catenoid_oracle,
-    convexity_classify,
     curvature_matrix,
     graph_curvature_matrix,
-    level_set_normal,
-    log_weighted_curvature,
     make_jet,
     rotate_jet,
-    second_fundamental_h,
     sym_det,
     weighted_curvature,
 )
@@ -104,36 +99,17 @@ class TestAlignFrame:
         assert np.allclose(frame.aligned_jet.hess, q @ jet.hess @ q.T, atol=1e-12)
 
 
-class TestLevelSetNormal:
-    def test_aligned(self):
-        assert level_set_normal(np.array([0.0, 0.0, 2.0])) == pytest.approx([0, 0, 1])
-
-    def test_normalization(self):
-        assert level_set_normal(np.array([3.0, 0.0, 4.0])) == pytest.approx([0.6, 0, 0.8])
-
-    def test_sign_flip(self):
-        assert level_set_normal(np.array([0.0, -1.0])) == pytest.approx([0.0, 1.0])
-
-    def test_degenerate_chart(self):
-        with pytest.raises(DegenerateChart):
-            level_set_normal(np.array([1.0, 0.0]))
-
-    def test_floor(self):
-        with pytest.raises(GradientTooSmall):
-            level_set_normal(np.array([1e-9, 0.0]))
-
-
 class TestSecondFundamentalH:
     def test_aligned_diagonal(self):
         hess = np.diag([-1.0, -1.0, 0.0])
         jet = make_jet([0.0, 0.0, 2.0], hess)
-        h = second_fundamental_h(jet)
+        h = np.array(_h_entries(jet.grad, jet.hess))
         assert np.allclose(h, np.diag([-4.0, -4.0]))
 
     def test_level_curve_parabola(self):
         # u = x^2 + y at origin: h11 = 2 and b11 = -2 (curve y = -x^2)
         jet = make_jet([0.0, 1.0], np.array([[2.0, 0.0], [0.0, 0.0]]))
-        h = second_fundamental_h(jet)
+        h = np.array(_h_entries(jet.grad, jet.hess))
         assert h[0, 0] == pytest.approx(2.0)
         un = 1.0
         b11 = -abs(un) * h[0, 0] / (jet.grad_norm * un**3)
@@ -141,7 +117,7 @@ class TestSecondFundamentalH:
 
     def test_flat_level_sets(self):
         jet = make_jet([0.0, 0.0, 1.0], np.zeros((3, 3)))
-        assert np.allclose(second_fundamental_h(jet), 0.0)
+        assert np.allclose(_h_entries(jet.grad, jet.hess), 0.0)
 
 
 class TestCurvatureMatrix:
@@ -159,7 +135,7 @@ class TestCurvatureMatrix:
         cd = curvature_matrix(jet)
         assert np.allclose(cd.a, 0.0)
         assert cd.gauss == 0.0
-        assert convexity_classify(cd.a) is Convexity.CONVEX
+        assert np.array_equal(cd.principal, np.zeros(2))  # convex, not strictly
 
     def test_raw_matches_aligned_after_rotation(self):
         sph = SphereDistanceField(3)
@@ -247,17 +223,6 @@ class TestAlignedSimplification:
             assert np.allclose(cd.a_raw, expected, atol=1e-12)
 
 
-class TestConvexityClassify:
-    def test_strict(self):
-        assert convexity_classify(np.diag([2.0, 3.0])) is Convexity.STRICTLY_CONVEX
-
-    def test_degenerate(self):
-        assert convexity_classify(np.zeros((2, 2))) is Convexity.CONVEX
-
-    def test_indefinite(self):
-        assert convexity_classify(np.diag([1.0, -1.0])) is Convexity.NON_CONVEX
-
-
 class TestSymEigvals:
     def test_det_eigen_consistency(self):
         rng = np.random.default_rng(9)
@@ -280,13 +245,6 @@ class TestWeightedCurvature:
     def test_poisson_power(self):
         spec = TestFunctionSpec.poisson_power(-2)
         assert weighted_curvature(spec, 4.0, 3.0) == pytest.approx(0.75)
-
-    def test_log_guard(self):
-        spec = TestFunctionSpec.minimal_theta(-0.5)
-        from levelcurv.errors import NonpositiveCurvature
-
-        with pytest.raises(NonpositiveCurvature):
-            log_weighted_curvature(spec, 1.0, -0.1)
 
     def test_rho_consistency(self):
         # rho must match the closed form for each kind
@@ -312,22 +270,33 @@ class TestWeightedCurvature:
 
 
 class TestCatenoidOracle:
+    # the unit-flux catenoid: |grad u|^2 = 1/(r^(2(n-1)) - 1) and K = r^(1-n), so
+    # the weight (t/(1+t))^(-1/2) is r^(n-1) and psi_{-1/2} = 1 at every radius
+
+    @staticmethod
+    def _point(n, r):
+        x = np.zeros(n)
+        x[0] = r
+        jet = RadialMinimalField(n, flux=1.0).jet(x, order=2)
+        gauss = curvature_matrix(jet).gauss
+        psi = weighted_curvature(TestFunctionSpec.minimal_theta(-0.5), jet.grad_norm**2, gauss)
+        return jet.grad_norm**2, gauss, psi
+
     def test_reference_values(self):
-        cp = catenoid_oracle(3, 2.0)
-        assert cp.grad_norm_sq == pytest.approx(1.0 / 15.0, abs=1e-15)
-        assert cp.gauss == pytest.approx(0.25, abs=1e-15)
-        assert cp.psi_minus_half == pytest.approx(1.0, abs=1e-12)
-        cp2 = catenoid_oracle(2, 2.0)
-        assert cp2.grad_norm_sq == pytest.approx(1.0 / 3.0, abs=1e-15)
-        assert cp2.gauss == pytest.approx(0.5, abs=1e-15)
+        grad_norm_sq, gauss, psi = self._point(3, 2.0)
+        assert grad_norm_sq == pytest.approx(1.0 / 15.0, abs=1e-15)
+        assert gauss == pytest.approx(0.25, abs=1e-15)
+        assert psi == pytest.approx(1.0, abs=1e-12)
+        grad_norm_sq, gauss, _ = self._point(2, 2.0)
+        assert grad_norm_sq == pytest.approx(1.0 / 3.0, abs=1e-15)
+        assert gauss == pytest.approx(0.5, abs=1e-15)
 
     def test_sharpness_sweep(self):
         radii = np.linspace(1.1, 50.0, 200)
         for n in (2, 3, 4):
             for r in radii:
-                cp = catenoid_oracle(n, float(r))
-                assert abs(cp.psi_minus_half - 1.0) < 1e-12
+                assert abs(self._point(n, float(r))[2] - 1.0) < 1e-12
 
     def test_out_of_domain(self):
         with pytest.raises(OutOfDomain):
-            catenoid_oracle(3, 1.0)
+            RadialMinimalField(3, flux=1.0).u_prime(1.0)

@@ -10,21 +10,24 @@ import numpy as np
 import pytest
 
 from levelcurv.dual import Dual, dual_log, dual_sqrt
-from levelcurv.errors import NonpositiveCurvature
-from levelcurv.geometry import TestFunctionSpec, align_frame
+from levelcurv.geometry import Jet, TestFunctionSpec, align_frame, make_jet
 from levelcurv.identities import (
+    _field_form,
     codazzi_closed_form,
-    codazzi_field_form,
-    codazzi_residual,
     curvature_derivatives,
     curvature_entries_float,
-    phi_gradient_identity_residual,
-    uiia_residual,
+    identity_residuals,
 )
-from levelcurv.polyfield import PolyField, quadratic_field, random_test_jet
+from levelcurv.polyfield import PolyField, random_test_jets
 
-ORIGIN2 = np.zeros(2)
 ORIGIN3 = np.zeros(3)
+THETA_HALF = TestFunctionSpec.minimal_theta(-0.5)
+
+
+def _batch(*fields):
+    """The order-3 origin jets of the fields as one batch."""
+    jets = [f.jet(np.zeros(f.dim), 3) for f in fields]
+    return Jet(*(np.stack(parts) for parts in zip(*((j.grad, j.hess, j.third) for j in jets))))
 
 
 class TestDual:
@@ -60,84 +63,70 @@ class TestDual:
 class TestCodazzi:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_random_fields(self, n):
-        worst = 0.0
-        for seed in range(25):
-            field = random_test_jet(seed, n)
-            worst = max(worst, codazzi_residual(field.jet(np.zeros(n), 3)))
+        batch = random_test_jets(range(25), n)
+        worst = np.max(identity_residuals(batch.jets, THETA_HALF).codazzi)
         assert worst < 1e-10
 
     def test_planar_field_zero(self):
         # u = x_n: all curvature derivatives vanish
         f = PolyField(3, {(0, 0, 1): 1.0})
-        assert codazzi_residual(f.jet(ORIGIN3, 3)) == 0.0
+        assert identity_residuals(_batch(f), THETA_HALF).codazzi[0] == 0.0
 
     def test_quadratic_reduces_to_second_order_products(self):
         rng = np.random.default_rng(8)
+        grads, hesses = [], []
         for _ in range(10):
             grad = rng.normal(size=3)
             grad /= max(np.linalg.norm(grad), 0.3)
             h = rng.normal(size=(3, 3))
-            f = quadratic_field(3, grad, (h + h.T) / 2)
-            assert codazzi_residual(f.jet(ORIGIN3, 3)) < 1e-12
+            grads.append(grad)
+            hesses.append((h + h.T) / 2)
+        jets = make_jet(np.array(grads), np.array(hesses), np.zeros((10, 3, 3, 3)))
+        assert np.all(identity_residuals(jets, THETA_HALF).codazzi < 1e-12)
 
     def test_routes_agree(self):
         # the closed form and the exact field derivative are the same tensor
-        field = random_test_jet(4, 3)
+        field = random_test_jets([4], 3).field(0)
         aj = align_frame(field.jet(ORIGIN3, 3)).aligned_jet
         c1 = codazzi_closed_form(aj)
-        c2 = codazzi_field_form(aj)
+        c2 = _field_form(curvature_derivatives(aj).a_k)
         assert np.allclose(c1, c2, atol=1e-12)
 
 
 class TestPhiGradient:
+    # the identity is checked where the level set is strictly convex (admissible)
+
     def test_random_fields(self):
-        spec = TestFunctionSpec.minimal_theta(-0.5)
-        worst, admissible = 0.0, 0
-        for seed in range(60):
-            field = random_test_jet(seed, 3)
-            try:
-                worst = max(worst, phi_gradient_identity_residual(field.jet(ORIGIN3, 3), spec))
-                admissible += 1
-            except NonpositiveCurvature:
-                continue
-        assert admissible >= 10
-        assert worst < 1e-9
+        res = identity_residuals(random_test_jets(range(60), 3).jets, THETA_HALF)
+        assert np.count_nonzero(res.admissible) >= 10
+        assert np.max(res.phi[res.admissible]) < 1e-9
 
     def test_theta_zero_logdet_only(self):
         spec = TestFunctionSpec.minimal_theta(0.0)
-        worst = 0.0
-        count = 0
-        for seed in range(40):
-            field = random_test_jet(seed, 2)
-            try:
-                worst = max(worst, phi_gradient_identity_residual(field.jet(ORIGIN2, 3), spec))
-                count += 1
-            except NonpositiveCurvature:
-                continue
-        assert count >= 10
-        assert worst < 1e-9
+        res = identity_residuals(random_test_jets(range(40), 2).jets, spec)
+        assert np.count_nonzero(res.admissible) >= 10
+        assert np.max(res.phi[res.admissible]) < 1e-9
 
     def test_constant_curvature_field(self):
         # u = -|x'|^2/2 + x_n: the curvature matrix field is constant along axes
         f = PolyField(
             3, {(2, 0, 0): -0.5, (0, 2, 0): -0.5, (0, 0, 1): 1.0}
         )
-        spec = TestFunctionSpec.minimal_theta(-0.5)
-        assert phi_gradient_identity_residual(f.jet(ORIGIN3, 3), spec) < 1e-12
+        res = identity_residuals(_batch(f), THETA_HALF)
+        assert res.admissible[0]
+        assert res.phi[0] < 1e-12
 
 
 class TestUiia:
     @pytest.mark.parametrize("n", [2, 3])
     def test_random_fields(self, n):
-        worst = 0.0
-        for seed in range(25):
-            field = random_test_jet(seed, n)
-            worst = max(worst, uiia_residual(field.jet(np.zeros(n), 3)))
+        batch = random_test_jets(range(25), n)
+        worst = np.max(identity_residuals(batch.jets, THETA_HALF).uiia)
         assert worst < 1e-10
 
     def test_planar_field(self):
         f = PolyField(3, {(0, 0, 1): 1.0})
-        assert uiia_residual(f.jet(ORIGIN3, 3)) == 0.0
+        assert identity_residuals(_batch(f), THETA_HALF).uiia[0] == 0.0
 
     def test_paraboloid_hand_check(self):
         # u = -|x|^2/2 + x_n at the origin: a_ii = 1, a_ii,n = 1, others 0,
@@ -146,7 +135,7 @@ class TestUiia:
             3,
             {(2, 0, 0): -0.5, (0, 2, 0): -0.5, (0, 0, 2): -0.5, (0, 0, 1): 1.0},
         )
-        assert uiia_residual(f.jet(ORIGIN3, 3)) < 1e-14
+        assert identity_residuals(_batch(f), THETA_HALF).uiia[0] < 1e-14
         jet = f.jet(ORIGIN3, 3)
         a0 = curvature_entries_float(jet)
         assert np.allclose(a0, np.eye(2))

@@ -4,12 +4,13 @@ evaluated in, K and psi do not change when the field is rotated or
 translated, reports survive a render/parse round trip, and configs reject
 unknown keys wherever they appear.
 
-Fields are drawn like random_test_jet draws them (degree 4, coefficients in
-[-1, 1], nondegenerate at the origin); the tolerances are those of the
+Fields are drawn like random_test_jets draws them (degree 4, coefficients
+in [-1, 1], nondegenerate at the origin); the tolerances are those of the
 fixed-seed identity tests.
 """
 
 import copy
+import json
 import math
 
 import numpy as np
@@ -18,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from levelcurv.config import parse_config
-from levelcurv.errors import ConfigError, NonpositiveCurvature
+from levelcurv.errors import ConfigError
 from levelcurv.geometry import (
     Jet,
     TestFunctionSpec,
@@ -27,14 +28,9 @@ from levelcurv.geometry import (
     rotate_jet,
     weighted_curvature,
 )
-from levelcurv.identities import (
-    codazzi_residual,
-    identity_residuals,
-    phi_gradient_identity_residual,
-    uiia_residual,
-)
+from levelcurv.identities import identity_residuals
 from levelcurv.polyfield import MAX_DEGREE, PolyField, _multi_indices, _nondegenerate
-from levelcurv.report import parse_report, render_json
+from levelcurv.report import render_json
 
 COEFF = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 SPECS = st.one_of(
@@ -59,16 +55,18 @@ def origin_jets():
     return origin_fields().map(lambda field: field.jet(np.zeros(field.dim), order=3))
 
 
+def _stack(jets):
+    return Jet(*(np.stack(parts) for parts in zip(*((j.grad, j.hess, j.third) for j in jets))))
+
+
 @settings(max_examples=400, derandomize=True, deadline=None)
 @given(origin_jets(), SPECS)
 def test_identities_hold_on_drawn_fields(jet, spec):
-    assert codazzi_residual(jet) < 1e-10
-    assert uiia_residual(jet) < 1e-10
-    try:
-        residual = phi_gradient_identity_residual(jet, spec)
-    except NonpositiveCurvature:
-        return
-    assert residual < 1e-9
+    res = identity_residuals(_stack([jet]), spec)
+    assert res.codazzi[0] < 1e-10
+    assert res.uiia[0] < 1e-10
+    if res.admissible[0]:
+        assert res.phi[0] < 1e-9
 
 
 @st.composite
@@ -85,23 +83,18 @@ def origin_batches(draw):
     return draw(st.permutations(jets))
 
 
-def _stack(jets):
-    return Jet(*(np.stack(parts) for parts in zip(*((j.grad, j.hess, j.third) for j in jets))))
-
-
 @settings(max_examples=50, derandomize=True, deadline=None)
 @given(origin_batches(), SPECS)
 def test_identity_residuals_do_not_depend_on_the_batch(jets, spec):
-    # the single-jet functions evaluate each jet alone, as a batch of one
+    # each jet evaluated alone, as a batch of one
     batch = identity_residuals(_stack(jets), spec)
     for k, jet in enumerate(jets):
-        assert codazzi_residual(jet) == batch.codazzi[k]
-        assert uiia_residual(jet) == batch.uiia[k]
+        alone = identity_residuals(_stack([jet]), spec)
+        assert alone.codazzi[0] == batch.codazzi[k]
+        assert alone.uiia[0] == batch.uiia[k]
+        assert alone.admissible[0] == batch.admissible[k]
         if batch.admissible[k]:
-            assert phi_gradient_identity_residual(jet, spec) == batch.phi[k]
-        else:
-            with pytest.raises(NonpositiveCurvature):
-                phi_gradient_identity_residual(jet, spec)
+            assert alone.phi[0] == batch.phi[k]
 
 
 SUMMANDS = st.one_of(
@@ -179,8 +172,8 @@ def _typed(value):
 @given(st.dictionaries(st.text(max_size=8), REPORT_VALUES, max_size=6))
 def test_report_round_trip(report):
     text = render_json(report)
-    assert _typed(parse_report(text)) == _typed(report)
-    assert render_json(parse_report(text)) == text
+    assert _typed(json.loads(text)) == _typed(report)
+    assert render_json(json.loads(text)) == text
 
 
 # valid configs that between them hold every kind of object node

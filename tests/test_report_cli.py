@@ -20,8 +20,8 @@ from levelcurv.cli import main, run
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
 from levelcurv.identities import identity_residuals
-from levelcurv.polyfield import random_test_jet, random_test_jets
-from levelcurv.report import emit_report, parse_report, render_json, solution_csv_text
+from levelcurv.polyfield import random_test_jets
+from levelcurv.report import _csv_blocks, emit_report, render_json
 
 
 def minimal_ring_config(**overrides):
@@ -195,7 +195,7 @@ class TestRunVerdicts:
         path = CONFIG_DIR / "psi-harmonicity.json"
         out = tmp_path / "psi"
         assert main(["check-theorem", "--config", str(path), "--out", str(out), "--quiet"]) == 0
-        report = parse_report((tmp_path / "psi.json").read_text())
+        report = json.loads((tmp_path / "psi.json").read_text())
         assert "solver" not in report
         solvers = report["solvers"]
         grids = _shipped("psi-harmonicity")["grids"]
@@ -266,7 +266,7 @@ class TestRunVerdicts:
         assert error["iterations"] == 2
         assert error["residual"] > 1e-10
         assert f"{error['residual']:.3e}" in error["message"]
-        assert parse_report(render_json(report))["error"] == error
+        assert json.loads(render_json(report))["error"] == error
 
     def test_numerical_failure_no_solution(self):
         cfg = {
@@ -377,7 +377,7 @@ class TestRunVerdicts:
             assert batch.jets.grad.shape == (fields, batch.n)
             origin = np.zeros(batch.n)
             for k in range(fields):
-                want = random_test_jet(k, batch.n).jet(origin, 3)
+                want = random_test_jets([k], batch.n).field(0).jet(origin, 3)
                 for got, ref in zip((batch.jets.grad, batch.jets.hess, batch.jets.third),
                                     (want.grad, want.hess, want.third)):
                     assert got[k].tobytes() == ref.tobytes()
@@ -510,7 +510,7 @@ class TestCurvatureCommand:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "curv"
         assert main(["curvature", "--config", str(path), "--out", str(out), "--quiet"]) == 0
-        report = parse_report((tmp_path / "curv.json").read_text())
+        report = json.loads((tmp_path / "curv.json").read_text())
         assert report["verdict"] == "AllPass"
         assert "psi_min" in report["curvature"]
 
@@ -635,7 +635,7 @@ class TestExitCodes:
         out = tmp_path / "X"
         code = main(["check-theorem", "--config", str(path), "--out", str(out), "--tol", "0",
                      "--quiet"])
-        [check] = parse_report((tmp_path / "X.json").read_text())["checks"]
+        [check] = json.loads((tmp_path / "X.json").read_text())["checks"]
         assert code == (0 if check["pass"] else 1)
         assert check["pass"] == (check["margin"] >= -check["tolerance"])
 
@@ -656,18 +656,27 @@ class TestExitCodes:
         assert err.startswith("output error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    def test_ring_run_does_not_load_quadrature(self):
-        # scipy.integrate (and the scipy.optimize it pulls in) is needed only by the
-        # radial minimal solver's quadrature
-        cfg = json.dumps(minimal_ring_config())
-        code = (
-            "import json, sys\n"
-            "from levelcurv.cli import run\n"
-            "from levelcurv.config import parse_config\n"
-            f"report, _ = run(parse_config(json.loads({cfg!r})))\n"
-            "assert report['verdict'] == 'AllPass', report['verdict']\n"
-            "assert 'scipy.integrate' not in sys.modules\n"
-        )
+    # A run imports scipy only inside the functions it calls: jet-verify and lemma32 need
+    # none of it, and scipy.integrate (with the scipy.optimize it pulls in) is needed only
+    # by the radial minimal solver's quadrature.
+    @pytest.mark.parametrize("run_config, absent", [
+        (None, "scipy"),
+        ({"command": "jet-verify", "options": {"fields": 5, "dims": [2, 3]}}, "scipy"),
+        ({"command": "lemma32"}, "scipy"),
+        (minimal_ring_config(), "scipy.integrate"),
+    ], ids=["import", "jet-verify", "lemma32", "ring-run"])
+    def test_command_loads_only_the_scipy_it_runs(self, run_config, absent):
+        code = "import sys\nimport levelcurv.cli\nimport levelcurv.report\n"
+        if run_config is not None:
+            code += (
+                "import json\n"
+                "from levelcurv.cli import run\n"
+                "from levelcurv.config import parse_config\n"
+                f"report, _ = run(parse_config(json.loads({json.dumps(run_config)!r})))\n"
+                "assert report['verdict'] == 'AllPass', report['verdict']\n"
+            )
+        code += (f"loaded = [m for m in sys.modules if (m + '.').startswith({absent + '.'!r})]\n"
+                 "assert not loaded, loaded\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
@@ -684,7 +693,7 @@ class TestExitCodes:
                                     "options": {"fields": 5, "dims": [2]}}))
         out = tmp_path / "X"
         assert main(["jet-verify", "--config", str(path), "--out", str(out), "--quiet"]) == 0
-        report = parse_report((tmp_path / "X.json").read_text())
+        report = json.loads((tmp_path / "X.json").read_text())
         assert report["verdict"] == "AllPass"
         assert all(c["pass"] is True for c in report["checks"])
 
@@ -697,7 +706,7 @@ class TestExitCodes:
             runs.append((tmp_path / "run.json").read_bytes())
         first, second = runs
         assert first == second
-        report = parse_report(first.decode())
+        report = json.loads(first.decode())
         assert [c["fields"] for c in report["checks"][:6]] == [400, 400, 400, 400, 400, 152]
 
     def test_harmonic_psi_needs_minimal_exit_two(self, tmp_path):
@@ -721,7 +730,7 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         out = tmp_path / "X"
         assert main(["check-theorem", "--config", str(path), "--out", str(out), "--quiet"]) == 2
-        report = parse_report((tmp_path / "X.json").read_text())
+        report = json.loads((tmp_path / "X.json").read_text())
         assert report["error"]["type"] == "HypothesisViolated"
 
     def test_grid_flag_override(self, tmp_path):
@@ -740,7 +749,7 @@ class TestReportEmission:
         text1 = Path(p1[0]).read_text()
         text2 = Path(p2[0]).read_text()
         assert text1 == text2
-        parsed = parse_report(text1)
+        parsed = json.loads(text1)
         assert render_json(parsed) + "\n" == text1
         assert parsed["verdict"] == report["verdict"]
 
@@ -774,7 +783,7 @@ class TestReportEmission:
         cfg["problem"]["geometry"]["grid"] = [37, 20]
         report, solutions = run(parse_config(cfg))
         paths = emit_report(report, str(tmp_path / "run"), solutions=solutions)
-        assert Path(paths[1]).read_bytes() == solution_csv_text(solutions["solution"])
+        assert Path(paths[1]).read_bytes() == b"".join(_csv_blocks(solutions["solution"]))
 
     # 37 s-rows: two full blocks of 16 and a part
     @pytest.mark.parametrize("grid", [[17, 32], [9, 20], [37, 20]])
@@ -784,7 +793,7 @@ class TestReportEmission:
         _, solutions = run(parse_config(cfg))
         sol = solutions["solution"]
         assert (sol.coords < 0.0).any()
-        text = solution_csv_text(sol).decode("ascii")
+        text = b"".join(_csv_blocks(sol)).decode("ascii")
         assert text == _reference_csv(sol)
         lines = text.splitlines()
         # s = 0 and s = 1 print as whole numbers, not as the JSON's 0.0 and 1.0
@@ -801,16 +810,16 @@ class TestReportEmission:
         sol = solutions["solution"]
         assert (sol.values == 0.0).any() and (sol.coords == 0.0).any()
         assert ((np.abs(sol.coords) > 0.0) & (np.abs(sol.coords) < 1e-15)).any()
-        assert solution_csv_text(sol).decode("ascii") == _reference_csv(sol)
+        assert b"".join(_csv_blocks(sol)).decode("ascii") == _reference_csv(sol)
 
     def test_radial_csv_matches_per_row_formatting(self):
         _, solutions = run(parse_config(radial_config(samples=33)))
-        text = solution_csv_text(solutions["solution"]).decode("ascii")
+        text = b"".join(_csv_blocks(solutions["solution"])).decode("ascii")
         assert text == _reference_csv(solutions["solution"])
 
     def test_float_precision_survives(self):
         obj = {"x": 1.0 / 3.0, "y": 0.1, "z": [math.pi, 1e-300]}
-        parsed = parse_report(render_json(obj))
+        parsed = json.loads(render_json(obj))
         assert parsed["x"] == 1.0 / 3.0
         assert parsed["y"] == 0.1
         assert parsed["z"][0] == math.pi
@@ -827,7 +836,7 @@ class TestReportEmission:
         }
         report, solutions = run(parse_config(cfg))
         sol = solutions["solution"]
-        lines = solution_csv_text(sol).decode("ascii").splitlines()
+        lines = b"".join(_csv_blocks(sol)).decode("ascii").splitlines()
         assert lines[0] == "r,u,u_prime"
         assert len(lines) == 22
         expected = np.column_stack([sol.r, sol.values, sol.u_prime])
@@ -836,7 +845,7 @@ class TestReportEmission:
         report2, solutions2 = run(parse_config(minimal_ring_config(command="solve",
                                                                    checks=[], spec=None)))
         sol2 = solutions2["solution"]
-        lines2 = solution_csv_text(sol2).decode("ascii").splitlines()
+        lines2 = b"".join(_csv_blocks(sol2)).decode("ascii").splitlines()
         assert lines2[0] == "s,t,x1,x2,u"
         assert len(lines2) == 1 + 17 * 32
         s, t = np.meshgrid(np.linspace(0.0, 1.0, 17), np.arange(32) * (2.0 * math.pi / 32),
@@ -851,7 +860,7 @@ class TestReportEmission:
         sol = solutions["solution"]
         sol.values[3, 5] = float("nan")
         with pytest.raises(ValueError, match="non-finite float nan"):
-            solution_csv_text(sol)
+            _csv_blocks(sol)
 
     def test_index_file(self, tmp_path):
         report, solutions = run(parse_config(minimal_ring_config()))

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
@@ -123,8 +124,8 @@ class TestSemilinearRadial:
 
     def test_line_search_failure(self, monkeypatch):
         # every halving of a reversed Newton step raises the residual
-        real = radial.solve_banded
-        monkeypatch.setattr(radial, "solve_banded", lambda *args: -real(*args))
+        real = scipy.linalg.solve_banded
+        monkeypatch.setattr(scipy.linalg, "solve_banded", lambda *args: -real(*args))
         with pytest.raises(DidNotConverge, match="line search failed") as caught:
             solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(1.0), samples=101)
         assert caught.value.iterations == 0
