@@ -5,7 +5,8 @@ sqrt(1 + u'^2) is a constant c, so u'(r) = c / sqrt(r^(2(n-1)) - c^2) and the
 boundary data pin c through one scalar quadrature equation, solved here by
 bisection.  Graph solutions exist only for |c| < a^(n-1); data steeper than
 that is reported as NoSolution, a legitimate outcome rather than a failure.
-The solution carries u' and u'' of that closed form.
+The solution carries u' and u'' of that closed form, and u from the same
+quadrature rule as the flux equation.
 
 The semilinear equation u'' + (n-1) u'/r = f(x, u) is solved on a
 second-order central-difference discretization by the damped-Newton driver the
@@ -15,8 +16,8 @@ its u' and u'' are the difference stencils of the converged u.
 
 from __future__ import annotations
 
+import functools
 import math
-import warnings
 
 import numpy as np
 
@@ -25,32 +26,96 @@ from .fields import RadialMinimalField
 from .ring2d import second_difference
 from .solution import RingSolution, _damped_newton
 
-_QUAD_TOL = 1e-12
 _FLUX_EDGE = 1.0 - 1e-12
+_GAUSS_NODES = 16  # Gauss-Legendre nodes per panel
+_PANEL_WIDTH = 0.75  # widest panel in tau; the integrand is analytic within 0.57 of the real axis
+
+
+@functools.cache
+def _gauss_legendre() -> tuple:
+    """Nodes on [0, 1] and weights summing to 1, built on first use; read-only, as
+    every caller shares them."""
+    nodes, weights = np.polynomial.legendre.leggauss(_GAUSS_NODES)
+    rule = 0.5 * (nodes + 1.0), 0.5 * weights
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _flux_scales(c: float, n: int, r0: float, r_last: float) -> tuple:
+    """(r0 - s0, s0, d) for the integrals of ``_tau_integrals`` over [r0, r_last].
+
+    s0 = |c|^(1/(n-1)) is where the integrand is root-singular; it must not
+    exceed r0 (ValueError otherwise; OverflowError when r_last^m is not a
+    finite float).  r0 - s0 comes from the ratio of |c| to the limit r0^(n-1),
+    so it keeps its digits as s0 -> r0.
+    """
+    m = 2 * (n - 1)
+    if not math.isfinite(float(r_last) ** m):  # float ** raises OverflowError past the range
+        raise OverflowError(f"s^{m} is not finite at s = {float(r_last):g}")
+    gap = -r0 * math.expm1(math.log(abs(c) / r0 ** (n - 1)) / (n - 1))
+    if gap < 0.0:
+        raise ValueError(f"|flux| {abs(c):g} exceeds the limit {r0 ** (n - 1):g}")
+    s0 = r0 - gap
+    return gap, s0, math.sqrt(2.0 * s0 * math.sin(math.pi / m))
+
+
+def _tau_integrals(c: float, n: int, s0: float, d: float, start: np.ndarray,
+                   width: np.ndarray) -> np.ndarray:
+    """integral_{r_i}^{r_(i+1)} c / sqrt(s^m - c^2) ds, m = 2(n-1), given as the
+    interval [start_i, start_i + width_i] in tau.
+
+    With s = s0 + sigma^2, s^m - c^2 = sigma^2 P(s) for the positive
+    P(s) = sum_{k<m} s^k s0^(m-1-k), so the integral is that of 2c / sqrt(P)
+    d sigma, smooth up to the flux limit.  P vanishes at the other m-th roots
+    of c^2, the nearest at |sigma| = d = sqrt(2 s0 sin(pi/m)) and all at an
+    angle of at least pi/4 to the real axis; after sigma = d sinh(tau) they lie
+    at least 0.57 from the real tau axis.  So every interval is cut into the
+    same number of equal panels, enough for the widest to be at most
+    ``_PANEL_WIDTH``, each integrated by a fixed Gauss-Legendre rule.
+    """
+    m = 2 * (n - 1)
+    panels = max(1, math.ceil(float(width.max()) / _PANEL_WIDTH))
+    nodes, weights = _gauss_legendre()
+    if panels > 1:
+        nodes = ((np.arange(panels)[:, None] + nodes) / panels).ravel()
+        weights = np.tile(weights / panels, panels)
+    tau = start[:, None] + width[:, None] * nodes
+    s = s0 + (d * np.sinh(tau)) ** 2
+    p = s + s0
+    for j in range(2, m):  # P by Horner's rule
+        p = p * s + s0**j
+    return (2.0 * c * d) * ((np.cosh(tau) / np.sqrt(p)) @ weights) * width
+
+
+def _profile_increments(c: float, n: int, r: np.ndarray) -> np.ndarray:
+    """integral_{r_i}^{r_(i+1)} c / sqrt(s^(2(n-1)) - c^2) ds for ascending radii r_i."""
+    gap, s0, d = _flux_scales(c, n, r[0], r[-1])
+    sigma = np.sqrt((r - r[0]) + gap)
+    root = np.hypot(d, sigma)
+    # the tau width asinh(sigma_(i+1)/d) - asinh(sigma_i/d), without the cancellation
+    # of the difference on a short interval; profile_integral repeats it on floats
+    width = np.arcsinh(np.diff(r) / (sigma[1:] * root[:-1] + sigma[:-1] * root[1:]))
+    return _tau_integrals(c, n, s0, d, np.arcsinh(sigma[:-1] / d), width)
 
 
 def profile_integral(c: float, n: int, a: float, b: float) -> float:
-    """integral_a^b c / sqrt(s^(2(n-1)) - c^2) ds (adaptive quadrature)."""
-    if c == 0.0:
-        return 0.0
-    # imported here, like every scipy import of the package, so that only the runs
-    # that call it pay for it: scipy.integrate loads scipy.optimize and scipy.special
-    from scipy.integrate import IntegrationWarning, quad
+    """integral_a^b c / sqrt(s^(2(n-1)) - c^2) ds for |c| <= a^(n-1).
 
-    m = 2 * (n - 1)
-    with warnings.catch_warnings():
-        # near the flux limit the integrand is root-singular at s = a; the
-        # feasibility probe only needs a few digits there
-        warnings.simplefilter("ignore", IntegrationWarning)
-        val, _ = quad(
-            lambda s: c / math.sqrt(s**m - c * c),
-            a,
-            b,
-            epsabs=_QUAD_TOL,
-            epsrel=_QUAD_TOL,
-            limit=200,
-        )
-    return float(val)
+    Fixed Gauss-Legendre panels after the substitutions of ``_tau_integrals``,
+    which leave no singular integrand, so the rule holds its accuracy up to the
+    flux limit |c| = a^(n-1).  OverflowError when b^(2(n-1)) is not a finite
+    float.  The interval is set up on floats, as the flux bisection calls this
+    some fifty times per solve.
+    """
+    if c == 0.0 or a == b:
+        return 0.0
+    gap, s0, d = _flux_scales(c, n, a, b)
+    sigma_a, sigma_b = math.sqrt(gap), math.sqrt((b - a) + gap)
+    root_a, root_b = math.hypot(d, sigma_a), math.hypot(d, sigma_b)
+    width = math.asinh((b - a) / (sigma_b * root_a + sigma_a * root_b))
+    start = math.asinh(sigma_a / d)
+    return float(_tau_integrals(c, n, s0, d, np.array([start]), np.array([width]))[0])
 
 
 def solve_minimal_radial(
@@ -64,7 +129,8 @@ def solve_minimal_radial(
     """Radial minimal-surface profile with u(a) = u_a, u(b) = u_b.
 
     Finds the flux constant by bisection so the profile integral matches the
-    data, then samples u (panelwise Gauss quadrature), u' and u'' (closed form).
+    data, then samples u (the same quadrature rule over each sample interval,
+    summed by one cumulative sum), u' and u'' (closed form).
     ``meta`` records the number of bisection steps and the final bracket
     [lo, hi] of |flux| (both 0 when the data jump is 0).
     """
@@ -104,14 +170,9 @@ def solve_minimal_radial(
     profile = RadialMinimalField(n, c)
     u_prime, u_second = profile.u_prime(r), profile.u_second(r)
 
-    # cumulative profile by fixed Gauss-Legendre panels (integrand is smooth)
     u = np.full_like(r, u_a)
     if c != 0.0:
-        nodes, weights = np.polynomial.legendre.leggauss(12)
-        mid, half = 0.5 * (r[1:] + r[:-1]), 0.5 * (r[1:] - r[:-1])
-        panels = profile.u_prime(mid[:, None] + half[:, None] * nodes)
-        for i in range(samples - 1):
-            u[i + 1] = u[i] + half[i] * float(weights @ panels[i])
+        u[1:] += np.cumsum(_profile_increments(c, n, r))
 
     # pointwise residual of div(grad u / sqrt(1 + |grad u|^2)) in radial form
     w3 = (1.0 + u_prime**2) ** 1.5

@@ -391,33 +391,63 @@ class _RingOperator:
         diag = -self.rhs.f_u(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
         return m_ss, m_st, m_tt, m_s, m_t, diag
 
+    def stencil_planes(self, fields) -> np.ndarray:
+        """(9, interior rows, n_t) Jacobian coefficients, one plane per ``_OFFSETS``
+        entry, from ``_linearization_fields``."""
+        m_ss, m_st, m_tt, m_s, m_t, diag_extra = (f[1:-1] for f in fields)
+        ds, dt = self.grid.ds, self.grid.dt
+        ss, tt, s, t = m_ss * (1.0 / ds**2), m_tt * (1.0 / dt**2), m_s * (0.5 / ds), m_t * (0.5 / dt)
+        st = m_st * (1.0 / (4.0 * ds * dt))
+        planes = np.empty((9,) + m_ss.shape)
+        planes[0] = planes[8] = st
+        planes[2] = planes[6] = -st
+        planes[1], planes[7] = ss - s, ss + s
+        planes[3], planes[5] = tt - t, tt + t
+        planes[4] = m_ss * (-2.0 / ds**2) + m_tt * (-2.0 / dt**2) + diag_extra
+        return planes
+
     def assemble(self, fields):
         """Sparse CSR Jacobian over the interior unknowns from ``_linearization_fields``.
 
         The Dirichlet rows are fixed, so their couplings are left out: the
         Newton and Picard steps solve for a correction that vanishes there.
         The nine-point pattern is built once per operator; only the entries
-        are filled here.
+        are filled here.  Only the sparse-LU fallback of ``_linear_solve`` runs it.
         """
         from scipy.sparse import csr_matrix
 
-        m_ss, m_st, m_tt, m_s, m_t, diag_extra = (f[1:-1] for f in fields)
-        ds, dt = self.grid.ds, self.grid.dt
-        ss, tt, s, t = m_ss * (1.0 / ds**2), m_tt * (1.0 / dt**2), m_s * (0.5 / ds), m_t * (0.5 / dt)
-        st = m_st * (1.0 / (4.0 * ds * dt))
-        per_node = np.empty(m_ss.shape + (9,))
-        per_node[..., 0] = per_node[..., 8] = st
-        per_node[..., 2] = per_node[..., 6] = -st
-        per_node[..., 1], per_node[..., 7] = ss - s, ss + s
-        per_node[..., 3], per_node[..., 5] = tt - t, tt + t
-        per_node[..., 4] = m_ss * (-2.0 / ds**2) + m_tt * (-2.0 / dt**2) + diag_extra
-        n_int = m_ss.size
+        per_node = np.moveaxis(self.stencil_planes(fields), 0, -1)
+        n_int = per_node.shape[0] * per_node.shape[1]
         return csr_matrix((_stencil_entries(per_node), self._indices, self._indptr),
                           shape=(n_int, n_int))
 
 
+def _jacobian_apply(op: _RingOperator, fields):
+    """x -> J x for J = ``op.assemble(fields)``, without assembling it.
+
+    The nine-point stencil runs on a copy of x padded by the zero Dirichlet
+    rows and by one wrapped t-column on each side.
+    """
+    planes = op.stencil_planes(fields)
+    rows, nt = planes.shape[1:]
+    padded = np.zeros((rows + 2, nt + 2))
+    shifted = [(k, slice(1 + i, rows + 1 + i), slice(1 + j, nt + 1 + j))
+               for k, (i, j) in enumerate(_OFFSETS) if (i, j) != (0, 0)]
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        inner = padded[1:-1, 1:-1]
+        inner[...] = x.reshape(rows, nt)
+        padded[1:-1, 0], padded[1:-1, -1] = inner[:, -1], inner[:, 0]
+        y = planes[4] * inner
+        for k, si, tj in shifted:
+            y += planes[k] * padded[si, tj]
+        return y.ravel()
+
+    return apply
+
+
 def _averaged_preconditioner(fields, ds: float, dt: float):
-    """Row-scaled, t-averaged inverse of the Jacobian as a scipy LinearOperator,
+    """Row-scaled, t-averaged inverse of the Jacobian as a function r -> P^{-1} r,
     or None when it cannot be built.
 
     Each row is scaled by its stencil diagonal w = 2 m_ss/ds^2 + 2 m_tt/dt^2,
@@ -431,7 +461,6 @@ def _averaged_preconditioner(fields, ds: float, dt: float):
     None when w is not positive and finite, a pivot is zero or a factor is not finite.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
-    from scipy.sparse.linalg import LinearOperator
 
     rows, nt = fields[0].shape[0] - 2, fields[0].shape[1]
     w = 2.0 * fields[0][1:-1] / ds**2 + 2.0 * fields[2][1:-1] / dt**2
@@ -457,7 +486,7 @@ def _averaged_preconditioner(fields, ds: float, dt: float):
         y = zgttrs(*factors, y, overwrite_b=True)[0]
         return np.fft.irfft(y.reshape(-1, rows).T, n=nt, axis=1).ravel()
 
-    return LinearOperator((rows * nt, rows * nt), matvec=apply, dtype=float)
+    return apply
 
 
 # frozen-coefficient steps before Newton, minimal equation only
@@ -471,32 +500,89 @@ _GMRES_RESTART = 50
 _GMRES_MAX_ITER = 500  # inner iterations before the splu fallback
 
 
+def _gmres(apply, precond, rhs: np.ndarray, forcing: float) -> tuple:
+    """Restarted GMRES (Saad & Schultz 1986) for apply(x) = rhs, preconditioned on the right.
+
+    Each cycle builds an Arnoldi basis of A P^{-1} from the current residual,
+    keeping P^{-1} of each basis vector, so the least-squares residual is that of
+    the unpreconditioned system and the update needs no further P^{-1}.  The basis
+    is orthogonalized by classical Gram-Schmidt, repeated once when the norm
+    drops below 1/sqrt(2) of its value (Daniel, Gragg, Kaufman & Stewart 1976),
+    and the Hessenberg columns are reduced by Givens rotations on Python floats.
+    A cycle stops when the residual estimate is <= forcing * ||rhs|| or after
+    ``_GMRES_RESTART`` steps; the solve returns once the true residual meets
+    that bound too.  Returns (x, Arnoldi steps), with x None on a breakdown, a
+    non-finite value or after ``_GMRES_MAX_ITER`` steps.
+    """
+    target = forcing * float(np.linalg.norm(rhs))
+    x = np.zeros_like(rhs)
+    if target == 0.0:
+        return x, 0
+    restart = min(_GMRES_RESTART, _GMRES_MAX_ITER)
+    basis, directions = np.empty((restart + 1, rhs.size)), np.empty((restart, rhs.size))
+    residual, steps = rhs, 0
+    while steps < _GMRES_MAX_ITER:
+        beta = float(np.linalg.norm(residual))
+        basis[0] = residual / beta
+        g, columns, rotations = [beta], [], []  # g: the rotated least-squares right-hand side
+        for j in range(min(restart, _GMRES_MAX_ITER - steps)):
+            steps += 1
+            directions[j] = precond(basis[j])
+            w = apply(directions[j])
+            norm_w = float(np.linalg.norm(w))
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            h_next = float(np.linalg.norm(w))
+            if h_next < math.sqrt(0.5) * norm_w:
+                again = basis[:j + 1] @ w
+                w -= again @ basis[:j + 1]
+                h += again
+                h_next = float(np.linalg.norm(w))
+            col = h.tolist() + [h_next]
+            for i, (c, s) in enumerate(rotations):
+                col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
+            r = math.hypot(col[j], h_next)
+            if not (math.isfinite(r) and r > 0.0):
+                return None, steps
+            c, s = col[j] / r, h_next / r
+            rotations.append((c, s))
+            col[j] = r
+            columns.append(col[:j + 1])
+            g[j], g_next = c * g[j], -s * g[j]
+            g.append(g_next)
+            if abs(g_next) <= target:
+                break
+            basis[j + 1] = w / h_next
+        k = len(columns)  # back substitution in the triangular factor, stored by columns
+        y = [0.0] * k
+        for i in reversed(range(k)):
+            y[i] = (g[i] - sum(columns[q][i] * y[q] for q in range(i + 1, k))) / columns[i][i]
+        x += np.asarray(y) @ directions[:k]
+        residual = rhs - apply(x)
+        if float(np.linalg.norm(residual)) <= target:
+            return x, steps
+    return None, steps
+
+
 def _linear_solve(op: _RingOperator, fields: tuple, rhs: np.ndarray, frozen: bool):
     """Solve J x = rhs for the Jacobian of ``_linearization_fields``.
 
     Returns (x, linear solver path, Krylov iterations).
 
-    GMRES runs under the t-averaged preconditioner; sparse LU is the fallback
-    when GMRES stops short of the forcing term or the preconditioner breaks down.
+    GMRES runs on the stencil apply of J under the t-averaged preconditioner;
+    sparse LU of the assembled J is the fallback when GMRES stops short of the
+    forcing term or the preconditioner breaks down.
     """
-    from scipy.sparse.linalg import gmres, splu
-
     forcing = _PICARD_FORCING if frozen else _NEWTON_FORCING
-    mat = op.assemble(fields)
     precond = _averaged_preconditioner(fields, op.grid.ds, op.grid.dt)
     krylov = 0
     if precond is not None:
-        def count(_):
-            nonlocal krylov
-            krylov += 1
-
-        restart = min(_GMRES_RESTART, _GMRES_MAX_ITER)
-        x, info = gmres(mat, rhs, rtol=forcing, atol=0.0, restart=restart,
-                        maxiter=-(-_GMRES_MAX_ITER // restart), M=precond,
-                        callback=count, callback_type="pr_norm")
-        if info == 0:
+        x, krylov = _gmres(_jacobian_apply(op, fields), precond, rhs, forcing)
+        if x is not None:
             return x, "gmres", krylov
-    return splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs), "splu", krylov
+    from scipy.sparse.linalg import splu
+
+    return splu(op.assemble(fields).tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs), "splu", krylov
 
 
 def _solve_ring2d(

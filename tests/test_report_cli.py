@@ -656,18 +656,29 @@ class TestExitCodes:
         assert err.startswith("output error:") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
 
-    # A run imports scipy only inside the functions it calls: jet-verify and lemma32 need
-    # none of it, and scipy.integrate (with the scipy.optimize it pulls in) is needed only
-    # by the radial minimal solver's quadrature.
+    # A run imports scipy only inside the functions it calls: jet-verify, lemma32 and the
+    # radial minimal solver need none of it, parsing a shipped config needs none, and a
+    # ring run needs only the LAPACK routines of its preconditioner (scipy.linalg).
     @pytest.mark.parametrize("run_config, absent", [
-        (None, "scipy"),
-        ({"command": "jet-verify", "options": {"fields": 5, "dims": [2, 3]}}, "scipy"),
-        ({"command": "lemma32"}, "scipy"),
-        (minimal_ring_config(), "scipy.integrate"),
-    ], ids=["import", "jet-verify", "lemma32", "ring-run"])
+        (None, ("scipy",)),
+        ({"command": "jet-verify", "options": {"fields": 5, "dims": [2, 3]}}, ("scipy",)),
+        ({"command": "lemma32"}, ("scipy",)),
+        (minimal_ring_config(), ("scipy.integrate", "scipy.sparse")),
+        (_shipped("radial-sharpness"), ("scipy",)),
+        (radial_config("check-corollary"), ("scipy",)),
+        ("parse-shipped", ("scipy",)),
+    ], ids=["import", "jet-verify", "lemma32", "ring-run", "radial-sharpness",
+            "radial-corollary", "parse-shipped"])
     def test_command_loads_only_the_scipy_it_runs(self, run_config, absent):
         code = "import sys\nimport levelcurv.cli\nimport levelcurv.report\n"
-        if run_config is not None:
+        if run_config == "parse-shipped":
+            code += (
+                "import json\n"
+                "from levelcurv.config import parse_config\n"
+                f"for path in {sorted(map(str, CONFIG_DIR.glob('*.json')))!r}:\n"
+                "    parse_config(json.load(open(path)))\n"
+            )
+        elif run_config is not None:
             code += (
                 "import json\n"
                 "from levelcurv.cli import run\n"
@@ -675,7 +686,8 @@ class TestExitCodes:
                 f"report, _ = run(parse_config(json.loads({json.dumps(run_config)!r})))\n"
                 "assert report['verdict'] == 'AllPass', report['verdict']\n"
             )
-        code += (f"loaded = [m for m in sys.modules if (m + '.').startswith({absent + '.'!r})]\n"
+        prefixes = tuple(p + "." for p in absent)
+        code += (f"loaded = [m for m in sys.modules if (m + '.').startswith({prefixes!r})]\n"
                  "assert not loaded, loaded\n")
         env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

@@ -62,12 +62,85 @@ class TestMinimalRadial:
         sol = solve_minimal_radial(3, 2.0, 4.0, 1.0, 0.0)
         assert sol.flux == -3.32140883203261
         assert len(calls) <= 70
+        # the root of profile_integral(c, 3, 2, 4) = 1 to 25 digits, by mpmath.findroot
+        # over mpmath.quad of the unsubstituted integrand
+        root = -3.321408832032609702183459
+        assert abs(sol.flux - root) <= 2.0 * math.ulp(root)
 
     def test_determinism(self):
         s1 = solve_minimal_radial(3, 2, 4, 1.0, 0.0)
         s2 = solve_minimal_radial(3, 2, 4, 1.0, 0.0)
         assert np.array_equal(s1.values, s2.values)
         assert s1.flux == s2.flux
+
+
+# integral_a^b c / sqrt(s^(2(n-1)) - c^2) ds to 25 digits for the float c, by mpmath.quad
+# (tanh-sinh, 40 digits) of the unsubstituted integrand, its interval cut at a + 4^k (a - s0)
+# towards the near-singular start; the n = 2 limit fluxes are c acosh(b / c) by mpmath.acosh.
+PROFILE_REFERENCES = [
+    (6, 1.0, 10.0, 0.999999, "0.3676014817853421481709031"),
+    (2, 1.0, 1e6, 0.5, "6.942423511079642757158683"),
+    (3, 1.0, 1e3, 0.999, "1.287019012128537182126355"),
+    (4, 3.0, 300.0, 24.3, "1.590012729546037807831965"),
+    (3, 2.0, 2.0000001, 3.6, "2.064741058103150355789062e-7"),
+    (3, 2.0, 4.0, 4.0 * (1.0 - 2.0**-40), "1.615637319238040642063134"),
+    (4, 0.5, 3.0, 0.125 * (1.0 - 2.0**-20), "0.3433707805104601445059123"),
+    (12, 1.0, 10.0, 0.5, "0.05220895670348140731216956"),
+    (2, 0.5, 3.0, 5e-7, "8.958797346141489876437669e-7"),
+    (6, 3.0, 30.0, 242.757, "1.076600962579855314200346"),
+    (2, 1.0, 10.0, 1.0, "2.993222846126380897912668"),
+    (2, 2.0, 5.0, 2.0, "3.133598473944822157328114"),
+]
+
+
+class TestProfileIntegral:
+    @pytest.mark.parametrize("n,a,b,c,reference", PROFILE_REFERENCES)
+    def test_matches_mpmath(self, n, a, b, c, reference):
+        got = radial.profile_integral(c, n, a, b)
+        assert got == pytest.approx(float(reference), rel=1e-14, abs=0)
+
+    def test_matches_quad(self):
+        # where quad resolves the integrand: away from the flux limit, on moderate b / a
+        for n in (2, 3, 4, 6):
+            for a, b in [(1.0, 1.5), (2.0, 4.0), (1.0, 10.0), (0.5, 3.0), (3.0, 30.0)]:
+                for fraction in (1e-6, 0.1, 0.5, 0.9, 0.999):
+                    c = fraction * a ** (n - 1)
+                    expected = quad(lambda s: c / math.sqrt(s ** (2 * n - 2) - c * c), a, b,
+                                    epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                    got = radial.profile_integral(c, n, a, b)
+                    assert got == pytest.approx(expected, rel=1e-13, abs=0), (n, a, b, fraction)
+
+    def test_odd_and_negative_flux(self):
+        positive = radial.profile_integral(0.5, 3, 1.0, 2.0)
+        assert radial.profile_integral(-0.5, 3, 1.0, 2.0) == -positive
+        assert radial.profile_integral(0.0, 3, 1.0, 2.0) == 0.0
+        assert radial.profile_integral(1.0, 3, 2.0, 2.0) == 0.0
+
+    def test_overflow_and_flux_beyond_the_limit_raise(self):
+        with pytest.raises(OverflowError):
+            radial.profile_integral(1.0, 3, 2.0, 1e308)
+        with pytest.raises(OverflowError):
+            radial.profile_integral(1.0, 3, 2.0, math.inf)
+        with pytest.raises(ValueError, match="limit"):
+            radial.profile_integral(4.0 * (1.0 + 2.0**-40), 3, 2.0, 4.0)
+
+    def test_rule_is_built_once(self, monkeypatch):
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda deg: calls.append(deg) or leggauss(deg))
+        radial._gauss_legendre.cache_clear()
+        for c in (0.5, 1.0, 2.0):
+            radial.profile_integral(c, 3, 2.0, 4.0)
+        solve_minimal_radial(3, 2.0, 4.0, 0.0, 1.0)
+        assert calls == [radial._GAUSS_NODES]
+
+    def test_sampled_profile_near_the_flux_limit(self):
+        # u' is near-singular at r = a: the samples must integrate it as the flux equation does
+        sol = solve_minimal_radial(6, 1.0, 10.0, 0.0, 0.3676)
+        assert abs(sol.flux) > 0.999998
+        assert abs(sol.values[-1] - 0.3676) <= 1e-12
+        assert np.all(np.diff(sol.values) > 0.0)
 
 
 class TestSemilinearRadial:
@@ -444,7 +517,7 @@ class TestNewtonKrylov:
         mat = ring2d._RingOperator(grid, "semilinear").assemble(fields)
         precond = ring2d._averaged_preconditioner(fields, grid.ds, grid.dt)
         x = rng.standard_normal(mat.shape[0])
-        assert np.max(np.abs(precond.matvec(mat @ x) - x)) < 1e-10
+        assert np.max(np.abs(precond(mat @ x) - x)) < 1e-10
 
     def test_singular_pivot_gives_no_preconditioner(self):
         zero = np.zeros((9, 16))
@@ -470,8 +543,73 @@ class TestNewtonKrylov:
                                 ((1, 1), (0, 0))) for f in fields)
         r = np.random.default_rng(2).standard_normal(w.size)
         expected = splu(op.assemble(averaged).tocsc()).solve(r / w.ravel())
-        got = ring2d._averaged_preconditioner(fields, ds, dt).matvec(r)
+        got = ring2d._averaged_preconditioner(fields, ds, dt)(r)
         assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n_s,n_t", [ring2d.MIN_GRID, (9, 15), (33, 64)])
+    @pytest.mark.parametrize("equation,frozen", [("minimal", False), ("minimal", True),
+                                                 ("semilinear", False)],
+                             ids=["newton", "picard", "semilinear"])
+    def test_stencil_apply_matches_assembled_jacobian(self, n_s, n_t, equation, frozen):
+        grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=n_s, n_t=n_t))
+        rhs = TestLinearization._cubic_rhs() if equation == "semilinear" else None
+        op = ring2d._RingOperator(grid, equation, rhs)
+        s = np.linspace(0.0, 1.0, n_s)[:, None]
+        u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
+        fields = op._linearization_fields(op.residual(u)[1], frozen)
+        mat, apply = op.assemble(fields), ring2d._jacobian_apply(op, fields)
+        rng = np.random.default_rng(6)
+        for _ in range(2):  # the padded copy is reused by the second vector
+            x = rng.standard_normal(mat.shape[0])
+            expected = mat @ x
+            assert np.max(np.abs(apply(x) - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+    def test_gmres_zero_rhs(self):
+        x, steps = ring2d._gmres(lambda v: v, lambda v: v, np.zeros(12), 1e-8)
+        assert steps == 0
+        assert np.array_equal(x, np.zeros(12))
+
+    @pytest.mark.parametrize("restart", [50, 3])
+    def test_gmres_meets_forcing_on_true_residual(self, monkeypatch, restart):
+        monkeypatch.setattr(ring2d, "_GMRES_RESTART", restart)
+        op, fields = self._ellipse_fields()
+        apply = ring2d._jacobian_apply(op, fields)
+        precond = ring2d._averaged_preconditioner(fields, op.grid.ds, op.grid.dt)
+        rhs = np.random.default_rng(7).standard_normal(31 * 64)
+        direct = splu(op.assemble(fields).tocsc()).solve(rhs)
+        for forcing in (1e-3, 1e-8):
+            x, steps = ring2d._gmres(apply, precond, rhs, forcing)
+            assert 0 < steps < ring2d._GMRES_MAX_ITER
+            assert np.linalg.norm(rhs - apply(x)) <= forcing * np.linalg.norm(rhs)
+        assert steps > 3  # so with restart 3 the last solve ran several cycles
+        assert np.max(np.abs(x - direct)) < 1e-6 * np.max(np.abs(direct))
+
+    def test_gmres_steps_are_the_minimal_polynomial_degree(self):
+        # A with three distinct eigenvalues: GMRES is exact after three Arnoldi steps
+        diagonal = np.repeat([1.0, 2.0, 5.0], 7)
+        rhs = np.random.default_rng(8).standard_normal(21)
+        x, steps = ring2d._gmres(lambda v: diagonal * v, lambda v: v, rhs, 1e-10)
+        assert steps == 3
+        assert np.max(np.abs(x - rhs / diagonal)) < 1e-12
+
+    @pytest.mark.parametrize("case", ["singular", "nan"])
+    def test_gmres_breakdown_returns_none(self, case):
+        apply = (lambda v: 0.0 * v) if case == "singular" else (lambda v: v)
+        precond = (lambda v: v) if case == "singular" else (lambda v: np.full_like(v, np.nan))
+        x, steps = ring2d._gmres(apply, precond, np.ones(12), 1e-8)
+        assert (x, steps) == (None, 1)
+
+    def test_converged_solve_assembles_no_matrix(self, monkeypatch):
+        calls = []
+        real = ring2d._RingOperator.assemble
+        monkeypatch.setattr(ring2d._RingOperator, "assemble",
+                            lambda self, fields: calls.append(1) or real(self, fields))
+        sol = self._ellipse()
+        assert sol.meta["linear_solver"] == ["gmres"] * sol.iterations
+        assert calls == []
+        monkeypatch.setattr(ring2d, "_GMRES_MAX_ITER", 1)
+        capped = self._ellipse()
+        assert len(calls) == capped.iterations  # the splu fallback assembles once per step
 
     def _breakdown(self, case):
         if case == "zero-pivot":
@@ -597,7 +735,7 @@ class TestLinearization:
             zero = fields[:5] + (np.zeros_like(u),)
             assert op.assemble(fields).data.tobytes() == op.assemble(zero).data.tobytes()
             precond = [ring2d._averaged_preconditioner(f, grid.ds, grid.dt) for f in (fields, zero)]
-            assert precond[0].matvec(x).tobytes() == precond[1].matvec(x).tobytes()
+            assert precond[0](x).tobytes() == precond[1](x).tobytes()
 
     def test_minimal_residual_is_f_contracted_with_hessian(self):
         # the (s, t) coefficients reproduce F(grad u) : hess u in physical coordinates
