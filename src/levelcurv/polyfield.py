@@ -113,16 +113,21 @@ class PolyField:
         return Jet(grad, hess, third)
 
 
-def _nondegenerate(jet: Jet, min_grad: float, min_det: float) -> np.ndarray:
-    """|grad| >= min_grad and the pre-orientation curvature matrix has
-    |det| >= min_det, elementwise over a batch of jets."""
+# the nondegeneracy thresholds of a random test jet at the origin
+MIN_GRAD = 0.1
+MIN_DET = 1e-4
+
+
+def _nondegenerate(jet: Jet) -> np.ndarray:
+    """|grad| >= ``MIN_GRAD`` and the pre-orientation curvature matrix has
+    |det| >= ``MIN_DET``, elementwise over a batch of jets."""
     n = jet.dim
     grad = jet.grad.reshape(-1, n)
     hess = jet.hess.reshape(-1, n, n)
-    ok = np.asarray(jet.grad_norm >= min_grad).reshape(-1)
+    ok = np.asarray(jet.grad_norm >= MIN_GRAD).reshape(-1)
     aj = align_frame(Jet(grad[ok], hess[ok])).aligned_jet
     a_pre = -aj.hess[:, : n - 1, : n - 1] / aj.grad[:, -1, None, None]
-    ok[ok] = np.abs(np.linalg.det(a_pre)) >= min_det
+    ok[ok] = np.abs(np.linalg.det(a_pre)) >= MIN_DET
     return ok.reshape(jet.grad.shape[:-1])
 
 
@@ -163,14 +168,14 @@ class RandomJets:
         return PolyField(self.n, dict(zip(_multi_indices(self.n, MAX_DEGREE), self.coeffs[index])))
 
 
-def random_test_jets(seeds, n: int, min_grad: float = 0.1, min_det: float = 1e-4) -> RandomJets:
+def random_test_jets(seeds, n: int) -> RandomJets:
     """Deterministic random degree-4 fields, one per seed, nondegenerate at the origin.
 
     Each seed owns a ``default_rng(seed)`` stream.  Coefficients are uniform
     in [-1, 1]; a field's draw is repeated from its own stream until, at the
-    origin, |grad| >= min_grad and the pre-orientation curvature matrix has
-    |det| >= min_det, so a field does not depend on the batch it is drawn
-    in.  Raises ExhaustedResampling when a field needs more than 1000 draws.
+    origin, it passes ``_nondegenerate``, so a field does not depend on the
+    batch it is drawn in.  Raises ExhaustedResampling when a field needs more
+    than 1000 draws.
     """
     if n not in RANDOM_JET_DIMS:
         raise ValueError(f"random test jets support n in {RANDOM_JET_DIMS}, got {n}")
@@ -182,7 +187,7 @@ def random_test_jets(seeds, n: int, min_grad: float = 0.1, min_det: float = 1e-4
         for b in redraw:
             coeffs[b] = rngs[b].uniform(-1.0, 1.0, size=coeffs.shape[1])
         jets = _origin_jets(coeffs[redraw], n)
-        redraw = redraw[~_nondegenerate(Jet(jets.grad, jets.hess), min_grad, min_det)]
+        redraw = redraw[~_nondegenerate(Jet(jets.grad, jets.hess))]
         if redraw.size == 0:
             return RandomJets(n, coeffs, _origin_jets(coeffs, n))
     raise ExhaustedResampling(

@@ -12,6 +12,12 @@ from dataclasses import dataclass, fields as dc_fields
 import numpy as np
 
 FLAG_TOL = 1e-12
+# the sampling behind the structure flags: u over [0, 1], the range of the
+# rings' 0/1 boundary data, at 1000 seeded points, and 200 points for t^3 f
+FLAG_U_RANGE = (0.0, 1.0)
+FLAG_SAMPLES = 1000
+FLAG_SEED = 0
+FLAG_CONVEXITY_POINTS = 200
 
 
 @dataclass(frozen=True)
@@ -58,12 +64,12 @@ def linear_u_rhs(scale: float = 1.0) -> SemilinearRHS:
     )
 
 
-def inverse_square_rhs(shift: float = 2.0, axis: int = 0) -> SemilinearRHS:
-    """f(x) = (shift + x_axis)^-2: f^(-1/2) is linear, so t^3 f(x) is convex."""
+def inverse_square_rhs(shift: float = 2.0) -> SemilinearRHS:
+    """f(x) = (shift + x_0)^-2: f^(-1/2) is linear, so t^3 f(x) is convex."""
 
     def f(x, u):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return (shift + x[:, axis]) ** -2.0
+        return (shift + x[:, 0]) ** -2.0
 
     def f_u(x, u):
         return np.zeros_like(np.asarray(u, dtype=float))
@@ -71,14 +77,8 @@ def inverse_square_rhs(shift: float = 2.0, axis: int = 0) -> SemilinearRHS:
     return SemilinearRHS(name=f"inverse-square:{shift:g}", f=f, f_u=f_u)
 
 
-def admissibility_check(
-    rhs: SemilinearRHS,
-    box: np.ndarray,
-    u_range: tuple[float, float] = (0.0, 1.0),
-    samples: int = 1000,
-    seed: int = 0,
-) -> RHSFlags:
-    """Sample f and f_u over box x u_range and fill the structure flags.
+def admissibility_check(rhs: SemilinearRHS, box: np.ndarray) -> RHSFlags:
+    """Sample f and f_u over box x ``FLAG_U_RANGE`` and fill the structure flags.
 
     box has shape (n, 2) of [lo, hi] per coordinate.  The t^3 f(x) convexity
     flag samples the (x, t)-Hessian of t^3 f at random points and tests
@@ -87,20 +87,20 @@ def admissibility_check(
     """
     box = np.asarray(box, dtype=float)
     n = box.shape[0]
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(box[:, 0], box[:, 1], size=(samples, n))
-    u = rng.uniform(u_range[0], u_range[1], size=samples)
+    rng = np.random.default_rng(FLAG_SEED)
+    x = rng.uniform(box[:, 0], box[:, 1], size=(FLAG_SAMPLES, n))
+    u = rng.uniform(FLAG_U_RANGE[0], FLAG_U_RANGE[1], size=FLAG_SAMPLES)
     fv = np.asarray(rhs.f(x, u), dtype=float)
     fuv = np.asarray(rhs.f_u(x, u), dtype=float)
 
     nonnegative = bool(np.min(fv) >= -FLAG_TOL)
     f_u_nonneg = bool(np.min(fuv) >= -FLAG_TOL)
     f_u_nonpos = bool(np.max(fuv) <= FLAG_TOL)
-    f0_zero = bool(np.max(np.abs(rhs.f(x, np.zeros(samples)))) <= FLAG_TOL)
+    f0_zero = bool(np.max(np.abs(rhs.f(x, np.zeros(FLAG_SAMPLES)))) <= FLAG_TOL)
 
     # dependence flags: shuffle one argument, hold the other
-    x_alt = rng.uniform(box[:, 0], box[:, 1], size=(samples, n))
-    u_alt = rng.uniform(u_range[0], u_range[1], size=samples)
+    x_alt = rng.uniform(box[:, 0], box[:, 1], size=(FLAG_SAMPLES, n))
+    u_alt = rng.uniform(FLAG_U_RANGE[0], FLAG_U_RANGE[1], size=FLAG_SAMPLES)
     scale = 1.0 + float(np.max(np.abs(fv)))
     f_of_u_only = bool(
         np.max(np.abs(np.asarray(rhs.f(x_alt, u)) - fv)) <= FLAG_TOL * scale
@@ -121,8 +121,8 @@ def admissibility_check(
     )
 
 
-def _t3f_convex_sampled(rhs: SemilinearRHS, box: np.ndarray, rng, points: int = 200) -> bool:
-    n = box.shape[0]
+def _t3f_convex_sampled(rhs: SemilinearRHS, box: np.ndarray, rng) -> bool:
+    n, points = box.shape[0], FLAG_CONVEXITY_POINTS
     widths = box[:, 1] - box[:, 0]
     h = 1e-4 * float(np.max(widths))
     # keep stencils inside the box

@@ -298,24 +298,8 @@ def _warm_start_deviation(warm_start: RingSolution, domain: RingDomain2D) -> np.
 # nonlinear solver
 # ---------------------------------------------------------------------------
 
-# The nine-point stencil; the first interior row has no (-1, *) neighbours and
-# the last none at (1, *).  In this order the columns of a row ascend, except
-# where t wraps: on t-column 0 the t-offset -1 comes last in each s-block, and
-# on t-column n_t - 1 the t-offset +1 comes first.
+# the nine-point stencil, s offset major: entry 3 (i + 1) + (j + 1) is offset (i, j)
 _OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
-_WRAP_FIRST = [1, 2, 0, 4, 5, 3, 7, 8, 6]
-_WRAP_LAST = [2, 0, 1, 5, 3, 4, 8, 6, 7]
-
-
-def _stencil_entries(per_node: np.ndarray) -> np.ndarray:
-    """Entries of a (rows, nt, 9) per-node, per-offset array in CSR order, columns ascending.
-
-    Reorders the two wrapping t-columns of ``per_node`` in place.
-    """
-    per_node[:, 0] = per_node[:, 0, _WRAP_FIRST]
-    per_node[:, -1] = per_node[:, -1, _WRAP_LAST]
-    return np.concatenate([per_node[0, :, 3:].ravel(), per_node[1:-1].ravel(),
-                           per_node[-1, :, :6].ravel()])
 
 
 class _RingOperator:
@@ -331,15 +315,6 @@ class _RingOperator:
         self.grid = grid
         self.equation = equation
         self.rhs = rhs or zero_rhs()
-        rows, nt = grid.n_s - 2, grid.n_t
-        oi, oj = np.array(_OFFSETS).T
-        cols = (np.arange(rows)[:, None, None] + oi) * nt + (np.arange(nt)[None, :, None] + oj) % nt
-        row_len = np.full(rows * nt, 9)
-        row_len[:nt] = row_len[-nt:] = 6
-        # shared by every assembled matrix, so none may change them in place
-        self._indices = _stencil_entries(cols).astype(np.int32)
-        self._indptr = np.concatenate([[0], np.cumsum(row_len)]).astype(np.int32)
-        self._indices.flags.writeable = self._indptr.flags.writeable = False
 
     def coefficients(self, us: np.ndarray, ut: np.ndarray) -> tuple:
         """(m_ss, m_st, m_tt, n_s, n_t) at the reference gradient (us, ut).
@@ -393,7 +368,9 @@ class _RingOperator:
 
     def stencil_planes(self, fields) -> np.ndarray:
         """(9, interior rows, n_t) Jacobian coefficients, one plane per ``_OFFSETS``
-        entry, from ``_linearization_fields``."""
+        entry, from ``_linearization_fields``: the only statement of the
+        nine-point weights, read by the stencil apply, the preconditioner and
+        the assembled matrix."""
         m_ss, m_st, m_tt, m_s, m_t, diag_extra = (f[1:-1] for f in fields)
         ds, dt = self.grid.ds, self.grid.dt
         ss, tt, s, t = m_ss * (1.0 / ds**2), m_tt * (1.0 / dt**2), m_s * (0.5 / ds), m_t * (0.5 / dt)
@@ -407,28 +384,30 @@ class _RingOperator:
         return planes
 
     def assemble(self, fields):
-        """Sparse CSR Jacobian over the interior unknowns from ``_linearization_fields``.
+        """Sparse CSC Jacobian over the interior unknowns from ``_linearization_fields``.
 
         The Dirichlet rows are fixed, so their couplings are left out: the
         Newton and Picard steps solve for a correction that vanishes there.
-        The nine-point pattern is built once per operator; only the entries
-        are filled here.  Only the sparse-LU fallback of ``_linear_solve`` runs it.
+        Only the sparse-LU fallback of ``_linear_solve`` runs it.
         """
-        from scipy.sparse import csr_matrix
+        from scipy.sparse import csc_matrix
 
-        per_node = np.moveaxis(self.stencil_planes(fields), 0, -1)
-        n_int = per_node.shape[0] * per_node.shape[1]
-        return csr_matrix((_stencil_entries(per_node), self._indices, self._indptr),
-                          shape=(n_int, n_int))
+        planes = self.stencil_planes(fields)
+        rows, nt = planes.shape[1:]
+        oi, oj = np.array(_OFFSETS).T[..., None, None]
+        i, j = np.indices((rows, nt))
+        keep = (i + oi >= 0) & (i + oi < rows)
+        row = np.broadcast_to(i * nt + j, planes.shape)
+        col = (i + oi) * nt + (j + oj) % nt
+        return csc_matrix((planes[keep], (row[keep], col[keep])), shape=(rows * nt, rows * nt))
 
 
-def _jacobian_apply(op: _RingOperator, fields):
-    """x -> J x for J = ``op.assemble(fields)``, without assembling it.
+def _jacobian_apply(planes: np.ndarray):
+    """x -> J x for the Jacobian with these ``stencil_planes``, without assembling it.
 
     The nine-point stencil runs on a copy of x padded by the zero Dirichlet
     rows and by one wrapped t-column on each side.
     """
-    planes = op.stencil_planes(fields)
     rows, nt = planes.shape[1:]
     padded = np.zeros((rows + 2, nt + 2))
     shifted = [(k, slice(1 + i, rows + 1 + i), slice(1 + j, nt + 1 + j))
@@ -446,35 +425,37 @@ def _jacobian_apply(op: _RingOperator, fields):
     return apply
 
 
-def _averaged_preconditioner(fields, ds: float, dt: float):
-    """Row-scaled, t-averaged inverse of the Jacobian as a function r -> P^{-1} r,
-    or None when it cannot be built.
+def _averaged_preconditioner(planes: np.ndarray, dt: float):
+    """Row-scaled, t-averaged inverse of the Jacobian with these ``stencil_planes``,
+    as a function r -> P^{-1} r, or None when it cannot be built.
 
-    Each row is scaled by its stencil diagonal w = 2 m_ss/ds^2 + 2 m_tt/dt^2,
-    normalized by its mean over t per s-row, and the scaled coefficients are
-    averaged over t (a separable approximation in the sense of Concus & Golub
-    1973): P^{-1} r = A_avg(fields / w)^{-1} (r / w).  The averaged operator
-    commutes with shifts in t, so each Fourier mode theta = k dt decouples into
-    a tridiagonal system in s (Hockney 1965).  The modes are laid out one after
-    another as a single block-diagonal tridiagonal system, factored once here
-    by LAPACK ``zgttrf``; each application is rfft in t, one ``zgttrs``, irfft.
-    None when w is not positive and finite, a pivot is zero or a factor is not finite.
+    Each row is scaled by w, the sum of its four axis-neighbour weights
+    (2 m_ss/ds^2 + 2 m_tt/dt^2), normalized by its mean over t per s-row, and
+    the scaled planes are averaged over t (a separable approximation in the
+    sense of Concus & Golub 1973): P^{-1} r = A_avg(J / w)^{-1} (r / w).  The
+    averaged operator commutes with shifts in t, so each Fourier mode
+    theta = k dt decouples into a tridiagonal system in s (Hockney 1965) whose
+    entry for s-offset i is the symbol sum_j plane(i, j) e^{i j theta}.  The
+    modes are laid out one after another as a single block-diagonal
+    tridiagonal system, factored once here by LAPACK ``zgttrf``; each
+    application is rfft in t, one ``zgttrs``, irfft.  None when w is not
+    positive and finite, a pivot is zero or a factor is not finite.
     """
     from scipy.linalg.lapack import zgttrf, zgttrs
 
-    rows, nt = fields[0].shape[0] - 2, fields[0].shape[1]
-    w = 2.0 * fields[0][1:-1] / ds**2 + 2.0 * fields[2][1:-1] / dt**2
+    rows, nt = planes.shape[1:]
+    w = planes[1] + planes[7] + planes[3] + planes[5]
     if not (np.all(w > 0.0) and np.all(np.isfinite(w))):
         return None
     w /= w.mean(axis=1, keepdims=True)
-    m_ss, m_st, m_tt, m_s, m_t, d = ((f[1:-1] / w).mean(axis=1) for f in fields)
-    theta = np.arange(nt // 2 + 1)[:, None] * dt  # mode-major: (modes, rows)
-    sin = np.sin(theta)
-    cross = 1j * m_st * sin / (2.0 * ds * dt)
-    lower = m_ss / ds**2 - m_s / (2.0 * ds) - cross
-    upper = m_ss / ds**2 + m_s / (2.0 * ds) + cross
-    diag = (-2.0 * m_ss / ds**2 - 4.0 * m_tt * np.sin(theta / 2.0) ** 2 / dt**2
-            + 1j * m_t * sin / dt + d)
+    # the t-averaged planes of J / w, as (s offset, t offset, row)
+    averaged = (np.einsum("kij,ij->ki", planes, 1.0 / w) / nt).reshape(3, 3, 1, rows)
+    theta = np.arange(nt // 2 + 1)[:, None] * dt
+    symbol = np.empty((3, nt // 2 + 1, rows), dtype=complex)  # (s offset, mode, row)
+    np.multiply(averaged[:, 0] + averaged[:, 2], np.cos(theta), out=symbol.real)
+    symbol.real += averaged[:, 1]
+    np.multiply(averaged[:, 2] - averaged[:, 0], np.sin(theta), out=symbol.imag)
+    lower, diag, upper = symbol
     # no coupling between the last row of one mode and the first of the next
     lower[:, 0] = upper[:, -1] = 0.0
     *factors, info = zgttrf(lower.ravel()[1:], diag.ravel(), upper.ravel()[:-1])
@@ -506,9 +487,9 @@ def _gmres(apply, precond, rhs: np.ndarray, forcing: float) -> tuple:
     Each cycle builds an Arnoldi basis of A P^{-1} from the current residual,
     keeping P^{-1} of each basis vector, so the least-squares residual is that of
     the unpreconditioned system and the update needs no further P^{-1}.  The basis
-    is orthogonalized by classical Gram-Schmidt, repeated once when the norm
-    drops below 1/sqrt(2) of its value (Daniel, Gragg, Kaufman & Stewart 1976),
-    and the Hessenberg columns are reduced by Givens rotations on Python floats.
+    is orthogonalized by classical Gram-Schmidt run twice ("twice is enough":
+    Giraud, Langou & Rozloznik 2005), and the Hessenberg columns are reduced by
+    Givens rotations on Python floats.
     A cycle stops when the residual estimate is <= forcing * ||rhs|| or after
     ``_GMRES_RESTART`` steps; the solve returns once the true residual meets
     that bound too.  Returns (x, Arnoldi steps), with x None on a breakdown, a
@@ -529,15 +510,12 @@ def _gmres(apply, precond, rhs: np.ndarray, forcing: float) -> tuple:
             steps += 1
             directions[j] = precond(basis[j])
             w = apply(directions[j])
-            norm_w = float(np.linalg.norm(w))
             h = basis[:j + 1] @ w
             w -= h @ basis[:j + 1]
+            again = basis[:j + 1] @ w
+            w -= again @ basis[:j + 1]
+            h += again
             h_next = float(np.linalg.norm(w))
-            if h_next < math.sqrt(0.5) * norm_w:
-                again = basis[:j + 1] @ w
-                w -= again @ basis[:j + 1]
-                h += again
-                h_next = float(np.linalg.norm(w))
             col = h.tolist() + [h_next]
             for i, (c, s) in enumerate(rotations):
                 col[i], col[i + 1] = c * col[i] + s * col[i + 1], c * col[i + 1] - s * col[i]
@@ -574,15 +552,16 @@ def _linear_solve(op: _RingOperator, fields: tuple, rhs: np.ndarray, frozen: boo
     forcing term or the preconditioner breaks down.
     """
     forcing = _PICARD_FORCING if frozen else _NEWTON_FORCING
-    precond = _averaged_preconditioner(fields, op.grid.ds, op.grid.dt)
+    planes = op.stencil_planes(fields)
+    precond = _averaged_preconditioner(planes, op.grid.dt)
     krylov = 0
     if precond is not None:
-        x, krylov = _gmres(_jacobian_apply(op, fields), precond, rhs, forcing)
+        x, krylov = _gmres(_jacobian_apply(planes), precond, rhs, forcing)
         if x is not None:
             return x, "gmres", krylov
     from scipy.sparse.linalg import splu
 
-    return splu(op.assemble(fields).tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs), "splu", krylov
+    return splu(op.assemble(fields), permc_spec="MMD_AT_PLUS_A").solve(rhs), "splu", krylov
 
 
 def _solve_ring2d(

@@ -110,7 +110,7 @@ def reference_draw(seed, n):
     for draws in itertools.count(1):
         values = rng.uniform(-1.0, 1.0, size=len(indices))
         field = PolyField(n, dict(zip(indices, values)))
-        if _nondegenerate(field.jet(np.zeros(n), order=2), 0.1, 1e-4):
+        if _nondegenerate(field.jet(np.zeros(n), order=2)):
             return values, draws
 
 

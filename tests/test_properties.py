@@ -46,7 +46,7 @@ def origin_fields(draw):
     indices = _multi_indices(n, MAX_DEGREE)
     coeffs = draw(st.lists(COEFF, min_size=len(indices), max_size=len(indices)))
     field = PolyField(n, dict(zip(indices, coeffs)))
-    assume(_nondegenerate(field.jet(np.zeros(n), order=2), min_grad=0.1, min_det=1e-4))
+    assume(_nondegenerate(field.jet(np.zeros(n), order=2)))
     return field
 
 
@@ -78,7 +78,7 @@ def origin_batches(draw):
     rows = draw(st.lists(st.lists(COEFF, min_size=len(indices), max_size=len(indices)),
                          min_size=1, max_size=6))
     jets = [PolyField(n, dict(zip(indices, row))).jet(np.zeros(n), order=3) for row in rows]
-    jets = [jet for jet in jets if _nondegenerate(jet, min_grad=0.1, min_det=1e-4)]
+    jets = [jet for jet in jets if _nondegenerate(jet)]
     assume(jets)
     return draw(st.permutations(jets))
 

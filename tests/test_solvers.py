@@ -482,6 +482,16 @@ class TestNewtonKrylov:
         assert capped.meta["krylov_iterations"] == [1] * capped.iterations
         assert np.max(np.abs(capped.values - krylov.values)) < 1e-12
 
+    def test_splu_solves_ring_that_stalls_gmres(self):
+        # unpatched, GMRES exhausts its steps on this thin, eccentric ring and
+        # only the sparse-LU fallback solves it
+        dom = RingDomain2D(Ellipse(12.0, 1.6), Circle(1.5), n_s=97, n_t=128)
+        sol = solve_semilinear_ring2d(dom, np.zeros(128), np.ones(128), zero_rhs())
+        assert sol.meta["linear_solver"] == ["splu"]
+        assert sol.meta["krylov_iterations"] == [ring2d._GMRES_MAX_ITER] == [500]
+        assert sol.residual_norm <= sol.meta["tol_used"]
+        assert sol.max_principle_violation() == 0.0
+
     def test_one_coefficient_pass_per_evaluation(self, monkeypatch):
         # the linear step and the rounding floor read the planes of the last evaluation
         calls = {"coefficients": 0, "residual": 0}
@@ -514,14 +524,15 @@ class TestNewtonKrylov:
         rng = np.random.default_rng(0)
         rows = rng.uniform(-0.5, 0.5, size=(6, 17, 1)) + np.array([1, 0, 1, 0, 0, -1])[:, None, None]
         fields = tuple(np.broadcast_to(f, (17, 32)) for f in rows)
-        mat = ring2d._RingOperator(grid, "semilinear").assemble(fields)
-        precond = ring2d._averaged_preconditioner(fields, grid.ds, grid.dt)
+        op = ring2d._RingOperator(grid, "semilinear")
+        mat = op.assemble(fields)
+        precond = ring2d._averaged_preconditioner(op.stencil_planes(fields), grid.dt)
         x = rng.standard_normal(mat.shape[0])
         assert np.max(np.abs(precond(mat @ x) - x)) < 1e-10
 
     def test_singular_pivot_gives_no_preconditioner(self):
-        zero = np.zeros((9, 16))
-        assert ring2d._averaged_preconditioner((zero,) * 6, 0.125, 2.0 * math.pi / 16) is None
+        zero = np.zeros((9, 7, 16))  # the stencil planes of zero fields
+        assert ring2d._averaged_preconditioner(zero, 2.0 * math.pi / 16) is None
 
     @staticmethod
     def _ellipse_fields():
@@ -543,7 +554,7 @@ class TestNewtonKrylov:
                                 ((1, 1), (0, 0))) for f in fields)
         r = np.random.default_rng(2).standard_normal(w.size)
         expected = splu(op.assemble(averaged).tocsc()).solve(r / w.ravel())
-        got = ring2d._averaged_preconditioner(fields, ds, dt)(r)
+        got = ring2d._averaged_preconditioner(op.stencil_planes(fields), dt)(r)
         assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
 
     @pytest.mark.parametrize("n_s,n_t", [ring2d.MIN_GRID, (9, 15), (33, 64)])
@@ -557,7 +568,7 @@ class TestNewtonKrylov:
         s = np.linspace(0.0, 1.0, n_s)[:, None]
         u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
         fields = op._linearization_fields(op.residual(u)[1], frozen)
-        mat, apply = op.assemble(fields), ring2d._jacobian_apply(op, fields)
+        mat, apply = op.assemble(fields), ring2d._jacobian_apply(op.stencil_planes(fields))
         rng = np.random.default_rng(6)
         for _ in range(2):  # the padded copy is reused by the second vector
             x = rng.standard_normal(mat.shape[0])
@@ -573,8 +584,9 @@ class TestNewtonKrylov:
     def test_gmres_meets_forcing_on_true_residual(self, monkeypatch, restart):
         monkeypatch.setattr(ring2d, "_GMRES_RESTART", restart)
         op, fields = self._ellipse_fields()
-        apply = ring2d._jacobian_apply(op, fields)
-        precond = ring2d._averaged_preconditioner(fields, op.grid.ds, op.grid.dt)
+        planes = op.stencil_planes(fields)
+        apply = ring2d._jacobian_apply(planes)
+        precond = ring2d._averaged_preconditioner(planes, op.grid.dt)
         rhs = np.random.default_rng(7).standard_normal(31 * 64)
         direct = splu(op.assemble(fields).tocsc()).solve(rhs)
         for forcing in (1e-3, 1e-8):
@@ -630,7 +642,7 @@ class TestNewtonKrylov:
     @pytest.mark.parametrize("case", ["zero-pivot", "negative-w", "nan"])
     def test_breakdown_gives_no_preconditioner(self, case):
         op, fields = self._breakdown(case)
-        assert ring2d._averaged_preconditioner(fields, op.grid.ds, op.grid.dt) is None
+        assert ring2d._averaged_preconditioner(op.stencil_planes(fields), op.grid.dt) is None
 
     @pytest.mark.parametrize("case", ["zero-pivot", "negative-w"])
     def test_breakdown_falls_back_to_splu(self, case):
@@ -687,7 +699,7 @@ class TestLinearization:
         rng = np.random.default_rng(5)
         for _ in range(2):  # the pattern is reused by the second matrix
             fields = tuple(rng.standard_normal((n_s, n_t)) for _ in range(6))
-            mat, ref = op.assemble(fields), self._coo_reference(op, fields)
+            mat, ref = op.assemble(fields).tocsr(), self._coo_reference(op, fields)
             assert np.array_equal(mat.indptr, ref.indptr)
             assert np.array_equal(mat.indices, ref.indices)
             assert np.array_equal(mat.data, ref.data)
@@ -734,7 +746,8 @@ class TestLinearization:
             fields = op._linearization_fields(planes, frozen)
             zero = fields[:5] + (np.zeros_like(u),)
             assert op.assemble(fields).data.tobytes() == op.assemble(zero).data.tobytes()
-            precond = [ring2d._averaged_preconditioner(f, grid.ds, grid.dt) for f in (fields, zero)]
+            precond = [ring2d._averaged_preconditioner(op.stencil_planes(f), grid.dt)
+                       for f in (fields, zero)]
             assert precond[0](x).tobytes() == precond[1](x).tobytes()
 
     def test_minimal_residual_is_f_contracted_with_hessian(self):
