@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dual import dual_sqrt
+from .dual import dual_log, dual_sqrt
 from .errors import DegenerateChart, GradientTooSmall
 
 GRAD_FLOOR = 1e-8
@@ -443,9 +443,10 @@ class TestFunctionSpec:
         return TestFunctionSpec("poisson-power", float(power))
 
     def rho(self, t):
+        """rho(t) of a float, an array or a ``Dual``."""
         if self.kind == "minimal-theta":
-            return self.param * (np.log(t) - np.log1p(t))
-        return 0.5 * self.param * np.log(t)
+            return (dual_log(t) - dual_log(1.0 + t)) * self.param
+        return dual_log(t) * (0.5 * self.param)
 
     def rho_prime(self, t):
         if self.kind == "minimal-theta":

@@ -19,16 +19,18 @@ each other:
   of one size.
 
 The first three are evaluated by ``identity_residuals`` on a batch of
-order-3 jets, which it aligns itself, with kernels that are elementwise over
-the batch, so a jet's residuals do not depend on the batch it is in.  The
-master identity and the psi-harmonicity residual take a closed-form supplier
-with a ``jet(point, order)`` method that gives order-4 jets, and push its jet
-at each point once through the chart formula as duals of duals, seeded twice
-along every axis.
+order-3 jets, which it aligns and seeds once, with kernels that are
+elementwise over the batch, so a jet's residuals do not depend on the batch
+it is in.  The master identity and the psi-harmonicity residual take a
+closed-form supplier with a ``jet(point, order)`` method that gives order-4
+jets, and push its jet at each point once through the chart formula as duals
+of duals, seeded twice along every axis.
 
 All identity checks use the pre-flip sign convention of the curvature matrix,
-because that is the convention the formulas are derived in; the orientation
-flip is a presentation device for user-facing K only.
+because that is the convention the formulas are derived in.  phi needs a
+positive definite matrix, so it reads the pre-flip entries under a per-jet
+orientation sign s (-1 where the level set is convex toward -grad u): the
+oriented matrix is s a, and phi = rho(t) + log(s^(n-1) det a).
 """
 
 from __future__ import annotations
@@ -97,13 +99,16 @@ def _seeded_twice(jet: Jet, spec: TestFunctionSpec, sign: float = 1.0) -> tuple[
     """Curvature entries a_ij and phi = rho(|grad u|^2) + log(sign det a) of an
     order-4 jet, as duals of duals seeded twice along every axis.
 
-    Each jet entry is seeded as in ``_seeded``, and its value and derivative
-    are themselves duals along the same axis, the derivative's own derivative
-    holding the entry's second derivative along that axis.  One pass through
-    the chart formula, ``det_entries`` and ``_rho_dual`` then gives, exactly,
-    the first derivatives along every axis in ``.val.der`` (a_ij,a and phi_a)
-    and the second derivatives along each in ``.der.der`` (phi_aa).  Raises
-    NonpositiveCurvature when sign det(a) <= 0 at the point.
+    ``sign`` is the orientation sign raised to the power n - 1, the factor
+    that orienting a as s a puts on det a (``identity_residuals`` reads phi
+    in the same convention).  Each jet entry is seeded as in ``_seeded``, and
+    its value and derivative are themselves duals along the same axis, the
+    derivative's own derivative holding the entry's second derivative along
+    that axis.  One pass through the chart formula, ``det_entries`` and
+    ``TestFunctionSpec.rho`` then gives, exactly, the first derivatives along
+    every axis in ``.val.der`` (a_ij,a and phi_a) and the second derivatives
+    along each in ``.der.der`` (phi_aa).  Raises NonpositiveCurvature when
+    sign det(a) <= 0 at the point.
     """
     if jet.fourth is None:
         raise ValueError("order-4 jet required for second derivatives of phi")
@@ -121,7 +126,7 @@ def _seeded_twice(jet: Jet, spec: TestFunctionSpec, sign: float = 1.0) -> tuple[
     det = det_entries(a) * sign
     if np.any(det.val.val <= 0.0):
         raise NonpositiveCurvature("det(a) <= 0 while forming phi")
-    return a, _rho_dual(spec, sum(g * g for g in grad)) + dual_log(det)
+    return a, spec.rho(sum(g * g for g in grad)) + dual_log(det)
 
 
 @dataclass(frozen=True)
@@ -165,17 +170,16 @@ class IdentityResiduals:
 def identity_residuals(jet: Jet, spec: TestFunctionSpec) -> IdentityResiduals:
     """All three identity residuals of a batch of order-3 jets in one pass.
 
-    The aligned batch is seeded once, along every axis, and its a_ij,k serve
-    both the Codazzi and the u_iia checks; the convex-oriented batch is
-    seeded once for the phi-gradient identity.  Every kernel is elementwise
-    over the batch, so a jet's residuals do not depend on the batch it is in.
+    The batch is aligned once and seeded once, along every axis; its a_ij,k
+    serve the Codazzi, the u_iia and the phi-gradient checks, the last under
+    a per-jet orientation sign.  Every kernel is elementwise over the batch,
+    so a jet's residuals do not depend on the batch it is in.
     """
     aligned = align_frame(jet).aligned_jet
     a0 = curvature_entries_float(aligned)
-    a_k = curvature_derivatives(aligned).a_k
-    oriented, b0, convex = _convex_oriented(jet, aligned, a0)
-    phi, det_positive = _phi_residuals(oriented, b0, convex, spec)
-    admissible = convex & det_positive
+    grad, a_dual = _seeded(aligned)
+    a_k = _matrix([[e.der for e in row] for row in a_dual])
+    phi, admissible = _phi_residuals(a0, grad, a_dual, spec)
     return IdentityResiduals(
         codazzi=_codazzi_residuals(aligned, a_k),
         uiia=_uiia_residuals(aligned, a0, a_k),
@@ -228,65 +232,42 @@ def _codazzi_residuals(aligned: Jet, a_k: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _rho_dual(spec: TestFunctionSpec, t: Dual) -> Dual:
-    if spec.kind == "minimal-theta":
-        return (dual_log(t) - dual_log(1.0 + t)) * spec.param
-    return dual_log(t) * (0.5 * spec.param)
-
-
-def _where_jet(mask: np.ndarray, a: Jet, b: Jet) -> Jet:
-    """Jet of ``a`` where ``mask`` holds and of ``b`` elsewhere, per batch element."""
-
-    def pick(x, y):
-        return np.where(mask.reshape(mask.shape + (1,) * (x.ndim - mask.ndim)), x, y)
-
-    return Jet(pick(a.grad, b.grad), pick(a.hess, b.hess), pick(a.third, b.third))
-
-
-def _convex_oriented(
-    jet: Jet, aligned: Jet, a0: np.ndarray
-) -> tuple[Jet, np.ndarray, np.ndarray]:
-    """Aligned jet of u or of -u, whichever has a positive definite pre-flip
-    matrix, with that matrix and whether it is positive definite."""
-    flip = np.linalg.eigvalsh(a0)[..., -1] < 0.0
-    if np.any(flip):
-        negated = align_frame(Jet(-jet.grad, -jet.hess, -jet.third)).aligned_jet
-        aligned = _where_jet(flip, negated, aligned)
-        a0 = np.where(flip[..., None, None], curvature_entries_float(negated), a0)
-    return aligned, a0, np.linalg.eigvalsh(a0)[..., 0] > 0.0
-
-
 def _phi_residuals(
-    oriented: Jet, a0: np.ndarray, convex: np.ndarray, spec: TestFunctionSpec
+    a0: np.ndarray, grad: list, a_dual: list, spec: TestFunctionSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual of phi_a = sum a^{ij} a_ij,a + rho'(t) t_a per jet, maximized
-    over axes, and whether det(a) > 0 there.
+    over axes, and whether the jet is admissible: its level set strictly
+    convex once oriented, and det(a) > 0 there.
 
-    The left side differentiates phi = rho(t) + log det(a) directly through
-    the composite expression with dual numbers; the right side contracts the
-    matrix inverse with the field derivatives (Jacobi's formula), so the two
-    sides share no linear algebra.
+    The orientation sign s is -1 where the pre-flip matrix's largest
+    eigenvalue is negative (the level set is convex toward -grad u, as for
+    -u) and +1 elsewhere; the oriented matrix is s a, so phi = rho(t) +
+    log(s^(n-1) det a), the convention ``_seeded_twice`` takes its ``sign`` in.
+    The left side differentiates phi directly through the composite
+    expression with dual numbers; the right side contracts (s a)^{-1} with
+    s a_ij,a (Jacobi's formula), so the two sides share no linear algebra.
 
-    Entries outside ``convex`` are computed on a stand-in identity matrix
-    and must be discarded by the caller.
+    Entries that are not admissible are computed on a stand-in identity
+    matrix and must be discarded by the caller.
     """
-    n = oriented.dim
-    m = n - 1
-    a0inv = np.linalg.inv(np.where(convex[..., None, None], a0, np.eye(m)))
-    gnorm = oriented.grad[..., n - 1, None]
-    t0 = gnorm * gnorm
-    grad, a_dual = _seeded(oriented)
+    m = len(a_dual)
+    eig = np.linalg.eigvalsh(a0)
+    flip = eig[..., -1] < 0.0
+    convex = flip | (eig[..., 0] > 0.0)
+    sign = np.where(flip, -1.0, 1.0)[..., None]
+    oriented = np.where(convex[..., None, None], sign[..., None] * a0, np.eye(m))
+    oriented_inv = np.linalg.inv(oriented)
     t_dual = grad[0] * grad[0]
     for gi in grad[1:]:
         t_dual = t_dual + gi * gi
-    det_dual = det_entries(a_dual)
+    det_dual = det_entries(a_dual) * sign**m
     with np.errstate(divide="ignore", invalid="ignore"):  # det <= 0 off `convex`
-        lhs = (_rho_dual(spec, t_dual) + dual_log(det_dual)).der
+        lhs = (spec.rho(t_dual) + dual_log(det_dual)).der
     contraction = 0.0
     for i, j in itertools.product(range(m), repeat=2):
-        contraction = contraction + a0inv[..., i, j, None] * a_dual[i][j].der
-    rhs = contraction + spec.rho_prime(t0) * t_dual.der
-    return np.max(np.abs(lhs - rhs), axis=-1), det_dual.val[..., 0] > 0.0
+        contraction = contraction + oriented_inv[..., i, j, None] * (sign * a_dual[i][j].der)
+    rhs = contraction + spec.rho_prime(t_dual.val) * t_dual.der
+    return np.max(np.abs(lhs - rhs), axis=-1), convex & (det_dual.val[..., 0] > 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -157,14 +157,10 @@ def _t3f_convex_sampled(rhs: SemilinearRHS, box: np.ndarray, rng) -> bool:
             fmm = f_at(xs - e - e2)
             val = (fpp - fpm - fmp + fmm) / (4 * h**2)
             hess_x[:, i, j] = hess_x[:, j, i] = val
-    # Hessian of g(x, t) = t^3 f(x)
+    # Hessian of g(x, t) = t^3 f(x) at every sample, one (n+1) x (n+1) block each
     tol = -1e-6 * (1.0 + float(np.max(np.abs(f0))))
-    for k in range(points):
-        t = ts[k]
-        g = np.zeros((n + 1, n + 1))
-        g[:n, :n] = t**3 * hess_x[k]
-        g[:n, n] = g[n, :n] = 3 * t**2 * grad[k]
-        g[n, n] = 6 * t * f0[k]
-        if np.min(np.linalg.eigvalsh(g)) < tol * max(1.0, t**3):
-            return False
-    return True
+    g = np.zeros((points, n + 1, n + 1))
+    g[:, :n, :n] = ts[:, None, None] ** 3 * hess_x
+    g[:, :n, n] = g[:, n, :n] = 3 * ts[:, None] ** 2 * grad
+    g[:, n, n] = 6 * ts * f0
+    return not np.any(np.linalg.eigvalsh(g)[:, 0] < tol * np.maximum(1.0, ts**3))

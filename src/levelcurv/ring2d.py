@@ -95,20 +95,19 @@ class RingDomain2D:
             raise ValueError(f"grid too small: need n_s >= {MIN_GRID[0]}, n_t >= {MIN_GRID[1]}")
         t = np.linspace(0.0, 2.0 * math.pi, 720, endpoint=False)
         c = np.asarray(self.center)
+        profiles = []  # (radii, angles) of each curve, sampled once
         for name, curve in (("outer", self.outer), ("inner", self.inner)):
             p = curve.point(t) - c
             radii = np.linalg.norm(p, axis=-1)
             if np.min(radii) <= 0.0:
                 raise ValueError(f"{name} curve passes through the center")
-            ang = np.unwrap(np.arctan2(p[:, 1], p[:, 0]))
-            dang = np.diff(ang)
+            ang = np.arctan2(p[:, 1], p[:, 0])
+            dang = np.diff(np.unwrap(ang))
             if not (np.all(dang > 0.0) or np.all(dang < 0.0)):
                 raise ValueError(f"{name} curve is not star-shaped about the center")
-        r_out = np.linalg.norm(self.outer.point(t) - c, axis=-1)
-        r_in = np.linalg.norm(self.inner.point(t) - c, axis=-1)
+            profiles.append((radii, ang))
+        (r_out, ang_out), (r_in, ang_in) = profiles
         # compare radial profiles on matched angles
-        ang_out = np.arctan2((self.outer.point(t) - c)[:, 1], (self.outer.point(t) - c)[:, 0])
-        ang_in = np.arctan2((self.inner.point(t) - c)[:, 1], (self.inner.point(t) - c)[:, 0])
         order_out = np.argsort(ang_out)
         order_in = np.argsort(ang_in)
         gap = np.min(r_out[order_out] - np.interp(

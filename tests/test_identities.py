@@ -116,6 +116,20 @@ class TestPhiGradient:
         assert res.admissible[0]
         assert res.phi[0] < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("spec", [THETA_HALF, TestFunctionSpec.poisson_power(-2)])
+    def test_orientation_invariance_is_bitwise(self, n, spec):
+        # u and -u have the same level sets, so every residual and the
+        # admissible mask must not see the sign of the field
+        jets = random_test_jets(range(2000), n).jets
+        eig = np.linalg.eigvalsh(curvature_entries_float(align_frame(jets).aligned_jet))
+        # the batch holds level sets convex toward grad u and toward -grad u
+        assert np.any(eig[:, 0] > 0.0) and np.any(eig[:, -1] < 0.0)
+        res = identity_residuals(jets, spec)
+        neg = identity_residuals(Jet(-jets.grad, -jets.hess, -jets.third), spec)
+        for name in ("codazzi", "uiia", "phi", "admissible"):
+            assert getattr(neg, name).tobytes() == getattr(res, name).tobytes(), name
+
 
 class TestUiia:
     @pytest.mark.parametrize("n", [2, 3])
