@@ -1,8 +1,8 @@
 """Closed-form scalar fields with exact jets.
 
 These are the independent references the solvers and identity checks are
-measured against: radial minimal graphs (catenoid family), the Scherk-type
-minimal graph, and the distance cone whose level sets are spheres.
+measured against: radial minimal graphs (catenoid family) and the
+Scherk-type minimal graph.
 """
 
 from __future__ import annotations
@@ -103,30 +103,6 @@ class ScherkField:
             fourth[0, 0, 0, 0] = -2.0 * s1 * (s1 + 2.0 * t1 * t1)
             fourth[1, 1, 1, 1] = 2.0 * s2 * (s2 + 2.0 * t2 * t2)
         return make_jet(grad, hess, third, fourth)
-
-
-@dataclass(frozen=True)
-class SphereDistanceField:
-    """u(x) = sign * |x - center|: level sets are concentric spheres."""
-
-    dim: int
-    sign: float = -1.0
-    center: tuple = ()
-
-    def jet(self, x, order: int = 3) -> Jet:
-        x = np.asarray(x, dtype=float)
-        y = x - np.asarray(self.center if self.center else np.zeros(self.dim))
-        r = float(np.linalg.norm(y))
-        if r == 0.0:
-            raise OutOfDomain("radial jets are singular at the origin")
-        # u = sign sqrt(2s), so G' = sign/r, G'' = -sign/r^3, G''' = 3 sign/r^5, ...
-        g = [self.sign / r, -self.sign / r**3, 3.0 * self.sign / r**5, -15.0 * self.sign / r**7]
-        return radial_jet(y, g[:order])
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        center = np.asarray(self.center if self.center else np.zeros(self.dim))
-        return self.sign * float(np.linalg.norm(x - center))
 
 
 def catenoid_value(r: float, anchor: float | None = None) -> float:

@@ -339,27 +339,6 @@ def chart_curvature_entries(grad, hess) -> list:
 # curvature matrices
 # ---------------------------------------------------------------------------
 
-def graph_curvature_matrix(v_grad: np.ndarray, v_hess: np.ndarray) -> np.ndarray:
-    """Curvature matrix of the graph x_n = v(x') with respect to the upward normal.
-
-    a_il = (1/W) { v_il - v_i v_j v_jl / (W(1+W)) - v_l v_k v_ki / (W(1+W))
-                   + v_i v_l v_j v_k v_jk / (W^2 (1+W)^2) },   W = sqrt(1+|grad v|^2).
-
-    Its eigenvalues are the principal curvatures of the graph.
-    """
-    v_grad = np.asarray(v_grad, dtype=float)
-    v_hess = np.asarray(v_hess, dtype=float)
-    w = math.sqrt(1.0 + float(v_grad @ v_grad))
-    hv = v_hess @ v_grad                      # (H v)_i = v_k v_ki
-    quad = float(v_grad @ hv)                 # v_j v_k v_jk
-    a = (
-        v_hess
-        - (np.outer(v_grad, hv) + np.outer(hv, v_grad)) / (w * (1.0 + w))
-        + np.outer(v_grad, v_grad) * quad / (w * (1.0 + w)) ** 2
-    ) / w
-    return _symmetrize_matrix(a)
-
-
 @dataclass(frozen=True)
 class CurvatureData:
     """Curvature package of one level-set point.
@@ -467,15 +446,6 @@ class TestFunctionSpec:
         if self.kind == "minimal-theta":
             return f"(t/(1+t))^{self.param:g} K"
         return f"|grad u|^{self.param:g} K"
-
-
-def weighted_curvature(spec: TestFunctionSpec, grad_norm_sq, gauss):
-    """psi = weight(|grad u|^2) * K.  Accepts scalars or arrays."""
-    t = np.asarray(grad_norm_sq, dtype=float)
-    if np.any(t <= 0.0):
-        raise GradientTooSmall("weighted curvature needs |grad u|^2 > 0")
-    out = spec.weight(t) * np.asarray(gauss, dtype=float)
-    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -129,24 +129,6 @@ def _seeded_twice(jet: Jet, spec: TestFunctionSpec, sign: float = 1.0) -> tuple[
     return a, spec.rho(sum(g * g for g in grad)) + dual_log(det)
 
 
-@dataclass(frozen=True)
-class CurvatureDerivatives:
-    """Spatial derivatives a_ij,k of the curvature-matrix field, plus sigma1."""
-
-    a_k: np.ndarray  # shape (..., n, n-1, n-1): derivative along each axis
-    sigma1: float | np.ndarray
-
-
-def curvature_derivatives(jet: Jet) -> CurvatureDerivatives:
-    """a_ij,k of one jet or a batch of jets, from one seeding."""
-    _, a = _seeded(jet)
-    val = _matrix([[e.val[..., 0] for e in row] for row in a])
-    return CurvatureDerivatives(
-        a_k=_matrix([[e.der for e in row] for row in a]),
-        sigma1=np.trace(val, axis1=-2, axis2=-1),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the batched identity engine
 # ---------------------------------------------------------------------------

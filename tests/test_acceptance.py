@@ -21,7 +21,7 @@ from levelcurv.checks import (
     corollary_bound_poisson,
 )
 from levelcurv.fields import RadialMinimalField, ScherkField, catenoid_value, radial_jet
-from levelcurv.geometry import TestFunctionSpec, curvature_matrix, weighted_curvature
+from levelcurv.geometry import TestFunctionSpec, curvature_matrix
 from levelcurv.identities import (
     QuadraticBoundInstance,
     identity_residuals,
@@ -35,6 +35,8 @@ from levelcurv.polyfield import random_test_jets
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import admissibility_check, inverse_square_rhs, linear_u_rhs, zero_rhs
 from levelcurv.ring2d import Circle, Ellipse, RingDomain2D, solve_minimal_ring2d, solve_semilinear_ring2d
+
+from testkit import weighted_curvature
 
 THETA_HALF = TestFunctionSpec.minimal_theta(-0.5)
 MAX_PRINCIPLE_LOG: list = []

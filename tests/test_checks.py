@@ -17,7 +17,7 @@ from levelcurv.checks import (
 from levelcurv.cli import run
 from levelcurv.config import parse_config
 from levelcurv.errors import HypothesisViolated, NotAMinimalJet, TooCoarse
-from levelcurv.fields import RadialMinimalField, SphereDistanceField, catenoid_value
+from levelcurv.fields import RadialMinimalField, catenoid_value
 from levelcurv.geometry import TestFunctionSpec
 from levelcurv.identities import lb_psi_residual_2d
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
@@ -31,6 +31,8 @@ from levelcurv.ring2d import (
     solve_semilinear_ring2d,
 )
 from levelcurv.solution import RingSolution
+
+from testkit import SphereDistanceField
 
 THETA_HALF = TestFunctionSpec.minimal_theta(-0.5)
 

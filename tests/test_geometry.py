@@ -4,19 +4,19 @@ import numpy as np
 import pytest
 
 from levelcurv.errors import DegenerateChart, GradientTooSmall, OutOfDomain
-from levelcurv.fields import RadialMinimalField, SphereDistanceField
+from levelcurv.fields import RadialMinimalField
 from levelcurv.geometry import (
     Jet,
     TestFunctionSpec,
     _h_entries,
     align_frame,
     curvature_matrix,
-    graph_curvature_matrix,
     make_jet,
     rotate_jet,
     sym_det,
-    weighted_curvature,
 )
+
+from testkit import SphereDistanceField, graph_curvature_matrix, weighted_curvature
 
 
 def random_rotation(n, seed):

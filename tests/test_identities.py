@@ -14,11 +14,12 @@ from levelcurv.geometry import Jet, TestFunctionSpec, align_frame, make_jet
 from levelcurv.identities import (
     _field_form,
     codazzi_closed_form,
-    curvature_derivatives,
     curvature_entries_float,
     identity_residuals,
 )
 from levelcurv.polyfield import PolyField, random_test_jets
+
+from testkit import curvature_derivatives
 
 ORIGIN3 = np.zeros(3)
 THETA_HALF = TestFunctionSpec.minimal_theta(-0.5)

@@ -12,16 +12,17 @@ import pytest
 
 from levelcurv.cli import MASTER_TOL
 from levelcurv.errors import NonpositiveCurvature, NotAMinimalJet
-from levelcurv.fields import RadialMinimalField, ScherkField, SphereDistanceField
+from levelcurv.fields import RadialMinimalField, ScherkField
 from levelcurv.geometry import TestFunctionSpec, align_frame
 from levelcurv.identities import (
     _seeded_twice,
-    curvature_derivatives,
     curvature_entries_float,
     lb_psi_residual_2d,
     minimal_equation_residual,
     minimal_master_identity_residual,
 )
+
+from testkit import SphereDistanceField, curvature_derivatives
 
 SCHERK_POINT = np.array([0.4, 0.9])
 THETA_HALF = TestFunctionSpec.minimal_theta(-0.5)

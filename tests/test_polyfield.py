@@ -3,6 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
+from levelcurv import polyfield
+from levelcurv.errors import ExhaustedResampling
 from levelcurv.geometry import make_jet
 from levelcurv.polyfield import (
     MAX_DEGREE,
@@ -88,6 +90,11 @@ class TestRandomTestJet:
         with pytest.raises(ValueError):
             random_test_jets([2], 5)
 
+    def test_negative_seed(self):
+        # default_rng rejects it too; the config parser stops it earlier
+        with pytest.raises(ValueError, match="nonnegative"):
+            random_test_jets([3, -1], 2)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_nondegenerate_curvature(self, n):
         from levelcurv.geometry import align_frame
@@ -131,3 +138,29 @@ class TestRandomTestJets:
             assert np.array(list(single.coeffs.values())).tobytes() == values.tobytes()
         if n == 2:
             assert draws[54] > 1
+
+    # SeedSequence hashes a seed's little-endian uint32 words: one word below
+    # 2^32, two from 2^32, three from 2^64, and from 2^128 more than its pool
+    # of four, where it runs an extra mixing loop
+    BOUNDARY_SEEDS = [2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5]
+    # seed 2^32 + 5 is rejected on its first draw at n=2 and n=3
+    STRADDLE = range(2**32 - 30, 2**32 + 30)
+
+    @pytest.mark.parametrize("seeds", [BOUNDARY_SEEDS, STRADDLE], ids=["boundary", "straddle"])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_word_boundary_seeds_match_the_per_seed_draw(self, n, seeds):
+        batch = random_test_jets(seeds, n)
+        draws = []
+        for row, seed in enumerate(seeds):
+            values, count = reference_draw(seed, n)
+            draws.append(count)
+            assert batch.coeffs[row].tobytes() == values.tobytes()
+            assert random_test_jets([seed], n).coeffs[0].tobytes() == values.tobytes()
+        if seeds == self.STRADDLE and n < 4:
+            assert draws[seeds.index(2**32 + 5)] > 1
+
+    def test_exhausted_resampling_names_the_first_seed(self, monkeypatch):
+        # |grad| at the origin is at most sqrt(n) for coefficients in [-1, 1]
+        monkeypatch.setattr(polyfield, "MIN_GRAD", 10.0)
+        with pytest.raises(ExhaustedResampling, match=r"1000 draws \(seed=4294967295, n=2\)"):
+            random_test_jets([2**32 - 1, 2**32, 7], 2)

@@ -26,11 +26,12 @@ from levelcurv.geometry import (
     _fsum,
     curvature_matrix,
     rotate_jet,
-    weighted_curvature,
 )
 from levelcurv.identities import identity_residuals
 from levelcurv.polyfield import MAX_DEGREE, PolyField, _multi_indices, _nondegenerate
 from levelcurv.report import render_json
+
+from testkit import weighted_curvature
 
 COEFF = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 SPECS = st.one_of(
