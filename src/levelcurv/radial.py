@@ -232,21 +232,23 @@ def solve_semilinear_radial(
             - f_vals
         ), uv
 
+    def diagonal(uv: np.ndarray) -> np.ndarray:
+        return -2.0 / h**2 - rhs.f_u(x[1:-1], uv[1:-1])
+
     def linearize(res: np.ndarray, uv: np.ndarray, frozen: bool) -> tuple:
         ab = np.zeros((3, samples - 2))
         ab[0, 1:] = upper[:-1]
-        ab[1, :] = -2.0 / h**2 - rhs.f_u(x[1:-1], uv[1:-1])
+        ab[1, :] = diagonal(uv)
         ab[2, :-1] = lower[1:]
         return ab, -res
 
-    # rounding floor of the discrete operator: the residual cannot be driven
-    # below ~eps * |u| / h^2 in double precision on fine grids
-    u_scale = 1.0 + max(abs(u_a), abs(u_b))
-    floor = 32.0 * np.finfo(float).eps * u_scale * (4.0 / h**2 + (n - 1) / (h * a))
+    def row_l1(uv: np.ndarray) -> float:
+        return float(np.max(np.abs(lower) + np.abs(diagonal(uv)) + np.abs(upper)))
+
     u = u_a + (u_b - u_a) * (r - a) / (b - a)
     u, res_norm, meta = _damped_newton(
         residual, linearize, lambda system: solve_banded((1, 1), *system), u, tol,
-        lambda _: floor, max_iter, "radial Newton")
+        row_l1, max_iter, "radial Newton")
 
     u_prime = np.gradient(u, r, edge_order=2)
     u_prime[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)

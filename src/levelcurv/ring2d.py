@@ -382,6 +382,11 @@ class _RingOperator:
         planes[4] = m_ss * (-2.0 / ds**2) + m_tt * (-2.0 / dt**2) + diag_extra
         return planes
 
+    def row_l1(self, planes: tuple) -> float:
+        """The largest row l1 norm of the frozen Jacobian at the planes of ``residual``."""
+        stencil = self.stencil_planes(self._linearization_fields(planes, frozen=True))
+        return float(np.abs(stencil, out=stencil).sum(axis=0).max())
+
     def assemble(self, fields):
         """Sparse CSC Jacobian over the interior unknowns from ``_linearization_fields``.
 
@@ -584,20 +589,6 @@ def _solve_ring2d(
     u = _blend(outer_data, inner_data, ns)
     if warm_start is not None:
         u += _warm_start_deviation(warm_start, domain)
-    u_scale = 1.0 + float(max(np.max(np.abs(outer_data)), np.max(np.abs(inner_data))))
-
-    def rounding_floor(planes):
-        # rounding floor of the discrete operator (second differences divide
-        # the eps-level noise of u by ds^2); tol below it cannot be reached
-        m_ss, m_st, m_tt, m_s, m_t = planes[-1]
-        coeff_scale = float(np.max(
-            np.abs(m_ss) * 4.0 / grid.ds**2
-            + np.abs(m_st) / (grid.ds * grid.dt)
-            + np.abs(m_tt) * 4.0 / grid.dt**2
-            + np.abs(m_s) / grid.ds
-            + np.abs(m_t) / grid.dt
-        ))
-        return 32.0 * np.finfo(float).eps * coeff_scale * u_scale
 
     # per iteration: which linear solver ran and how many GMRES iterations it took
     paths, krylov = [], []
@@ -615,7 +606,7 @@ def _solve_ring2d(
     # Picard step solves for the correction from u.  A warm start needs none.
     picard_steps = _PICARD_STEPS if equation == "minimal" and warm_start is None else 0
     u, res_norm, meta = _damped_newton(
-        op.residual, linearize, solve, u, tol, rounding_floor, max_iter,
+        op.residual, linearize, solve, u, tol, op.row_l1, max_iter,
         f"ring2d {equation} solver", picard_steps=picard_steps)
     start = "blend" if warm_start is None else list(warm_start.values.shape)
     return RingSolution(

@@ -71,31 +71,36 @@ class RingSolution:
         return max(0.0, over, under)
 
 
-def _damped_newton(evaluate, linearize, solve, u, tol, floor, max_iter, name, picard_steps=0):
+def _damped_newton(evaluate, linearize, solve, u, tol, row_l1, max_iter, name, picard_steps=0):
     """The nonlinear iteration of every solver; returns (u, residual norm, meta).
 
     ``evaluate(u)`` returns (interior residual, state),
     ``linearize(residual, state, frozen)`` the linear system built from that
     same evaluation and ``solve(system)`` its interior correction, so each
     iterate is evaluated once and its state is dropped before the solve.
-    ``tol`` is raised to the rounding floor ``floor(state)`` of the first
-    evaluation.  The first ``picard_steps`` steps are frozen and taken at full
-    length; every later step is halved up to 8 times until the max-norm
-    residual decreases.  At most ``max_iter`` steps are taken, Picard ones
-    included.
-    ``meta`` holds ``tol``, ``tol_used`` and, per step, its phase, the residual
-    norm after it and its length.
+    The solve stops at the first iterate whose max-norm residual is at most
+    ``tol_used = max(tol, 32 eps (1 + max|u|) row_l1(state))``, its rounding
+    floor, read at the start and after each accepted step; ``row_l1`` is the
+    largest row l1 norm of the frozen operator.  The first ``picard_steps``
+    steps are frozen and taken at full length; every later step is halved up
+    to 8 times until the residual decreases.  At most ``max_iter`` steps are
+    taken, Picard ones included.  ``meta`` holds ``tol``, the last ``tol_used``
+    and, per step, its phase, the residual norm after it and its length.
     """
+    def tolerance(u, state):
+        floor = 32.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(u))) * row_l1(state)
+        return float(max(tol, floor))
+
     res, state = evaluate(u)
-    meta = {"tol": tol, "tol_used": float(max(tol, floor(state))),
+    meta = {"tol": tol, "tol_used": tolerance(u, state),
             "phases": [], "residual_norms": [], "step_lengths": []}
     norm = float(np.max(np.abs(res), initial=0.0))
     while norm > meta["tol_used"]:
         iterations = len(meta["phases"])
         picard = iterations < picard_steps
         if iterations >= max_iter:
-            raise DidNotConverge(f"{name} stalled at residual {norm:.3e}",
-                                 iterations=iterations, residual=norm)
+            raise DidNotConverge(f"{name} stalled at residual {norm:.3e} (tol_used "
+                                 f"{meta['tol_used']:.3e})", iterations=iterations, residual=norm)
         # the evaluated state lives until its system is built, the system until it is solved
         system, state = linearize(res, state, picard), None
         delta, system = solve(system), None
@@ -109,9 +114,10 @@ def _damped_newton(evaluate, linearize, solve, u, tol, floor, max_iter, name, pi
                 break
             step *= 0.5
         else:
-            raise DidNotConverge(f"{name} line search failed at residual {norm:.3e}",
-                                 iterations=iterations, residual=norm)
+            raise DidNotConverge(f"{name} line search failed at residual {norm:.3e} (tol_used "
+                                 f"{meta['tol_used']:.3e})", iterations=iterations, residual=norm)
         u, norm = trial, trial_norm
+        meta["tol_used"] = tolerance(u, state)
         meta["phases"].append("picard" if picard else "newton")
         meta["residual_norms"].append(norm)
         meta["step_lengths"].append(step)

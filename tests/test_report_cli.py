@@ -256,7 +256,16 @@ class TestRunVerdicts:
     def test_stall_keeps_iterations_and_residual(self, monkeypatch):
         monkeypatch.setattr(cli, "solve_minimal_ring2d",
                             functools.partial(ring2d.solve_minimal_ring2d, max_iter=2))
-        cfg = minimal_ring_config()
+        # (u, row l1 norm) of each iterate whose rounding floor is read
+        floors = []
+        real = ring2d._RingOperator.row_l1
+
+        def recorded(self, planes):
+            floors.append((planes[0], real(self, planes)))
+            return floors[-1][1]
+
+        monkeypatch.setattr(ring2d._RingOperator, "row_l1", recorded)
+        cfg = minimal_ring_config(tolerances={"solver_tol": 1e-14})
         cfg["problem"]["boundary"] = {"outer": "constant:0", "inner": "constant:1"}
         report, _ = run(parse_config(cfg))
         assert report["verdict"] == "NumericalFailure"
@@ -266,6 +275,12 @@ class TestRunVerdicts:
         assert error["iterations"] == 2
         assert error["residual"] > 1e-10
         assert f"{error['residual']:.3e}" in error["message"]
+        # the message states the tol_used of the iterate that stalled: the start and two steps
+        assert len(floors) == 3
+        u, row_l1 = floors[-1]
+        tol_used = 32.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(u))) * row_l1
+        assert tol_used > 1e-14
+        assert f"tol_used {tol_used:.3e}" in error["message"]
         assert json.loads(render_json(report))["error"] == error
 
     def test_numerical_failure_no_solution(self):

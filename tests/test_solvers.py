@@ -167,8 +167,10 @@ class TestSemilinearRadial:
         exact = (1.0 / sol.r - 0.5) / 0.5
         assert np.max(np.abs(sol.values - exact)) < 1e-9
 
-    def test_linear_u_matches_dense_direct_solve(self):
-        lam = 0.3
+    @staticmethod
+    def _dense_system(lam):
+        """The n = 2 solve of u'' + u'/r = lam u, u(1) = 1, u(2) = 0, with its dense
+        interior matrix and right-hand side."""
         sol = solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(lam), samples=101)
         m = sol.r.shape[0] - 2
         h = sol.h
@@ -184,8 +186,21 @@ class TestSemilinearRadial:
                 b[i] -= (1 / h**2 - 1 / (2 * h * ri)) * 1.0
             if i < m - 1:
                 a[i, i + 1] = 1 / h**2 + 1 / (2 * h * ri)
+        return sol, a, b
+
+    def test_linear_u_matches_dense_direct_solve(self):
+        sol, a, b = self._dense_system(0.3)
         direct = np.linalg.solve(a, b)
         assert np.max(np.abs(sol.values[1:-1] - direct)) < 1e-8
+
+    def test_floor_is_the_row_norm_of_the_dense_jacobian(self):
+        # f = u, so f_u = 1 enters the diagonal of every row
+        sol, a, _ = self._dense_system(1.0)
+        floor = 32.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(sol.values)))
+        floor *= np.max(np.sum(np.abs(a), axis=1))
+        assert floor > sol.meta["tol"] == 1e-10
+        assert sol.meta["tol_used"] == pytest.approx(floor, rel=1e-12, abs=0.0)
+        assert sol.residual_norm <= sol.meta["tol_used"]
 
     def test_max_principle(self):
         sol = solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(1.0), samples=201)
@@ -442,6 +457,35 @@ class TestWarmStart:
             self._solve(3.2, (25, 48), warm_start=start)
 
 
+class TestRoundingFloor:
+    """tol_used: the rounding floor 32 eps (1 + max|u|) row_l1 of the iterate a solve stops at."""
+
+    @staticmethod
+    def _steep(fraction):
+        # inner data a fraction of the steepest jump 2 acosh 2 a minimal graph makes over
+        # Circle(4)/Circle(2), outer data 0, solved cold
+        dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=128, n_t=256)
+        return solve_minimal_ring2d(dom, np.zeros(256),
+                                    np.full(256, fraction * 2.0 * math.acosh(2.0)))
+
+    def test_steep_circle_ring_converges_cold(self):
+        # the rounding floor at the solution lies far above that of the blend it starts from
+        sol = self._steep(0.97)
+        assert sol.residual_norm <= sol.meta["tol_used"]
+
+    def test_steeper_circle_ring_keeps_its_iterations(self):
+        assert self._steep(0.98).iterations == 19
+
+    @pytest.mark.parametrize("grids", [[(25, 48), (49, 96)], [(49, 96), (25, 48)]],
+                             ids=["coarse", "fine"])
+    def test_cold_and_warm_solves_record_one_floor(self, grids):
+        other = TestWarmStart._solve(1.8, grids[1])
+        cold = TestWarmStart._solve(1.8, grids[0])
+        warm = TestWarmStart._solve(1.8, grids[0], warm_start=other)
+        assert warm.meta["start"] == list(grids[1])
+        assert warm.meta["tol_used"] == pytest.approx(cold.meta["tol_used"], rel=1e-12, abs=0.0)
+
+
 class TestNewtonKrylov:
     """GMRES under the t-averaged preconditioner, with sparse LU as the fallback."""
 
@@ -493,8 +537,9 @@ class TestNewtonKrylov:
         assert sol.max_principle_violation() == 0.0
 
     def test_one_coefficient_pass_per_evaluation(self, monkeypatch):
-        # the linear step and the rounding floor read the planes of the last evaluation
-        calls = {"coefficients": 0, "residual": 0}
+        # the linear step and the rounding floor read the planes of the last evaluation;
+        # the floor builds stencil planes once per accepted iterate, never on a trial
+        calls = {"coefficients": 0, "residual": 0, "stencil_planes": 0}
         for name in calls:
             real = getattr(ring2d._RingOperator, name)
 
@@ -506,6 +551,7 @@ class TestNewtonKrylov:
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=128, n_t=256)
         sol = solve_minimal_ring2d(dom, np.zeros(256), np.ones(256))
         assert calls["coefficients"] == calls["residual"] == sol.iterations + 1 == 7
+        assert calls["stencil_planes"] == 2 * sol.iterations + 1 == 13
         assert sol.meta["step_lengths"] == [1.0] * sol.iterations
 
     def test_semilinear_circle_one_newton_step(self):
