@@ -232,23 +232,19 @@ def solve_semilinear_radial(
             - f_vals
         ), uv
 
-    def diagonal(uv: np.ndarray) -> np.ndarray:
-        return -2.0 / h**2 - rhs.f_u(x[1:-1], uv[1:-1])
+    def jacobian(uv: np.ndarray) -> np.ndarray:
+        # row planes (lower, diagonal, upper): the couplings of row i to u_(i-1), u_i, u_(i+1)
+        planes = np.empty((3, samples - 2))
+        planes[0], planes[1], planes[2] = lower, -2.0 / h**2 - rhs.f_u(x[1:-1], uv[1:-1]), upper
+        return planes
 
-    def linearize(res: np.ndarray, uv: np.ndarray, frozen: bool) -> tuple:
-        ab = np.zeros((3, samples - 2))
-        ab[0, 1:] = upper[:-1]
-        ab[1, :] = diagonal(uv)
-        ab[2, :-1] = lower[1:]
-        return ab, -res
-
-    def row_l1(uv: np.ndarray) -> float:
-        return float(np.max(np.abs(lower) + np.abs(diagonal(uv)) + np.abs(upper)))
+    def solve(planes: np.ndarray, target: np.ndarray, frozen: bool) -> tuple:
+        ab = np.zeros_like(planes)
+        ab[0, 1:], ab[1], ab[2, :-1] = planes[2, :-1], planes[1], planes[0, 1:]
+        return (solve_banded((1, 1), ab, target),)
 
     u = u_a + (u_b - u_a) * (r - a) / (b - a)
-    u, res_norm, meta = _damped_newton(
-        residual, linearize, lambda system: solve_banded((1, 1), *system), u, tol,
-        row_l1, max_iter, "radial Newton")
+    u, res_norm, meta = _damped_newton(residual, jacobian, solve, u, tol, max_iter, "radial Newton")
 
     u_prime = np.gradient(u, r, edge_order=2)
     u_prime[2:-2] = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)

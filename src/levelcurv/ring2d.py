@@ -26,6 +26,7 @@ Picard steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -307,7 +308,8 @@ class _RingOperator:
     The equation is written on the (s, t) grid as m_ss u_ss + m_st u_st +
     m_tt u_tt + n_s u_s + n_t u_t - f(x, u) (= F^{ab} u_ab - f); the minimal
     operator carries f = 0.  One coefficient pass per iterate: ``residual``
-    returns the planes it read, and the linear step is built from them.
+    returns the planes it read, and ``jacobian`` builds the stencil planes of
+    the floor and the linear step from them.
     """
 
     def __init__(self, grid: RingGrid, equation: str, rhs=None):
@@ -368,8 +370,8 @@ class _RingOperator:
     def stencil_planes(self, fields) -> np.ndarray:
         """(9, interior rows, n_t) Jacobian coefficients, one plane per ``_OFFSETS``
         entry, from ``_linearization_fields``: the only statement of the
-        nine-point weights, read by the stencil apply, the preconditioner and
-        the assembled matrix."""
+        nine-point weights.  The rounding floor, the stencil apply, the
+        preconditioner and the assembled matrix all read these planes."""
         m_ss, m_st, m_tt, m_s, m_t, diag_extra = (f[1:-1] for f in fields)
         ds, dt = self.grid.ds, self.grid.dt
         ss, tt, s, t = m_ss * (1.0 / ds**2), m_tt * (1.0 / dt**2), m_s * (0.5 / ds), m_t * (0.5 / dt)
@@ -382,21 +384,20 @@ class _RingOperator:
         planes[4] = m_ss * (-2.0 / ds**2) + m_tt * (-2.0 / dt**2) + diag_extra
         return planes
 
-    def row_l1(self, planes: tuple) -> float:
-        """The largest row l1 norm of the frozen Jacobian at the planes of ``residual``."""
-        stencil = self.stencil_planes(self._linearization_fields(planes, frozen=True))
-        return float(np.abs(stencil, out=stencil).sum(axis=0).max())
+    def jacobian(self, state: tuple, frozen: bool = True) -> np.ndarray:
+        """``stencil_planes`` of the frozen or Newton Jacobian at a state ``residual`` returned."""
+        return self.stencil_planes(self._linearization_fields(state, frozen))
 
-    def assemble(self, fields):
-        """Sparse CSC Jacobian over the interior unknowns from ``_linearization_fields``.
+    def assemble(self, planes: np.ndarray):
+        """Sparse CSC Jacobian over the interior unknowns with these ``stencil_planes``.
 
         The Dirichlet rows are fixed, so their couplings are left out: the
         Newton and Picard steps solve for a correction that vanishes there.
-        Only the sparse-LU fallback of ``_linear_solve`` runs it.
+        Only the sparse-LU fallback of ``_linear_solve`` runs it, on the planes
+        the failed GMRES solve read.
         """
         from scipy.sparse import csc_matrix
 
-        planes = self.stencil_planes(fields)
         rows, nt = planes.shape[1:]
         oi, oj = np.array(_OFFSETS).T[..., None, None]
         i, j = np.indices((rows, nt))
@@ -546,17 +547,16 @@ def _gmres(apply, precond, rhs: np.ndarray, forcing: float) -> tuple:
     return None, steps
 
 
-def _linear_solve(op: _RingOperator, fields: tuple, rhs: np.ndarray, frozen: bool):
-    """Solve J x = rhs for the Jacobian of ``_linearization_fields``.
+def _linear_solve(op: _RingOperator, planes: np.ndarray, rhs: np.ndarray, frozen: bool):
+    """Solve J x = rhs for the Jacobian with these ``stencil_planes``.
 
     Returns (x, linear solver path, Krylov iterations).
 
     GMRES runs on the stencil apply of J under the t-averaged preconditioner;
-    sparse LU of the assembled J is the fallback when GMRES stops short of the
-    forcing term or the preconditioner breaks down.
+    sparse LU of J assembled from the same planes is the fallback when GMRES
+    stops short of the forcing term or the preconditioner breaks down.
     """
     forcing = _PICARD_FORCING if frozen else _NEWTON_FORCING
-    planes = op.stencil_planes(fields)
     precond = _averaged_preconditioner(planes, op.grid.dt)
     krylov = 0
     if precond is not None:
@@ -565,7 +565,7 @@ def _linear_solve(op: _RingOperator, fields: tuple, rhs: np.ndarray, frozen: boo
             return x, "gmres", krylov
     from scipy.sparse.linalg import splu
 
-    return splu(op.assemble(fields), permc_spec="MMD_AT_PLUS_A").solve(rhs), "splu", krylov
+    return splu(op.assemble(planes), permc_spec="MMD_AT_PLUS_A").solve(rhs), "splu", krylov
 
 
 def _solve_ring2d(
@@ -590,31 +590,19 @@ def _solve_ring2d(
     if warm_start is not None:
         u += _warm_start_deviation(warm_start, domain)
 
-    # per iteration: which linear solver ran and how many GMRES iterations it took
-    paths, krylov = [], []
-
-    def linearize(res, planes, frozen):
-        return op._linearization_fields(planes, frozen), -res.ravel(), frozen
-
-    def solve(system):
-        delta, path, its = _linear_solve(op, *system)
-        paths.append(path)
-        krylov.append(its)
-        return delta.reshape(ns - 2, nt)
-
     # The frozen operator applied to u is the minimal residual itself, so each
     # Picard step solves for the correction from u.  A warm start needs none.
+    # F = I is constant in the semilinear equation, so its frozen Jacobian is Newton's.
     picard_steps = _PICARD_STEPS if equation == "minimal" and warm_start is None else 0
+    newton = functools.partial(op.jacobian, frozen=False) if equation == "minimal" else None
     u, res_norm, meta = _damped_newton(
-        op.residual, linearize, solve, u, tol, op.row_l1, max_iter,
-        f"ring2d {equation} solver", picard_steps=picard_steps)
+        op.residual, op.jacobian, functools.partial(_linear_solve, op), u, tol, max_iter,
+        f"ring2d {equation} solver", picard_steps, newton, ("linear_solver", "krylov_iterations"))
     start = "blend" if warm_start is None else list(warm_start.values.shape)
     return RingSolution(
         kind="ring2d", equation=equation, values=u, residual_norm=res_norm,
         h=grid.spacing(), iterations=len(meta["phases"]), rhs=rhs, domain=domain,
-        coords=grid.x, grid=grid,
-        meta={"grid": (ns, nt), "start": start, "linear_solver": paths,
-              "krylov_iterations": krylov, **meta},
+        coords=grid.x, grid=grid, meta={"grid": (ns, nt), "start": start, **meta},
     )
 
 

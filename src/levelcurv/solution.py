@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -71,39 +72,53 @@ class RingSolution:
         return max(0.0, over, under)
 
 
-def _damped_newton(evaluate, linearize, solve, u, tol, row_l1, max_iter, name, picard_steps=0):
+def _damped_newton(evaluate, jacobian, solve, u, tol, max_iter, name, picard_steps=0,
+                   newton=None, details=()):
     """The nonlinear iteration of every solver; returns (u, residual norm, meta).
 
-    ``evaluate(u)`` returns (interior residual, state),
-    ``linearize(residual, state, frozen)`` the linear system built from that
-    same evaluation and ``solve(system)`` its interior correction, so each
-    iterate is evaluated once and its state is dropped before the solve.
-    The solve stops at the first iterate whose max-norm residual is at most
-    ``tol_used = max(tol, 32 eps (1 + max|u|) row_l1(state))``, its rounding
-    floor, read at the start and after each accepted step; ``row_l1`` is the
-    largest row l1 norm of the frozen operator.  The first ``picard_steps``
-    steps are frozen and taken at full length; every later step is halved up
-    to 8 times until the residual decreases.  At most ``max_iter`` steps are
-    taken, Picard ones included.  ``meta`` holds ``tol``, the last ``tol_used``
-    and, per step, its phase, the residual norm after it and its length.
+    ``evaluate(u)`` returns (interior residual, state) and ``jacobian(state)``
+    the frozen Jacobian there as row planes (``planes[:, i]`` holds row i),
+    built once per accepted iterate.  Its rounding floor is read off them: the
+    solve stops at the first iterate whose max-norm residual is at most
+    ``tol_used = max(tol, 32 eps (1 + max|u|) max_i sum |planes[:, i]|)``.
+    The step from it solves with them, ``solve(planes, -residual, frozen)``
+    returning the interior correction and one value per name in ``details``
+    for ``meta``; only a Newton step of a solver that gives ``newton(state)``
+    builds its own planes, after the frozen ones are released.  The first
+    ``picard_steps`` steps are frozen and taken at full length; every later
+    step is halved up to 8 times until the residual decreases.  At most
+    ``max_iter`` steps are taken, Picard ones included; a stall, a failed line
+    search and a residual norm or floor that is not finite raise
+    DidNotConverge.  ``meta`` holds ``tol``, the last ``tol_used`` and, per
+    step, its phase, the residual norm after it and its length.
     """
-    def tolerance(u, state):
-        floor = 32.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(u))) * row_l1(state)
-        return float(max(tol, floor))
-
+    meta = {"tol": tol, "tol_used": None, "phases": [], "residual_norms": [], "step_lengths": [],
+            **{key: [] for key in details}}
     res, state = evaluate(u)
-    meta = {"tol": tol, "tol_used": tolerance(u, state),
-            "phases": [], "residual_norms": [], "step_lengths": []}
     norm = float(np.max(np.abs(res), initial=0.0))
-    while norm > meta["tol_used"]:
+    while True:
         iterations = len(meta["phases"])
-        picard = iterations < picard_steps
+        planes = jacobian(state)
+        # the row sums accumulate plane by plane, as the planes are still to be solved with
+        floor = (32.0 * np.finfo(float).eps * (1.0 + np.max(np.abs(u)))
+                 * float(sum(np.abs(plane) for plane in planes).max()))
+        meta["tol_used"] = float(max(tol, floor))
+        if not (math.isfinite(norm) and math.isfinite(floor)):
+            raise DidNotConverge(f"{name} residual {norm:.3e} or its rounding floor {floor:.3e} "
+                                 "is not finite", iterations=iterations, residual=norm)
+        if norm <= meta["tol_used"]:
+            return u, norm, meta
         if iterations >= max_iter:
             raise DidNotConverge(f"{name} stalled at residual {norm:.3e} (tol_used "
                                  f"{meta['tol_used']:.3e})", iterations=iterations, residual=norm)
-        # the evaluated state lives until its system is built, the system until it is solved
-        system, state = linearize(res, state, picard), None
-        delta, system = solve(system), None
+        picard = iterations < picard_steps
+        if not picard and newton is not None:
+            planes = None  # released before the Newton planes are built
+            planes = newton(state)
+        # the evaluated state lives until the step's planes are built, the planes until solved
+        state = None
+        delta, *detail = solve(planes, -res.ravel(), picard)
+        delta, planes = delta.reshape(res.shape), None
         step = 1.0
         for _ in range(8):
             trial = u.copy()
@@ -117,8 +132,8 @@ def _damped_newton(evaluate, linearize, solve, u, tol, row_l1, max_iter, name, p
             raise DidNotConverge(f"{name} line search failed at residual {norm:.3e} (tol_used "
                                  f"{meta['tol_used']:.3e})", iterations=iterations, residual=norm)
         u, norm = trial, trial_norm
-        meta["tol_used"] = tolerance(u, state)
         meta["phases"].append("picard" if picard else "newton")
         meta["residual_norms"].append(norm)
         meta["step_lengths"].append(step)
-    return u, norm, meta
+        for key, value in zip(details, detail):
+            meta[key].append(value)

@@ -256,15 +256,17 @@ class TestRunVerdicts:
     def test_stall_keeps_iterations_and_residual(self, monkeypatch):
         monkeypatch.setattr(cli, "solve_minimal_ring2d",
                             functools.partial(ring2d.solve_minimal_ring2d, max_iter=2))
-        # (u, row l1 norm) of each iterate whose rounding floor is read
+        # (u, row l1 norm of the frozen planes) of each iterate whose rounding floor is read
         floors = []
-        real = ring2d._RingOperator.row_l1
+        real = ring2d._RingOperator.jacobian
 
-        def recorded(self, planes):
-            floors.append((planes[0], real(self, planes)))
-            return floors[-1][1]
+        def recorded(self, state, frozen=True):
+            planes = real(self, state, frozen)
+            if frozen:
+                floors.append((state[0], float(np.abs(planes).sum(axis=0).max())))
+            return planes
 
-        monkeypatch.setattr(ring2d._RingOperator, "row_l1", recorded)
+        monkeypatch.setattr(ring2d._RingOperator, "jacobian", recorded)
         cfg = minimal_ring_config(tolerances={"solver_tol": 1e-14})
         cfg["problem"]["boundary"] = {"outer": "constant:0", "inner": "constant:1"}
         report, _ = run(parse_config(cfg))

@@ -210,6 +210,12 @@ class TestSemilinearRadial:
         with pytest.raises(DidNotConverge):
             solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(1.0), max_iter=0)
 
+    def test_non_finite_data_fails(self):
+        with pytest.raises(DidNotConverge, match="not finite") as caught:
+            solve_semilinear_radial(2, 1.0, 2.0, math.nan, 1.0, zero_rhs())
+        assert caught.value.iterations == 0
+        assert math.isnan(caught.value.residual)
+
     def test_line_search_failure(self, monkeypatch):
         # every halving of a reversed Newton step raises the residual
         real = scipy.linalg.solve_banded
@@ -302,6 +308,41 @@ class TestRing2D:
             solve_minimal_ring2d(dom, np.zeros(32), np.ones(32))
         assert caught.value.iterations == ring2d._PICARD_STEPS
         assert math.isfinite(caught.value.residual) and caught.value.residual > 0.0
+
+    NONFINITE = RingDomain2D(Circle(4.0), Circle(2.0), n_s=16, n_t=32)
+
+    def test_non_finite_data_fails(self):
+        inner = np.ones(32)
+        inner[5] = np.nan
+        with pytest.raises(DidNotConverge, match="not finite") as caught:
+            solve_minimal_ring2d(self.NONFINITE, np.zeros(32), inner)
+        assert caught.value.iterations == 0
+        assert math.isnan(caught.value.residual)
+
+    def test_overflowing_rhs_fails(self):
+        # exp(800 u) overflows on the inner data 1, and so do the residual and its floor
+        rhs = SemilinearRHS(name="exp800", f=lambda x, u: np.exp(800.0 * u),
+                            f_u=lambda x, u: 800.0 * np.exp(800.0 * u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DidNotConverge, match="not finite") as caught:
+                solve_semilinear_ring2d(self.NONFINITE, np.zeros(32), np.ones(32), rhs)
+        assert caught.value.iterations == 0
+        assert caught.value.residual == math.inf
+
+    def test_non_finite_picard_step_fails(self, monkeypatch):
+        # a Picard step is taken at full length whatever its residual, which must then fail
+        real = ring2d._linear_solve
+
+        def overflowing_step(*args):
+            x, path, its = real(*args)
+            return 1e300 * x, path, its
+
+        monkeypatch.setattr(ring2d, "_linear_solve", overflowing_step)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DidNotConverge, match="not finite") as caught:
+                solve_minimal_ring2d(self.NONFINITE, np.zeros(32), np.ones(32))
+        assert caught.value.iterations == 1
+        assert not math.isfinite(caught.value.residual)
 
     def test_ellipse_ring_bounds_and_max_principle(self):
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64)
@@ -536,11 +577,10 @@ class TestNewtonKrylov:
         assert sol.residual_norm <= sol.meta["tol_used"]
         assert sol.max_principle_violation() == 0.0
 
-    def test_one_coefficient_pass_per_evaluation(self, monkeypatch):
-        # the linear step and the rounding floor read the planes of the last evaluation;
-        # the floor builds stencil planes once per accepted iterate, never on a trial
-        calls = {"coefficients": 0, "residual": 0, "stencil_planes": 0}
-        for name in calls:
+    @staticmethod
+    def _count_calls(monkeypatch, *names):
+        calls = dict.fromkeys(names, 0)
+        for name in names:
             real = getattr(ring2d._RingOperator, name)
 
             def counted(self, *args, real=real, name=name):
@@ -548,11 +588,36 @@ class TestNewtonKrylov:
                 return real(self, *args)
 
             monkeypatch.setattr(ring2d._RingOperator, name, counted)
+        return calls
+
+    def test_one_coefficient_pass_per_evaluation(self, monkeypatch):
+        # the rounding floor and the step read the frozen planes of the last evaluation:
+        # one set per accepted iterate, never on a trial, and one more for the Newton step
+        calls = self._count_calls(monkeypatch, "coefficients", "residual", "stencil_planes",
+                                  "_linearization_fields")
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=128, n_t=256)
         sol = solve_minimal_ring2d(dom, np.zeros(256), np.ones(256))
         assert calls["coefficients"] == calls["residual"] == sol.iterations + 1 == 7
-        assert calls["stencil_planes"] == 2 * sol.iterations + 1 == 13
+        assert sol.meta["phases"] == ["picard"] * 5 + ["newton"]
+        assert calls["stencil_planes"] == calls["_linearization_fields"] == sol.iterations + 2 == 8
         assert sol.meta["step_lengths"] == [1.0] * sol.iterations
+
+    def test_semilinear_step_solves_with_the_floor_planes(self, monkeypatch):
+        # F = I, so the Newton step solves with the frozen planes its start's floor read
+        calls = self._count_calls(monkeypatch, "stencil_planes", "_linearization_fields")
+        dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=64, n_t=128)
+        sol = solve_semilinear_ring2d(dom, np.zeros(128), np.ones(128), linear_u_rhs(1.0))
+        assert sol.iterations == 1
+        assert calls["stencil_planes"] == calls["_linearization_fields"] == 2
+
+    def test_splu_fallback_builds_no_planes(self, monkeypatch):
+        calls = self._count_calls(monkeypatch, "stencil_planes")
+        krylov = self._ellipse()
+        built, calls["stencil_planes"] = calls["stencil_planes"], 0
+        monkeypatch.setattr(ring2d, "_GMRES_MAX_ITER", 1)
+        capped = self._ellipse()
+        assert capped.meta["linear_solver"] == ["splu"] * capped.iterations == ["splu"] * 6
+        assert calls["stencil_planes"] == built == krylov.iterations + 2
 
     def test_semilinear_circle_one_newton_step(self):
         # the metric of a circle ring does not depend on t, so the t-averaged
@@ -571,8 +636,9 @@ class TestNewtonKrylov:
         rows = rng.uniform(-0.5, 0.5, size=(6, 17, 1)) + np.array([1, 0, 1, 0, 0, -1])[:, None, None]
         fields = tuple(np.broadcast_to(f, (17, 32)) for f in rows)
         op = ring2d._RingOperator(grid, "semilinear")
-        mat = op.assemble(fields)
-        precond = ring2d._averaged_preconditioner(op.stencil_planes(fields), grid.dt)
+        planes = op.stencil_planes(fields)
+        mat = op.assemble(planes)
+        precond = ring2d._averaged_preconditioner(planes, grid.dt)
         x = rng.standard_normal(mat.shape[0])
         assert np.max(np.abs(precond(mat @ x) - x)) < 1e-10
 
@@ -599,7 +665,7 @@ class TestNewtonKrylov:
         averaged = tuple(np.pad((f[1:-1] / w).mean(axis=1, keepdims=True) * np.ones_like(w),
                                 ((1, 1), (0, 0))) for f in fields)
         r = np.random.default_rng(2).standard_normal(w.size)
-        expected = splu(op.assemble(averaged).tocsc()).solve(r / w.ravel())
+        expected = splu(op.assemble(op.stencil_planes(averaged)).tocsc()).solve(r / w.ravel())
         got = ring2d._averaged_preconditioner(op.stencil_planes(fields), dt)(r)
         assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -614,7 +680,8 @@ class TestNewtonKrylov:
         s = np.linspace(0.0, 1.0, n_s)[:, None]
         u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
         fields = op._linearization_fields(op.residual(u)[1], frozen)
-        mat, apply = op.assemble(fields), ring2d._jacobian_apply(op.stencil_planes(fields))
+        planes = op.stencil_planes(fields)
+        mat, apply = op.assemble(planes), ring2d._jacobian_apply(planes)
         rng = np.random.default_rng(6)
         for _ in range(2):  # the padded copy is reused by the second vector
             x = rng.standard_normal(mat.shape[0])
@@ -634,7 +701,7 @@ class TestNewtonKrylov:
         apply = ring2d._jacobian_apply(planes)
         precond = ring2d._averaged_preconditioner(planes, op.grid.dt)
         rhs = np.random.default_rng(7).standard_normal(31 * 64)
-        direct = splu(op.assemble(fields).tocsc()).solve(rhs)
+        direct = splu(op.assemble(planes).tocsc()).solve(rhs)
         for forcing in (1e-3, 1e-8):
             x, steps = ring2d._gmres(apply, precond, rhs, forcing)
             assert 0 < steps < ring2d._GMRES_MAX_ITER
@@ -661,7 +728,7 @@ class TestNewtonKrylov:
         calls = []
         real = ring2d._RingOperator.assemble
         monkeypatch.setattr(ring2d._RingOperator, "assemble",
-                            lambda self, fields: calls.append(1) or real(self, fields))
+                            lambda self, planes: calls.append(1) or real(self, planes))
         sol = self._ellipse()
         assert sol.meta["linear_solver"] == ["gmres"] * sol.iterations
         assert calls == []
@@ -694,9 +761,10 @@ class TestNewtonKrylov:
     def test_breakdown_falls_back_to_splu(self, case):
         # a NaN Jacobian has no LU factorization either, so it is left out here
         op, fields = self._breakdown(case)
-        mat = op.assemble(fields)
+        planes = op.stencil_planes(fields)
+        mat = op.assemble(planes)
         rhs = np.random.default_rng(4).standard_normal(mat.shape[0])
-        x, path, krylov = ring2d._linear_solve(op, fields, rhs, frozen=False)
+        x, path, krylov = ring2d._linear_solve(op, planes, rhs, frozen=False)
         assert (path, krylov) == ("splu", 0)
         assert np.max(np.abs(mat @ x - rhs)) < 1e-10
 
@@ -745,7 +813,8 @@ class TestLinearization:
         rng = np.random.default_rng(5)
         for _ in range(2):  # the pattern is reused by the second matrix
             fields = tuple(rng.standard_normal((n_s, n_t)) for _ in range(6))
-            mat, ref = op.assemble(fields).tocsr(), self._coo_reference(op, fields)
+            mat = op.assemble(op.stencil_planes(fields)).tocsr()
+            ref = self._coo_reference(op, fields)
             assert np.array_equal(mat.indptr, ref.indptr)
             assert np.array_equal(mat.indices, ref.indices)
             assert np.array_equal(mat.data, ref.data)
@@ -759,7 +828,7 @@ class TestLinearization:
         x, y = grid.x[..., 0], grid.x[..., 1]
         u = s + 0.1 * s * (1.0 - s) * np.sin(x + 2.0 * y)
         v = np.random.default_rng(3).standard_normal((ns - 2, nt))
-        mat = op.assemble(op._linearization_fields(op.residual(u)[1], frozen=False))
+        mat = op.assemble(op.jacobian(op.residual(u)[1], frozen=False))
         eps = 1e-6
         plus, minus = u.copy(), u.copy()
         plus[1:-1] += eps * v
@@ -791,9 +860,9 @@ class TestLinearization:
         for frozen in (True, False):
             fields = op._linearization_fields(planes, frozen)
             zero = fields[:5] + (np.zeros_like(u),)
-            assert op.assemble(fields).data.tobytes() == op.assemble(zero).data.tobytes()
-            precond = [ring2d._averaged_preconditioner(op.stencil_planes(f), grid.dt)
-                       for f in (fields, zero)]
+            stencils = [op.stencil_planes(f) for f in (fields, zero)]
+            assert op.assemble(stencils[0]).data.tobytes() == op.assemble(stencils[1]).data.tobytes()
+            precond = [ring2d._averaged_preconditioner(p, grid.dt) for p in stencils]
             assert precond[0](x).tobytes() == precond[1](x).tobytes()
 
     def test_minimal_residual_is_f_contracted_with_hessian(self):
