@@ -24,10 +24,12 @@ from .errors import HypothesisViolated, TooCloseToBoundary, TooCoarse
 from .geometry import GRAD_FLOOR, TestFunctionSpec, level_curve_curvature_2d
 from .rhs import admissibility_check, zero_rhs
 from .ring2d import (
+    MINIMAL,
     Circle,
     Ellipse,
     RingDomain2D,
     RingGrid,
+    SemilinearEquation,
     solve_minimal_ring2d,
     solve_semilinear_ring2d,
 )
@@ -175,26 +177,22 @@ def solution_fields(solution: RingSolution) -> _Fields:
     return solution._fields
 
 
-def _guard_ring_resolution(solution: RingSolution):
-    """A ring thinner than the angular node spacing starves the derivative stencils."""
-    if solution.kind != "ring2d":
-        return
-    gap = getattr(solution.domain, "min_gap", None)
-    if gap is not None and gap < solution.h:
-        raise TooCoarse(
-            f"radial gap {gap:.3g} is below the largest node spacing {solution.h:.3g}; "
-            "refine the angular grid or widen the ring"
-        )
-
-
 def _gated_fields(solution: RingSolution) -> _Fields:
-    """The field bundle, once the grid is fine enough for the theorem checks."""
+    """The field bundle, once the grid is fine enough for the theorem checks.
+
+    A 2D ring thinner than the angular node spacing starves the derivative stencils.
+    """
     n_layers = solution.values.shape[0]
     if n_layers - 2 * INTERIOR_MARGIN_LAYERS < MIN_INTERIOR_LAYERS:
         raise TooCoarse(
             f"{n_layers} layers leave fewer than {MIN_INTERIOR_LAYERS} interior layers"
         )
-    _guard_ring_resolution(solution)
+    gap = getattr(solution.domain, "min_gap", None)  # None on a radial profile
+    if gap is not None and gap < solution.h:
+        raise TooCoarse(
+            f"radial gap {gap:.3g} is below the largest node spacing {solution.h:.3g}; "
+            "refine the angular grid or widen the ring"
+        )
     return solution_fields(solution)
 
 
@@ -260,7 +258,7 @@ def check_extremum_on_boundary(
 
 def _require_semilinear_ring(solution: RingSolution, equation_text: str):
     """Delta u = f(u) on a convex ring with 0/1 data and a sampled-admissible f."""
-    if solution.equation != "semilinear":
+    if not isinstance(solution.equation, SemilinearEquation):
         raise HypothesisViolated(equation_text)
     outer, inner = solution.boundary_values()
     if not (float(np.max(np.abs(outer))) <= 1e-12
@@ -271,7 +269,7 @@ def _require_semilinear_ring(solution: RingSolution, equation_text: str):
         box = np.stack([pts.min(axis=0), pts.max(axis=0)], axis=-1)
     else:
         box = np.array([[solution.a, solution.b]] * solution.n)
-    flags = admissibility_check(solution.rhs, box)
+    flags = admissibility_check(solution.equation.rhs, box)
     if not (flags.nonnegative and flags.f_u_nonneg and flags.f0_zero):
         raise HypothesisViolated(f"f fails the corollary hypotheses: {flags.as_dict()}")
 
@@ -313,7 +311,7 @@ def corollary_bound_poisson(solution: RingSolution, rel_tol: float = 1e-3) -> di
 
 def corollary_bound_minimal(solution: RingSolution, tol: float = 1e-6) -> dict:
     """Minimal-surface ring bound with the sqrt(1+|grad u|^2) factors (n >= 3)."""
-    if solution.equation != "minimal":
+    if solution.equation != MINIMAL:
         raise HypothesisViolated("minimal-surface bound needs a minimal solution")
     if solution.kind != "radial" or solution.n < 3:
         raise HypothesisViolated("the bound is stated for n >= 3 (radial rings here)")
@@ -395,7 +393,7 @@ def check_harmonic_psi_2d(solutions) -> dict:
     solutions = list(solutions)
     if len(solutions) < 2:
         raise ValueError("refinement check needs at least two solutions")
-    equations = sorted({s.equation for s in solutions} - {"minimal"})
+    equations = sorted({s.equation.name for s in solutions if s.equation != MINIMAL})
     if equations:
         raise HypothesisViolated(
             f"psi harmonicity needs minimal graphs, got equation {', '.join(equations)}"
@@ -454,7 +452,7 @@ def convergence_study(problem: str, grids: list) -> list[dict]:
             dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(2.0), n_s=ns, n_t=nt)
             grid = RingGrid(dom)
             r = np.linalg.norm(grid.x, axis=-1)
-            sol = RingSolution(kind="ring2d", equation="minimal", values=-r,
+            sol = RingSolution(kind="ring2d", equation=MINIMAL, values=-r,
                                residual_norm=0.0, h=grid.spacing(), domain=dom,
                                coords=grid.x, grid=grid)
             fields = solution_fields(sol)

@@ -41,7 +41,7 @@ from .identities import (
 from .polyfield import random_test_jets
 from .radial import solve_minimal_radial, solve_semilinear_radial
 from .report import emit_report
-from .ring2d import solve_minimal_ring2d, solve_semilinear_ring2d
+from .ring2d import MINIMAL, solve_minimal_ring2d, solve_semilinear_ring2d
 
 # identity-suite thresholds (absolute residuals)
 CODAZZI_TOL = 1e-9
@@ -69,16 +69,15 @@ def solve_problem(cfg: RunConfig, grid=None, warm_start=None):
 
     if problem.u_ab is not None:
         u_a, u_b = problem.u_ab
-        if problem.equation == "minimal":
+        if problem.equation == MINIMAL:
             return solve_minimal_radial(geom.n, geom.a, geom.b, u_a, u_b, samples=geom.samples)
-        return solve_semilinear_radial(
-            geom.n, geom.a, geom.b, u_a, u_b, problem.rhs, samples=geom.samples, tol=solver_tol
-        )
+        return solve_semilinear_radial(geom.n, geom.a, geom.b, u_a, u_b, problem.equation.rhs,
+                                       samples=geom.samples, tol=solver_tol)
 
     domain, outer, inner = problem.rings[grid or (geom.n_s, geom.n_t)]
-    if problem.equation == "minimal":
+    if problem.equation == MINIMAL:
         return solve_minimal_ring2d(domain, outer, inner, tol=solver_tol, warm_start=warm_start)
-    return solve_semilinear_ring2d(domain, outer, inner, problem.rhs, tol=solver_tol,
+    return solve_semilinear_ring2d(domain, outer, inner, problem.equation.rhs, tol=solver_tol,
                                    warm_start=warm_start)
 
 
@@ -86,7 +85,7 @@ def _solver_meta(sol) -> dict:
     """Solver summary; a ring2d run adds its tolerances and per-iteration linear solves."""
     return {
         "kind": sol.kind,
-        "equation": sol.equation,
+        "equation": sol.equation.name,
         "iterations": sol.iterations,
         "residual_norm": sol.residual_norm,
         "h": sol.h,
@@ -157,7 +156,7 @@ def _run_check_theorem(cfg: RunConfig):
 def _run_check_corollary(cfg: RunConfig):
     tols = cfg.tolerances
     sol = solve_problem(cfg)
-    if cfg.problem.equation == "minimal":
+    if cfg.problem.equation == MINIMAL:
         entry = corollary_bound_minimal(sol, tol=tols.get("tol_abs", 1e-6))
     else:
         entry = corollary_bound_poisson(sol, rel_tol=tols.get("corollary_rel", 1e-3))

@@ -22,7 +22,7 @@ from .geometry import TestFunctionSpec
 from .polyfield import RANDOM_JET_DIMS
 from .radial import profile_integral
 from .rhs import SemilinearRHS, inverse_square_rhs, linear_u_rhs, zero_rhs
-from .ring2d import MIN_GRID, Circle, Ellipse, RingDomain2D
+from .ring2d import MIN_GRID, MINIMAL, Ellipse, MinimalEquation, RingDomain2D, SemilinearEquation
 
 COMMANDS = (
     "solve",
@@ -49,6 +49,13 @@ OPTION_DEFAULTS = {"fields": 100, "dims": [2, 3], "instances": 200, "problem": "
 # the option keys each command reads; any other key is a config error
 OPTION_KEYS = {"jet-verify": {"fields", "dims"}, "lemma32": {"instances"},
                "convergence": {"problem"}}
+
+# config strings to objects, stated only here: curve kind -> the keys of its (rx, ry),
+# equation -> its value given the decoded rhs, rhs name -> (constructor, default scale)
+CURVES = {"circle": ("radius",), "ellipse": ("rx", "ry")}
+EQUATIONS = {"minimal": lambda rhs: MINIMAL, "semilinear": SemilinearEquation}
+RIGHT_HAND_SIDES = {"zero": (lambda scale: zero_rhs(), None), "linear-u": (linear_u_rhs, 1.0),
+                    "inverse-square": (inverse_square_rhs, 2.0)}
 
 
 def _require_keys(node: dict, allowed: set, path: str):
@@ -102,9 +109,8 @@ class Problem:
     grid (n_s, n_t) to (RingDomain2D, outer values, inner values).
     """
 
-    equation: str
+    equation: MinimalEquation | SemilinearEquation
     geometry: RadialGeometry | RingDomain2D
-    rhs: SemilinearRHS | None
     u_ab: tuple[float, float] | None = None
     rings: dict = field(default_factory=dict)
 
@@ -207,7 +213,7 @@ def _check_command_requirements(cfg: RunConfig):
     if needs_problem and cfg.problem is None:
         raise ConfigError(f"{cfg.command} requires a problem block")
     radial_minimal = cfg.problem is not None and cfg.problem.u_ab is not None \
-        and cfg.problem.equation == "minimal"
+        and cfg.problem.equation == MINIMAL
     if radial_minimal and "solver_tol" in cfg.tolerances:
         # the radial minimal solution is a quadrature; its flux bisection runs to adjacent floats
         raise ConfigError("tolerances ['solver_tol'] are not read by the radial minimal solver")
@@ -282,20 +288,16 @@ def _spec(node) -> TestFunctionSpec:
     raise ConfigError("spec.kind must be 'minimal-theta' or 'poisson-power'")
 
 
-def _curve(node, path: str) -> Circle | Ellipse:
+def _curve(node, path: str) -> Ellipse:
     kind = node.get("kind") if isinstance(node, dict) else None
-    if kind == "circle":
-        _object(node, {"kind", "radius", "center"}, path)
-        shape = (_finite(node.get("radius"), f"{path}.radius"),)
-    elif kind == "ellipse":
-        _object(node, {"kind", "rx", "ry", "center"}, path)
-        shape = (_finite(node.get("rx"), f"{path}.rx"), _finite(node.get("ry"), f"{path}.ry"))
-    else:
+    if not (isinstance(kind, str) and kind in CURVES):
         raise ConfigError(f"{path}.kind must be 'circle' or 'ellipse'")
-    if min(shape) <= 0:
+    _object(node, {"kind", "center", *CURVES[kind]}, path)
+    radii = [_finite(node.get(key), f"{path}.{key}") for key in CURVES[kind]]
+    if min(radii) <= 0:
         raise ConfigError(f"{path}: radii must be positive")
     center = _pair(node.get("center", [0.0, 0.0]), f"{path}.center")
-    return (Circle if kind == "circle" else Ellipse)(*shape, center)
+    return Ellipse(radii[0], radii[-1], center)
 
 
 def _rhs(node) -> SemilinearRHS:
@@ -304,13 +306,10 @@ def _rhs(node) -> SemilinearRHS:
     _object(node, {"name", "scale"}, "problem.rhs")
     scale = _finite(node["scale"], "rhs.scale") if "scale" in node else None
     name = node.get("name")
-    if name == "zero":
-        return zero_rhs()
-    if name == "linear-u":
-        return linear_u_rhs(1.0 if scale is None else scale)
-    if name == "inverse-square":
-        return inverse_square_rhs(2.0 if scale is None else scale)
-    raise ConfigError("rhs.name must be zero | linear-u | inverse-square")
+    if not (isinstance(name, str) and name in RIGHT_HAND_SIDES):
+        raise ConfigError("rhs.name must be zero | linear-u | inverse-square")
+    make, default = RIGHT_HAND_SIDES[name]
+    return make(default if scale is None else scale)
 
 
 def _boundary_datum(node, path: str):
@@ -336,12 +335,12 @@ def _boundary_datum(node, path: str):
 
 def _problem(node, psi_grids: list) -> Problem:
     _object(node, {"equation", "geometry", "boundary", "rhs"}, "problem")
-    equation = node.get("equation")
-    if equation not in ("minimal", "semilinear"):
+    name = node.get("equation")
+    if not (isinstance(name, str) and name in EQUATIONS):
         raise ConfigError("problem.equation must be 'minimal' or 'semilinear'")
-    if node.get("rhs") is not None and equation != "semilinear":
+    if node.get("rhs") is not None and name != "semilinear":
         raise ConfigError("problem.rhs only applies to semilinear problems")
-    rhs = _rhs(node.get("rhs")) if equation == "semilinear" else None
+    equation = EQUATIONS[name](_rhs(node.get("rhs")))
 
     geom = node.get("geometry")
     kind = geom.get("kind") if isinstance(geom, dict) else None
@@ -377,7 +376,7 @@ def _problem(node, psi_grids: list) -> Problem:
     if kind == "radial":
         u_ab = (_radial_value(inner, geometry.a, geometry, "problem.boundary.inner"),
                 _radial_value(outer, geometry.b, geometry, "problem.boundary.outer"))
-        return Problem(equation, geometry, rhs, u_ab=u_ab)
+        return Problem(equation, geometry, u_ab=u_ab)
     rings = {}
     for n_s, n_t in dict.fromkeys(grids):
         try:
@@ -387,7 +386,7 @@ def _problem(node, psi_grids: list) -> Problem:
         rings[n_s, n_t] = (domain,
                            _ring_values(outer, domain.outer, domain, "problem.boundary.outer"),
                            _ring_values(inner, domain.inner, domain, "problem.boundary.inner"))
-    return Problem(equation, rings[grids[0]][0], rhs, rings=rings)
+    return Problem(equation, rings[grids[0]][0], rings=rings)
 
 
 def _ring_values(datum, curve, domain: RingDomain2D, path: str) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NoSolution
 from .fields import RadialMinimalField
-from .ring2d import second_difference
+from .ring2d import MINIMAL, SemilinearEquation, second_difference
 from .solution import RingSolution, _damped_newton
 
 _FLUX_EDGE = 1.0 - 1e-12
@@ -181,7 +181,7 @@ def solve_minimal_radial(
 
     return RingSolution(
         kind="radial",
-        equation="minimal",
+        equation=MINIMAL,
         values=u,
         residual_norm=res_norm,
         h=float(r[1] - r[0]),
@@ -252,12 +252,11 @@ def solve_semilinear_radial(
     u_second = second_difference(u, h)
     return RingSolution(
         kind="radial",
-        equation="semilinear",
+        equation=SemilinearEquation(rhs),
         values=u,
         residual_norm=res_norm,
         h=h,
         iterations=len(meta["phases"]),
-        rhs=rhs,
         n=n,
         a=a,
         b=b,

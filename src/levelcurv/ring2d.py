@@ -7,13 +7,13 @@ curves are given analytically, so every metric quantity (Jacobian, inverse,
 second derivatives of the map) is exact; only u is discretized, with
 second-order central differences on the (s, t) grid.
 
-The minimal surface equation is written in nondivergence form
-F^{ab}(grad u) u_ab = 0 with F = (1 + |grad u|^2) I - grad u grad u^T and
-solved, from a cold start, by a few Picard steps (F frozen) followed by damped
-Newton, both run by the driver the radial solver shares
-(``solution._damped_newton``).
-The semilinear equation Delta u = f(x, u) uses the same machinery with F = I;
-the minimal operator carries f = 0.
+Each equation F^{ab}(grad u) u_ab = f(x, u) is one value: ``MINIMAL``, the
+minimal surface equation with F = (1 + |grad u|^2) I - grad u grad u^T and
+f = 0, or ``SemilinearEquation(rhs)``, Delta u = f(x, u) with F = I.  It gives
+F's coefficient planes, f, the Newton term and the Picard steps (F frozen) that
+precede damped Newton on a cold start; the driver the radial solver shares
+(``solution._damped_newton``) runs both.  Curves are ellipses: ``Circle(r)``
+is ``Ellipse(r, r)``.
 
 A solve starts from the blend of its boundary data, or from a solution of the
 same ring on another grid (``warm_start``; mesh sequencing in the sense of
@@ -32,29 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .rhs import zero_rhs
+from .rhs import SemilinearRHS, zero_rhs
 from .solution import RingSolution, _damped_newton
 
 
 # ---------------------------------------------------------------------------
 # parametric convex curves
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Circle:
-    radius: float
-    center: tuple = (0.0, 0.0)
-
-    def point(self, t: np.ndarray) -> np.ndarray:
-        c = np.asarray(self.center)
-        return np.stack([self.radius * np.cos(t), self.radius * np.sin(t)], axis=-1) + c
-
-    def d1(self, t: np.ndarray) -> np.ndarray:
-        return np.stack([-self.radius * np.sin(t), self.radius * np.cos(t)], axis=-1)
-
-    def d2(self, t: np.ndarray) -> np.ndarray:
-        return np.stack([-self.radius * np.cos(t), -self.radius * np.sin(t)], axis=-1)
-
 
 @dataclass(frozen=True)
 class Ellipse:
@@ -71,6 +55,11 @@ class Ellipse:
 
     def d2(self, t: np.ndarray) -> np.ndarray:
         return np.stack([-self.rx * np.cos(t), -self.ry * np.sin(t)], axis=-1)
+
+
+def Circle(radius: float, center: tuple = (0.0, 0.0)) -> Ellipse:
+    """The circle of this radius about ``center``: ``Ellipse(radius, radius, center)``."""
+    return Ellipse(radius, radius, center)
 
 
 MIN_GRID = (4, 8)  # smallest (n_s, n_t) a ring grid may have
@@ -298,35 +287,19 @@ def _warm_start_deviation(warm_start: RingSolution, domain: RingDomain2D) -> np.
 # nonlinear solver
 # ---------------------------------------------------------------------------
 
-# the nine-point stencil, s offset major: entry 3 (i + 1) + (j + 1) is offset (i, j)
-_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+class MinimalEquation:
+    """F = (1 + |grad u|^2) I - grad u grad u^T, f = 0; a cold start takes
+    ``picard_steps`` steps with F frozen before Newton adds ``newton_term``.
+    ``MINIMAL`` is its one instance."""
 
+    name = "minimal"
+    rhs = zero_rhs()
+    picard_steps = 5
 
-class _RingOperator:
-    """Residual and Jacobian of the discretized equation on one grid.
-
-    The equation is written on the (s, t) grid as m_ss u_ss + m_st u_st +
-    m_tt u_tt + n_s u_s + n_t u_t - f(x, u) (= F^{ab} u_ab - f); the minimal
-    operator carries f = 0.  One coefficient pass per iterate: ``residual``
-    returns the planes it read, and ``jacobian`` builds the stencil planes of
-    the floor and the linear step from them.
-    """
-
-    def __init__(self, grid: RingGrid, equation: str, rhs=None):
-        self.grid = grid
-        self.equation = equation
-        self.rhs = rhs or zero_rhs()
-
-    def coefficients(self, us: np.ndarray, ut: np.ndarray) -> tuple:
-        """(m_ss, m_st, m_tt, n_s, n_t) at the reference gradient (us, ut).
-
-        Minimal: F = q I - g g^T with g = grad u and q = 1 + |g|^2, so with
-        G the inverse metric and w = G (us, ut) the second-order part is
-        m = q G - w w^T and n_xi = q lap xi - g^T hess(xi) g.  Semilinear: F = I.
-        """
-        grid = self.grid
-        if self.equation == "semilinear":
-            return grid.g_ss, 2.0 * grid.g_st, grid.g_tt, grid.lap_s, grid.lap_t
+    def coefficients(self, grid: RingGrid, us: np.ndarray, ut: np.ndarray) -> tuple:
+        """(m_ss, m_st, m_tt, n_s, n_t) at the reference gradient (us, ut): with g = grad u,
+        q = 1 + |g|^2, G the inverse metric and w = G (us, ut), m = q G - w w^T and
+        n_xi = q lap xi - g^T hess(xi) g."""
         w_s, w_t = grid.g_ss * us + grid.g_st * ut, grid.g_st * us + grid.g_tt * ut
         q = 1.0 + us * w_s + ut * w_t
         g_x, g_y = grid.gradient_planes(us, ut)
@@ -336,6 +309,46 @@ class _RingOperator:
         return (q * grid.g_ss - w_s * w_s, 2.0 * (q * grid.g_st - w_s * w_t),
                 q * grid.g_tt - w_t * w_t, n_s, n_t)
 
+    def newton_term(self, grid: RingGrid, us, ut, second) -> tuple:
+        """dF/d(grad u) : hess u as (x, y) components, from (u_s, u_t) and (u_ss, u_st, u_tt)."""
+        g_x, g_y = grid.gradient_planes(us, ut)
+        h_xx, h_xy, h_yy = grid.hessian_planes(us, ut, *second)
+        return 2.0 * (g_x * h_yy - g_y * h_xy), 2.0 * (g_y * h_xx - g_x * h_xy)
+
+
+@dataclass(frozen=True)
+class SemilinearEquation:
+    """Delta u = f(x, u): F = I, so the coefficients are the metric planes themselves."""
+
+    rhs: SemilinearRHS
+    name = "semilinear"
+    picard_steps = 0
+    newton_term = None
+
+    def coefficients(self, grid: RingGrid, us: np.ndarray, ut: np.ndarray) -> tuple:
+        return grid.g_ss, 2.0 * grid.g_st, grid.g_tt, grid.lap_s, grid.lap_t
+
+
+MINIMAL = MinimalEquation()
+
+# the nine-point stencil, s offset major: entry 3 (i + 1) + (j + 1) is offset (i, j)
+_OFFSETS = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
+
+
+class _RingOperator:
+    """Residual and Jacobian of the discretized equation on one grid.
+
+    The equation is written on the (s, t) grid as m_ss u_ss + m_st u_st +
+    m_tt u_tt + n_s u_s + n_t u_t - f(x, u) (= F^{ab} u_ab - f), with the
+    coefficients and f of ``equation``.  One coefficient pass per iterate:
+    ``residual`` returns the planes it read, and ``jacobian`` builds the
+    stencil planes of the floor and the linear step from them.
+    """
+
+    def __init__(self, grid: RingGrid, equation: MinimalEquation | SemilinearEquation):
+        self.grid = grid
+        self.equation = equation
+
     def residual(self, u: np.ndarray) -> tuple:
         """(discrete equation on the interior rows, planes it read).
 
@@ -344,27 +357,25 @@ class _RingOperator:
         grid = self.grid
         us, ut = grid.d_s(u), grid.d_t(u)
         uss, ust, utt = grid.d_ss(u), grid.d_s(ut), grid.d_tt(u)
-        m_ss, m_st, m_tt, n_s, n_t = coefficients = self.coefficients(us, ut)
+        m_ss, m_st, m_tt, n_s, n_t = coefficients = self.equation.coefficients(grid, us, ut)
         res = (m_ss * uss + m_st * ust + m_tt * utt + n_s * us + n_t * ut)[1:-1]
-        res -= self.rhs.f(grid.x[1:-1].reshape(-1, 2), u[1:-1].reshape(-1)).reshape(res.shape)
+        f = self.equation.rhs.f(grid.x[1:-1].reshape(-1, 2), u[1:-1].reshape(-1))
+        res -= f.reshape(res.shape)
         return res, (u, (us, ut, uss, ust, utt), coefficients)
 
     def _linearization_fields(self, planes: tuple, frozen: bool):
         """(m_ss, m_st, m_tt, m_s, m_t, diagonal) of the Jacobian at the planes of ``residual``.
 
-        A Picard step (``frozen``) keeps F at its value; a Newton step adds its derivative.
+        A Picard step (``frozen``) keeps F at its value; a Newton step adds ``newton_term``.
         """
         grid = self.grid
         u, (us, ut, *second), (m_ss, m_st, m_tt, m_s, m_t) = planes
-        if self.equation == "minimal" and not frozen:
+        if not frozen and self.equation.newton_term is not None:
             # dF/d(grad u) : hess u, pulled back to (u_s, u_t)
-            g_x, g_y = grid.gradient_planes(us, ut)
-            h_xx, h_xy, h_yy = grid.hessian_planes(us, ut, *second)
-            p1 = 2.0 * (g_x * h_yy - g_y * h_xy)
-            p2 = 2.0 * (g_y * h_xx - g_x * h_xy)
+            p1, p2 = self.equation.newton_term(grid, us, ut, second)
             m_s = m_s + p1 * grid.s_x + p2 * grid.s_y
             m_t = m_t + p1 * grid.t_x + p2 * grid.t_y
-        diag = -self.rhs.f_u(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
+        diag = -self.equation.rhs.f_u(grid.x.reshape(-1, 2), u.reshape(-1)).reshape(u.shape)
         return m_ss, m_st, m_tt, m_s, m_t, diag
 
     def stencil_planes(self, fields) -> np.ndarray:
@@ -475,8 +486,6 @@ def _averaged_preconditioner(planes: np.ndarray, dt: float):
     return apply
 
 
-# frozen-coefficient steps before Newton, minimal equation only
-_PICARD_STEPS = 5
 # Inexact Newton-Krylov (Knoll & Keyes 2004): each linear solve stops once GMRES
 # has cut the residual by this relative factor, a fixed forcing term in the
 # sense of Eisenstat & Walker 1996.  Picard is only a warm start.
@@ -572,8 +581,7 @@ def _solve_ring2d(
     domain: RingDomain2D,
     outer_data: np.ndarray,
     inner_data: np.ndarray,
-    equation: str,
-    rhs=None,
+    equation: MinimalEquation | SemilinearEquation,
     tol: float = 1e-10,
     max_iter: int = 50,
     warm_start: RingSolution | None = None,
@@ -584,24 +592,25 @@ def _solve_ring2d(
     inner_data = np.asarray(inner_data, dtype=float)
     if outer_data.shape != (nt,) or inner_data.shape != (nt,):
         raise ValueError("boundary data must match the angular grid")
-    op = _RingOperator(grid, equation, rhs)
+    op = _RingOperator(grid, equation)
 
     u = _blend(outer_data, inner_data, ns)
     if warm_start is not None:
         u += _warm_start_deviation(warm_start, domain)
 
-    # The frozen operator applied to u is the minimal residual itself, so each
-    # Picard step solves for the correction from u.  A warm start needs none.
-    # F = I is constant in the semilinear equation, so its frozen Jacobian is Newton's.
-    picard_steps = _PICARD_STEPS if equation == "minimal" and warm_start is None else 0
-    newton = functools.partial(op.jacobian, frozen=False) if equation == "minimal" else None
+    # The frozen operator applied to u is the residual itself, so each Picard
+    # step solves for the correction from u.  A warm start needs none.  Without
+    # a Newton term the frozen Jacobian is Newton's.
+    picard_steps = equation.picard_steps if warm_start is None else 0
+    newton = None if equation.newton_term is None else functools.partial(op.jacobian, frozen=False)
     u, res_norm, meta = _damped_newton(
         op.residual, op.jacobian, functools.partial(_linear_solve, op), u, tol, max_iter,
-        f"ring2d {equation} solver", picard_steps, newton, ("linear_solver", "krylov_iterations"))
+        f"ring2d {equation.name} solver", picard_steps, newton,
+        ("linear_solver", "krylov_iterations"))
     start = "blend" if warm_start is None else list(warm_start.values.shape)
     return RingSolution(
         kind="ring2d", equation=equation, values=u, residual_norm=res_norm,
-        h=grid.spacing(), iterations=len(meta["phases"]), rhs=rhs, domain=domain,
+        h=grid.spacing(), iterations=len(meta["phases"]), domain=domain,
         coords=grid.x, grid=grid, meta={"grid": (ns, nt), "start": start, **meta},
     )
 
@@ -619,7 +628,7 @@ def solve_minimal_ring2d(
     ``warm_start``, a solution on another grid of the same ring, replaces the
     blend and the Picard steps as the start of Newton.
     """
-    return _solve_ring2d(domain, outer_data, inner_data, "minimal",
+    return _solve_ring2d(domain, outer_data, inner_data, MINIMAL,
                          tol=tol, max_iter=max_iter, warm_start=warm_start)
 
 
@@ -637,6 +646,6 @@ def solve_semilinear_ring2d(
     ``warm_start``, a solution on another grid of the same ring, replaces the
     blend as the start of Newton.
     """
-    return _solve_ring2d(domain, outer_data, inner_data, "semilinear", rhs=rhs,
+    return _solve_ring2d(domain, outer_data, inner_data, SemilinearEquation(rhs),
                          tol=tol, max_iter=max_iter, warm_start=warm_start)
 

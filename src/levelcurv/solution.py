@@ -22,17 +22,17 @@ class RingSolution:
     kind="ring2d": values has shape (N_s, N_t) on the boundary-fitted grid of
     ``domain`` (s=0 the outer curve, s=1 the inner curve, t periodic).
 
+    equation is the ``ring2d`` equation value solved; it carries f as ``equation.rhs``.
     residual_norm is the max-norm discrete equation residual actually achieved;
     h is the representative grid spacing used to scale check tolerances.
     """
 
     kind: str
-    equation: str
+    equation: Any
     values: np.ndarray
     residual_norm: float
     h: float
     iterations: int = 0
-    rhs: Any = None
     # radial fields
     n: int | None = None
     a: float | None = None
@@ -61,12 +61,7 @@ class RingSolution:
 
     def max_principle_violation(self) -> float:
         """How far interior values exceed the boundary range (0 when clean)."""
-        if self.kind == "radial":
-            interior = self.values[1:-1]
-            bdry = self.values[[0, -1]]
-        else:
-            interior = self.values[1:-1, :]
-            bdry = np.concatenate([self.values[0, :], self.values[-1, :]])
+        interior, bdry = self.values[1:-1], self.values[[0, -1]]
         over = float(np.max(interior) - np.max(bdry))
         under = float(np.min(bdry) - np.min(interior))
         return max(0.0, over, under)

@@ -192,7 +192,7 @@ def test_criterion_04_semilinear_cases():
     box = np.stack(
         [sol.coords.reshape(-1, 2).min(axis=0), sol.coords.reshape(-1, 2).max(axis=0)], axis=-1
     )
-    flags = admissibility_check(sol.rhs, box)
+    flags = admissibility_check(sol.equation.rhs, box)
     ok &= flags.nonnegative and flags.f_of_x_only and flags.t3f_convex
     details.append(f"(ii) flags nonneg={flags.nonnegative} t3f={flags.t3f_convex}")
     rep = check_extremum_on_boundary(sol, TestFunctionSpec.poisson_power(1), which="min")

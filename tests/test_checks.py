@@ -27,6 +27,7 @@ from levelcurv.ring2d import (
     Ellipse,
     RingDomain2D,
     RingGrid,
+    SemilinearEquation,
     solve_minimal_ring2d,
     solve_semilinear_ring2d,
 )
@@ -128,7 +129,7 @@ class TestExtremumChecks:
         flipped = type(sol)(
             kind=sol.kind, equation=sol.equation, values=-sol.values,
             residual_norm=sol.residual_norm, h=sol.h, iterations=sol.iterations,
-            rhs=sol.rhs, domain=sol.domain, coords=sol.coords,
+            domain=sol.domain, coords=sol.coords,
         )
         rep = check_extremum_on_boundary(sol, THETA_HALF, which="min")
         rep_f = check_extremum_on_boundary(flipped, THETA_HALF, which="min")
@@ -208,6 +209,21 @@ class TestCorollaryBounds:
         with pytest.raises(HypothesisViolated):
             corollary_bound_minimal(sol)
 
+    def test_minimal_bound_rejects_ring2d(self, catenoid_ring_2d):
+        with pytest.raises(HypothesisViolated, match="n >= 3"):
+            corollary_bound_minimal(catenoid_ring_2d)
+
+    def test_minimal_bound_rejects_semilinear_n3(self):
+        sol = solve_semilinear_radial(3, 2.0, 4.0, 1.0, 0.0, zero_rhs(), samples=201)
+        with pytest.raises(HypothesisViolated, match="needs a minimal solution"):
+            corollary_bound_minimal(sol)
+
+    @pytest.mark.parametrize("check", [corollary_bound_poisson, check_gradient_monotonicity],
+                             ids=["poisson", "gradient-monotonicity"])
+    def test_semilinear_checks_reject_minimal_ring2d(self, catenoid_ring_2d, check):
+        with pytest.raises(HypothesisViolated, match=r"Delta u = f\(u\)"):
+            check(catenoid_ring_2d)
+
 
 class TestGradientMonotonicity:
     def test_harmonic_annulus(self, harmonic_annulus_2d):
@@ -225,8 +241,8 @@ class TestGradientMonotonicity:
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=128, n_t=256)
         grid = RingGrid(dom)
         u = (4.0 - np.sum(grid.x**2, axis=-1)) / 3.0
-        sol = RingSolution(kind="ring2d", equation="semilinear", values=u, residual_norm=0.0,
-                           h=grid.spacing(), rhs=zero_rhs(), domain=dom, coords=grid.x,
+        sol = RingSolution(kind="ring2d", equation=SemilinearEquation(zero_rhs()), values=u,
+                           residual_norm=0.0, h=grid.spacing(), domain=dom, coords=grid.x,
                            grid=grid)
         rep = check_gradient_monotonicity(sol)
         assert not rep["pass"]

@@ -71,6 +71,11 @@ def _ring_with(**problem):
     return cfg
 
 
+def _outer_curve(curve):
+    return _ring_with(geometry={"kind": "ring2d", "outer": curve,
+                                "inner": {"kind": "circle", "radius": 2.0}, "grid": [17, 32]})
+
+
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # each must exit 2 as a config error, never escape main as an exception that
@@ -101,6 +106,13 @@ CONFIG_ERRORS = [
     pytest.param({"command": "lemma32", "options": {"dims": [4], "problem": "constant"}},
                  id="lemma32-unread-options"),
     pytest.param({**radial_config("solve"), "options": {"fields": 3}}, id="solve-unread-option"),
+    pytest.param(_outer_curve({"kind": ["circle"], "radius": 4.0}), id="curve-kind-list"),
+    pytest.param(_outer_curve({"kind": "square", "radius": 4.0}), id="curve-kind-square"),
+    pytest.param(_ring_with(equation=["minimal"]), id="equation-list"),
+    pytest.param(_ring_with(equation="semilinear", rhs={"name": ["zero"]}), id="rhs-name-list"),
+    pytest.param(_ring_with(rhs={"name": "zero"}), id="rhs-with-minimal"),
+    pytest.param(_outer_curve({"kind": "circle", "radius": 4.0, "rx": 4.0}), id="circle-with-rx"),
+    pytest.param(_outer_curve({"kind": "ellipse", "rx": 4.0}), id="ellipse-without-ry"),
 ]
 
 

@@ -8,9 +8,10 @@ from scipy.integrate import quad
 from scipy.sparse import coo_matrix
 from scipy.sparse.linalg import splu
 
-from levelcurv.checks import solution_fields
+from levelcurv.checks import check_extremum_on_boundary, solution_fields
 from levelcurv.errors import DidNotConverge, NoSolution
 from levelcurv.fields import catenoid_value
+from levelcurv.geometry import TestFunctionSpec
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import SemilinearRHS, linear_u_rhs, zero_rhs
 from levelcurv import radial, ring2d
@@ -287,7 +288,7 @@ class TestRing2D:
         else:
             sol = solve_semilinear_ring2d(dom, outer, inner, zero_rhs())
         assert sol.iterations > 0
-        res, _ = ring2d._RingOperator(RingGrid(dom), equation, sol.rhs).residual(sol.values)
+        res, _ = ring2d._RingOperator(RingGrid(dom), sol.equation).residual(sol.values)
         assert sol.residual_norm == float(np.max(np.abs(res))) <= sol.meta["tol_used"]
 
     def test_line_search_failure(self, monkeypatch):
@@ -306,7 +307,7 @@ class TestRing2D:
         # the minimal solve takes its Picard steps at full length before the line search
         with pytest.raises(DidNotConverge, match="line search failed") as caught:
             solve_minimal_ring2d(dom, np.zeros(32), np.ones(32))
-        assert caught.value.iterations == ring2d._PICARD_STEPS
+        assert caught.value.iterations == ring2d.MINIMAL.picard_steps
         assert math.isfinite(caught.value.residual) and caught.value.residual > 0.0
 
     NONFINITE = RingDomain2D(Circle(4.0), Circle(2.0), n_s=16, n_t=32)
@@ -578,26 +579,27 @@ class TestNewtonKrylov:
         assert sol.max_principle_violation() == 0.0
 
     @staticmethod
-    def _count_calls(monkeypatch, *names):
+    def _count_calls(monkeypatch, *names, owner=ring2d._RingOperator):
         calls = dict.fromkeys(names, 0)
         for name in names:
-            real = getattr(ring2d._RingOperator, name)
+            real = getattr(owner, name)
 
             def counted(self, *args, real=real, name=name):
                 calls[name] += 1
                 return real(self, *args)
 
-            monkeypatch.setattr(ring2d._RingOperator, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
     def test_one_coefficient_pass_per_evaluation(self, monkeypatch):
         # the rounding floor and the step read the frozen planes of the last evaluation:
         # one set per accepted iterate, never on a trial, and one more for the Newton step
-        calls = self._count_calls(monkeypatch, "coefficients", "residual", "stencil_planes",
+        calls = self._count_calls(monkeypatch, "residual", "stencil_planes",
                                   "_linearization_fields")
+        coefficients = self._count_calls(monkeypatch, "coefficients", owner=ring2d.MinimalEquation)
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=128, n_t=256)
         sol = solve_minimal_ring2d(dom, np.zeros(256), np.ones(256))
-        assert calls["coefficients"] == calls["residual"] == sol.iterations + 1 == 7
+        assert coefficients["coefficients"] == calls["residual"] == sol.iterations + 1 == 7
         assert sol.meta["phases"] == ["picard"] * 5 + ["newton"]
         assert calls["stencil_planes"] == calls["_linearization_fields"] == sol.iterations + 2 == 8
         assert sol.meta["step_lengths"] == [1.0] * sol.iterations
@@ -635,7 +637,7 @@ class TestNewtonKrylov:
         rng = np.random.default_rng(0)
         rows = rng.uniform(-0.5, 0.5, size=(6, 17, 1)) + np.array([1, 0, 1, 0, 0, -1])[:, None, None]
         fields = tuple(np.broadcast_to(f, (17, 32)) for f in rows)
-        op = ring2d._RingOperator(grid, "semilinear")
+        op = ring2d._RingOperator(grid, ring2d.SemilinearEquation(zero_rhs()))
         planes = op.stencil_planes(fields)
         mat = op.assemble(planes)
         precond = ring2d._averaged_preconditioner(planes, grid.dt)
@@ -650,7 +652,7 @@ class TestNewtonKrylov:
     def _ellipse_fields():
         # Newton fields of the ellipse ring at a smooth u; they vary in t
         grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64))
-        op = ring2d._RingOperator(grid, "minimal")
+        op = ring2d._RingOperator(grid, ring2d.MINIMAL)
         s = np.linspace(0.0, 1.0, 33)[:, None]
         u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
         return op, op._linearization_fields(op.residual(u)[1], frozen=False)
@@ -675,8 +677,8 @@ class TestNewtonKrylov:
                              ids=["newton", "picard", "semilinear"])
     def test_stencil_apply_matches_assembled_jacobian(self, n_s, n_t, equation, frozen):
         grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=n_s, n_t=n_t))
-        rhs = TestLinearization._cubic_rhs() if equation == "semilinear" else None
-        op = ring2d._RingOperator(grid, equation, rhs)
+        op = ring2d._RingOperator(grid, ring2d.SemilinearEquation(TestLinearization._cubic_rhs())
+                                  if equation == "semilinear" else ring2d.MINIMAL)
         s = np.linspace(0.0, 1.0, n_s)[:, None]
         u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
         fields = op._linearization_fields(op.residual(u)[1], frozen)
@@ -743,7 +745,8 @@ class TestNewtonKrylov:
             grid = RingGrid(RingDomain2D(Circle(2.0), Circle(1.0), n_s=9, n_t=16))
             zero, one = np.zeros((9, 16)), np.ones((9, 16))
             d = np.broadcast_to(np.where(np.arange(16) % 2, -1.0, 1.0), (9, 16))
-            return ring2d._RingOperator(grid, "semilinear"), (zero, zero, one, zero, zero, d)
+            op = ring2d._RingOperator(grid, ring2d.SemilinearEquation(zero_rhs()))
+            return op, (zero, zero, one, zero, zero, d)
         # one node of m_ss that makes w = 2 m_ss/ds^2 + 2 m_tt/dt^2 negative, or a NaN m_s
         k, value = {"negative-w": (0, -10.0), "nan": (3, np.nan)}[case]
         op, fields = self._ellipse_fields()
@@ -809,7 +812,7 @@ class TestLinearization:
     @pytest.mark.parametrize("n_s,n_t", [(4, 8), (9, 16)])
     def test_assemble_matches_coo_reference(self, n_s, n_t):
         grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=n_s, n_t=n_t))
-        op = ring2d._RingOperator(grid, "minimal")
+        op = ring2d._RingOperator(grid, ring2d.MINIMAL)
         rng = np.random.default_rng(5)
         for _ in range(2):  # the pattern is reused by the second matrix
             fields = tuple(rng.standard_normal((n_s, n_t)) for _ in range(6))
@@ -820,9 +823,9 @@ class TestLinearization:
             assert np.array_equal(mat.data, ref.data)
 
     @staticmethod
-    def _newton_matches_central_difference(dom, equation, rhs=None):
+    def _newton_matches_central_difference(dom, equation):
         grid = RingGrid(dom)
-        op = ring2d._RingOperator(grid, equation, rhs)
+        op = ring2d._RingOperator(grid, equation)
         ns, nt = grid.n_s, grid.n_t
         s = np.linspace(0.0, 1.0, ns)[:, None]
         x, y = grid.x[..., 0], grid.x[..., 1]
@@ -839,17 +842,18 @@ class TestLinearization:
 
     def test_minimal_newton_jacobian_is_residual_derivative(self):
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64)
-        assert self._newton_matches_central_difference(dom, "minimal") < 1e-6
+        assert self._newton_matches_central_difference(dom, ring2d.MINIMAL) < 1e-6
 
     def test_semilinear_newton_jacobian_is_residual_derivative(self):
         dom = RingDomain2D(Circle(2.0, center=(0.3, -0.2)), Circle(1.0, center=(0.6, 0.1)),
                            n_s=33, n_t=64, center=(0.4, -0.1))
-        assert self._newton_matches_central_difference(dom, "semilinear", self._cubic_rhs()) < 1e-6
+        equation = ring2d.SemilinearEquation(self._cubic_rhs())
+        assert self._newton_matches_central_difference(dom, equation) < 1e-6
 
     def test_minimal_zero_rhs_terms_change_no_bit(self):
         # the minimal operator subtracts f = 0 and adds -f_u = -0.0 to the diagonal unbranched
         grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=17, n_t=32))
-        op = ring2d._RingOperator(grid, "minimal")
+        op = ring2d._RingOperator(grid, ring2d.MINIMAL)
         s = np.linspace(0.0, 1.0, 17)[:, None]
         u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
         res, planes = op.residual(u)
@@ -873,5 +877,61 @@ class TestLinearization:
         g, h = grid.physical_gradient(u), grid.physical_hessian(u)
         f = (1.0 + np.sum(g * g, axis=-1))[..., None, None] * np.eye(2) - g[..., :, None] * g[..., None, :]
         expected = np.sum(f * h, axis=(-2, -1))[1:-1]
-        res = ring2d._RingOperator(grid, "minimal").residual(u)[0]
+        res = ring2d._RingOperator(grid, ring2d.MINIMAL).residual(u)[0]
         assert np.max(np.abs(res - expected)) < 1e-12 * np.max(np.abs(expected))
+
+
+class TestMetamorphicRelations:
+    """Exact symmetries of the discrete problem on Ellipse(4, 3.2) around Circle(1.5).
+
+    Scaling by 2 is exact in floating point and is gated bitwise.  Translation
+    by a dyadic offset and the quarter turn (t shifted by pi/2) round cos, sin
+    and the centre sum differently, so they move u and the ``both`` margin at
+    theta = -1/2 by at most 2 eps.
+    """
+
+    N_T = 128
+    EPS = np.finfo(float).eps
+
+    @classmethod
+    def _solve(cls, equation, rx=4.0, ry=3.2, scale=1.0, center=(0.0, 0.0), inner_data=1.0):
+        dom = RingDomain2D(Ellipse(scale * rx, scale * ry, center), Circle(scale * 1.5, center),
+                           n_s=64, n_t=cls.N_T, center=center)
+        outer, inner = np.zeros(cls.N_T), np.full(cls.N_T, inner_data)
+        if equation == "minimal":
+            return solve_minimal_ring2d(dom, outer, inner)
+        rhs = zero_rhs() if equation == "laplace" else linear_u_rhs(1.0)
+        return solve_semilinear_ring2d(dom, outer, inner, rhs)
+
+    @staticmethod
+    def _margin(sol):
+        spec = TestFunctionSpec.minimal_theta(-0.5)
+        return check_extremum_on_boundary(sol, spec, which="both")["margin"]
+
+    @pytest.fixture(scope="class")
+    def base(self):
+        return {eq: self._solve(eq) for eq in ("minimal", "laplace", "linear-u")}
+
+    def test_scaling_by_two(self, base):
+        # a minimal graph scales with its data: u(x) -> 2 u(x / 2); a harmonic u keeps its data
+        minimal = self._solve("minimal", scale=2.0, inner_data=2.0)
+        assert np.array_equal(minimal.values, 2.0 * base["minimal"].values)
+        assert self._margin(minimal) == self._margin(base["minimal"]) / 2.0
+        laplace = self._solve("laplace", scale=2.0)
+        assert laplace.values.tobytes() == base["laplace"].values.tobytes()
+
+    @pytest.mark.parametrize("equation", ["minimal", "laplace", "linear-u"])
+    def test_translation(self, base, equation):
+        moved = self._solve(equation, center=(0.75, -1.25))
+        assert np.max(np.abs(moved.values - base[equation].values)) <= 2.0 * self.EPS
+        if equation == "minimal":
+            assert abs(self._margin(moved) - self._margin(base[equation])) <= 2.0 * self.EPS
+
+    @pytest.mark.parametrize("equation", ["minimal", "laplace"])
+    def test_quarter_turn(self, base, equation):
+        # the turned ellipse at t + pi/2 is the original at t, so u rolls by n_t / 4
+        turned = self._solve(equation, rx=3.2, ry=4.0)
+        rolled = np.roll(base[equation].values, self.N_T // 4, axis=1)
+        assert np.max(np.abs(turned.values - rolled)) <= 2.0 * self.EPS
+        if equation == "minimal":
+            assert abs(self._margin(turned) - self._margin(base[equation])) <= 2.0 * self.EPS
