@@ -381,8 +381,8 @@ class _RingOperator:
     def stencil_planes(self, fields) -> np.ndarray:
         """(9, interior rows, n_t) Jacobian coefficients, one plane per ``_OFFSETS``
         entry, from ``_linearization_fields``: the only statement of the
-        nine-point weights.  The rounding floor, the stencil apply, the
-        preconditioner and the assembled matrix all read these planes."""
+        nine-point weights.  The rounding floor, the stencil apply and the
+        preconditioner all read these planes."""
         m_ss, m_st, m_tt, m_s, m_t, diag_extra = (f[1:-1] for f in fields)
         ds, dt = self.grid.ds, self.grid.dt
         ss, tt, s, t = m_ss * (1.0 / ds**2), m_tt * (1.0 / dt**2), m_s * (0.5 / ds), m_t * (0.5 / dt)
@@ -398,24 +398,6 @@ class _RingOperator:
     def jacobian(self, state: tuple, frozen: bool = True) -> np.ndarray:
         """``stencil_planes`` of the frozen or Newton Jacobian at a state ``residual`` returned."""
         return self.stencil_planes(self._linearization_fields(state, frozen))
-
-    def assemble(self, planes: np.ndarray):
-        """Sparse CSC Jacobian over the interior unknowns with these ``stencil_planes``.
-
-        The Dirichlet rows are fixed, so their couplings are left out: the
-        Newton and Picard steps solve for a correction that vanishes there.
-        Only the sparse-LU fallback of ``_linear_solve`` runs it, on the planes
-        the failed GMRES solve read.
-        """
-        from scipy.sparse import csc_matrix
-
-        rows, nt = planes.shape[1:]
-        oi, oj = np.array(_OFFSETS).T[..., None, None]
-        i, j = np.indices((rows, nt))
-        keep = (i + oi >= 0) & (i + oi < rows)
-        row = np.broadcast_to(i * nt + j, planes.shape)
-        col = (i + oi) * nt + (j + oj) % nt
-        return csc_matrix((planes[keep], (row[keep], col[keep])), shape=(rows * nt, rows * nt))
 
 
 def _jacobian_apply(planes: np.ndarray):
@@ -492,7 +474,7 @@ def _averaged_preconditioner(planes: np.ndarray, dt: float):
 _PICARD_FORCING = 1e-3
 _NEWTON_FORCING = 1e-8
 _GMRES_RESTART = 50
-_GMRES_MAX_ITER = 500  # inner iterations before the splu fallback
+_GMRES_MAX_ITER = 1000  # Arnoldi steps before a linear step fails
 
 
 def _gmres(apply, precond, rhs: np.ndarray, forcing: float) -> tuple:
@@ -559,22 +541,15 @@ def _gmres(apply, precond, rhs: np.ndarray, forcing: float) -> tuple:
 def _linear_solve(op: _RingOperator, planes: np.ndarray, rhs: np.ndarray, frozen: bool):
     """Solve J x = rhs for the Jacobian with these ``stencil_planes``.
 
-    Returns (x, linear solver path, Krylov iterations).
-
-    GMRES runs on the stencil apply of J under the t-averaged preconditioner;
-    sparse LU of J assembled from the same planes is the fallback when GMRES
-    stops short of the forcing term or the preconditioner breaks down.
+    GMRES runs on the stencil apply of J under the t-averaged preconditioner.
+    Returns (x, Krylov iterations), with x None when GMRES stops short of the
+    forcing term or the preconditioner cannot be built: the step fails.
     """
-    forcing = _PICARD_FORCING if frozen else _NEWTON_FORCING
     precond = _averaged_preconditioner(planes, op.grid.dt)
-    krylov = 0
-    if precond is not None:
-        x, krylov = _gmres(_jacobian_apply(planes), precond, rhs, forcing)
-        if x is not None:
-            return x, "gmres", krylov
-    from scipy.sparse.linalg import splu
-
-    return splu(op.assemble(planes), permc_spec="MMD_AT_PLUS_A").solve(rhs), "splu", krylov
+    if precond is None:
+        return None, 0
+    return _gmres(_jacobian_apply(planes), precond, rhs,
+                  _PICARD_FORCING if frozen else _NEWTON_FORCING)
 
 
 def _solve_ring2d(
@@ -606,7 +581,7 @@ def _solve_ring2d(
     u, res_norm, meta = _damped_newton(
         op.residual, op.jacobian, functools.partial(_linear_solve, op), u, tol, max_iter,
         f"ring2d {equation.name} solver", picard_steps, newton,
-        ("linear_solver", "krylov_iterations"))
+        ("krylov_iterations",))
     start = "blend" if warm_start is None else list(warm_start.values.shape)
     return RingSolution(
         kind="ring2d", equation=equation, values=u, residual_norm=res_norm,

@@ -77,15 +77,16 @@ def _damped_newton(evaluate, jacobian, solve, u, tol, max_iter, name, picard_ste
     solve stops at the first iterate whose max-norm residual is at most
     ``tol_used = max(tol, 32 eps (1 + max|u|) max_i sum |planes[:, i]|)``.
     The step from it solves with them, ``solve(planes, -residual, frozen)``
-    returning the interior correction and one value per name in ``details``
-    for ``meta``; only a Newton step of a solver that gives ``newton(state)``
-    builds its own planes, after the frozen ones are released.  The first
-    ``picard_steps`` steps are frozen and taken at full length; every later
-    step is halved up to 8 times until the residual decreases.  At most
-    ``max_iter`` steps are taken, Picard ones included; a stall, a failed line
-    search and a residual norm or floor that is not finite raise
-    DidNotConverge.  ``meta`` holds ``tol``, the last ``tol_used`` and, per
-    step, its phase, the residual norm after it and its length.
+    returning the interior correction, or None when the linear step failed,
+    and one value per name in ``details`` for ``meta``; only a Newton step of
+    a solver that gives ``newton(state)`` builds its own planes, after the
+    frozen ones are released.  The first ``picard_steps`` steps are frozen and
+    taken at full length; every later step is halved up to 8 times until the
+    residual decreases.  At most ``max_iter`` steps are taken, Picard ones
+    included; a stall, a failed linear step or line search and a residual norm
+    or floor that is not finite raise DidNotConverge.  ``meta`` holds ``tol``,
+    the last ``tol_used`` and, per step, its phase, the residual norm after it
+    and its length.
     """
     meta = {"tol": tol, "tol_used": None, "phases": [], "residual_norms": [], "step_lengths": [],
             **{key: [] for key in details}}
@@ -113,6 +114,11 @@ def _damped_newton(evaluate, jacobian, solve, u, tol, max_iter, name, picard_ste
         # the evaluated state lives until the step's planes are built, the planes until solved
         state = None
         delta, *detail = solve(planes, -res.ravel(), picard)
+        if delta is None:
+            counts = ", ".join(f"{key} {value}" for key, value in zip(details, detail))
+            raise DidNotConverge(f"{name} linear step failed ({counts}) at residual {norm:.3e} "
+                                 f"(tol_used {meta['tol_used']:.3e})", iterations=iterations,
+                                 residual=norm)
         delta, planes = delta.reshape(res.shape), None
         step = 1.0
         for _ in range(8):

@@ -196,7 +196,7 @@ class TestRunVerdicts:
         assert solver["tol_used"] >= solver["tol"]
         assert solver["residual_norm"] <= solver["tol_used"]
         assert solver["iterations"] > 0
-        assert solver["linear_solver"] == ["gmres"] * solver["iterations"]
+        assert "linear_solver" not in solver
         assert len(solver["krylov_iterations"]) == solver["iterations"]
         self._assert_trace(solver)
         assert solver["start"] == "blend"
@@ -214,7 +214,7 @@ class TestRunVerdicts:
         assert [s["grid"] for s in solvers] == grids
         for solver in solvers:
             assert solver["kind"] == "ring2d" and solver["equation"] == "minimal"
-            assert solver["linear_solver"] == ["gmres"] * solver["iterations"]
+            assert "linear_solver" not in solver
             assert len(solver["krylov_iterations"]) == solver["iterations"]
             self._assert_trace(solver)
         # each grid after the first continues Newton from the previous grid's solution
@@ -568,6 +568,21 @@ class TestExitCodes:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(cfg))
         assert main(["solve", "--config", str(path), "--quiet"]) == 2
+
+    def test_failed_linear_step_exit_two(self, tmp_path):
+        # 0/1 minimal data over a ring with no minimal graph: the first GMRES solve stops
+        # at its cap and the run ends as a numerical failure
+        cfg = minimal_ring_config()
+        cfg["problem"]["geometry"].update(outer={"kind": "ellipse", "rx": 4.0, "ry": 1.6},
+                                          inner={"kind": "circle", "radius": 1.5}, grid=[64, 128])
+        cfg["problem"]["boundary"] = {"outer": "constant:0", "inner": "constant:1"}
+        path, out = tmp_path / "cfg.json", tmp_path / "fail"
+        path.write_text(json.dumps(cfg))
+        assert main(["check-theorem", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        error = json.loads((tmp_path / "fail.json").read_text())["error"]
+        assert error["type"] == "DidNotConverge"
+        assert type(error["iterations"]) is int
+        assert "linear step failed" in error["message"]
 
     @pytest.mark.parametrize("cfg", CONFIG_ERRORS)
     def test_config_errors_exit_two_before_solving(self, cfg, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from levelcurv.fields import catenoid_value
 from levelcurv.geometry import TestFunctionSpec
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import SemilinearRHS, linear_u_rhs, zero_rhs
+from levelcurv.solution import _damped_newton
 from levelcurv import radial, ring2d
 from levelcurv.ring2d import (
     Circle,
@@ -295,8 +297,8 @@ class TestRing2D:
         real = ring2d._linear_solve
 
         def reversed_step(*args):
-            x, path, its = real(*args)
-            return -x, path, its
+            x, its = real(*args)
+            return -x, its
 
         monkeypatch.setattr(ring2d, "_linear_solve", reversed_step)
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=17, n_t=32)
@@ -335,8 +337,8 @@ class TestRing2D:
         real = ring2d._linear_solve
 
         def overflowing_step(*args):
-            x, path, its = real(*args)
-            return 1e300 * x, path, its
+            x, its = real(*args)
+            return 1e300 * x, its
 
         monkeypatch.setattr(ring2d, "_linear_solve", overflowing_step)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -529,7 +531,7 @@ class TestRoundingFloor:
 
 
 class TestNewtonKrylov:
-    """GMRES under the t-averaged preconditioner, with sparse LU as the fallback."""
+    """GMRES under the t-averaged preconditioner: the only linear solver of ring2d."""
 
     ELLIPSE = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=64, n_t=128)
 
@@ -537,15 +539,34 @@ class TestNewtonKrylov:
         dom = dataclasses.replace(self.ELLIPSE, outer=Ellipse(4.0, ry))
         return solve_minimal_ring2d(dom, np.zeros(128), np.ones(128))
 
+    @staticmethod
+    def _direct_solves(patch):
+        """Make every linear step a scipy splu solve of the COO reference matrix of its planes."""
+        fields_of = {}  # id of a set of stencil planes -> the fields they were built from
+        real = ring2d._RingOperator.stencil_planes
+
+        def recorded(self, fields):
+            planes = real(self, fields)
+            fields_of[id(planes)] = fields
+            return planes
+
+        def direct(op, planes, rhs, frozen):
+            matrix = TestLinearization._coo_reference(op, fields_of.pop(id(planes)))
+            return splu(matrix.tocsc()).solve(rhs), 0
+
+        patch.setattr(ring2d._RingOperator, "stencil_planes", recorded)
+        patch.setattr(ring2d, "_linear_solve", direct)
+
     def _gmres_and_splu(self, monkeypatch, ry):
         krylov = self._ellipse(ry)
         with monkeypatch.context() as patch:
-            patch.setattr(ring2d, "_averaged_preconditioner", lambda *args: None)
+            self._direct_solves(patch)
             direct = self._ellipse(ry)
-        assert krylov.meta["linear_solver"] == ["gmres"] * krylov.iterations
-        assert direct.meta["linear_solver"] == ["splu"] * direct.iterations
-        assert direct.meta["krylov_iterations"] == [0] * direct.iterations
+        assert "linear_solver" not in krylov.meta
+        assert 0 < min(krylov.meta["krylov_iterations"])
+        assert max(krylov.meta["krylov_iterations"]) < ring2d._GMRES_MAX_ITER
         assert krylov.iterations == direct.iterations
+        assert direct.meta["krylov_iterations"] == [0] * direct.iterations
         assert krylov.meta["phases"] == direct.meta["phases"]
         return krylov, direct
 
@@ -559,24 +580,68 @@ class TestNewtonKrylov:
         krylov, direct = self._gmres_and_splu(monkeypatch, 1.8)
         assert np.max(np.abs(krylov.values - direct.values)) < 1e-10
 
-    def test_stalled_gmres_falls_back_to_splu(self, monkeypatch):
-        krylov = self._ellipse()
+    def test_stalled_gmres_ends_the_solve(self, monkeypatch):
+        # a linear step that stops short of its forcing term fails the solve at once
         monkeypatch.setattr(ring2d, "_GMRES_MAX_ITER", 1)
-        capped = self._ellipse()
-        assert capped.iterations == krylov.iterations
-        assert capped.meta["linear_solver"] == ["splu"] * capped.iterations
-        assert capped.meta["krylov_iterations"] == [1] * capped.iterations
-        assert np.max(np.abs(capped.values - krylov.values)) < 1e-12
+        with pytest.raises(DidNotConverge, match="linear step failed") as failed:
+            self._ellipse()
+        assert "krylov_iterations 1" in str(failed.value)
+        assert failed.value.iterations == 0
+        assert failed.value.residual > 0.0
 
-    def test_splu_solves_ring_that_stalls_gmres(self):
-        # unpatched, GMRES exhausts its steps on this thin, eccentric ring and
-        # only the sparse-LU fallback solves it
+    def test_stalled_solve_builds_one_set_of_planes(self, monkeypatch):
+        # a converged solve builds one set per accepted iterate and one for its Newton
+        # step; a stalled first step fails on the planes its start's floor read
+        calls = self._count_calls(monkeypatch, "stencil_planes")
+        krylov = self._ellipse()
+        assert calls["stencil_planes"] == krylov.iterations + 2 == 8
+        calls["stencil_planes"] = 0
+        monkeypatch.setattr(ring2d, "_GMRES_MAX_ITER", 1)
+        with pytest.raises(DidNotConverge, match="linear step failed"):
+            self._ellipse()
+        assert calls["stencil_planes"] == 1
+
+    def test_gmres_solves_thin_eccentric_ring(self):
+        # a thin, eccentric ring: its first Newton step takes more than 500 Krylov steps
         dom = RingDomain2D(Ellipse(12.0, 1.6), Circle(1.5), n_s=97, n_t=128)
         sol = solve_semilinear_ring2d(dom, np.zeros(128), np.ones(128), zero_rhs())
-        assert sol.meta["linear_solver"] == ["splu"]
-        assert sol.meta["krylov_iterations"] == [ring2d._GMRES_MAX_ITER] == [500]
+        assert max(sol.meta["krylov_iterations"]) < ring2d._GMRES_MAX_ITER
         assert sol.residual_norm <= sol.meta["tol_used"]
         assert sol.max_principle_violation() == 0.0
+        # one splu solve of the reference matrix at the blend: the equation is linear
+        grid = RingGrid(dom)
+        op = ring2d._RingOperator(grid, ring2d.SemilinearEquation(zero_rhs()))
+        blend = ring2d._blend(np.zeros(128), np.ones(128), 97)
+        res, state = op.residual(blend)
+        fields = op._linearization_fields(state, frozen=True)
+        direct = blend.copy()
+        direct[1:-1] -= splu(TestLinearization._coo_reference(op, fields).tocsc()).solve(
+            res.ravel()).reshape(res.shape)
+        assert np.max(np.abs(sol.values - direct)) < 1e-10
+
+    @pytest.mark.parametrize("n_s,n_t", [(64, 128), (128, 256)])
+    def test_ring_without_solution_fails_after_one_capped_gmres_run(self, monkeypatch, n_s, n_t):
+        # 0/1 data over this ring admit no minimal graph: the Picard steps leave a huge
+        # residual, a Newton step's GMRES runs to its cap and the solve ends there. At
+        # 128x256 the first Newton step sits near the cap (849 Krylov steps under
+        # multithreaded BLAS, 1000 single-threaded), so which Newton step fails depends
+        # on rounding; that one capped run ends the solve does not.
+        returned = []
+        real = ring2d._gmres
+
+        def counted(*args):
+            out = real(*args)
+            returned.append(out[0] is None)
+            return out
+
+        monkeypatch.setattr(ring2d, "_gmres", counted)
+        dom = RingDomain2D(Ellipse(4.0, 1.6), Circle(1.5), n_s=n_s, n_t=n_t)
+        with pytest.raises(DidNotConverge, match="linear step failed") as failed:
+            solve_minimal_ring2d(dom, np.zeros(n_t), np.ones(n_t))
+        assert returned[:5] == [False] * 5  # the Picard steps
+        assert returned.count(True) == 1 and returned[-1]
+        assert failed.value.iterations == len(returned) - 1 >= 5
+        assert f"krylov_iterations {ring2d._GMRES_MAX_ITER}" in str(failed.value)
 
     @staticmethod
     def _count_calls(monkeypatch, *names, owner=ring2d._RingOperator):
@@ -612,15 +677,6 @@ class TestNewtonKrylov:
         assert sol.iterations == 1
         assert calls["stencil_planes"] == calls["_linearization_fields"] == 2
 
-    def test_splu_fallback_builds_no_planes(self, monkeypatch):
-        calls = self._count_calls(monkeypatch, "stencil_planes")
-        krylov = self._ellipse()
-        built, calls["stencil_planes"] = calls["stencil_planes"], 0
-        monkeypatch.setattr(ring2d, "_GMRES_MAX_ITER", 1)
-        capped = self._ellipse()
-        assert capped.meta["linear_solver"] == ["splu"] * capped.iterations == ["splu"] * 6
-        assert calls["stencil_planes"] == built == krylov.iterations + 2
-
     def test_semilinear_circle_one_newton_step(self):
         # the metric of a circle ring does not depend on t, so the t-averaged
         # preconditioner is the exact inverse and GMRES needs one iteration
@@ -628,7 +684,6 @@ class TestNewtonKrylov:
                            n_s=64, n_t=128, center=(1.3, -0.4))
         sol = solve_semilinear_ring2d(dom, np.zeros(128), np.ones(128), linear_u_rhs(1.0))
         assert sol.iterations == 1
-        assert sol.meta["linear_solver"] == ["gmres"]
         assert sol.meta["krylov_iterations"] == [1]
 
     def test_preconditioner_inverts_t_invariant_operator(self):
@@ -639,7 +694,7 @@ class TestNewtonKrylov:
         fields = tuple(np.broadcast_to(f, (17, 32)) for f in rows)
         op = ring2d._RingOperator(grid, ring2d.SemilinearEquation(zero_rhs()))
         planes = op.stencil_planes(fields)
-        mat = op.assemble(planes)
+        mat = TestLinearization._coo_reference(op, fields)
         precond = ring2d._averaged_preconditioner(planes, grid.dt)
         x = rng.standard_normal(mat.shape[0])
         assert np.max(np.abs(precond(mat @ x) - x)) < 1e-10
@@ -667,7 +722,7 @@ class TestNewtonKrylov:
         averaged = tuple(np.pad((f[1:-1] / w).mean(axis=1, keepdims=True) * np.ones_like(w),
                                 ((1, 1), (0, 0))) for f in fields)
         r = np.random.default_rng(2).standard_normal(w.size)
-        expected = splu(op.assemble(op.stencil_planes(averaged)).tocsc()).solve(r / w.ravel())
+        expected = splu(TestLinearization._coo_reference(op, averaged).tocsc()).solve(r / w.ravel())
         got = ring2d._averaged_preconditioner(op.stencil_planes(fields), dt)(r)
         assert np.max(np.abs(got - expected)) < 1e-10 * np.max(np.abs(expected))
 
@@ -682,8 +737,8 @@ class TestNewtonKrylov:
         s = np.linspace(0.0, 1.0, n_s)[:, None]
         u = s + 0.1 * s * (1.0 - s) * np.sin(grid.x[..., 0] + 2.0 * grid.x[..., 1])
         fields = op._linearization_fields(op.residual(u)[1], frozen)
-        planes = op.stencil_planes(fields)
-        mat, apply = op.assemble(planes), ring2d._jacobian_apply(planes)
+        mat = TestLinearization._coo_reference(op, fields)
+        apply = ring2d._jacobian_apply(op.stencil_planes(fields))
         rng = np.random.default_rng(6)
         for _ in range(2):  # the padded copy is reused by the second vector
             x = rng.standard_normal(mat.shape[0])
@@ -703,7 +758,7 @@ class TestNewtonKrylov:
         apply = ring2d._jacobian_apply(planes)
         precond = ring2d._averaged_preconditioner(planes, op.grid.dt)
         rhs = np.random.default_rng(7).standard_normal(31 * 64)
-        direct = splu(op.assemble(planes).tocsc()).solve(rhs)
+        direct = splu(TestLinearization._coo_reference(op, fields).tocsc()).solve(rhs)
         for forcing in (1e-3, 1e-8):
             x, steps = ring2d._gmres(apply, precond, rhs, forcing)
             assert 0 < steps < ring2d._GMRES_MAX_ITER
@@ -725,18 +780,6 @@ class TestNewtonKrylov:
         precond = (lambda v: v) if case == "singular" else (lambda v: np.full_like(v, np.nan))
         x, steps = ring2d._gmres(apply, precond, np.ones(12), 1e-8)
         assert (x, steps) == (None, 1)
-
-    def test_converged_solve_assembles_no_matrix(self, monkeypatch):
-        calls = []
-        real = ring2d._RingOperator.assemble
-        monkeypatch.setattr(ring2d._RingOperator, "assemble",
-                            lambda self, planes: calls.append(1) or real(self, planes))
-        sol = self._ellipse()
-        assert sol.meta["linear_solver"] == ["gmres"] * sol.iterations
-        assert calls == []
-        monkeypatch.setattr(ring2d, "_GMRES_MAX_ITER", 1)
-        capped = self._ellipse()
-        assert len(calls) == capped.iterations  # the splu fallback assembles once per step
 
     def _breakdown(self, case):
         if case == "zero-pivot":
@@ -761,19 +804,23 @@ class TestNewtonKrylov:
         assert ring2d._averaged_preconditioner(op.stencil_planes(fields), op.grid.dt) is None
 
     @pytest.mark.parametrize("case", ["zero-pivot", "negative-w"])
-    def test_breakdown_falls_back_to_splu(self, case):
-        # a NaN Jacobian has no LU factorization either, so it is left out here
+    def test_breakdown_ends_the_solve(self, case):
+        # no preconditioner, so no correction: the Newton iteration raises at its first step
         op, fields = self._breakdown(case)
         planes = op.stencil_planes(fields)
-        mat = op.assemble(planes)
-        rhs = np.random.default_rng(4).standard_normal(mat.shape[0])
-        x, path, krylov = ring2d._linear_solve(op, planes, rhs, frozen=False)
-        assert (path, krylov) == ("splu", 0)
-        assert np.max(np.abs(mat @ x - rhs)) < 1e-10
+        rhs = np.random.default_rng(4).standard_normal(planes[0].size)
+        assert ring2d._linear_solve(op, planes, rhs, frozen=False) == (None, 0)
+        u = np.zeros((op.grid.n_s, op.grid.n_t))
+        with pytest.raises(DidNotConverge, match=r"linear step failed \(krylov_iterations 0\)") as failed:
+            _damped_newton(lambda u: (rhs.reshape(planes[0].shape), None), lambda state: planes,
+                           functools.partial(ring2d._linear_solve, op), u, 1e-10, 50, "ring2d",
+                           details=("krylov_iterations",))
+        assert failed.value.iterations == 0
+        assert failed.value.residual == np.max(np.abs(rhs))
 
 
 class TestLinearization:
-    """The assembled Jacobian is the derivative of the residual it solves against."""
+    """The stencil Jacobian is the derivative of the residual it solves against."""
 
     @staticmethod
     def _cubic_rhs():
@@ -810,17 +857,16 @@ class TestLinearization:
                           shape=(rows * nt, rows * nt)).tocsr()
 
     @pytest.mark.parametrize("n_s,n_t", [(4, 8), (9, 16)])
-    def test_assemble_matches_coo_reference(self, n_s, n_t):
+    def test_stencil_apply_matches_coo_reference(self, n_s, n_t):
         grid = RingGrid(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=n_s, n_t=n_t))
         op = ring2d._RingOperator(grid, ring2d.MINIMAL)
         rng = np.random.default_rng(5)
-        for _ in range(2):  # the pattern is reused by the second matrix
+        for _ in range(2):  # the padded copy is reused by the second apply
             fields = tuple(rng.standard_normal((n_s, n_t)) for _ in range(6))
-            mat = op.assemble(op.stencil_planes(fields)).tocsr()
-            ref = self._coo_reference(op, fields)
-            assert np.array_equal(mat.indptr, ref.indptr)
-            assert np.array_equal(mat.indices, ref.indices)
-            assert np.array_equal(mat.data, ref.data)
+            apply = ring2d._jacobian_apply(op.stencil_planes(fields))
+            x = rng.standard_normal((n_s - 2) * n_t)
+            expected = self._coo_reference(op, fields) @ x
+            assert np.max(np.abs(apply(x) - expected)) <= 1e-14 * np.max(np.abs(expected))
 
     @staticmethod
     def _newton_matches_central_difference(dom, equation):
@@ -831,13 +877,13 @@ class TestLinearization:
         x, y = grid.x[..., 0], grid.x[..., 1]
         u = s + 0.1 * s * (1.0 - s) * np.sin(x + 2.0 * y)
         v = np.random.default_rng(3).standard_normal((ns - 2, nt))
-        mat = op.assemble(op.jacobian(op.residual(u)[1], frozen=False))
+        apply = ring2d._jacobian_apply(op.jacobian(op.residual(u)[1], frozen=False))
         eps = 1e-6
         plus, minus = u.copy(), u.copy()
         plus[1:-1] += eps * v
         minus[1:-1] -= eps * v
         fd = ((op.residual(plus)[0] - op.residual(minus)[0]) / (2.0 * eps)).ravel()
-        jv = mat @ v.ravel()
+        jv = apply(v.ravel())
         return float(np.max(np.abs(jv - fd)) / np.max(np.abs(jv)))
 
     def test_minimal_newton_jacobian_is_residual_derivative(self):
@@ -865,7 +911,7 @@ class TestLinearization:
             fields = op._linearization_fields(planes, frozen)
             zero = fields[:5] + (np.zeros_like(u),)
             stencils = [op.stencil_planes(f) for f in (fields, zero)]
-            assert op.assemble(stencils[0]).data.tobytes() == op.assemble(stencils[1]).data.tobytes()
+            assert stencils[0].tobytes() == stencils[1].tobytes()
             precond = [ring2d._averaged_preconditioner(p, grid.dt) for p in stencils]
             assert precond[0](x).tobytes() == precond[1](x).tobytes()
 
