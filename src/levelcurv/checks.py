@@ -387,8 +387,10 @@ def check_harmonic_psi_2d(solutions) -> dict:
     solutions is a list of >= 2 minimal RingSolutions on refined grids (a
     non-minimal one raises HypothesisViolated).  A solution's residual is
     max |F^{ab} psi_ab| over the band 1/4 <= s <= 3/4, from its stencil jets;
-    the check passes when it decays at measured order >= 1.5.  On closed-form
-    suppliers identities.lb_psi_residual_2d gives the residual directly.
+    the check passes when it decays at measured order >= 1.5; two neighbouring
+    grids of equal h measure no order and raise HypothesisViolated.  On
+    closed-form suppliers identities.lb_psi_residual_2d gives the residual
+    directly.
     """
     solutions = list(solutions)
     if len(solutions) < 2:
@@ -398,9 +400,14 @@ def check_harmonic_psi_2d(solutions) -> dict:
         raise HypothesisViolated(
             f"psi harmonicity needs minimal graphs, got equation {', '.join(equations)}"
         )
+    hs = [s.h for s in solutions]
+    for before, after in zip(solutions, solutions[1:]):
+        if before.h == after.h:
+            grids = " and ".join("x".join(map(str, s.values.shape)) for s in (before, after))
+            raise HypothesisViolated(f"psi harmonicity grids {grids} have the same spacing "
+                                     f"h = {before.h:.6g}, so no order can be measured")
     spec = TestFunctionSpec.minimal_theta(-0.5)
     residuals = [_discrete_lb_residual(s, spec) for s in solutions]
-    hs = [s.h for s in solutions]
     orders = [
         math.log(residuals[i] / residuals[i + 1]) / math.log(hs[i] / hs[i + 1])
         for i in range(len(residuals) - 1)

@@ -217,6 +217,15 @@ def _check_command_requirements(cfg: RunConfig):
     if radial_minimal and "solver_tol" in cfg.tolerances:
         # the radial minimal solution is a quadrature; its flux bisection runs to adjacent floats
         raise ConfigError("tolerances ['solver_tol'] are not read by the radial minimal solver")
+    if radial_minimal:
+        # the flux integrand c / sqrt(r^m - c^2), m = 2(n - 1), is read up to r = b
+        geometry = cfg.problem.geometry
+        m = 2 * (geometry.n - 1)
+        try:
+            geometry.b ** m  # a float power raises OverflowError past the float range
+        except OverflowError:
+            raise ConfigError(f"problem.geometry: the radial minimal solver needs b^{m} to be "
+                              f"a finite float, got b = {geometry.b:g}, n = {geometry.n}") from None
     if cfg.command == "check-theorem":
         if not cfg.checks:
             raise ConfigError("check-theorem requires a checks list")

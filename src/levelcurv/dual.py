@@ -44,9 +44,6 @@ class Dual:
             return Dual(self.val - other.val, self.der - other.der)
         return Dual(self.val - other, self.der)
 
-    def __rsub__(self, other):
-        return Dual(other - self.val, -self.der)
-
     def __mul__(self, other):
         if isinstance(other, Dual):
             return Dual(self.val * other.val, self.der * other.val + self.val * other.der)
@@ -63,10 +60,6 @@ class Dual:
     def __rtruediv__(self, other):
         inv = 1.0 / self.val
         return Dual(other * inv, -other * self.der * inv * inv)
-
-    def __pow__(self, p):
-        v = self.val**p
-        return Dual(v, p * self.val ** (p - 1) * self.der)
 
 
 def dual_sqrt(x):

@@ -45,43 +45,6 @@ GRAD_FLOOR = 1e-8
 # jets and frames
 # ---------------------------------------------------------------------------
 
-def _symmetrize_matrix(m: np.ndarray) -> np.ndarray:
-    return (m + np.swapaxes(m, -1, -2)) / 2.0
-
-
-def _fsum(terms: list) -> np.ndarray:
-    """Elementwise ``math.fsum`` of equally shaped arrays of finite floats.
-
-    The terms are grown into a nonoverlapping expansion by error-free TwoSum
-    steps, which is then rounded from its largest part down the way
-    ``math.fsum`` rounds its partials, half-even ties across parts included.
-    So each element is the correctly rounded sum of its terms.
-    """
-    parts: list = []
-    for x in terms:
-        grown = []
-        for p in parts:
-            hi = x + p
-            virt = hi - x
-            grown.append((x - (hi - virt)) + (p - virt))
-            x = hi
-        parts = grown + [x]
-    hi = parts[-1]
-    lo = np.zeros_like(hi)
-    below = np.zeros_like(hi)  # largest nonzero part under the first inexact step
-    exact = np.ones(np.shape(hi), dtype=bool)
-    for p in reversed(parts[:-1]):
-        below = np.where(~exact & (below == 0.0), p, below)
-        total = hi + p
-        err = p - (total - hi)
-        hi = np.where(exact, total, hi)
-        lo = np.where(exact, err, lo)
-        exact &= err == 0.0
-    doubled = hi + 2.0 * lo
-    tie = (np.sign(lo) * np.sign(below) > 0.0) & (doubled - hi == 2.0 * lo)
-    return np.where(tie, doubled, hi) + 0.0  # a zero sum is +0.0, as math.fsum gives it
-
-
 @functools.cache
 def _index_groups(n: int, order: int) -> tuple:
     """Index tables of the permutation groups of the sorted index tuples of an order.
@@ -106,14 +69,14 @@ def _index_groups(n: int, order: int) -> tuple:
 
 
 def _symmetrize(t: np.ndarray, order: int) -> np.ndarray:
-    # One correctly rounded mean per sorted index tuple of the trailing
-    # ``order`` axes, assigned to every permutation, so the result is bitwise
-    # symmetric.  The permutation groups are padded with zeros to the largest
-    # size, which leaves each correctly rounded sum unchanged, so one _fsum
-    # covers them all.
+    # Each sorted index tuple of the trailing ``order`` axes gets one value, its
+    # permutations' entries added left to right and divided by their number, so
+    # the result is bitwise symmetric, the same for a jet alone or in a batch,
+    # exactly odd in t (negation commutes with rounding), and every zero is +0.0.
+    # The +0.0 padding to the largest group leaves every nonzero sum unchanged.
     slots, used, sizes, group_of = _index_groups(t.shape[-1], order)
-    terms = [np.where(ok, t[(Ellipsis, *idx.T)], 0.0) for idx, ok in zip(slots, used)]
-    return (_fsum(terms) / sizes)[..., group_of]
+    total = sum(np.where(ok, t[(Ellipsis, *idx.T)], 0.0) for idx, ok in zip(slots, used))
+    return (total / sizes + 0.0)[..., group_of]
 
 
 def _norm(v: np.ndarray) -> np.ndarray:
@@ -183,8 +146,12 @@ class Jet:
 
 
 def make_jet(grad, hess, third=None, fourth=None) -> Jet:
-    """Build a Jet, symmetrizing hess/third/fourth so the exact-equality invariant holds."""
-    hess = _symmetrize_matrix(np.asarray(hess, dtype=float))
+    """Build a Jet, symmetrizing hess/third/fourth so the exact-equality invariant holds.
+
+    An index group's entries are summed left to right and divided by their number:
+    bitwise symmetric, the same alone or in any batch, odd in u, every zero +0.0.
+    """
+    hess = _symmetrize(np.asarray(hess, dtype=float), 2)
     if third is not None:
         third = _symmetrize(np.asarray(third, dtype=float), 3)
     if fourth is not None:
@@ -198,7 +165,7 @@ def rotate_jet(jet: Jet, q: np.ndarray) -> Jet:
     A batch of jets takes one rotation or a batch of rotations (..., n, n).
     """
     grad = (q @ jet.grad[..., None])[..., 0]
-    hess = _symmetrize_matrix(q @ jet.hess @ np.swapaxes(q, -1, -2))
+    hess = _symmetrize(q @ jet.hess @ np.swapaxes(q, -1, -2), 2)
     third = fourth = None
     if jet.third is not None:
         third = np.einsum("...ai,...bj,...ck,...ijk->...abc", q, q, q, jet.third)
@@ -382,8 +349,8 @@ def curvature_matrix(jet: Jet, mode: str = "aligned") -> CurvatureData:
         if un == 0.0:
             raise DegenerateChart("u_n = 0 in raw mode; align first")
         sign = math.copysign(1.0, un)
-        a_pre = sign * _symmetrize_matrix(
-            np.array(chart_curvature_entries(sign * jet.grad, sign * jet.hess)))
+        a_pre = sign * _symmetrize(
+            np.array(chart_curvature_entries(sign * jet.grad, sign * jet.hess)), 2)
     elif mode == "aligned":
         frame = align_frame(Jet(jet.grad, jet.hess))  # the matrix needs no third derivatives
         a_pre = -frame.aligned_jet.hess[: jet.dim - 1, : jet.dim - 1] / gnorm

@@ -41,7 +41,6 @@ class SemilinearRHS:
     name: str
     f: object  # callable (x: (m, n), u: (m,)) -> (m,)
     f_u: object
-    is_zero: bool = False
 
     def __repr__(self):
         return f"SemilinearRHS({self.name})"
@@ -52,7 +51,6 @@ def zero_rhs() -> SemilinearRHS:
         name="zero",
         f=lambda x, u: np.zeros_like(np.asarray(u, dtype=float)),
         f_u=lambda x, u: np.zeros_like(np.asarray(u, dtype=float)),
-        is_zero=True,
     )
 
 

@@ -49,10 +49,6 @@ class RingSolution:
     # the checks' field bundle of this solution (checks.solution_fields), built once
     _fields: Any = field(default=None, init=False, repr=False, compare=False)
 
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
     def boundary_values(self) -> tuple[np.ndarray, np.ndarray]:
         """(outer, inner) Dirichlet rows."""
         if self.kind == "radial":

@@ -40,11 +40,11 @@ class TestDual:
         assert y.der == pytest.approx((f(2 + h) - f(2 - h)) / (2 * h), rel=1e-7)
         assert y.val == pytest.approx(f(2.0))
 
-    def test_division_and_pow(self):
+    def test_division(self):
         x = Dual(3.0, 2.0)
-        z = (1.0 / x) ** 2
-        assert z.val == pytest.approx(1.0 / 9.0)
-        assert z.der == pytest.approx(-2.0 / 27.0 * 2.0)
+        z = 1.0 / x
+        assert z.val == pytest.approx(1.0 / 3.0)
+        assert z.der == pytest.approx(-2.0 / 9.0)
 
     def test_nested_duals_give_second_derivatives(self):
         # x(t) = 2 + 3t + t^2 (x' = 3, x'' = 2) seeded twice along t at t = 0

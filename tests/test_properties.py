@@ -1,4 +1,5 @@
-"""Property tests: the pointwise identities hold on every drawn polynomial
+"""Property tests: jet symmetrization is exactly symmetric, batch-free and
+odd on drawn tensors, the pointwise identities hold on every drawn polynomial
 field, a field's identity residuals do not depend on the batch it is
 evaluated in, K and psi do not change when the field is rotated or
 translated, reports survive a render/parse round trip, and configs reject
@@ -15,15 +16,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
 from levelcurv.geometry import (
     Jet,
     TestFunctionSpec,
-    _fsum,
+    _symmetrize,
     curvature_matrix,
     rotate_jet,
 )
@@ -98,20 +100,36 @@ def test_identity_residuals_do_not_depend_on_the_batch(jets, spec):
             assert alone.phi[0] == batch.phi[k]
 
 
-SUMMANDS = st.one_of(
-    st.floats(-1e300, 1e300),
+ENTRIES = st.one_of(
+    st.floats(-1e306, 1e306),  # signed zeros and subnormals included; no group sum overflows
     st.builds(math.ldexp, st.integers(-8, 8).map(float), st.integers(-60, 60)),
 )
 
 
+@st.composite
+def batched_tensors(draw):
+    """(t, order): a batch of 1-3 order-2, 3 or 4 tensors in dimension 2-4."""
+    order, n, batch = draw(st.integers(2, 4)), draw(st.integers(2, 4)), draw(st.integers(1, 3))
+    return draw(arrays(np.float64, (batch,) + (n,) * order, elements=ENTRIES)), order
+
+
 @settings(max_examples=200, derandomize=True, deadline=None)
-@given(st.lists(SUMMANDS, min_size=1, max_size=6))
-@example([1.0, 2.0**-53, 2.0**-106])  # a tie broken by a lower part
-@example([1.0, 2.0**-53, -(2.0**-106)])
-@example([-0.0, -0.0])
-def test_fsum_matches_math_fsum(terms):
-    got = _fsum([np.array([t]) for t in terms])
-    assert got.tobytes() == np.array([math.fsum(terms) + 0.0]).tobytes()
+@given(batched_tensors())
+def test_symmetrize_is_exactly_symmetric_batch_free_and_odd(drawn):
+    t, order = drawn
+    sym = _symmetrize(t, order)
+    batch, n = t.shape[0], t.shape[-1]
+    parts = {"hess": np.zeros((batch, n, n)), "third": np.zeros((batch,) + (n,) * 3)}
+    parts[{2: "hess", 3: "third", 4: "fourth"}[order]] = sym
+    Jet(np.ones((batch, n)), **parts)  # raises unless sym is exactly symmetric
+    for k in range(batch):
+        assert _symmetrize(t[k], order).tobytes() == sym[k].tobytes()
+    assert np.array_equal(_symmetrize(-t, order), -sym)
+    assert not np.any(np.signbit(sym[sym == 0.0]))
+    diagonal = (Ellipsis, *([np.arange(n)] * order))
+    assert np.array_equal(sym[diagonal], t[diagonal])
+    if order == 2:
+        assert sym.tobytes() == ((t + np.swapaxes(t, -1, -2)) / 2.0 + 0.0).tobytes()
 
 
 def _k_and_psi(jet, spec):

@@ -56,6 +56,17 @@ def radial_config(command="solve", **geometry):
     }
 
 
+# b^(2(n - 1)) = 4^1198 is past the float range, which the radial minimal solver reads
+RADIAL_MINIMAL_OVERFLOW = {
+    "command": "solve",
+    "problem": {
+        "equation": "minimal",
+        "geometry": {"kind": "radial", "n": 600, "a": 2.0, "b": 4.0},
+        "boundary": {"outer": "constant:0", "inner": "constant:1"},
+    },
+}
+
+
 def _without(cfg, *path):
     cfg = copy.deepcopy(cfg)
     node = cfg
@@ -103,6 +114,7 @@ CONFIG_ERRORS = [
     pytest.param({**radial_config("check-theorem"), "checks": ["harmonic-psi"],
                   "grids": [[17, 32], [33, 64]]}, id="harmonic-psi-radial"),
     pytest.param(radial_config(b=1e308), id="radial-catenoid-overflow"),
+    pytest.param(RADIAL_MINIMAL_OVERFLOW, id="radial-minimal-overflow"),
     pytest.param({"command": "lemma32", "options": {"dims": [4], "problem": "constant"}},
                  id="lemma32-unread-options"),
     pytest.param({**radial_config("solve"), "options": {"fields": 3}}, id="solve-unread-option"),
@@ -432,19 +444,21 @@ class TestRunVerdicts:
         assert counts[0] == counts[1] == len(dims)
 
     def test_jet_verify_chunks_match_one_batch(self, monkeypatch):
-        cfg = {"command": "jet-verify", "seed": 3, "options": {"fields": 30, "dims": [2, 3]}}
-        whole, _ = run(parse_config(cfg))
+        cfg = parse_config({"command": "jet-verify", "options": {"fields": 50, "dims": [2, 3, 4]}})
         batch_sizes = []
 
         def recording_jets(seeds, n):
             batch_sizes.append(len(seeds))
             return random_test_jets(seeds, n)
 
-        monkeypatch.setattr(cli, "JET_VERIFY_CHUNK", 7)
         monkeypatch.setattr(cli, "random_test_jets", recording_jets)
-        chunked, _ = run(parse_config(cfg))
-        assert batch_sizes == [7, 7, 7, 7, 2] * 2
-        assert render_json(chunked) == render_json(whole)
+        rendered = []
+        for chunk, sizes in ((1024, [50]), (7, [7] * 7 + [1]), (1, [1] * 50)):
+            batch_sizes.clear()
+            monkeypatch.setattr(cli, "JET_VERIFY_CHUNK", chunk)
+            rendered.append(render_json(run(cfg)[0]))
+            assert batch_sizes == sizes * 3
+        assert rendered[0] == rendered[1] == rendered[2]
 
     def test_lemma32(self):
         report, _ = run(parse_config({"command": "lemma32", "seed": 1,
@@ -584,6 +598,23 @@ class TestExitCodes:
         assert type(error["iterations"]) is int
         assert "linear step failed" in error["message"]
 
+    @pytest.mark.parametrize("grids, grid", [
+        pytest.param([[25, 48], [25, 48], [49, 96]], [25, 48], id="repeated-grid"),
+        # the largest node step of both grids is the same s-step
+        pytest.param([[25, 256], [25, 512]], [25, 256], id="same-s-step"),
+    ])
+    def test_harmonic_psi_grids_of_equal_spacing_exit_two(self, grids, grid, tmp_path):
+        cfg = _shipped("psi-harmonicity")
+        cfg["grids"] = grids
+        cfg["problem"]["geometry"]["grid"] = grid
+        path, out = tmp_path / "cfg.json", tmp_path / "psi"
+        path.write_text(json.dumps(cfg))
+        assert main(["check-theorem", "--config", str(path), "--out", str(out), "--quiet"]) == 2
+        error = json.loads((tmp_path / "psi.json").read_text())["error"]
+        assert error["type"] == "HypothesisViolated"
+        (a, b), (c, d) = grids[:2]
+        assert f"grids {a}x{b} and {c}x{d} have the same spacing" in error["message"]
+
     @pytest.mark.parametrize("cfg", CONFIG_ERRORS)
     def test_config_errors_exit_two_before_solving(self, cfg, tmp_path, capsys):
         path = tmp_path / "cfg.json"
@@ -649,6 +680,11 @@ class TestExitCodes:
         cfg["problem"] = {**cfg["problem"], "equation": "semilinear",
                           "rhs": {"name": "linear-u", "scale": 1.0}}
         assert parse_config(cfg).tolerances == {"solver_tol": 1e-8}
+
+    def test_radial_semilinear_past_the_minimal_range_parses(self):
+        cfg = copy.deepcopy(RADIAL_MINIMAL_OVERFLOW)
+        cfg["problem"]["equation"] = "semilinear"
+        assert parse_config(cfg).problem.geometry.n == 600
 
     def test_null_tolerance_is_not_a_setting(self):
         cfg = {"command": "lemma32", "tolerances": {"c_tol": None}}

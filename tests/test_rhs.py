@@ -42,7 +42,6 @@ class TestNamedForms:
         assert flags.nonnegative
         assert flags.f_u_nonneg and flags.f_u_nonpos
         assert flags.f0_zero
-        assert zero_rhs().is_zero
 
     def test_non_convex_t3f_detected(self):
         # f(x) = exp(x1): f^(-1/2) = exp(-x1/2) is convex, not concave,

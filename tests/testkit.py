@@ -16,7 +16,7 @@ import numpy as np
 
 from levelcurv.errors import GradientTooSmall, OutOfDomain
 from levelcurv.fields import radial_jet
-from levelcurv.geometry import Jet, TestFunctionSpec, _symmetrize_matrix
+from levelcurv.geometry import Jet, TestFunctionSpec, _symmetrize
 from levelcurv.identities import _matrix, _seeded
 
 
@@ -62,7 +62,7 @@ def graph_curvature_matrix(v_grad: np.ndarray, v_hess: np.ndarray) -> np.ndarray
         - (np.outer(v_grad, hv) + np.outer(hv, v_grad)) / (w * (1.0 + w))
         + np.outer(v_grad, v_grad) * quad / (w * (1.0 + w)) ** 2
     ) / w
-    return _symmetrize_matrix(a)
+    return _symmetrize(a, 2)
 
 
 def weighted_curvature(spec: TestFunctionSpec, grad_norm_sq, gauss):
