@@ -98,8 +98,11 @@ class _Fields:
         return float(value), tuple(float(v) for v in self.coords[nodes][int(np.argmax(tied))])
 
     def require_strict_convexity(self, what: str):
-        kappa = self.kappa_min[self.interior].reshape((-1,) + self.node_shape[1:])
-        bad = np.argwhere(kappa <= 0.0)
+        """Raise unless every interior node is strictly convex; the message names
+        the first offending nodes by grid (s-row, t) index, or by sample index."""
+        nonconvex = np.zeros(self.kappa_min.shape, dtype=bool)
+        nonconvex[self.interior] = self.kappa_min[self.interior] <= 0.0
+        bad = np.argwhere(nonconvex.reshape(self.node_shape))
         if bad.size:
             raise HypothesisViolated(
                 f"level sets not strictly convex at {bad[:10].tolist()} "

@@ -164,21 +164,29 @@ def _run_check_corollary(cfg: RunConfig):
 
 
 def _worst_identity_residuals(first_seed: int, n_fields: int, n: int, spec) -> tuple:
-    """Worst Codazzi, u_iia and phi-gradient residuals and the admissible count.
+    """Worst Codazzi, u_iia and phi-gradient residuals, the seed of each, and
+    the admissible count.
 
-    The fields are drawn and checked JET_VERIFY_CHUNK seeds at a time, so
-    memory stays bounded however many fields a run asks for.  A field's
-    residuals do not depend on the batch it is in, so neither does the result.
+    A worst seed is the lowest seed among the fields with the largest
+    residual (a NaN residual counts as the largest).  The fields are drawn
+    and checked JET_VERIFY_CHUNK seeds at a time, so memory stays bounded
+    however many fields a run asks for.  A field's residuals do not depend on
+    the batch it is in, so neither does the result.
     """
-    worst = np.full(3, -np.inf)
+    worst = [-math.inf] * 3
+    worst_seed = [first_seed] * 3
     admissible = 0
     stop = first_seed + n_fields
     for start in range(first_seed, stop, JET_VERIFY_CHUNK):
         seeds = range(start, min(start + JET_VERIFY_CHUNK, stop))
         res = identity_residuals(random_test_jets(seeds, n).jets, spec)
-        worst = np.maximum(worst, [np.max(res.codazzi), np.max(res.uiia), np.max(res.phi)])
+        for k, residuals in enumerate((res.codazzi, res.uiia, res.phi)):
+            i = int(np.argmax(residuals))  # the first NaN, else the first maximum
+            r = float(residuals[i])
+            if r > worst[k] or math.isnan(r) and not math.isnan(worst[k]):
+                worst[k], worst_seed[k] = r, start + i
         admissible += int(np.count_nonzero(res.admissible))
-    return (*(float(w) for w in worst), admissible)
+    return worst, worst_seed, admissible
 
 
 def _run_jet_verify(cfg: RunConfig):
@@ -186,17 +194,13 @@ def _run_jet_verify(cfg: RunConfig):
     checks = []
     spec = TestFunctionSpec.minimal_theta(-0.5)
     for n in cfg.options["dims"]:
-        worst_cod, worst_uiia, worst_phi, admissible = _worst_identity_residuals(
-            cfg.seed, n_fields, n, spec)
-        checks.append(report_entry(
-            f"codazzi:n={n}", -worst_cod, CODAZZI_TOL, worst_cod < CODAZZI_TOL,
-            residual=worst_cod, fields=n_fields))
-        checks.append(report_entry(
-            f"uiia:n={n}", -worst_uiia, UIIA_TOL, worst_uiia < UIIA_TOL,
-            residual=worst_uiia, fields=n_fields))
-        checks.append(report_entry(
-            f"phi-gradient:n={n}", -worst_phi, PHI_GRAD_TOL, worst_phi < PHI_GRAD_TOL,
-            residual=worst_phi, fields=admissible))
+        worst, worst_seed, admissible = _worst_identity_residuals(cfg.seed, n_fields, n, spec)
+        for kind, residual, seed, tol, fields in zip(
+                ("codazzi", "uiia", "phi-gradient"), worst, worst_seed,
+                (CODAZZI_TOL, UIIA_TOL, PHI_GRAD_TOL), (n_fields, n_fields, admissible)):
+            checks.append(report_entry(
+                f"{kind}:n={n}", -residual, tol, residual < tol,
+                residual=residual, fields=fields, worst_seed=seed))
 
     # master identity on the closed-form suppliers
     for name, supplier, point, theta in (

@@ -21,16 +21,20 @@ each other:
 The first three are evaluated by ``identity_residuals`` on a batch of
 order-3 jets, which it aligns and seeds once, with kernels that are
 elementwise over the batch, so a jet's residuals do not depend on the batch
-it is in.  The master identity and the psi-harmonicity residual take a
-closed-form supplier with a ``jet(point, order)`` method that gives order-4
-jets, and push its jet at each point once through the chart formula as duals
-of duals, seeded twice along every axis.
+it is in; the curvature matrix itself is the value of the seeded duals, so
+the chart formula runs once per batch.  The master identity and the
+psi-harmonicity residual take a closed-form supplier with a
+``jet(point, order)`` method that gives order-4 jets, and push its jet at
+each point once through the chart formula as duals of duals, seeded twice
+along every axis.
 
 All identity checks use the pre-flip sign convention of the curvature matrix,
 because that is the convention the formulas are derived in.  phi needs a
 positive definite matrix, so it reads the pre-flip entries under a per-jet
 orientation sign s (-1 where the level set is convex toward -grad u): the
-oriented matrix is s a, and phi = rho(t) + log(s^(n-1) det a).
+oriented matrix is s a, and phi = rho(t) + log(s^(n-1) det a).  One rule,
+``_orientation``, gives every jet its sign and whether it is admissible
+(strictly convex once oriented), and ``_phi`` is the one place phi is formed.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ from .geometry import (
     align_frame,
     chart_curvature_entries,
     det_entries,
-    level_curve_curvature_2d,
     rotate_jet,
 )
 
@@ -64,14 +67,6 @@ def _matrix(entries: list) -> np.ndarray:
     """Nested lists of equally shaped entries as one (..., rows, cols) array;
     entries of shape (..., k) give (..., k, rows, cols)."""
     return np.stack([np.stack(row, axis=-1) for row in entries], axis=-2)
-
-
-def curvature_entries_float(jet: Jet) -> np.ndarray:
-    """Pre-flip curvature matrix from a jet with u_n > 0 (e.g. an aligned jet)."""
-    n = jet.dim
-    grad = [jet.grad[..., i] for i in range(n)]
-    hess = [[jet.hess[..., i, j] for j in range(n)] for i in range(n)]
-    return _matrix(chart_curvature_entries(grad, hess))
 
 
 def _seeded(jet: Jet) -> tuple[list, list]:
@@ -95,20 +90,43 @@ def _seeded(jet: Jet) -> tuple[list, list]:
     return grad, chart_curvature_entries(grad, hess)
 
 
-def _seeded_twice(jet: Jet, spec: TestFunctionSpec, sign: float = 1.0) -> tuple[list, Dual]:
-    """Curvature entries a_ij and phi = rho(|grad u|^2) + log(sign det a) of an
-    order-4 jet, as duals of duals seeded twice along every axis.
+def _orientation(a0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orientation sign s and admissibility of each pre-flip curvature matrix
+    of a batch (..., m, m).
 
-    ``sign`` is the orientation sign raised to the power n - 1, the factor
-    that orienting a as s a puts on det a (``identity_residuals`` reads phi
-    in the same convention).  Each jet entry is seeded as in ``_seeded``, and
-    its value and derivative are themselves duals along the same axis, the
-    derivative's own derivative holding the entry's second derivative along
-    that axis.  One pass through the chart formula, ``det_entries`` and
-    ``TestFunctionSpec.rho`` then gives, exactly, the first derivatives along
-    every axis in ``.val.der`` (a_ij,a and phi_a) and the second derivatives
-    along each in ``.der.der`` (phi_aa).  Raises NonpositiveCurvature when
-    sign det(a) <= 0 at the point.
+    s is -1 where the largest eigenvalue is negative (the level set is convex
+    toward -grad u, as for -u) and +1 elsewhere.  A jet is admissible where s a
+    is positive definite and s^m det a > 0, so that phi is defined there.
+    """
+    eig = np.linalg.eigvalsh(a0)
+    flip = eig[..., -1] < 0.0
+    sign = np.where(flip, -1.0, 1.0)
+    m = a0.shape[-1]
+    det = det_entries([[a0[..., i, j] for j in range(m)] for i in range(m)]) * sign**m
+    return sign, (flip | (eig[..., 0] > 0.0)) & (det > 0.0)
+
+
+def _phi(t, a: list, sign: np.ndarray, spec: TestFunctionSpec):
+    """phi = rho(t) + log(s^(n-1) det a) of seeded entries, t = |grad u|^2,
+    under the per-jet sign s; meaningless where the jet is not admissible."""
+    with np.errstate(divide="ignore", invalid="ignore"):  # log of det <= 0 off the mask
+        return spec.rho(t) + dual_log(det_entries(a) * sign[..., None] ** len(a))
+
+
+def _seeded_twice(jet: Jet, spec: TestFunctionSpec) -> tuple[list, Dual, np.ndarray, np.ndarray]:
+    """Curvature entries a_ij, phi, the orientation sign and the admissible
+    mask of a batch of order-4 jets, a_ij and phi as duals of duals seeded
+    twice along every axis.
+
+    Each jet entry is seeded as in ``_seeded``, and its value and derivative
+    are themselves duals along the same axis, the derivative's own derivative
+    holding the entry's second derivative along that axis.  One pass through
+    the chart formula, ``det_entries`` and ``TestFunctionSpec.rho`` then
+    gives, exactly, the first derivatives along every axis in ``.val.der``
+    (a_ij,a and phi_a) and the second derivatives along each in ``.der.der``
+    (phi_aa).  phi is read under each jet's own sign (``_orientation``), in
+    the convention of ``identity_residuals``, and means nothing where the
+    mask is False.
     """
     if jet.fourth is None:
         raise ValueError("order-4 jet required for second derivatives of phi")
@@ -123,10 +141,8 @@ def _seeded_twice(jet: Jet, spec: TestFunctionSpec, sign: float = 1.0) -> tuple[
     hess = [[seed(jet.hess[..., i, j], jet.third[..., i, j, :], fourth_aa[..., i, j, :])
              for j in range(n)] for i in range(n)]
     a = chart_curvature_entries(grad, hess)
-    det = det_entries(a) * sign
-    if np.any(det.val.val <= 0.0):
-        raise NonpositiveCurvature("det(a) <= 0 while forming phi")
-    return a, spec.rho(sum(g * g for g in grad)) + dual_log(det)
+    sign, admissible = _orientation(_matrix([[e.val.val for e in row] for row in a])[..., 0, :, :])
+    return a, _phi(sum(g * g for g in grad), a, sign, spec), sign, admissible
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +174,8 @@ def identity_residuals(jet: Jet, spec: TestFunctionSpec) -> IdentityResiduals:
     so a jet's residuals do not depend on the batch it is in.
     """
     aligned = align_frame(jet).aligned_jet
-    a0 = curvature_entries_float(aligned)
     grad, a_dual = _seeded(aligned)
+    a0 = _matrix([[e.val for e in row] for row in a_dual])[..., 0, :, :]
     a_k = _matrix([[e.der for e in row] for row in a_dual])
     phi, admissible = _phi_residuals(a0, grad, a_dual, spec)
     return IdentityResiduals(
@@ -218,38 +234,26 @@ def _phi_residuals(
     a0: np.ndarray, grad: list, a_dual: list, spec: TestFunctionSpec
 ) -> tuple[np.ndarray, np.ndarray]:
     """Residual of phi_a = sum a^{ij} a_ij,a + rho'(t) t_a per jet, maximized
-    over axes, and whether the jet is admissible: its level set strictly
-    convex once oriented, and det(a) > 0 there.
+    over axes, and the admissible mask of ``_orientation``.
 
-    The orientation sign s is -1 where the pre-flip matrix's largest
-    eigenvalue is negative (the level set is convex toward -grad u, as for
-    -u) and +1 elsewhere; the oriented matrix is s a, so phi = rho(t) +
-    log(s^(n-1) det a), the convention ``_seeded_twice`` takes its ``sign`` in.
-    The left side differentiates phi directly through the composite
-    expression with dual numbers; the right side contracts (s a)^{-1} with
-    s a_ij,a (Jacobi's formula), so the two sides share no linear algebra.
-
-    Entries that are not admissible are computed on a stand-in identity
-    matrix and must be discarded by the caller.
+    The left side differentiates phi (``_phi``) directly through the
+    composite expression with dual numbers; the right side contracts
+    (s a)^{-1} with s a_ij,a (Jacobi's formula), so the two sides share no
+    linear algebra.  Entries that are not admissible are computed on a
+    stand-in identity matrix and must be discarded by the caller.
     """
     m = len(a_dual)
-    eig = np.linalg.eigvalsh(a0)
-    flip = eig[..., -1] < 0.0
-    convex = flip | (eig[..., 0] > 0.0)
-    sign = np.where(flip, -1.0, 1.0)[..., None]
-    oriented = np.where(convex[..., None, None], sign[..., None] * a0, np.eye(m))
+    sign, admissible = _orientation(a0)
+    oriented = np.where(admissible[..., None, None], sign[..., None, None] * a0, np.eye(m))
     oriented_inv = np.linalg.inv(oriented)
-    t_dual = grad[0] * grad[0]
-    for gi in grad[1:]:
-        t_dual = t_dual + gi * gi
-    det_dual = det_entries(a_dual) * sign**m
-    with np.errstate(divide="ignore", invalid="ignore"):  # det <= 0 off `convex`
-        lhs = (spec.rho(t_dual) + dual_log(det_dual)).der
+    t_dual = sum(g * g for g in grad)
+    lhs = _phi(t_dual, a_dual, sign, spec).der
+    s = sign[..., None]  # against the trailing axis of directions
     contraction = 0.0
     for i, j in itertools.product(range(m), repeat=2):
-        contraction = contraction + oriented_inv[..., i, j, None] * (sign * a_dual[i][j].der)
+        contraction = contraction + oriented_inv[..., i, j, None] * (s * a_dual[i][j].der)
     rhs = contraction + spec.rho_prime(t_dual.val) * t_dual.der
-    return np.max(np.abs(lhs - rhs), axis=-1), convex & (det_dual.val[..., 0] > 0.0)
+    return np.max(np.abs(lhs - rhs), axis=-1), admissible
 
 
 # ---------------------------------------------------------------------------
@@ -338,26 +342,18 @@ def quadratic_max_oracle(inst: QuadraticBoundInstance) -> np.ndarray:
     """Independent maximization of each concave quadratic of the batch.
 
     Solves the stationarity systems 2 (diag(b) + lam 1 1^T) X = 4 mu c in one
-    batched solve; a row with min b_i < 1e-8 (a near-singular quadratic form)
-    is instead maximized by dense grid search on [-10, 10]^m.
+    batched solve.  Raises InvalidInstance, naming the row, for a row with
+    min b_i < 1e-8: its quadratic form is near singular, and no bounded
+    search reaches a maximizer that runs off to |X| ~ 1/b_i.
     """
-    m = inst.b.shape[1]
-    singular = np.any(inst.b < 1e-8, axis=-1)
-    rows = ~singular
-    a = np.eye(m) * inst.b[rows, None, :] + inst.lam[rows, None, None]
-    rhs = 4.0 * inst.mu[rows, None] * inst.c[rows]
-    x_star = np.zeros_like(inst.b)
-    x_star[rows] = np.linalg.solve(2.0 * a, rhs[..., None])[..., 0]
-    out = inst.q(x_star)
-    if np.any(singular):
-        pts_per_dim = 41 if m <= 3 else 9
-        axes = [np.linspace(-10.0, 10.0, pts_per_dim)] * m
-        x = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
-        s = x.sum(axis=1)
-        for k in np.flatnonzero(singular):
-            q = -(x * x) @ inst.b[k] - inst.lam[k] * s * s + 4.0 * inst.mu[k] * (x @ inst.c[k])
-            out[k] = np.max(q)
-    return out
+    singular = np.flatnonzero(np.any(inst.b < 1e-8, axis=-1))
+    if singular.size:
+        k = int(singular[0])
+        raise InvalidInstance(
+            f"row {k}: min b_i = {np.min(inst.b[k]):.3g} < 1e-8, near-singular quadratic form")
+    a = np.eye(inst.b.shape[1]) * inst.b[:, None, :] + inst.lam[:, None, None]
+    rhs = 4.0 * inst.mu[:, None] * inst.c
+    return inst.q(np.linalg.solve(2.0 * a, rhs[..., None])[..., 0])
 
 
 def random_quadratic_instances(rng: np.random.Generator, count: int) -> list:
@@ -436,21 +432,18 @@ def minimal_master_identity_residual(supplier, point, theta: float) -> float:
 
     n = jet0.dim
     aligned0 = _diagonalized(jet0)
+    a, phi, sign, admissible = _seeded_twice(aligned0, spec)
+    if not admissible or sign < 0.0:
+        raise NonpositiveCurvature("level set not strictly convex toward grad u")
     m = n - 1
     un = float(aligned0.grad[-1])
-    diag = np.diag(aligned0.hess)[:m]
-    if np.max(diag) >= 0.0:
-        raise NonpositiveCurvature(
-            "tangential Hessian not negative definite: level set not strictly convex"
-        )
-    a_ii = -diag / un
+    a_ii = -np.diag(aligned0.hess)[:m] / un
     a_inv = 1.0 / a_ii
     sigma1 = float(np.sum(a_ii))
     uni = aligned0.hess[:m, n - 1].copy()
     t0 = un * un
     rho_p = spec.rho_prime(t0)
     rho_pp = spec.rho_double_prime(t0)
-    a, phi = _seeded_twice(aligned0, spec)
     phi1, phi2 = phi.val.der, phi.der.der
     a_der = _matrix([[e.val.der for e in row] for row in a])  # (axis, i, j)
 
@@ -505,19 +498,16 @@ def lb_psi_residual_2d(supplier, points, theta: float = -0.5) -> float:
     positive raises NonpositiveCurvature.
     """
     spec = TestFunctionSpec.minimal_theta(theta)
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    jet_first = supplier.jet(points[0], order=2)
-    k0 = level_curve_curvature_2d(jet_first.grad[None, :], jet_first.hess[None, :, :])[0]
-    if k0 == 0.0:
-        raise NonpositiveCurvature("level curve is flat at the first sample point")
-    sign = math.copysign(1.0, k0)
-
-    worst = 0.0
-    for p in points:
+    worst, first_sign = 0.0, None
+    for p in np.atleast_2d(np.asarray(points, dtype=float)):
         jet0 = _supplier_jet(supplier, p, "a psi-harmonicity point")
         _require_minimal(jet0)
         aligned = align_frame(jet0).aligned_jet
-        _, phi = _seeded_twice(aligned, spec, sign)
+        _, phi, sign, admissible = _seeded_twice(aligned, spec)
+        first_sign = sign if first_sign is None else first_sign
+        if not admissible or sign != first_sign:
+            raise NonpositiveCurvature(
+                f"level curve not strictly convex toward one side at {p.tolist()}")
         psi_aa = math.exp(phi.val.val[0]) * (phi.der.der + phi.val.der**2)
         un = aligned.grad[-1]
         worst = max(worst, abs(float(np.array([1.0 + un * un, 1.0]) @ psi_aa)))

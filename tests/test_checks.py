@@ -309,6 +309,19 @@ class TestFieldBundle:
                 assert value == nudged[pick(nudged)]
                 assert location == (3.0,)
 
+    def test_convexity_error_names_grid_nodes(self):
+        # the circles of u = log(2/r)/log 2, with a bump at node (10, 5) that bends
+        # the level curve the other way at its neighbours (10, 4) and (10, 6)
+        dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
+        grid = RingGrid(dom)
+        u = np.log(2.0 / np.linalg.norm(grid.x, axis=-1)) / np.log(2.0)
+        u[10, 5] += 0.02
+        sol = RingSolution(kind="ring2d", equation=SemilinearEquation(zero_rhs()), values=u,
+                           residual_norm=0.0, h=grid.spacing(), domain=dom, coords=grid.x,
+                           grid=grid)
+        with pytest.raises(HypothesisViolated, match=r"convex at \[\[10, 4\], \[10, 6\]\] "):
+            solution_fields(sol).require_strict_convexity("the bump")
+
 
 def _ellipse_minimal_family(grids):
     sols = []

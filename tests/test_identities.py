@@ -10,11 +10,10 @@ import numpy as np
 import pytest
 
 from levelcurv.dual import Dual, dual_log, dual_sqrt
-from levelcurv.geometry import Jet, TestFunctionSpec, align_frame, make_jet
+from levelcurv.geometry import Jet, TestFunctionSpec, align_frame, curvature_matrix, make_jet
 from levelcurv.identities import (
     _field_form,
     codazzi_closed_form,
-    curvature_entries_float,
     identity_residuals,
 )
 from levelcurv.polyfield import PolyField, random_test_jets
@@ -123,7 +122,8 @@ class TestPhiGradient:
         # u and -u have the same level sets, so every residual and the
         # admissible mask must not see the sign of the field
         jets = random_test_jets(range(2000), n).jets
-        eig = np.linalg.eigvalsh(curvature_entries_float(align_frame(jets).aligned_jet))
+        aligned = align_frame(jets).aligned_jet
+        eig = np.linalg.eigvalsh(-aligned.hess[:, :-1, :-1] / aligned.grad[:, -1, None, None])
         # the batch holds level sets convex toward grad u and toward -grad u
         assert np.any(eig[:, 0] > 0.0) and np.any(eig[:, -1] < 0.0)
         res = identity_residuals(jets, spec)
@@ -152,7 +152,7 @@ class TestUiia:
         )
         assert identity_residuals(_batch(f), THETA_HALF).uiia[0] < 1e-14
         jet = f.jet(ORIGIN3, 3)
-        a0 = curvature_entries_float(jet)
+        a0 = curvature_matrix(jet, mode="raw").a_raw
         assert np.allclose(a0, np.eye(2))
         ders = curvature_derivatives(jet)
         assert np.allclose(ders.a_k[2], np.eye(2), atol=1e-14)

@@ -133,24 +133,25 @@ class TestValidation:
         with pytest.raises(InvalidInstance, match="one value per row"):
             QuadraticBoundInstance([0.5, 1.0], [1.0], [[1.0], [1.0]], [[1.0], [1.0]])
 
-    def test_grid_fallback_still_bounds(self):
-        # near-singular quadratic form takes the dense-grid oracle path
-        inst = QuadraticBoundInstance(
-            0.0, 0.5, np.array([1e-10, 1.0]), np.array([0.3, -0.2])
-        )
-        res = lemma_quadratic_bound(inst)
-        assert quadratic_max_oracle(inst)[0] <= res.bound[0] + 1e-9 * (1 + abs(res.bound[0]))
+    def test_near_singular_row_is_rejected(self):
+        # the maximizer X_i = 2 mu c_i / b_i runs off to X_1 = 3e9: the maximum and
+        # the bound are both 9.0e8, out of reach of a bounded search
+        inst = QuadraticBoundInstance(0.0, 0.5, np.array([1e-10, 1.0]), np.array([0.3, -0.2]))
+        bound = lemma_quadratic_bound(inst).bound[0]
+        assert bound == pytest.approx(9.0e8 + 0.04, rel=1e-12)
+        assert inst.q(np.array([[3e9, -0.2]]))[0] == pytest.approx(bound, rel=1e-12)
+        with pytest.raises(InvalidInstance, match=r"row 0: min b_i = 1e-10 < 1e-8"):
+            quadratic_max_oracle(inst)
 
-    def test_grid_fallback_only_on_its_rows(self):
-        # b = 1e-20 makes diag(b) + lam 1 1^T exactly singular in floating point; that
-        # row must not reach the solve, and the regular row keeps its own value
-        inst = QuadraticBoundInstance([2.0, 0.7], [0.5, -1.3], [[1e-20, 1e-20], [0.4, 2.5]],
-                                      [[0.3, -0.2], [1.1, 0.6]])
-        oracle = quadratic_max_oracle(inst)
-        bound = lemma_quadratic_bound(inst).bound
-        assert oracle[0] <= bound[0] + 1e-9 * (1 + abs(bound[0]))
-        regular = QuadraticBoundInstance(0.7, -1.3, [0.4, 2.5], [1.1, 0.6])
-        assert oracle[1] == quadratic_max_oracle(regular)[0]
+    @pytest.mark.parametrize("order, row", [((0, 1), 0), ((1, 0), 1)], ids=["first", "second"])
+    def test_near_singular_row_is_named_in_its_batch(self, order, row):
+        # b = 1e-20 makes diag(b) + lam 1 1^T exactly singular in floating point
+        lam, mu = np.array([2.0, 0.7]), np.array([0.5, -1.3])
+        b, c = np.array([[1e-20, 1e-20], [0.4, 2.5]]), np.array([[0.3, -0.2], [1.1, 0.6]])
+        order = list(order)
+        inst = QuadraticBoundInstance(lam[order], mu[order], b[order], c[order])
+        with pytest.raises(InvalidInstance, match=rf"row {row}: min b_i = 1e-20 < 1e-8"):
+            quadratic_max_oracle(inst)
 
     def test_empty_instance(self):
         inst = QuadraticBoundInstance(1.0, 2.0, np.array([]), np.array([]))

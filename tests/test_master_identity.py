@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 from levelcurv.cli import MASTER_TOL
-from levelcurv.errors import NonpositiveCurvature, NotAMinimalJet
+from levelcurv.errors import GradientTooSmall, NonpositiveCurvature, NotAMinimalJet
 from levelcurv.fields import RadialMinimalField, ScherkField
-from levelcurv.geometry import TestFunctionSpec, align_frame
+from levelcurv.geometry import Jet, TestFunctionSpec, align_frame, curvature_matrix, make_jet
 from levelcurv.identities import (
     _seeded_twice,
-    curvature_entries_float,
     lb_psi_residual_2d,
     minimal_equation_residual,
     minimal_master_identity_residual,
@@ -45,6 +44,22 @@ class PerturbedScherk:
         tensor = getattr(jet, name).copy()
         tensor[self.index] += 1.0
         return replace(jet, **{name: tensor})
+
+
+class NegatedAfterFirst:
+    """The catenoid's jets, negated at every point but the first: -u is minimal
+    too, but its level curves bend the other way."""
+
+    def __init__(self):
+        self.points = 0
+
+    def jet(self, x, order=3):
+        jet = RadialMinimalField(2, flux=-1.0).jet(x, order)
+        self.points += 1
+        if self.points == 1:
+            return jet
+        parts = (jet.grad, jet.hess, jet.third, jet.fourth)
+        return Jet(*(None if t is None else -t for t in parts))
 
 
 def _aligned_phi(supplier, point):
@@ -168,6 +183,39 @@ class TestLaplaceBeltramiPsi:
         with pytest.raises(NotAMinimalJet):
             lb_psi_residual_2d(SphereDistanceField(2), [np.array([2.2, 0.3])])
 
+    def test_gradient_floor_comes_before_the_sign(self):
+        # Scherk's graph is flat at the origin: no orientation is read there
+        with pytest.raises(GradientTooSmall):
+            lb_psi_residual_2d(ScherkField(), [np.zeros(2)])
+
+    def test_one_sign_for_every_point(self):
+        pts = [np.array([1.8, 2.4]), np.array([2.2, 0.3])]
+        assert lb_psi_residual_2d(RadialMinimalField(2, flux=1.0), pts) < 1e-11
+        with pytest.raises(NonpositiveCurvature, match=r"at \[2.2, 0.3\]"):
+            lb_psi_residual_2d(NegatedAfterFirst(), pts)
+
+
+class TestSeededTwiceBatch:
+    def test_mixed_batch_gets_a_per_jet_mask(self):
+        # level sets convex toward grad u, toward -grad u, and a saddle
+        point = np.array([1.2, -0.7, 2.0])
+        saddle = make_jet([0.0, 0.0, 1.0], np.diag([1.0, -1.0, 0.0]), np.zeros((3,) * 3),
+                          np.zeros((3,) * 4))
+        jets = [align_frame(j).aligned_jet for j in (
+            RadialMinimalField(3, flux=-1.0).jet(point, 4),
+            RadialMinimalField(3, flux=1.0).jet(point, 4), saddle)]
+        batch = Jet(*(np.stack(t) for t in zip(*((j.grad, j.hess, j.third, j.fourth)
+                                                 for j in jets))))
+        _, phi, sign, admissible = _seeded_twice(batch, THETA_HALF)
+        assert admissible.tolist() == [True, True, False]
+        assert sign.tolist() == [1.0, -1.0, 1.0]
+        for k in (0, 1):
+            _, alone, sign_alone, admissible_alone = _seeded_twice(jets[k], THETA_HALF)
+            assert (sign_alone, admissible_alone) == (sign[k], True)
+            for got, want in ((phi.val.val[k], alone.val.val), (phi.val.der[k], alone.val.der),
+                              (phi.der.der[k], alone.der.der)):
+                assert got.tobytes() == want.tobytes()
+
 
 class TestPhiSecondOrder:
     def test_catenoid_phi_vanishes_identically(self):
@@ -179,7 +227,7 @@ class TestPhiSecondOrder:
     def test_gradient_matches_jacobi_contraction(self):
         # phi_a = sum a^{ij} a_ij,a + rho'(t) t_a, the right side from the order-3 engine
         aligned, phi = _aligned_phi(ScherkField(), SCHERK_POINT)
-        a0_inv = np.linalg.inv(curvature_entries_float(aligned))
+        a0_inv = np.linalg.inv(curvature_matrix(aligned, mode="raw").a_raw)
         t0 = aligned.grad_norm**2
         for axis, a_der in enumerate(curvature_derivatives(aligned).a_k):
             t_a = 2.0 * float(aligned.grad @ aligned.hess[:, axis])

@@ -19,6 +19,7 @@ from levelcurv import ring2d
 from levelcurv.cli import main, run
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
+from levelcurv.geometry import TestFunctionSpec
 from levelcurv.identities import identity_residuals
 from levelcurv.polyfield import random_test_jets
 from levelcurv.report import _csv_blocks, emit_report, render_json
@@ -459,6 +460,37 @@ class TestRunVerdicts:
             rendered.append(render_json(run(cfg)[0]))
             assert batch_sizes == sizes * 3
         assert rendered[0] == rendered[1] == rendered[2]
+
+    def test_jet_verify_names_the_worst_field(self):
+        report, _ = run(parse_config(_shipped("jet-verify")))
+        checks = {c["name"]: c for c in report["checks"]}
+        # every field's Codazzi residual in 2D is 0.0: the tie goes to the lowest seed
+        assert (checks["codazzi:n=2"]["residual"], checks["codazzi:n=2"]["worst_seed"]) == (0.0, 0)
+        assert checks["phi-gradient:n=2"]["worst_seed"] == 93
+        assert checks["phi-gradient:n=3"]["worst_seed"] == 192
+        spec = TestFunctionSpec.minimal_theta(-0.5)
+        for n in (2, 3):
+            for kind, attr in (("codazzi", "codazzi"), ("uiia", "uiia"), ("phi-gradient", "phi")):
+                entry = checks[f"{kind}:n={n}"]
+                alone = identity_residuals(random_test_jets([entry["worst_seed"]], n).jets, spec)
+                assert getattr(alone, attr)[0] == entry["residual"], entry
+
+    def test_jet_verify_nan_residual_fails_and_is_named(self, monkeypatch):
+        def nan_at_seed_3(jet, spec):
+            res = identity_residuals(jet, spec)
+            chunks.append(res)
+            if len(chunks) == 2:  # seeds 2 and 3
+                res.uiia[1] = math.nan
+            return res
+
+        chunks = []
+        monkeypatch.setattr(cli, "JET_VERIFY_CHUNK", 2)
+        monkeypatch.setattr(cli, "identity_residuals", nan_at_seed_3)
+        report, _ = run(parse_config({"command": "jet-verify", "seed": 0,
+                                      "options": {"fields": 6, "dims": [2]}}))
+        entry = next(c for c in report["checks"] if c["name"] == "uiia:n=2")
+        assert math.isnan(entry["residual"]) and entry["pass"] is False
+        assert entry["worst_seed"] == 3
 
     def test_lemma32(self):
         report, _ = run(parse_config({"command": "lemma32", "seed": 1,
