@@ -30,8 +30,7 @@ from .ring2d import (
     RingDomain2D,
     RingGrid,
     SemilinearEquation,
-    solve_minimal_ring2d,
-    solve_semilinear_ring2d,
+    solve_ring2d,
 )
 from .fields import catenoid_value
 from .solution import RingSolution
@@ -446,14 +445,14 @@ def convergence_study(problem: str, grids: list) -> list[dict]:
         ns, nt = g
         if problem == "laplace-annulus":
             dom = RingDomain2D(Circle(math.e), Circle(1.0), n_s=ns, n_t=nt)
-            sol = solve_semilinear_ring2d(dom, np.zeros(nt), np.ones(nt), zero_rhs(),
-                                          warm_start=sol)
+            sol = solve_ring2d(dom, np.zeros(nt), np.ones(nt), SemilinearEquation(zero_rhs()),
+                               warm_start=sol)
             r = np.linalg.norm(sol.coords, axis=-1)
             err = float(np.max(np.abs(sol.values - (1.0 - np.log(r)))))
         elif problem == "minimal-circles-catenoid":
             dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt)
             outer = np.full(nt, catenoid_value(4.0, anchor=2.0))
-            sol = solve_minimal_ring2d(dom, outer, np.zeros(nt), warm_start=sol)
+            sol = solve_ring2d(dom, outer, np.zeros(nt), MINIMAL, warm_start=sol)
             r = np.linalg.norm(sol.coords, axis=-1)
             exact = np.arccosh(r) - math.acosh(2.0)
             err = float(np.max(np.abs(sol.values - exact)))
@@ -470,7 +469,8 @@ def convergence_study(problem: str, grids: list) -> list[dict]:
             err = float(np.max(np.abs(fields.k[interior] - 1.0 / r.reshape(-1)[interior])))
         else:  # "constant"
             dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=ns, n_t=nt)
-            sol = solve_minimal_ring2d(dom, np.full(nt, 0.7), np.full(nt, 0.7), warm_start=sol)
+            sol = solve_ring2d(dom, np.full(nt, 0.7), np.full(nt, 0.7), MINIMAL,
+                               warm_start=sol)
             err = float(np.max(np.abs(sol.values - 0.7)))
         rows.append({"h": sol.h, "error": err, "order": None})
     for i in range(1, len(rows)):

@@ -41,7 +41,7 @@ from .identities import (
 from .polyfield import random_test_jets
 from .radial import solve_minimal_radial, solve_semilinear_radial
 from .report import emit_report
-from .ring2d import MINIMAL, solve_minimal_ring2d, solve_semilinear_ring2d
+from .ring2d import MINIMAL, solve_ring2d
 
 # identity-suite thresholds (absolute residuals)
 CODAZZI_TOL = 1e-9
@@ -75,10 +75,8 @@ def solve_problem(cfg: RunConfig, grid=None, warm_start=None):
                                        samples=geom.samples, tol=solver_tol)
 
     domain, outer, inner = problem.rings[grid or (geom.n_s, geom.n_t)]
-    if problem.equation == MINIMAL:
-        return solve_minimal_ring2d(domain, outer, inner, tol=solver_tol, warm_start=warm_start)
-    return solve_semilinear_ring2d(domain, outer, inner, problem.equation.rhs, tol=solver_tol,
-                                   warm_start=warm_start)
+    return solve_ring2d(domain, outer, inner, problem.equation, tol=solver_tol,
+                        warm_start=warm_start)
 
 
 def _solver_meta(sol) -> dict:

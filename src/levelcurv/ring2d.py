@@ -7,9 +7,10 @@ curves are given analytically, so every metric quantity (Jacobian, inverse,
 second derivatives of the map) is exact; only u is discretized, with
 second-order central differences on the (s, t) grid.
 
-Each equation F^{ab}(grad u) u_ab = f(x, u) is one value: ``MINIMAL``, the
-minimal surface equation with F = (1 + |grad u|^2) I - grad u grad u^T and
-f = 0, or ``SemilinearEquation(rhs)``, Delta u = f(x, u) with F = I.  It gives
+Each equation F^{ab}(grad u) u_ab = f(x, u) is one value that ``solve_ring2d``
+takes: ``MINIMAL``, the minimal surface equation with
+F = (1 + |grad u|^2) I - grad u grad u^T and f = 0, or
+``SemilinearEquation(rhs)``, Delta u = f(x, u) with F = I.  It gives
 F's coefficient planes, f, the Newton term and the Picard steps (F frozen) that
 precede damped Newton on a cold start; the driver the radial solver shares
 (``solution._damped_newton``) runs both.  Curves are ellipses: ``Circle(r)``
@@ -552,7 +553,7 @@ def _linear_solve(op: _RingOperator, planes: np.ndarray, rhs: np.ndarray, frozen
                   _PICARD_FORCING if frozen else _NEWTON_FORCING)
 
 
-def _solve_ring2d(
+def solve_ring2d(
     domain: RingDomain2D,
     outer_data: np.ndarray,
     inner_data: np.ndarray,
@@ -561,6 +562,12 @@ def _solve_ring2d(
     max_iter: int = 50,
     warm_start: RingSolution | None = None,
 ) -> RingSolution:
+    """Solve ``equation`` (``MINIMAL`` or ``SemilinearEquation(rhs)``) on the ring.
+
+    ``outer_data`` and ``inner_data`` are the Dirichlet values at the outer and
+    inner curve's angular nodes.  ``warm_start``, a solution on another grid of
+    the same ring, replaces the blend and the Picard steps as the start of Newton.
+    """
     grid = RingGrid(domain)
     ns, nt = grid.n_s, grid.n_t
     outer_data = np.asarray(outer_data, dtype=float)
@@ -588,39 +595,3 @@ def _solve_ring2d(
         h=grid.spacing(), iterations=len(meta["phases"]), domain=domain,
         coords=grid.x, grid=grid, meta={"grid": (ns, nt), "start": start, **meta},
     )
-
-
-def solve_minimal_ring2d(
-    domain: RingDomain2D,
-    outer_data,
-    inner_data,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    warm_start: RingSolution | None = None,
-) -> RingSolution:
-    """Minimal surface equation on the ring with Dirichlet data per boundary curve.
-
-    ``warm_start``, a solution on another grid of the same ring, replaces the
-    blend and the Picard steps as the start of Newton.
-    """
-    return _solve_ring2d(domain, outer_data, inner_data, MINIMAL,
-                         tol=tol, max_iter=max_iter, warm_start=warm_start)
-
-
-def solve_semilinear_ring2d(
-    domain: RingDomain2D,
-    outer_data,
-    inner_data,
-    rhs,
-    tol: float = 1e-10,
-    max_iter: int = 50,
-    warm_start: RingSolution | None = None,
-) -> RingSolution:
-    """Delta u = f(x, u) on the ring with Dirichlet data per boundary curve.
-
-    ``warm_start``, a solution on another grid of the same ring, replaces the
-    blend as the start of Newton.
-    """
-    return _solve_ring2d(domain, outer_data, inner_data, SemilinearEquation(rhs),
-                         tol=tol, max_iter=max_iter, warm_start=warm_start)
-

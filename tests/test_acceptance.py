@@ -34,7 +34,14 @@ from levelcurv.identities import (
 from levelcurv.polyfield import random_test_jets
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import admissibility_check, inverse_square_rhs, linear_u_rhs, zero_rhs
-from levelcurv.ring2d import Circle, Ellipse, RingDomain2D, solve_minimal_ring2d, solve_semilinear_ring2d
+from levelcurv.ring2d import (
+    MINIMAL,
+    Circle,
+    Ellipse,
+    RingDomain2D,
+    SemilinearEquation,
+    solve_ring2d,
+)
 
 from testkit import weighted_curvature
 
@@ -73,7 +80,7 @@ def _minimal_family(label):
         else:
             dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
             outer, inner = np.zeros(nt), np.ones(nt)
-        prev = _track(solve_minimal_ring2d(dom, outer, inner, warm_start=prev))
+        prev = _track(solve_ring2d(dom, outer, inner, MINIMAL, warm_start=prev))
         sols[(ns, nt)] = prev
     _CACHE[label] = sols
     return sols
@@ -84,14 +91,16 @@ def _semilinear_rings():
         return _CACHE["semilinear"]
     out = {}
     dom = RingDomain2D(Ellipse(2.4, 2.0), Circle(1.0), n_s=128, n_t=256)
-    out["laplace"] = _track(solve_semilinear_ring2d(dom, np.zeros(256), np.ones(256), zero_rhs()))
+    out["laplace"] = _track(solve_ring2d(dom, np.zeros(256), np.ones(256),
+                                         SemilinearEquation(zero_rhs())))
     dom2 = RingDomain2D(Circle(2.0), Circle(1.0), n_s=128, n_t=256)
     out["linear-u"] = _track(
-        solve_semilinear_ring2d(dom2, np.zeros(256), np.ones(256), linear_u_rhs(1.0))
+        solve_ring2d(dom2, np.zeros(256), np.ones(256), SemilinearEquation(linear_u_rhs(1.0)))
     )
     dom3 = RingDomain2D(Circle(1.4), Circle(0.6), n_s=128, n_t=256)
     out["inverse-square"] = _track(
-        solve_semilinear_ring2d(dom3, np.zeros(256), np.ones(256), inverse_square_rhs(2.0))
+        solve_ring2d(dom3, np.zeros(256), np.ones(256),
+                     SemilinearEquation(inverse_square_rhs(2.0)))
     )
     _CACHE["semilinear"] = out
     return out
@@ -210,9 +219,9 @@ def test_criterion_05_corollary_bounds():
 
     # closed-form harmonic annulus, radii (1, e)
     annulus = _track(
-        solve_semilinear_ring2d(
+        solve_ring2d(
             RingDomain2D(Circle(math.e), Circle(1.0), n_s=96, n_t=192),
-            np.zeros(192), np.ones(192), zero_rhs(),
+            np.zeros(192), np.ones(192), SemilinearEquation(zero_rhs()),
         )
     )
     for label, sol in (("harmonic-annulus", annulus), ("linear-u", semilinear_rings["linear-u"])):
@@ -308,8 +317,8 @@ def test_criterion_09_psi_harmonicity():
     sols = []
     for ns, nt in [(25, 48), (49, 96), (97, 192)]:
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-        sols.append(_track(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt),
-                                                warm_start=sols[-1] if sols else None)))
+        sols.append(_track(solve_ring2d(dom, np.zeros(nt), np.ones(nt), MINIMAL,
+                                        warm_start=sols[-1] if sols else None)))
     rep_disc = check_harmonic_psi_2d(sols)
     details.append(f"discrete orders {rep_disc['notes'][-1]} (>=1.5)")
 

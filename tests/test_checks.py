@@ -23,13 +23,13 @@ from levelcurv.identities import lb_psi_residual_2d
 from levelcurv.radial import solve_minimal_radial, solve_semilinear_radial
 from levelcurv.rhs import linear_u_rhs, zero_rhs
 from levelcurv.ring2d import (
+    MINIMAL,
     Circle,
     Ellipse,
     RingDomain2D,
     RingGrid,
     SemilinearEquation,
-    solve_minimal_ring2d,
-    solve_semilinear_ring2d,
+    solve_ring2d,
 )
 from levelcurv.solution import RingSolution
 
@@ -41,14 +41,14 @@ THETA_HALF = TestFunctionSpec.minimal_theta(-0.5)
 @pytest.fixture(scope="module")
 def harmonic_annulus_2d():
     dom = RingDomain2D(Circle(math.e), Circle(1.0), n_s=33, n_t=64)
-    return solve_semilinear_ring2d(dom, np.zeros(64), np.ones(64), zero_rhs())
+    return solve_ring2d(dom, np.zeros(64), np.ones(64), SemilinearEquation(zero_rhs()))
 
 
 @pytest.fixture(scope="module")
 def catenoid_ring_2d():
     dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=33, n_t=64)
     outer = np.full(64, catenoid_value(4.0, anchor=2.0))
-    return solve_minimal_ring2d(dom, outer, np.zeros(64))
+    return solve_ring2d(dom, outer, np.zeros(64), MINIMAL)
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +67,7 @@ class TestExtremumChecks:
         # planting u + 0.3 sin(2 pi u)/(2 pi) on a minimal solution puts the
         # max of psi inside (margin -1.6e-1) while the min stays on the boundary
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=64, n_t=128)
-        sol = solve_minimal_ring2d(dom, np.zeros(128), np.ones(128))
+        sol = solve_ring2d(dom, np.zeros(128), np.ones(128), MINIMAL)
         u = sol.values
         planted = dataclasses.replace(sol, values=u + 0.3 * np.sin(2 * math.pi * u) / (2 * math.pi))
         both = check_extremum_on_boundary(planted, THETA_HALF, which="both")
@@ -119,7 +119,7 @@ class TestExtremumChecks:
     def test_thin_ring_guard(self):
         # gap far below the angular spacing starves the derivative stencils
         dom = RingDomain2D(Circle(1.03), Circle(1.0), n_s=33, n_t=16)
-        sol = solve_semilinear_ring2d(dom, np.zeros(16), np.ones(16), zero_rhs())
+        sol = solve_ring2d(dom, np.zeros(16), np.ones(16), SemilinearEquation(zero_rhs()))
         with pytest.raises(TooCoarse):
             corollary_bound_poisson(sol)
 
@@ -144,7 +144,7 @@ class TestExtremumChecks:
         for ns, nt in [(17, 32), (33, 64)]:
             dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt)
             outer = np.full(nt, catenoid_value(4.0, anchor=2.0))
-            sol = solve_minimal_ring2d(dom, outer, np.zeros(nt))
+            sol = solve_ring2d(dom, outer, np.zeros(nt), MINIMAL)
             rep = check_extremum_on_boundary(sol, THETA_HALF, which="both")
             assert rep["pass"]
             shortfalls.append(max(0.0, -rep["margin"]))
@@ -167,7 +167,7 @@ class TestCorollaryBounds:
 
     def test_linear_u_ring(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
-        sol = solve_semilinear_ring2d(dom, np.zeros(64), np.ones(64), linear_u_rhs(1.0))
+        sol = solve_ring2d(dom, np.zeros(64), np.ones(64), SemilinearEquation(linear_u_rhs(1.0)))
         cb = corollary_bound_poisson(sol)
         assert cb["pass"]
 
@@ -180,13 +180,13 @@ class TestCorollaryBounds:
             f=lambda x, u: 0.2 * (1.0 - np.asarray(u, dtype=float)),
             f_u=lambda x, u: np.full_like(np.asarray(u, dtype=float), -0.2),
         )
-        sol = solve_semilinear_ring2d(dom, np.zeros(64), np.ones(64), decay)
+        sol = solve_ring2d(dom, np.zeros(64), np.ones(64), SemilinearEquation(decay))
         with pytest.raises(HypothesisViolated):
             corollary_bound_poisson(sol)
 
     def test_rejects_wrong_boundary_data(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
-        sol = solve_semilinear_ring2d(dom, np.full(64, 0.2), np.ones(64), zero_rhs())
+        sol = solve_ring2d(dom, np.full(64, 0.2), np.ones(64), SemilinearEquation(zero_rhs()))
         with pytest.raises(HypothesisViolated):
             corollary_bound_poisson(sol)
 
@@ -266,7 +266,7 @@ class TestGradientMonotonicity:
 
     def test_constant_data_guard(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
-        sol = solve_semilinear_ring2d(dom, np.zeros(64), np.zeros(64), zero_rhs())
+        sol = solve_ring2d(dom, np.zeros(64), np.zeros(64), SemilinearEquation(zero_rhs()))
         with pytest.raises(HypothesisViolated):
             check_gradient_monotonicity(sol)
 
@@ -322,13 +322,25 @@ class TestFieldBundle:
         with pytest.raises(HypothesisViolated, match=r"convex at \[\[10, 4\], \[10, 6\]\] "):
             solution_fields(sol).require_strict_convexity("the bump")
 
+    def test_gradient_floor_names_grid_nodes(self):
+        # equal minimal data on both curves: u is the constant 0.7, so |grad u| = 0
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64)
+        sol = solve_ring2d(dom, np.full(64, 0.7), np.full(64, 0.7), MINIMAL)
+        with pytest.raises(HypothesisViolated, match=r"below floor at nodes \[\[0, 0\], "):
+            check_extremum_on_boundary(sol, THETA_HALF)
+
+    def test_gradient_floor_names_radial_samples(self):
+        sol = solve_minimal_radial(3, 2.0, 4.0, 0.5, 0.5)
+        with pytest.raises(HypothesisViolated, match=r"below floor at nodes \[\[0\], "):
+            check_extremum_on_boundary(sol, THETA_HALF)
+
 
 def _ellipse_minimal_family(grids):
     sols = []
     for ns, nt in grids:
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-        sols.append(solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt),
-                                         warm_start=sols[-1] if sols else None))
+        sols.append(solve_ring2d(dom, np.zeros(nt), np.ones(nt), MINIMAL,
+                                 warm_start=sols[-1] if sols else None))
     return sols
 
 
@@ -370,7 +382,8 @@ class TestHarmonicPsi:
         sols = []
         for ns, nt in [(25, 48), (49, 96)]:
             dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-            sols.append(solve_semilinear_ring2d(dom, np.zeros(nt), np.ones(nt), linear_u_rhs()))
+            sols.append(solve_ring2d(dom, np.zeros(nt), np.ones(nt),
+                                     SemilinearEquation(linear_u_rhs())))
         with pytest.raises(HypothesisViolated, match="minimal"):
             check_harmonic_psi_2d(sols)
 

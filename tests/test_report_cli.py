@@ -4,6 +4,7 @@ import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,11 @@ from levelcurv.cli import main, run
 from levelcurv.config import parse_config
 from levelcurv.errors import ConfigError
 from levelcurv.geometry import TestFunctionSpec
-from levelcurv.identities import identity_residuals
+from levelcurv.identities import (
+    QuadraticBoundResult,
+    identity_residuals,
+    lemma_quadratic_bound,
+)
 from levelcurv.polyfield import random_test_jets
 from levelcurv.report import _csv_blocks, emit_report, render_json
 
@@ -133,6 +138,17 @@ def _shipped(name):
     return json.loads((CONFIG_DIR / f"{name}.json").read_text())
 
 
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _annulus_config(**geometry):
+    return _ring_with(equation="semilinear", rhs={"name": "zero"}, geometry=geometry,
+                      boundary={"outer": "harmonic-annulus", "inner": "harmonic-annulus"})
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.json")), ids=lambda p: p.stem)
     def test_shipped_configs_parse(self, path):
@@ -192,6 +208,18 @@ class TestConfigValidation:
         }
         with pytest.raises(ConfigError):
             parse_config(cfg)
+
+    def test_harmonic_annulus_radial_datum(self):
+        cfg = parse_config(_annulus_config(kind="radial", n=3, a=2.0, b=4.0))
+        assert cfg.problem.u_ab == (1.0, 0.0)
+
+    def test_harmonic_annulus_ring_datum(self):
+        cfg = parse_config(_annulus_config(kind="ring2d", outer={"kind": "circle", "radius": 2.0},
+                                           inner={"kind": "circle", "radius": 1.0},
+                                           grid=[17, 32]))
+        _, outer, inner = cfg.problem.rings[(17, 32)]
+        assert np.max(np.abs(outer)) <= 1e-12
+        assert np.max(np.abs(inner - 1.0)) <= 1e-12
 
 
 class TestRunVerdicts:
@@ -279,8 +307,7 @@ class TestRunVerdicts:
         assert solver["bisections"] == 0 and solver["flux_bracket"] == [0.0, 0.0]
 
     def test_stall_keeps_iterations_and_residual(self, monkeypatch):
-        monkeypatch.setattr(cli, "solve_minimal_ring2d",
-                            functools.partial(ring2d.solve_minimal_ring2d, max_iter=2))
+        monkeypatch.setattr(cli, "solve_ring2d", functools.partial(ring2d.solve_ring2d, max_iter=2))
         # (u, row l1 norm of the frozen planes) of each iterate whose rounding floor is read
         floors = []
         real = ring2d._RingOperator.jacobian
@@ -864,6 +891,87 @@ class TestExitCodes:
         path.write_text(json.dumps(cfg))
         assert main(["check-theorem", "--config", str(path), "--grid", "9x16", "--quiet"]) == 2
         # 9 layers leave too few interior layers -> TooCoarse -> numerical failure
+
+    def test_zero_gradient_ring_exit_two(self, tmp_path):
+        # equal data on both curves: u is constant, so the |grad u| floor rejects the ring
+        cfg = _ring_with(geometry={"kind": "ring2d", "grid": [33, 64],
+                                   "outer": {"kind": "ellipse", "rx": 4.0, "ry": 3.2},
+                                   "inner": {"kind": "circle", "radius": 1.5}},
+                         boundary={"outer": "constant:0.7", "inner": "constant:0.7"})
+        out = tmp_path / "X"
+        assert main(["check-theorem", "--config", _config_file(tmp_path, cfg), "--out", str(out),
+                     "--quiet"]) == 2
+        error = json.loads((tmp_path / "X.json").read_text())["error"]
+        assert error["type"] == "HypothesisViolated"
+        assert error["message"].startswith("|grad u| below floor at nodes [[0, 0], ")
+
+
+class TestOverrides:
+    def test_seed_flag(self, tmp_path):
+        cfg = {"command": "jet-verify", "seed": 3, "options": {"fields": 20, "dims": [2]}}
+        out = tmp_path / "X"
+        assert main(["jet-verify", "--config", _config_file(tmp_path, cfg), "--seed", "1000",
+                     "--out", str(out), "--quiet"]) == 0
+        report = json.loads((tmp_path / "X.json").read_text())
+        assert report["config"]["seed"] == 1000
+        worst = [c["worst_seed"] for c in report["checks"] if "worst_seed" in c]
+        assert worst and all(1000 <= s < 1020 for s in worst)
+
+    def test_grid_flag_sets_radial_samples(self, tmp_path):
+        out = tmp_path / "X"
+        assert main(["solve", "--config", _config_file(tmp_path, radial_config(samples=401)),
+                     "--grid", "51x1", "--out", str(out), "--quiet"]) == 0
+        rows = (tmp_path / "X.solution.csv").read_text().splitlines()[1:]
+        assert len(rows) == 51
+
+    def test_grid_flag_appends_convergence_grid(self, tmp_path):
+        cfg = {"command": "convergence", "grids": [[17, 32], [33, 64]]}
+        out = tmp_path / "X"
+        assert main(["convergence", "--config", _config_file(tmp_path, cfg), "--grid", "65x128",
+                     "--out", str(out), "--quiet"]) == 0
+        report = json.loads((tmp_path / "X.json").read_text())
+        assert report["config"]["grids"] == [[17, 32], [33, 64], [65, 128]]
+        assert len(report["convergence"]["rows"]) == 3
+
+    def test_malformed_grid_flag_exit_two(self, tmp_path, capsys):
+        path = _config_file(tmp_path, minimal_ring_config())
+        assert main(["check-theorem", "--config", path, "--grid", "12", "--quiet"]) == 2
+        assert capsys.readouterr().err == "config error: --grid expects NsxNt, got '12'\n"
+
+
+class TestConsoleOutput:
+    VERDICT = r"verdict: {} \(\d+\.\d\ds\)"
+
+    def test_passing_run(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        assert main(["check-theorem", "--config", _config_file(tmp_path, minimal_ring_config()),
+                     "--out", str(out)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert re.fullmatch(r"PASS extremum-min:\S+ K margin=-?\d\.\d{3}e[+-]\d\d", lines[0])
+        assert re.fullmatch(self.VERDICT.format("AllPass"), lines[1])
+        assert lines[2:] == [f"wrote {out}.json", f"wrote {out}.solution.csv",
+                             f"wrote {out}.index.json"]
+
+    def test_violation(self, tmp_path, capsys, monkeypatch):
+        def shrunk(inst):
+            res = lemma_quadratic_bound(inst)
+            return QuadraticBoundResult(gamma=res.gamma, bound=res.bound * (1 - 1e-6))
+
+        monkeypatch.setattr(cli, "lemma_quadratic_bound", shrunk)
+        cfg = {"command": "lemma32", "options": {"instances": 20}}
+        assert main(["lemma32", "--config", _config_file(tmp_path, cfg)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" margin=")[0] for line in lines[:3]] == [
+            "FAIL lemma32:random-suite", "FAIL lemma32:worked-free", "FAIL lemma32:worked-coupled"]
+        assert re.fullmatch(self.VERDICT.format("Violation"), lines[3]) and len(lines) == 4
+
+    def test_numerical_failure(self, tmp_path, capsys):
+        cfg = radial_config(a=1.0, b=8.0, samples=51)
+        cfg["problem"]["boundary"] = {"outer": "constant:100", "inner": "constant:0"}
+        assert main(["solve", "--config", _config_file(tmp_path, cfg)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("ERROR NoSolution: boundary jump 100 exceeds")
+        assert re.fullmatch(self.VERDICT.format("NumericalFailure"), lines[1]) and len(lines) == 2
 
 
 class TestReportEmission:

@@ -18,12 +18,13 @@ from levelcurv.rhs import SemilinearRHS, linear_u_rhs, zero_rhs
 from levelcurv.solution import _damped_newton
 from levelcurv import radial, ring2d
 from levelcurv.ring2d import (
+    MINIMAL,
     Circle,
     Ellipse,
     RingDomain2D,
     RingGrid,
-    solve_minimal_ring2d,
-    solve_semilinear_ring2d,
+    SemilinearEquation,
+    solve_ring2d,
 )
 
 
@@ -249,7 +250,7 @@ class TestRing2D:
         hs = []
         for ns, nt in [(17, 32), (33, 64), (65, 128)]:
             dom = RingDomain2D(Circle(math.e), Circle(1.0), n_s=ns, n_t=nt)
-            sol = solve_semilinear_ring2d(dom, np.zeros(nt), np.ones(nt), zero_rhs())
+            sol = solve_ring2d(dom, np.zeros(nt), np.ones(nt), SemilinearEquation(zero_rhs()))
             r = np.linalg.norm(sol.coords, axis=-1)
             errs.append(np.max(np.abs(sol.values - (1.0 - np.log(r)))))
             hs.append(sol.h)
@@ -261,22 +262,22 @@ class TestRing2D:
         for ns, nt in [(17, 32), (33, 64)]:
             dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt)
             outer = np.full(nt, catenoid_value(4.0, anchor=2.0))
-            sol = solve_minimal_ring2d(dom, outer, np.zeros(nt))
+            sol = solve_ring2d(dom, outer, np.zeros(nt), MINIMAL)
             r = np.linalg.norm(sol.coords, axis=-1)
             errs.append(np.max(np.abs(sol.values - (np.arccosh(r) - math.acosh(2.0)))))
         assert errs[1] < errs[0] / 3.0  # about h^2
 
     def test_constant_data_zero_iterations(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=9, n_t=16)
-        sol = solve_minimal_ring2d(dom, np.full(16, 0.7), np.full(16, 0.7))
+        sol = solve_ring2d(dom, np.full(16, 0.7), np.full(16, 0.7), MINIMAL)
         assert sol.iterations == 0
         assert sol.residual_norm == 0.0
         assert np.all(sol.values == 0.7)
         # a nonconstant start with constant data is solved, not returned as it is:
         # here the warm start from the 0/1-data solve on a coarser grid
-        coarse = solve_minimal_ring2d(dataclasses.replace(dom, n_s=5, n_t=8),
-                                      np.zeros(8), np.ones(8))
-        sol = solve_minimal_ring2d(dom, np.full(16, 0.7), np.full(16, 0.7), warm_start=coarse)
+        coarse = solve_ring2d(dataclasses.replace(dom, n_s=5, n_t=8),
+                              np.zeros(8), np.ones(8), MINIMAL)
+        sol = solve_ring2d(dom, np.full(16, 0.7), np.full(16, 0.7), MINIMAL, warm_start=coarse)
         assert sol.iterations > 0
         assert np.max(np.abs(sol.values - 0.7)) < 1e-12
 
@@ -286,9 +287,9 @@ class TestRing2D:
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64)
         outer, inner = np.full(64, 1.0), np.full(64, 1.000005)
         if equation == "minimal":
-            sol = solve_minimal_ring2d(dom, outer, inner)
+            sol = solve_ring2d(dom, outer, inner, MINIMAL)
         else:
-            sol = solve_semilinear_ring2d(dom, outer, inner, zero_rhs())
+            sol = solve_ring2d(dom, outer, inner, SemilinearEquation(zero_rhs()))
         assert sol.iterations > 0
         res, _ = ring2d._RingOperator(RingGrid(dom), sol.equation).residual(sol.values)
         assert sol.residual_norm == float(np.max(np.abs(res))) <= sol.meta["tol_used"]
@@ -303,12 +304,12 @@ class TestRing2D:
         monkeypatch.setattr(ring2d, "_linear_solve", reversed_step)
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=17, n_t=32)
         with pytest.raises(DidNotConverge, match="line search failed") as caught:
-            solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
+            solve_ring2d(dom, np.zeros(32), np.ones(32), SemilinearEquation(linear_u_rhs(1.0)))
         assert caught.value.iterations == 0
         assert math.isfinite(caught.value.residual) and caught.value.residual > 0.0
         # the minimal solve takes its Picard steps at full length before the line search
         with pytest.raises(DidNotConverge, match="line search failed") as caught:
-            solve_minimal_ring2d(dom, np.zeros(32), np.ones(32))
+            solve_ring2d(dom, np.zeros(32), np.ones(32), MINIMAL)
         assert caught.value.iterations == ring2d.MINIMAL.picard_steps
         assert math.isfinite(caught.value.residual) and caught.value.residual > 0.0
 
@@ -318,7 +319,7 @@ class TestRing2D:
         inner = np.ones(32)
         inner[5] = np.nan
         with pytest.raises(DidNotConverge, match="not finite") as caught:
-            solve_minimal_ring2d(self.NONFINITE, np.zeros(32), inner)
+            solve_ring2d(self.NONFINITE, np.zeros(32), inner, MINIMAL)
         assert caught.value.iterations == 0
         assert math.isnan(caught.value.residual)
 
@@ -328,7 +329,7 @@ class TestRing2D:
                             f_u=lambda x, u: 800.0 * np.exp(800.0 * u))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DidNotConverge, match="not finite") as caught:
-                solve_semilinear_ring2d(self.NONFINITE, np.zeros(32), np.ones(32), rhs)
+                solve_ring2d(self.NONFINITE, np.zeros(32), np.ones(32), SemilinearEquation(rhs))
         assert caught.value.iterations == 0
         assert caught.value.residual == math.inf
 
@@ -343,13 +344,13 @@ class TestRing2D:
         monkeypatch.setattr(ring2d, "_linear_solve", overflowing_step)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DidNotConverge, match="not finite") as caught:
-                solve_minimal_ring2d(self.NONFINITE, np.zeros(32), np.ones(32))
+                solve_ring2d(self.NONFINITE, np.zeros(32), np.ones(32), MINIMAL)
         assert caught.value.iterations == 1
         assert not math.isfinite(caught.value.residual)
 
     def test_ellipse_ring_bounds_and_max_principle(self):
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=33, n_t=64)
-        sol = solve_minimal_ring2d(dom, np.zeros(64), np.ones(64))
+        sol = solve_ring2d(dom, np.zeros(64), np.ones(64), MINIMAL)
         assert sol.residual_norm < 1e-10
         assert sol.values.min() >= -1e-12
         assert sol.values.max() <= 1.0 + 1e-12
@@ -358,7 +359,7 @@ class TestRing2D:
     def test_semilinear_matches_radial(self):
         lam = 0.5
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=33, n_t=64)
-        sol2d = solve_semilinear_ring2d(dom, np.zeros(64), np.ones(64), linear_u_rhs(lam))
+        sol2d = solve_ring2d(dom, np.zeros(64), np.ones(64), SemilinearEquation(linear_u_rhs(lam)))
         sol1d = solve_semilinear_radial(2, 1.0, 2.0, 1.0, 0.0, linear_u_rhs(lam), samples=2001)
         r = np.linalg.norm(sol2d.coords, axis=-1)
         interp = np.interp(r.ravel(), sol1d.r, sol1d.values)
@@ -368,7 +369,7 @@ class TestRing2D:
     def test_boundary_gradient_accuracy(self):
         dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=65, n_t=128)
         outer = np.full(128, catenoid_value(4.0, anchor=2.0))
-        sol = solve_minimal_ring2d(dom, outer, np.zeros(128))
+        sol = solve_ring2d(dom, outer, np.zeros(128), MINIMAL)
         fields = solution_fields(sol)
         g_out, g_in = fields.gnorm[fields.outer], fields.gnorm[fields.inner]
         assert np.max(np.abs(g_out - 1 / math.sqrt(15.0))) < 5e-4
@@ -376,7 +377,7 @@ class TestRing2D:
 
     def test_boundary_gradients_reuse_solver_grid(self, monkeypatch):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=17, n_t=32)
-        sol = solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
+        sol = solve_ring2d(dom, np.zeros(32), np.ones(32), SemilinearEquation(linear_u_rhs(1.0)))
         built = []
         real_init = ring2d.RingGrid.__init__
 
@@ -411,8 +412,8 @@ class TestRing2D:
 
     def test_determinism_bitwise(self):
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=17, n_t=32)
-        s1 = solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
-        s2 = solve_semilinear_ring2d(dom, np.zeros(32), np.ones(32), linear_u_rhs(1.0))
+        s1 = solve_ring2d(dom, np.zeros(32), np.ones(32), SemilinearEquation(linear_u_rhs(1.0)))
+        s2 = solve_ring2d(dom, np.zeros(32), np.ones(32), SemilinearEquation(linear_u_rhs(1.0)))
         assert np.array_equal(s1.values, s2.values)
 
 
@@ -423,7 +424,7 @@ class TestWarmStart:
     def _solve(ry, grid, warm_start=None):
         ns, nt = grid
         dom = RingDomain2D(Ellipse(4.0, ry), Circle(1.5), n_s=ns, n_t=nt)
-        return solve_minimal_ring2d(dom, np.zeros(nt), np.ones(nt), warm_start=warm_start)
+        return solve_ring2d(dom, np.zeros(nt), np.ones(nt), MINIMAL, warm_start=warm_start)
 
     @pytest.mark.parametrize("ry", [3.2, 1.8])
     @pytest.mark.parametrize("grids", [[(25, 48), (49, 96)], [(49, 96), (25, 48)],
@@ -445,9 +446,10 @@ class TestWarmStart:
         sols = []
         for ns, nt in [(17, 32), (33, 64)]:
             dom = RingDomain2D(Ellipse(2.4, 2.0), Circle(1.0), n_s=ns, n_t=nt)
-            sols.append(solve_semilinear_ring2d(dom, np.zeros(nt), np.ones(nt), linear_u_rhs(1.0),
-                                                warm_start=sols[-1] if sols else None))
-        cold = solve_semilinear_ring2d(dom, np.zeros(64), np.ones(64), linear_u_rhs(1.0))
+            sols.append(solve_ring2d(dom, np.zeros(nt), np.ones(nt),
+                                     SemilinearEquation(linear_u_rhs(1.0)),
+                                     warm_start=sols[-1] if sols else None))
+        cold = solve_ring2d(dom, np.zeros(64), np.ones(64), SemilinearEquation(linear_u_rhs(1.0)))
         assert sols[1].meta["start"] == [17, 32]
         assert np.max(np.abs(sols[1].values - cold.values)) <= cold.meta["tol_used"]
 
@@ -491,7 +493,7 @@ class TestWarmStart:
                      n_s=25, n_t=48, center=(0.1, 0.0)),
     ], ids=["outer", "inner", "center"])
     def test_warm_start_from_another_ring_is_rejected(self, other):
-        start = solve_minimal_ring2d(other, np.zeros(48), np.ones(48))
+        start = solve_ring2d(other, np.zeros(48), np.ones(48), MINIMAL)
         with pytest.raises(ValueError, match="warm start"):
             self._solve(3.2, (49, 96), warm_start=start)
 
@@ -509,8 +511,8 @@ class TestRoundingFloor:
         # inner data a fraction of the steepest jump 2 acosh 2 a minimal graph makes over
         # Circle(4)/Circle(2), outer data 0, solved cold
         dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=128, n_t=256)
-        return solve_minimal_ring2d(dom, np.zeros(256),
-                                    np.full(256, fraction * 2.0 * math.acosh(2.0)))
+        return solve_ring2d(dom, np.zeros(256),
+                            np.full(256, fraction * 2.0 * math.acosh(2.0)), MINIMAL)
 
     def test_steep_circle_ring_converges_cold(self):
         # the rounding floor at the solution lies far above that of the blend it starts from
@@ -537,7 +539,7 @@ class TestNewtonKrylov:
 
     def _ellipse(self, ry=3.2):
         dom = dataclasses.replace(self.ELLIPSE, outer=Ellipse(4.0, ry))
-        return solve_minimal_ring2d(dom, np.zeros(128), np.ones(128))
+        return solve_ring2d(dom, np.zeros(128), np.ones(128), MINIMAL)
 
     @staticmethod
     def _direct_solves(patch):
@@ -604,7 +606,7 @@ class TestNewtonKrylov:
     def test_gmres_solves_thin_eccentric_ring(self):
         # a thin, eccentric ring: its first Newton step takes more than 500 Krylov steps
         dom = RingDomain2D(Ellipse(12.0, 1.6), Circle(1.5), n_s=97, n_t=128)
-        sol = solve_semilinear_ring2d(dom, np.zeros(128), np.ones(128), zero_rhs())
+        sol = solve_ring2d(dom, np.zeros(128), np.ones(128), SemilinearEquation(zero_rhs()))
         assert max(sol.meta["krylov_iterations"]) < ring2d._GMRES_MAX_ITER
         assert sol.residual_norm <= sol.meta["tol_used"]
         assert sol.max_principle_violation() == 0.0
@@ -637,7 +639,7 @@ class TestNewtonKrylov:
         monkeypatch.setattr(ring2d, "_gmres", counted)
         dom = RingDomain2D(Ellipse(4.0, 1.6), Circle(1.5), n_s=n_s, n_t=n_t)
         with pytest.raises(DidNotConverge, match="linear step failed") as failed:
-            solve_minimal_ring2d(dom, np.zeros(n_t), np.ones(n_t))
+            solve_ring2d(dom, np.zeros(n_t), np.ones(n_t), MINIMAL)
         assert returned[:5] == [False] * 5  # the Picard steps
         assert returned.count(True) == 1 and returned[-1]
         assert failed.value.iterations == len(returned) - 1 >= 5
@@ -663,7 +665,7 @@ class TestNewtonKrylov:
                                   "_linearization_fields")
         coefficients = self._count_calls(monkeypatch, "coefficients", owner=ring2d.MinimalEquation)
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=128, n_t=256)
-        sol = solve_minimal_ring2d(dom, np.zeros(256), np.ones(256))
+        sol = solve_ring2d(dom, np.zeros(256), np.ones(256), MINIMAL)
         assert coefficients["coefficients"] == calls["residual"] == sol.iterations + 1 == 7
         assert sol.meta["phases"] == ["picard"] * 5 + ["newton"]
         assert calls["stencil_planes"] == calls["_linearization_fields"] == sol.iterations + 2 == 8
@@ -673,7 +675,7 @@ class TestNewtonKrylov:
         # F = I, so the Newton step solves with the frozen planes its start's floor read
         calls = self._count_calls(monkeypatch, "stencil_planes", "_linearization_fields")
         dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=64, n_t=128)
-        sol = solve_semilinear_ring2d(dom, np.zeros(128), np.ones(128), linear_u_rhs(1.0))
+        sol = solve_ring2d(dom, np.zeros(128), np.ones(128), SemilinearEquation(linear_u_rhs(1.0)))
         assert sol.iterations == 1
         assert calls["stencil_planes"] == calls["_linearization_fields"] == 2
 
@@ -682,7 +684,7 @@ class TestNewtonKrylov:
         # preconditioner is the exact inverse and GMRES needs one iteration
         dom = RingDomain2D(Circle(2.0, center=(1.3, -0.4)), Circle(1.0, center=(1.3, -0.4)),
                            n_s=64, n_t=128, center=(1.3, -0.4))
-        sol = solve_semilinear_ring2d(dom, np.zeros(128), np.ones(128), linear_u_rhs(1.0))
+        sol = solve_ring2d(dom, np.zeros(128), np.ones(128), SemilinearEquation(linear_u_rhs(1.0)))
         assert sol.iterations == 1
         assert sol.meta["krylov_iterations"] == [1]
 
@@ -945,9 +947,9 @@ class TestMetamorphicRelations:
                            n_s=64, n_t=cls.N_T, center=center)
         outer, inner = np.zeros(cls.N_T), np.full(cls.N_T, inner_data)
         if equation == "minimal":
-            return solve_minimal_ring2d(dom, outer, inner)
+            return solve_ring2d(dom, outer, inner, MINIMAL)
         rhs = zero_rhs() if equation == "laplace" else linear_u_rhs(1.0)
-        return solve_semilinear_ring2d(dom, outer, inner, rhs)
+        return solve_ring2d(dom, outer, inner, SemilinearEquation(rhs))
 
     @staticmethod
     def _margin(sol):
