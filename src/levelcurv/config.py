@@ -140,7 +140,8 @@ class RunConfig:
 def apply_overrides(raw, command: str, *, seed=None, output=None, grid=None, c_tol=None) -> dict:
     """Merge a subcommand and its --seed/--out/--grid/--tol values into a loaded config.
 
-    ``--grid`` sets a ring2d grid, the radial sample count, or else adds one ``grids`` entry.
+    ``--grid`` sets a ring2d grid, the radial sample count (``Nx1`` only) or, for
+    ``convergence``, adds one ``grids`` entry; anywhere else it is a ConfigError.
     """
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -160,7 +161,11 @@ def apply_overrides(raw, command: str, *, seed=None, output=None, grid=None, c_t
         if kind == "ring2d":
             geometry["grid"] = grid
         elif kind == "radial":
+            if grid[1] != 1:
+                raise ConfigError(f"--grid on a radial geometry expects Nx1, got {grid[0]}x{grid[1]}")
             geometry["samples"] = grid[0]
+        elif command != "convergence":
+            raise ConfigError(f"--grid sets nothing that {command} reads")
         elif isinstance(raw.setdefault("grids", []), list):
             raw["grids"].append(grid)
     if c_tol is not None and isinstance(raw.setdefault("tolerances", {}), dict):

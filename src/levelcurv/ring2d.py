@@ -22,7 +22,11 @@ Knoll & Keyes 2004).  Every grid of a ring shares the transfinite map, so the
 same (s, t) is the same physical point: the start is this grid's blend plus the
 warm-start solution's deviation from its own blend, interpolated
 trigonometrically in t and by 4-point Lagrange in s.  Newton then runs without
-Picard steps.
+Picard steps.  A cold solve of an equation that takes Picard steps first
+solves the ring on its quarter grid, when that grid is at least
+``NESTED_MIN_GRID``, and warm-starts from it (nested iteration, Brandt 1977);
+only if that coarse solve fails does it start from the blend and take the
+Picard steps on its own grid.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import DidNotConverge
 from .rhs import SemilinearRHS, zero_rhs
 from .solution import RingSolution, _damped_newton
 
@@ -64,6 +69,7 @@ def Circle(radius: float, center: tuple = (0.0, 0.0)) -> Ellipse:
 
 
 MIN_GRID = (4, 8)  # smallest (n_s, n_t) a ring grid may have
+NESTED_MIN_GRID = (17, 32)  # smallest quarter grid a cold solve with Picard steps solves first
 
 
 @dataclass
@@ -567,6 +573,10 @@ def solve_ring2d(
     ``outer_data`` and ``inner_data`` are the Dirichlet values at the outer and
     inner curve's angular nodes.  ``warm_start``, a solution on another grid of
     the same ring, replaces the blend and the Picard steps as the start of Newton.
+    Without one, an equation that takes Picard steps warm-starts from its own
+    solve on the quarter grid ((n_s + 3) // 4 + 1, n_t // 4) when that grid is at
+    least ``NESTED_MIN_GRID``; ``meta["coarse_failed"]`` names that grid when its
+    solve raised DidNotConverge and this one started from the blend instead.
     """
     grid = RingGrid(domain)
     ns, nt = grid.n_s, grid.n_t
@@ -575,6 +585,17 @@ def solve_ring2d(
     if outer_data.shape != (nt,) or inner_data.shape != (nt,):
         raise ValueError("boundary data must match the angular grid")
     op = _RingOperator(grid, equation)
+
+    coarse_failed = None
+    coarse_ns, coarse_nt = (ns + 3) // 4 + 1, nt // 4
+    if (warm_start is None and equation.picard_steps
+            and coarse_ns >= NESTED_MIN_GRID[0] and coarse_nt >= NESTED_MIN_GRID[1]):
+        coarse = RingDomain2D(domain.outer, domain.inner, coarse_ns, coarse_nt, domain.center)
+        coarse_outer, coarse_inner = _resample_t(np.stack([outer_data, inner_data]), coarse_nt)
+        try:
+            warm_start = solve_ring2d(coarse, coarse_outer, coarse_inner, equation, tol, max_iter)
+        except DidNotConverge:
+            coarse_failed = [coarse_ns, coarse_nt]
 
     u = _blend(outer_data, inner_data, ns)
     if warm_start is not None:
@@ -590,6 +611,8 @@ def solve_ring2d(
         f"ring2d {equation.name} solver", picard_steps, newton,
         ("krylov_iterations",))
     start = "blend" if warm_start is None else list(warm_start.values.shape)
+    if coarse_failed is not None:
+        meta["coarse_failed"] = coarse_failed
     return RingSolution(
         kind="ring2d", equation=equation, values=u, residual_norm=res_norm,
         h=grid.spacing(), iterations=len(meta["phases"]), domain=domain,

@@ -16,9 +16,14 @@ Usage: python tests/report_contract.py REPORT.json
   solution._damped_newton fails here.
 - Every solver block names, as a string, the equation and the geometry kind
   its config's problem block asked for.
+- Every ring2d block whose start is a grid (a warm or nested start) has no
+  picard phase, and one that records coarse_failed (the quarter grid whose
+  solve failed before a cold solve fell back to the blend) has start "blend".
+  The solver block's solve is cold, so a grid start there is its quarter grid,
+  no larger than its own grid in either dimension.
 - In a solvers list every solve after the first is warm-started from the grid
-  before it (its start is that [n_s, n_t]) and runs no Picard step, so a
-  silent fallback to cold solves fails here.
+  before it (its start is that [n_s, n_t], so by the rule above it runs no
+  Picard step), so a silent fallback to cold solves fails here.
 - A jet-verify report has a codazzi, uiia and phi-gradient check for every
   dimension it ran.  Every phi-gradient check ran on at least one field, and
   in 2D, where every nondegenerate jet is strictly convex once oriented, on
@@ -52,6 +57,8 @@ def check_report(report: dict):
         if s["kind"] == "ring2d":
             assert "linear_solver" not in s, s["linear_solver"]
             assert all(type(k) is int and 0 <= k <= 1000 for k in s["krylov_iterations"]), s
+            assert s["start"] == "blend" or "picard" not in s["phases"], s
+            assert "coarse_failed" not in s or s["start"] == "blend", s
         assert "tol_used" not in s or s["tol"] <= s["tol_used"] and s["residual_norm"] <= s["tol_used"], s
         if "phases" in s:
             n = s["iterations"]
@@ -60,8 +67,11 @@ def check_report(report: dict):
             assert n == 0 or s["residual_norms"][-1] == s["residual_norm"], s
         assert type(s["equation"]) is str and s["equation"] == problem["equation"], (s, problem)
         assert s["kind"] == problem["geometry"]["kind"], (s["kind"], problem)
+    solver = report.get("solver", {})
+    if solver.get("kind") == "ring2d" and solver["start"] != "blend":
+        assert all(c <= n for c, n in zip(solver["start"], solver["grid"], strict=True)), solver
     for before, s in zip(solvers, solvers[1:]):
-        assert s["start"] == before["grid"] and "picard" not in s["phases"], (s["start"], s["phases"])
+        assert s["start"] == before["grid"], (s["start"], before["grid"])
 
     checks = {c["name"]: c for c in report["checks"]}
     for name, c in checks.items():

@@ -28,6 +28,7 @@ from levelcurv.identities import (
 )
 from levelcurv.polyfield import random_test_jets
 from levelcurv.report import _csv_blocks, emit_report, render_json
+from report_contract import check_report
 
 
 def minimal_ring_config(**overrides):
@@ -933,6 +934,26 @@ class TestOverrides:
         assert report["config"]["grids"] == [[17, 32], [33, 64], [65, 128]]
         assert len(report["convergence"]["rows"]) == 3
 
+    def test_radial_grid_flag_with_angular_nodes_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "X"
+        assert main(["solve", "--config", _config_file(tmp_path, radial_config(samples=401)),
+                     "--grid", "51x999", "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --grid on a radial geometry expects Nx1, got 51x999\n")
+        assert not (tmp_path / "X.json").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "lemma32", "options": {"instances": 5}},
+        {"command": "jet-verify", "options": {"fields": 5, "dims": [2]}},
+    ], ids=["lemma32", "jet-verify"])
+    def test_grid_flag_on_a_command_without_grids_exit_two(self, tmp_path, capsys, cfg):
+        out = tmp_path / "X"
+        assert main([cfg["command"], "--config", _config_file(tmp_path, cfg), "--grid", "65x128",
+                     "--out", str(out), "--quiet"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --grid sets nothing that {cfg['command']} reads\n")
+        assert not (tmp_path / "X.json").exists()
+
     def test_malformed_grid_flag_exit_two(self, tmp_path, capsys):
         path = _config_file(tmp_path, minimal_ring_config())
         assert main(["check-theorem", "--config", path, "--grid", "12", "--quiet"]) == 2
@@ -1105,3 +1126,38 @@ class TestReportEmission:
         report, solutions = run(parse_config({"command": "lemma32"}))
         paths = emit_report(report, str(tmp_path / "lem"), solutions=solutions)
         assert not any(p.endswith(".csv") for p in paths)
+
+
+class TestReportContract:
+    """tests/report_contract.py, which CI runs on every shipped config's report."""
+
+    @staticmethod
+    def _nested_report():
+        # a cold minimal solve on 64x128 starts from its 17x32 quarter grid
+        cfg = minimal_ring_config(command="solve", checks=[], spec=None)
+        cfg["problem"]["geometry"]["grid"] = [64, 128]
+        report, _ = run(parse_config(cfg))
+        return json.loads(render_json(report))
+
+    def test_nested_start_holds_the_contract(self):
+        report = self._nested_report()
+        assert report["solver"]["start"] == [17, 32] and "picard" not in report["solver"]["phases"]
+        check_report(report)
+
+    @pytest.mark.parametrize("breach", [
+        {"phases": ["picard", "newton"]},
+        {"start": [65, 32]},
+        {"start": [17, 129]},
+        {"coarse_failed": [17, 32]},
+    ], ids=["picard-after-grid-start", "start-finer-in-s", "start-finer-in-t",
+            "coarse-failed-with-grid-start"])
+    def test_nested_start_breaches_fail(self, breach):
+        report = self._nested_report()
+        report["solver"].update(breach)
+        with pytest.raises(AssertionError):
+            check_report(report)
+
+    def test_fallback_keeps_the_blend(self):
+        report = self._nested_report()
+        report["solver"].update(start="blend", coarse_failed=[17, 32])
+        check_report(report)

@@ -427,17 +427,24 @@ class TestWarmStart:
         return solve_ring2d(dom, np.zeros(nt), np.ones(nt), MINIMAL, warm_start=warm_start)
 
     @pytest.mark.parametrize("ry", [3.2, 1.8])
-    @pytest.mark.parametrize("grids", [[(25, 48), (49, 96)], [(49, 96), (25, 48)],
-                                       [(30, 50), (77, 130)]],
+    @pytest.mark.parametrize("grids", [[(25, 48), (49, 96), "blend"],
+                                       [(49, 96), (25, 48), "blend"],
+                                       [(30, 50), (77, 130), [21, 32]]],
                              ids=["ascending", "descending", "non-nested"])
     def test_warm_solve_matches_cold_solve(self, ry, grids):
+        # the third entry is the cold solve's start: a 77x130 solve starts from its quarter grid
         coarse = self._solve(ry, grids[0])
         warm, cold = self._solve(ry, grids[1], warm_start=coarse), self._solve(ry, grids[1])
-        assert coarse.meta["start"] == cold.meta["start"] == "blend"
-        assert cold.meta["phases"][:5] == ["picard"] * 5
+        assert coarse.meta["start"] == "blend" and cold.meta["start"] == grids[2]
         assert warm.meta["start"] == list(grids[0])
         assert warm.iterations > 0 and set(warm.meta["phases"]) == {"newton"}
-        assert warm.iterations < cold.iterations
+        if grids[2] == "blend":
+            assert cold.meta["phases"][:5] == ["picard"] * 5
+            assert warm.iterations < cold.iterations
+        else:
+            # two Newton-only solves, one grid away from their starts
+            assert set(cold.meta["phases"]) == {"newton"}
+            assert warm.iterations == cold.iterations
         assert warm.residual_norm <= warm.meta["tol_used"]
         assert np.max(np.abs(warm.values - cold.values)) <= min(warm.meta["tol_used"],
                                                                 cold.meta["tol_used"])
@@ -503,6 +510,74 @@ class TestWarmStart:
             self._solve(3.2, (25, 48), warm_start=start)
 
 
+class TestNestedStart:
+    """A cold minimal solve starts Newton from its own solve on the quarter grid."""
+
+    @staticmethod
+    def _coarse_solves(monkeypatch):
+        """The list each coarse solve of a nested start is appended to as it ends:
+        (grid, solution), or (grid, the DidNotConverge it raised).  A solve calls its
+        coarse solve through ``ring2d.solve_ring2d``, which this wraps."""
+        solves = []
+        real = ring2d.solve_ring2d
+
+        def recorded(domain, *args, **kwargs):
+            try:
+                sol = real(domain, *args, **kwargs)
+            except DidNotConverge as failure:
+                solves.append(((domain.n_s, domain.n_t), failure))
+                raise
+            solves.append(((domain.n_s, domain.n_t), sol))
+            return sol
+
+        monkeypatch.setattr(ring2d, "solve_ring2d", recorded)
+        return solves
+
+    @pytest.mark.parametrize("ry", [3.2, 1.8])
+    def test_nested_solve_matches_cold_solve(self, monkeypatch, ry):
+        nested = TestWarmStart._solve(ry, (128, 256))
+        with monkeypatch.context() as patch:
+            # no quarter grid of a 128x256 solve reaches its own size
+            patch.setattr(ring2d, "NESTED_MIN_GRID", (128, 256))
+            cold = TestWarmStart._solve(ry, (128, 256))
+        assert nested.meta["start"] == [33, 64] and "coarse_failed" not in nested.meta
+        assert set(nested.meta["phases"]) == {"newton"}
+        assert cold.meta["start"] == "blend" and cold.meta["phases"][:5] == ["picard"] * 5
+        assert nested.iterations < cold.iterations
+        assert np.max(np.abs(nested.values - cold.values)) <= min(nested.meta["tol_used"],
+                                                                  cold.meta["tol_used"])
+
+    def test_quarter_grids_nest_down_to_the_blend(self, monkeypatch):
+        coarse = self._coarse_solves(monkeypatch)
+        sol = TestWarmStart._solve(3.2, (256, 512))
+        assert [grid for grid, _ in coarse] == [(18, 32), (65, 128)]
+        assert [s.meta["start"] for _, s in coarse] == ["blend", [18, 32]]
+        assert coarse[0][1].meta["phases"][:5] == ["picard"] * 5
+        assert sol.meta["start"] == [65, 128]
+        assert set(coarse[1][1].meta["phases"]) == set(sol.meta["phases"]) == {"newton"}
+
+    @pytest.mark.parametrize("grid, start", [((25, 48), "blend"), ((60, 128), "blend"),
+                                             ((64, 124), "blend"), ((61, 128), [17, 32]),
+                                             ((64, 128), [17, 32])])
+    def test_minimal_start_follows_the_quarter_grid(self, monkeypatch, grid, start):
+        # the quarter grid ((n_s + 3) // 4 + 1, n_t // 4) must be at least (17, 32)
+        coarse = self._coarse_solves(monkeypatch)
+        sol = TestWarmStart._solve(3.2, grid)
+        assert sol.meta["start"] == start and "coarse_failed" not in sol.meta
+        if start == "blend":
+            assert coarse == [] and sol.meta["phases"][:5] == ["picard"] * 5
+        else:
+            assert [g for g, _ in coarse] == [tuple(start)]
+            assert set(sol.meta["phases"]) == {"newton"}
+
+    def test_semilinear_solve_starts_from_the_blend(self, monkeypatch):
+        coarse = self._coarse_solves(monkeypatch)
+        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=128, n_t=256)
+        sol = solve_ring2d(dom, np.zeros(256), np.ones(256), SemilinearEquation(linear_u_rhs(1.0)))
+        assert coarse == [] and sol.meta["start"] == "blend" and "coarse_failed" not in sol.meta
+        assert sol.residual_norm <= sol.meta["tol_used"]
+
+
 class TestRoundingFloor:
     """tol_used: the rounding floor 32 eps (1 + max|u|) row_l1 of the iterate a solve stops at."""
 
@@ -520,7 +595,11 @@ class TestRoundingFloor:
         assert sol.residual_norm <= sol.meta["tol_used"]
 
     def test_steeper_circle_ring_keeps_its_iterations(self):
-        assert self._steep(0.98).iterations == 19
+        # its 33x64 quarter grid fails to converge, so the solve falls back to the blend
+        sol = self._steep(0.98)
+        assert sol.meta["start"] == "blend" and sol.meta["coarse_failed"] == [33, 64]
+        assert sol.meta["phases"][:5] == ["picard"] * 5
+        assert sol.iterations == 19
 
     @pytest.mark.parametrize("grids", [[(25, 48), (49, 96)], [(49, 96), (25, 48)]],
                              ids=["coarse", "fine"])
@@ -592,16 +671,27 @@ class TestNewtonKrylov:
         assert failed.value.residual > 0.0
 
     def test_stalled_solve_builds_one_set_of_planes(self, monkeypatch):
-        # a converged solve builds one set per accepted iterate and one for its Newton
-        # step; a stalled first step fails on the planes its start's floor read
+        # a converged solve builds one set per accepted iterate and one per Newton
+        # step, here on its 17x32 quarter grid and then on its own; a stalled first
+        # step fails on the planes its start's floor read, on the quarter grid and
+        # again on the fallback from the blend
         calls = self._count_calls(monkeypatch, "stencil_planes")
+        coarse = TestNestedStart._coarse_solves(monkeypatch)
         krylov = self._ellipse()
-        assert calls["stencil_planes"] == krylov.iterations + 2 == 8
+        [(grid, first)] = coarse
+        assert grid == (17, 32) and krylov.meta["start"] == [17, 32]
+        assert first.meta["phases"] == ["picard"] * 5 + ["newton"]
+        assert krylov.meta["phases"] == ["newton"] * 2
+        assert calls["stencil_planes"] == first.iterations + 2 + 2 * krylov.iterations + 1 == 13
         calls["stencil_planes"] = 0
+        coarse.clear()
         monkeypatch.setattr(ring2d, "_GMRES_MAX_ITER", 1)
         with pytest.raises(DidNotConverge, match="linear step failed"):
             self._ellipse()
-        assert calls["stencil_planes"] == 1
+        [(grid, failure)] = coarse
+        assert grid == (17, 32) and isinstance(failure, DidNotConverge)
+        assert failure.iterations == 0
+        assert calls["stencil_planes"] == 2
 
     def test_gmres_solves_thin_eccentric_ring(self):
         # a thin, eccentric ring: its first Newton step takes more than 500 Krylov steps
@@ -627,19 +717,30 @@ class TestNewtonKrylov:
         # residual, a Newton step's GMRES runs to its cap and the solve ends there. At
         # 128x256 the first Newton step sits near the cap (849 Krylov steps under
         # multithreaded BLAS, 1000 single-threaded), so which Newton step fails depends
-        # on rounding; that one capped run ends the solve does not.
-        returned = []
+        # on rounding; that one capped run ends the solve does not. Before all that the
+        # solve on the quarter grid fails, and the solve falls back to the blend.
+        returned = []  # (unknowns, failed) of each GMRES run
         real = ring2d._gmres
 
         def counted(*args):
             out = real(*args)
-            returned.append(out[0] is None)
+            returned.append((args[2].size, out[0] is None))
             return out
 
         monkeypatch.setattr(ring2d, "_gmres", counted)
+        coarse = TestNestedStart._coarse_solves(monkeypatch)
         dom = RingDomain2D(Ellipse(4.0, 1.6), Circle(1.5), n_s=n_s, n_t=n_t)
         with pytest.raises(DidNotConverge, match="linear step failed") as failed:
             solve_ring2d(dom, np.zeros(n_t), np.ones(n_t), MINIMAL)
+        # the quarter grid's solve runs one GMRES per accepted step and one for the
+        # step whose line search fails, and none of them fails
+        quarter = ((n_s + 3) // 4 + 1, n_t // 4)
+        [(grid, failure)] = coarse
+        assert grid == quarter and "line search failed" in str(failure)
+        runs = failure.iterations + 1
+        assert returned[:runs] == [((quarter[0] - 2) * quarter[1], False)] * runs
+        assert {size for size, _ in returned[runs:]} == {(n_s - 2) * n_t}
+        returned = [failed for _, failed in returned[runs:]]
         assert returned[:5] == [False] * 5  # the Picard steps
         assert returned.count(True) == 1 and returned[-1]
         assert failed.value.iterations == len(returned) - 1 >= 5
@@ -660,15 +761,23 @@ class TestNewtonKrylov:
 
     def test_one_coefficient_pass_per_evaluation(self, monkeypatch):
         # the rounding floor and the step read the frozen planes of the last evaluation:
-        # one set per accepted iterate, never on a trial, and one more for the Newton step
+        # one set per accepted iterate, never on a trial, and one more per Newton
+        # step, on the 33x64 quarter grid the solve starts from and on its own
         calls = self._count_calls(monkeypatch, "residual", "stencil_planes",
                                   "_linearization_fields")
         coefficients = self._count_calls(monkeypatch, "coefficients", owner=ring2d.MinimalEquation)
+        coarse = TestNestedStart._coarse_solves(monkeypatch)
         dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=128, n_t=256)
         sol = solve_ring2d(dom, np.zeros(256), np.ones(256), MINIMAL)
-        assert coefficients["coefficients"] == calls["residual"] == sol.iterations + 1 == 7
-        assert sol.meta["phases"] == ["picard"] * 5 + ["newton"]
-        assert calls["stencil_planes"] == calls["_linearization_fields"] == sol.iterations + 2 == 8
+        [(grid, first)] = coarse
+        assert grid == (33, 64) and sol.meta["start"] == [33, 64]
+        assert (coefficients["coefficients"] == calls["residual"]
+                == first.iterations + 1 + sol.iterations + 1 == 10)
+        assert first.meta["phases"] == ["picard"] * 5 + ["newton"]
+        assert sol.meta["phases"] == ["newton"] * 2
+        assert (calls["stencil_planes"] == calls["_linearization_fields"]
+                == first.iterations + 2 + 2 * sol.iterations + 1 == 13)
+        assert first.meta["step_lengths"] == [1.0] * first.iterations
         assert sol.meta["step_lengths"] == [1.0] * sol.iterations
 
     def test_semilinear_step_solves_with_the_floor_planes(self, monkeypatch):
