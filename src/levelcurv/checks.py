@@ -17,22 +17,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import HypothesisViolated, TooCloseToBoundary, TooCoarse
 from .geometry import GRAD_FLOOR, TestFunctionSpec, level_curve_curvature_2d
-from .rhs import admissibility_check, zero_rhs
+from .rhs import admissibility_check
 from .ring2d import (
     MINIMAL,
-    Circle,
     Ellipse,
+    MinimalEquation,
     RingDomain2D,
     RingGrid,
     SemilinearEquation,
-    solve_ring2d,
+    solve_family,
 )
-from .fields import catenoid_value
 from .solution import RingSolution
 
 INTERIOR_MARGIN_LAYERS = 2
@@ -427,55 +427,55 @@ def check_harmonic_psi_2d(solutions) -> dict:
 # convergence studies
 # ---------------------------------------------------------------------------
 
-CONVERGENCE_PROBLEMS = ("laplace-annulus", "minimal-circles-catenoid", "sphere-curvature",
-                        "constant")
-
-
-def convergence_study(problem: str, grids: list) -> list[dict]:
-    """Solve a closed-form-oracle problem over a grid family; tabulate (h, error, order).
-
-    ``problem`` is one of CONVERGENCE_PROBLEMS.  Each solve continues Newton
-    from the previous grid's solution.
+@dataclass(frozen=True)
+class Oracle:
+    """A ring problem with a closed-form solution: curves, constant (outer, inner) ``data``,
+    ``equation``, and at (..., 2) points the exact u and level-curve curvature k.  With no
+    equation (and no data) grids sample exact u.  Rows measure k where exact_k is given,
+    else u.  Studies pass at order >= ``min_order``, or at zero error where that is None.
     """
-    if problem not in CONVERGENCE_PROBLEMS:
-        raise ValueError(f"unknown convergence problem {problem!r}")
+
+    outer: Ellipse
+    inner: Ellipse
+    data: tuple[float, float] | None
+    equation: MinimalEquation | SemilinearEquation | None
+    exact_u: Callable[[np.ndarray], np.ndarray]
+    exact_k: Callable[[np.ndarray], np.ndarray] | None = None
+    min_order: float | None = 1.8
+
+
+def convergence_study(oracle: Oracle, grids: list) -> list[dict]:
+    """Refine ``oracle`` over the grids (by ``solve_family``); tabulate (h, error, order).
+
+    What measures no order raises HypothesisViolated: a non-finite error, a zero
+    one where min_order is set, or two neighbouring grids of equal spacing.
+    """
+    domains = [RingDomain2D(oracle.outer, oracle.inner, n_s=ns, n_t=nt) for ns, nt in grids]
+    if oracle.equation is None:
+        family = [RingSolution("ring2d", None, oracle.exact_u(g.x), 0.0, g.spacing(),
+                               domain=g.domain, coords=g.x, grid=g) for g in map(RingGrid, domains)]
+    else:
+        outer, inner = oracle.data
+        family = solve_family([(d, np.full(d.n_t, outer), np.full(d.n_t, inner)) for d in domains],
+                              oracle.equation)
     rows = []
-    sol = None
-    for g in grids:
-        ns, nt = g
-        if problem == "laplace-annulus":
-            dom = RingDomain2D(Circle(math.e), Circle(1.0), n_s=ns, n_t=nt)
-            sol = solve_ring2d(dom, np.zeros(nt), np.ones(nt), SemilinearEquation(zero_rhs()),
-                               warm_start=sol)
-            r = np.linalg.norm(sol.coords, axis=-1)
-            err = float(np.max(np.abs(sol.values - (1.0 - np.log(r)))))
-        elif problem == "minimal-circles-catenoid":
-            dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt)
-            outer = np.full(nt, catenoid_value(4.0, anchor=2.0))
-            sol = solve_ring2d(dom, outer, np.zeros(nt), MINIMAL, warm_start=sol)
-            r = np.linalg.norm(sol.coords, axis=-1)
-            exact = np.arccosh(r) - math.acosh(2.0)
-            err = float(np.max(np.abs(sol.values - exact)))
-        elif problem == "sphere-curvature":
-            # off concentric circles: there -r is linear in s and the stencils are exact
-            dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(2.0), n_s=ns, n_t=nt)
-            grid = RingGrid(dom)
-            r = np.linalg.norm(grid.x, axis=-1)
-            sol = RingSolution(kind="ring2d", equation=MINIMAL, values=-r,
-                               residual_norm=0.0, h=grid.spacing(), domain=dom,
-                               coords=grid.x, grid=grid)
+    for (ns, nt), sol in zip(grids, family):
+        if oracle.exact_k is None:
+            diff = sol.values - oracle.exact_u(sol.coords)
+        else:
             fields = solution_fields(sol)
-            interior = fields.interior
-            err = float(np.max(np.abs(fields.k[interior] - 1.0 / r.reshape(-1)[interior])))
-        else:  # "constant"
-            dom = RingDomain2D(Circle(2.0), Circle(1.0), n_s=ns, n_t=nt)
-            sol = solve_ring2d(dom, np.full(nt, 0.7), np.full(nt, 0.7), MINIMAL,
-                               warm_start=sol)
-            err = float(np.max(np.abs(sol.values - 0.7)))
+            diff = (fields.k - oracle.exact_k(sol.coords).reshape(-1))[fields.interior]
+        err = float(np.max(np.abs(diff)))
+        if not math.isfinite(err) or err == 0.0 and oracle.min_order is not None:
+            raise HypothesisViolated(f"convergence error {err} on grid {ns}x{nt} measures no order")
         rows.append({"h": sol.h, "error": err, "order": None})
     for i in range(1, len(rows)):
         e0, e1 = rows[i - 1]["error"], rows[i]["error"]
         h0, h1 = rows[i - 1]["h"], rows[i]["h"]
-        if e1 > 0 and e0 > 0 and h0 != h1:
+        if h0 == h1:
+            pair = " and ".join("x".join(map(str, g)) for g in grids[i - 1:i + 1])
+            raise HypothesisViolated(f"convergence grids {pair} have the same spacing "
+                                     f"h = {h0:.6g}, so no order can be measured")
+        if e1 > 0 and e0 > 0:
             rows[i]["order"] = math.log(e0 / e1) / math.log(h0 / h1)
     return rows

@@ -26,7 +26,7 @@ from .checks import (
     report_entry,
     solution_fields,
 )
-from .config import COMMANDS, RunConfig, apply_overrides, parse_config
+from .config import COMMANDS, CONVERGENCE_PROBLEMS, RunConfig, apply_overrides, parse_config
 from .errors import ConfigError, DidNotConverge, LevelCurvError
 from .fields import RadialMinimalField, ScherkField
 from .geometry import TestFunctionSpec
@@ -41,7 +41,7 @@ from .identities import (
 from .polyfield import random_test_jets
 from .radial import solve_minimal_radial, solve_semilinear_radial
 from .report import emit_report
-from .ring2d import MINIMAL, solve_ring2d
+from .ring2d import MINIMAL, solve_family, solve_ring2d
 
 # identity-suite thresholds (absolute residuals)
 CODAZZI_TOL = 1e-9
@@ -58,11 +58,8 @@ JET_VERIFY_CHUNK = 1024
 # problem solving
 # ---------------------------------------------------------------------------
 
-def solve_problem(cfg: RunConfig, grid=None, warm_start=None):
-    """Solve the decoded problem on ``grid`` (a ring2d grid of the run) or its own grid.
-
-    A ring2d solve continues from ``warm_start``, a solution on another grid of the run.
-    """
+def solve_problem(cfg: RunConfig):
+    """Solve the decoded problem on its own grid."""
     problem = cfg.problem
     geom = problem.geometry
     solver_tol = cfg.tolerances.get("solver_tol", 1e-10)
@@ -74,9 +71,8 @@ def solve_problem(cfg: RunConfig, grid=None, warm_start=None):
         return solve_semilinear_radial(geom.n, geom.a, geom.b, u_a, u_b, problem.equation.rhs,
                                        samples=geom.samples, tol=solver_tol)
 
-    domain, outer, inner = problem.rings[grid or (geom.n_s, geom.n_t)]
-    return solve_ring2d(domain, outer, inner, problem.equation, tol=solver_tol,
-                        warm_start=warm_start)
+    domain, outer, inner = problem.rings[geom.n_s, geom.n_t]
+    return solve_ring2d(domain, outer, inner, problem.equation, tol=solver_tol)
 
 
 def _solver_meta(sol) -> dict:
@@ -125,30 +121,26 @@ def _run_check_theorem(cfg: RunConfig):
     c_tol = cfg.tolerances.get("c_tol")
     tol_abs = cfg.tolerances.get("tol_abs")
     checks = []
-    solutions = {}
     sol = None
     meta = {}
     for name in cfg.checks:
         if name == "harmonic-psi":
-            # each grid continues Newton from the previous grid's solution
-            family = []
-            for g in cfg.grids:
-                family.append(solve_problem(cfg, grid=g, warm_start=family[-1] if family else None))
+            family = solve_family([cfg.problem.rings[g] for g in cfg.grids], cfg.problem.equation,
+                                  cfg.tolerances.get("solver_tol", 1e-10))
             checks.append(check_harmonic_psi_2d(family))
             meta["solvers"] = [_solver_meta(s) for s in family]
             continue
         if sol is None:
             sol = solve_problem(cfg)
-            solutions["solution"] = sol
         if name == "gradient-monotonicity":
             checks.append(check_gradient_monotonicity(sol, c_tol=c_tol))
         elif tol_abs is not None:
             checks.append(check_extremum_on_boundary(sol, cfg.spec, which=name, tol_abs=tol_abs))
         else:
             checks.append(check_extremum_on_boundary(sol, cfg.spec, which=name, c_tol=c_tol))
-    if sol is not None:
-        meta["solver"] = _solver_meta(sol)
-    return checks, meta, solutions
+    if sol is None:  # harmonic-psi alone
+        return checks, meta, {}
+    return checks, {**meta, "solver": _solver_meta(sol)}, {"solution": sol}
 
 
 def _run_check_corollary(cfg: RunConfig):
@@ -230,8 +222,14 @@ def _run_lemma32(cfg: RunConfig):
 
 def _run_convergence(cfg: RunConfig):
     problem = cfg.options["problem"]
-    rows = convergence_study(problem, cfg.grids)
-    return [], {"convergence": {"problem": problem, "rows": rows}}, {}
+    oracle = CONVERGENCE_PROBLEMS[problem]
+    rows = convergence_study(oracle, cfg.grids)
+    # an exact oracle (no min_order) fails any nonzero error; 0.0 - keeps a zero margin +0.0
+    margin = (0.0 - max(r["error"] for r in rows) if oracle.min_order is None
+              else min(r["order"] for r in rows[1:]) - oracle.min_order)
+    entry = report_entry(f"convergence:{problem}", margin, 0.0, margin >= 0.0,
+                         min_order=oracle.min_order)
+    return [entry], {"convergence": {"problem": problem, "rows": rows}}, {}
 
 
 _PIPELINES = {

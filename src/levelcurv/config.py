@@ -15,14 +15,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .checks import CONVERGENCE_PROBLEMS
+from .checks import Oracle
 from .errors import ConfigError
 from .fields import catenoid_value
 from .geometry import TestFunctionSpec
 from .polyfield import RANDOM_JET_DIMS
 from .radial import profile_integral
 from .rhs import SemilinearRHS, inverse_square_rhs, linear_u_rhs, zero_rhs
-from .ring2d import MIN_GRID, MINIMAL, Ellipse, MinimalEquation, RingDomain2D, SemilinearEquation
+from .ring2d import (MIN_GRID, MINIMAL, Circle, Ellipse, MinimalEquation, RingDomain2D,
+                     SemilinearEquation)
 
 COMMANDS = (
     "solve",
@@ -56,6 +57,23 @@ CURVES = {"circle": ("radius",), "ellipse": ("rx", "ry")}
 EQUATIONS = {"minimal": lambda rhs: MINIMAL, "semilinear": SemilinearEquation}
 RIGHT_HAND_SIDES = {"zero": (lambda scale: zero_rhs(), None), "linear-u": (linear_u_rhs, 1.0),
                     "inverse-square": (inverse_square_rhs, 2.0)}
+
+
+# convergence problem -> its oracle.  "sphere-curvature" samples u = -r off concentric
+# circles (there -r is linear in s and the stencils are exact) and measures K = 1/r
+CONVERGENCE_PROBLEMS = {
+    "laplace-annulus": Oracle(
+        Circle(math.e), Circle(1.0), (0.0, 1.0), SemilinearEquation(zero_rhs()),
+        lambda x: 1.0 - np.log(np.linalg.norm(x, axis=-1))),
+    "minimal-circles-catenoid": Oracle(
+        Circle(4.0), Circle(2.0), (catenoid_value(4.0, anchor=2.0), 0.0), MINIMAL,
+        lambda x: np.arccosh(np.linalg.norm(x, axis=-1)) - math.acosh(2.0)),
+    "sphere-curvature": Oracle(Ellipse(4.0, 3.2), Circle(2.0), None, None,
+                               lambda x: -np.linalg.norm(x, axis=-1),
+                               exact_k=lambda x: 1.0 / np.linalg.norm(x, axis=-1)),
+    "constant": Oracle(Circle(2.0), Circle(1.0), (0.7, 0.7), MINIMAL,
+                       lambda x: np.full(x.shape[:-1], 0.7), min_order=None),
+}
 
 
 def _require_keys(node: dict, allowed: set, path: str):
@@ -242,10 +260,10 @@ def _check_command_requirements(cfg: RunConfig):
             if cfg.problem.u_ab is not None:
                 raise ConfigError("harmonic-psi needs a ring2d geometry")
     if cfg.command == "convergence":
-        if not cfg.grids:
-            raise ConfigError("convergence requires a grids list")
         if any(n_s < MIN_GRID[0] or n_t < MIN_GRID[1] for n_s, n_t in cfg.grids):
             raise ConfigError(f"grids: need n_s >= {MIN_GRID[0]}, n_t >= {MIN_GRID[1]}")
+        if len(cfg.grids) < 2:
+            raise ConfigError("convergence needs a grids list with >= 2 grids")
 
 
 def _tolerances(node, command: str, checks: list) -> dict:
@@ -287,7 +305,7 @@ def _options(node, command: str) -> dict:
             _integer(d, "options.dims") in RANDOM_JET_DIMS for d in dims):
         raise ConfigError(f"options.dims: expected a list drawn from {RANDOM_JET_DIMS}")
     if opts["problem"] not in CONVERGENCE_PROBLEMS:
-        raise ConfigError(f"options.problem must be one of {CONVERGENCE_PROBLEMS}")
+        raise ConfigError(f"options.problem must be one of {tuple(CONVERGENCE_PROBLEMS)}")
     return opts
 
 

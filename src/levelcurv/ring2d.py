@@ -26,7 +26,7 @@ Picard steps.  A cold solve of an equation that takes Picard steps first
 solves the ring on its quarter grid, when that grid is at least
 ``NESTED_MIN_GRID``, and warm-starts from it (nested iteration, Brandt 1977);
 only if that coarse solve fails does it start from the blend and take the
-Picard steps on its own grid.
+Picard steps on its own grid.  ``solve_family`` warm-starts each ring from the last.
 """
 
 from __future__ import annotations
@@ -575,8 +575,9 @@ def solve_ring2d(
     the same ring, replaces the blend and the Picard steps as the start of Newton.
     Without one, an equation that takes Picard steps warm-starts from its own
     solve on the quarter grid ((n_s + 3) // 4 + 1, n_t // 4) when that grid is at
-    least ``NESTED_MIN_GRID``; ``meta["coarse_failed"]`` names that grid when its
-    solve raised DidNotConverge and this one started from the blend instead.
+    least ``NESTED_MIN_GRID``.  ``meta["coarse_iterations"]`` counts that solve's steps,
+    nesting below it included; if it raised DidNotConverge, they are its ``iterations``,
+    ``meta["coarse_failed"]`` names the grid, and this solve starts from the blend.
     """
     grid = RingGrid(domain)
     ns, nt = grid.n_s, grid.n_t
@@ -586,16 +587,19 @@ def solve_ring2d(
         raise ValueError("boundary data must match the angular grid")
     op = _RingOperator(grid, equation)
 
-    coarse_failed = None
+    coarse = {}  # the meta of a tried quarter grid
     coarse_ns, coarse_nt = (ns + 3) // 4 + 1, nt // 4
     if (warm_start is None and equation.picard_steps
             and coarse_ns >= NESTED_MIN_GRID[0] and coarse_nt >= NESTED_MIN_GRID[1]):
-        coarse = RingDomain2D(domain.outer, domain.inner, coarse_ns, coarse_nt, domain.center)
+        quarter = RingDomain2D(domain.outer, domain.inner, coarse_ns, coarse_nt, domain.center)
         coarse_outer, coarse_inner = _resample_t(np.stack([outer_data, inner_data]), coarse_nt)
         try:
-            warm_start = solve_ring2d(coarse, coarse_outer, coarse_inner, equation, tol, max_iter)
-        except DidNotConverge:
-            coarse_failed = [coarse_ns, coarse_nt]
+            warm_start = solve_ring2d(quarter, coarse_outer, coarse_inner, equation, tol, max_iter)
+            coarse["coarse_iterations"] = (warm_start.iterations
+                                           + warm_start.meta.get("coarse_iterations", 0))
+        except DidNotConverge as failure:
+            coarse = {"coarse_iterations": failure.iterations,
+                      "coarse_failed": [coarse_ns, coarse_nt]}
 
     u = _blend(outer_data, inner_data, ns)
     if warm_start is not None:
@@ -611,10 +615,18 @@ def solve_ring2d(
         f"ring2d {equation.name} solver", picard_steps, newton,
         ("krylov_iterations",))
     start = "blend" if warm_start is None else list(warm_start.values.shape)
-    if coarse_failed is not None:
-        meta["coarse_failed"] = coarse_failed
     return RingSolution(
         kind="ring2d", equation=equation, values=u, residual_norm=res_norm,
         h=grid.spacing(), iterations=len(meta["phases"]), domain=domain,
-        coords=grid.x, grid=grid, meta={"grid": (ns, nt), "start": start, **meta},
+        coords=grid.x, grid=grid, meta={"grid": (ns, nt), "start": start, **meta, **coarse},
     )
+
+
+def solve_family(rings, equation, tol: float = 1e-10) -> list[RingSolution]:
+    """Solve ``equation`` on each (domain, outer_data, inner_data) of ``rings`` in turn,
+    each solve after the first warm-started from the one before it (same curves)."""
+    family = []
+    for domain, outer_data, inner_data in rings:
+        family.append(solve_ring2d(domain, outer_data, inner_data, equation, tol,
+                                   warm_start=family[-1] if family else None))
+    return family

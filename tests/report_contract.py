@@ -19,11 +19,18 @@ Usage: python tests/report_contract.py REPORT.json
 - Every ring2d block whose start is a grid (a warm or nested start) has no
   picard phase, and one that records coarse_failed (the quarter grid whose
   solve failed before a cold solve fell back to the blend) has start "blend".
-  The solver block's solve is cold, so a grid start there is its quarter grid,
-  no larger than its own grid in either dimension.
+- The solver block and the first of a solvers list are cold solves, so a grid
+  start or a coarse_failed there is their quarter grid
+  [(n_s + 3) // 4 + 1, n_t // 4].  A cold ring2d block records
+  coarse_iterations, a nonnegative int, exactly when it tried that grid (its
+  start is that grid, or it records coarse_failed).
 - In a solvers list every solve after the first is warm-started from the grid
   before it (its start is that [n_s, n_t], so by the rule above it runs no
-  Picard step), so a silent fallback to cold solves fails here.
+  Picard step, and it tries no quarter grid), so a silent fallback to cold
+  solves fails here.
+- A convergence report has exactly one convergence:<problem> check, and its
+  margin is the one its rows give: the least order minus its min_order, or
+  minus the largest error where min_order is null.
 - A jet-verify report has a codazzi, uiia and phi-gradient check for every
   dimension it ran.  Every phi-gradient check ran on at least one field, and
   in 2D, where every nondegenerate jet is strictly convex once oriented, on
@@ -67,11 +74,32 @@ def check_report(report: dict):
             assert n == 0 or s["residual_norms"][-1] == s["residual_norm"], s
         assert type(s["equation"]) is str and s["equation"] == problem["equation"], (s, problem)
         assert s["kind"] == problem["geometry"]["kind"], (s["kind"], problem)
-    solver = report.get("solver", {})
-    if solver.get("kind") == "ring2d" and solver["start"] != "blend":
-        assert all(c <= n for c, n in zip(solver["start"], solver["grid"], strict=True)), solver
+    cold = ([report["solver"]] if "solver" in report else []) + solvers[:1]
+    for s in cold:
+        if s["kind"] == "ring2d":
+            n_s, n_t = s["grid"]
+            quarter = [(n_s + 3) // 4 + 1, n_t // 4]
+            assert s["start"] in ("blend", quarter) and s.get("coarse_failed", quarter) == quarter, s
+            tried = s["start"] != "blend" or "coarse_failed" in s
+            assert ("coarse_iterations" in s) == tried, s
+            assert not tried or type(s["coarse_iterations"]) is int and s["coarse_iterations"] >= 0, s
     for before, s in zip(solvers, solvers[1:]):
         assert s["start"] == before["grid"], (s["start"], before["grid"])
+        assert "coarse_iterations" not in s and "coarse_failed" not in s, s
+
+    convergence = [c for c in report["checks"] if c["name"].startswith("convergence:")]
+    if "convergence" in report:
+        assert len(convergence) == 1, convergence
+        entry = convergence[0]
+        rows = report["convergence"]["rows"]
+        assert entry["name"] == "convergence:" + report["convergence"]["problem"], entry
+        if entry["min_order"] is None:
+            expected = 0.0 - max(r["error"] for r in rows)
+        else:
+            expected = min(r["order"] for r in rows[1:]) - entry["min_order"]
+        assert entry["margin"] == expected and entry["tolerance"] == 0.0, (entry, expected)
+    else:
+        assert convergence == [], convergence
 
     checks = {c["name"]: c for c in report["checks"]}
     for name, c in checks.items():

@@ -16,10 +16,11 @@ from levelcurv.checks import (
     check_extremum_on_boundary,
     check_gradient_monotonicity,
     check_harmonic_psi_2d,
-    convergence_study,
     corollary_bound_minimal,
     corollary_bound_poisson,
 )
+from levelcurv.cli import run
+from levelcurv.config import parse_config
 from levelcurv.fields import RadialMinimalField, ScherkField, catenoid_value, radial_jet
 from levelcurv.geometry import TestFunctionSpec, curvature_matrix
 from levelcurv.identities import (
@@ -40,6 +41,7 @@ from levelcurv.ring2d import (
     Ellipse,
     RingDomain2D,
     SemilinearEquation,
+    solve_family,
     solve_ring2d,
 )
 
@@ -70,18 +72,14 @@ _CACHE: dict = {}
 def _minimal_family(label):
     if label in _CACHE:
         return _CACHE[label]
-    sols = {}
-    prev = None
-    for ns, nt in [(128, 256), (256, 512)]:
-        if label == "catenoid-circles":
-            dom = RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt)
-            outer = np.full(nt, catenoid_value(4.0, anchor=2.0))
-            inner = np.zeros(nt)
-        else:
-            dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-            outer, inner = np.zeros(nt), np.ones(nt)
-        prev = _track(solve_ring2d(dom, outer, inner, MINIMAL, warm_start=prev))
-        sols[(ns, nt)] = prev
+    grids = [(128, 256), (256, 512)]
+    if label == "catenoid-circles":
+        rings = [(RingDomain2D(Circle(4.0), Circle(2.0), n_s=ns, n_t=nt),
+                  np.full(nt, catenoid_value(4.0, anchor=2.0)), np.zeros(nt)) for ns, nt in grids]
+    else:
+        rings = [(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt),
+                  np.zeros(nt), np.ones(nt)) for ns, nt in grids]
+    sols = {grid: _track(sol) for grid, sol in zip(grids, solve_family(rings, MINIMAL))}
     _CACHE[label] = sols
     return sols
 
@@ -314,11 +312,9 @@ def test_criterion_09_psi_harmonicity():
     r_sch = lb_psi_residual_2d(ScherkField(), sch_pts)
     details.append(f"scherk residual={r_sch:.1e} (<1e-11)")
 
-    sols = []
-    for ns, nt in [(25, 48), (49, 96), (97, 192)]:
-        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-        sols.append(_track(solve_ring2d(dom, np.zeros(nt), np.ones(nt), MINIMAL,
-                                        warm_start=sols[-1] if sols else None)))
+    rings = [(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt), np.zeros(nt),
+              np.ones(nt)) for ns, nt in [(25, 48), (49, 96), (97, 192)]]
+    sols = [_track(sol) for sol in solve_family(rings, MINIMAL)]
     rep_disc = check_harmonic_psi_2d(sols)
     details.append(f"discrete orders {rep_disc['notes'][-1]} (>=1.5)")
 
@@ -331,13 +327,17 @@ def test_criterion_10_solver_gates():
     details = []
     ok = True
     for problem, grids in (
-        ("laplace-annulus", [(17, 32), (33, 64), (65, 128), (129, 256)]),
-        ("minimal-circles-catenoid", [(17, 32), (25, 48), (33, 64), (49, 96)]),
+        ("laplace-annulus", [[17, 32], [33, 64], [65, 128], [129, 256]]),
+        ("minimal-circles-catenoid", [[17, 32], [25, 48], [33, 64], [49, 96]]),
     ):
-        rows = convergence_study(problem, grids)
-        orders = [r["order"] for r in rows[1:]]
-        ok &= all(o >= 1.8 for o in orders)
-        details.append(f"{problem} orders {['%.2f' % o for o in orders]}")
+        # the convergence command's own verdict: least order - 1.8 >= 0
+        report, _ = run(parse_config({"command": "convergence", "grids": grids,
+                                      "options": {"problem": problem}}))
+        (entry,) = report["checks"]
+        ok &= entry["name"] == f"convergence:{problem}" and entry["min_order"] == 1.8
+        ok &= entry["pass"] and entry["tolerance"] == 0.0
+        orders = [r["order"] for r in report["convergence"]["rows"][1:]]
+        details.append(f"{problem} orders {['%.2f' % o for o in orders]} (>=1.8)")
 
     worst_mp = max((v for _, _, v in MAX_PRINCIPLE_LOG), default=0.0)
     ok &= worst_mp <= 1e-12

@@ -15,7 +15,7 @@ from levelcurv.checks import (
     solution_fields,
 )
 from levelcurv.cli import run
-from levelcurv.config import parse_config
+from levelcurv.config import CONVERGENCE_PROBLEMS, parse_config
 from levelcurv.errors import HypothesisViolated, NotAMinimalJet, TooCoarse
 from levelcurv.fields import RadialMinimalField, catenoid_value
 from levelcurv.geometry import TestFunctionSpec
@@ -29,6 +29,7 @@ from levelcurv.ring2d import (
     RingDomain2D,
     RingGrid,
     SemilinearEquation,
+    solve_family,
     solve_ring2d,
 )
 from levelcurv.solution import RingSolution
@@ -336,12 +337,8 @@ class TestFieldBundle:
 
 
 def _ellipse_minimal_family(grids):
-    sols = []
-    for ns, nt in grids:
-        dom = RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt)
-        sols.append(solve_ring2d(dom, np.zeros(nt), np.ones(nt), MINIMAL,
-                                 warm_start=sols[-1] if sols else None))
-    return sols
+    return solve_family([(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt),
+                          np.zeros(nt), np.ones(nt)) for ns, nt in grids], MINIMAL)
 
 
 @pytest.fixture(scope="module")
@@ -406,17 +403,46 @@ class TestHarmonicPsi:
 
 class TestConvergenceStudy:
     def test_laplace_annulus_order_two(self):
-        rows = convergence_study("laplace-annulus", [(17, 32), (33, 64), (65, 128)])
+        rows = convergence_study(CONVERGENCE_PROBLEMS["laplace-annulus"],
+                                 [(17, 32), (33, 64), (65, 128)])
         assert rows[0]["order"] is None
         assert all(r["order"] > 1.8 for r in rows[1:])
 
     def test_sphere_curvature_order_two(self):
-        rows = convergence_study("sphere-curvature", [(17, 32), (33, 64), (65, 128)])
+        rows = convergence_study(CONVERGENCE_PROBLEMS["sphere-curvature"],
+                                 [(17, 32), (33, 64), (65, 128)])
         assert all(r["order"] > 1.7 for r in rows[1:])
 
     def test_constant_zero_error(self):
-        rows = convergence_study("constant", [(9, 16), (17, 32)])
+        rows = convergence_study(CONVERGENCE_PROBLEMS["constant"], [(9, 16), (17, 32)])
         assert all(r["error"] == 0.0 for r in rows)
+
+    def test_oracle_off_the_table(self):
+        # an oracle is a value: a Laplace annulus between other circles, with other data
+        oracle = dataclasses.replace(CONVERGENCE_PROBLEMS["laplace-annulus"], outer=Circle(2.0),
+                                     data=(math.log(2.0), 0.0), exact_u=lambda x: np.log(
+                                         np.linalg.norm(x, axis=-1)))
+        rows = convergence_study(oracle, [(17, 32), (33, 64)])
+        assert rows[1]["error"] < rows[0]["error"] < 1e-3 and rows[1]["order"] > 1.8
+
+    @pytest.mark.parametrize("grids", [[(17, 32), (17, 32)], [(17, 256), (17, 512)]],
+                             ids=["repeated-grid", "same-s-step"])
+    def test_grids_of_equal_spacing_raise(self, grids):
+        (a, b), (c, d) = grids
+        with pytest.raises(HypothesisViolated,
+                           match=f"grids {a}x{b} and {c}x{d} have the same spacing"):
+            convergence_study(CONVERGENCE_PROBLEMS["laplace-annulus"], grids)
+
+    def test_zero_error_measures_no_order(self):
+        oracle = dataclasses.replace(CONVERGENCE_PROBLEMS["constant"], min_order=1.8)
+        with pytest.raises(HypothesisViolated, match=r"error 0.0 on grid 9x16 measures no order"):
+            convergence_study(oracle, [(9, 16), (17, 32)])
+
+    def test_non_finite_error_measures_no_order(self):
+        oracle = dataclasses.replace(CONVERGENCE_PROBLEMS["constant"],
+                                     exact_u=lambda x: np.full(x.shape[:-1], np.nan))
+        with pytest.raises(HypothesisViolated, match=r"error nan on grid 9x16 measures no order"):
+            convergence_study(oracle, [(9, 16), (17, 32)])
 
 
 class TestReportInvariant:

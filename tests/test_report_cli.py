@@ -14,6 +14,7 @@ import pytest
 
 import levelcurv.checks as checks
 import levelcurv.cli as cli
+import levelcurv.config as config
 import levelcurv.identities as identities
 import levelcurv.report as report_module
 from levelcurv import ring2d
@@ -117,6 +118,7 @@ CONFIG_ERRORS = [
                  id="inner-outside-outer"),
     pytest.param(_without(minimal_ring_config(), "spec"), id="extremum-without-spec"),
     pytest.param({"command": "convergence", "grids": [[2, 16]]}, id="convergence-grid-too-small"),
+    pytest.param({"command": "convergence", "grids": [[17, 32]]}, id="convergence-one-grid"),
     pytest.param(minimal_ring_config(checks=["harmonic-psi"]), id="harmonic-psi-without-grids"),
     pytest.param({**radial_config("check-theorem"), "checks": ["harmonic-psi"],
                   "grids": [[17, 32], [33, 64]]}, id="harmonic-psi-radial"),
@@ -532,6 +534,10 @@ class TestRunVerdicts:
         assert report["verdict"] == "AllPass"
         rows = report["convergence"]["rows"]
         assert rows[1]["order"] > 1.8
+        # one entry, gated on the least order against 1.8 with tolerance 0
+        assert report["checks"] == [{"name": "convergence:laplace-annulus",
+                                     "margin": rows[1]["order"] - 1.8, "tolerance": 0.0,
+                                     "pass": True, "min_order": 1.8}]
 
 
 def _parse_csv(lines):
@@ -1128,6 +1134,51 @@ class TestReportEmission:
         assert not any(p.endswith(".csv") for p in paths)
 
 
+class TestConvergenceVerdict:
+    """The convergence command's one entry, and the controls it must fail."""
+
+    @staticmethod
+    def _run(tmp_path, problem, grids):
+        cfg = {"command": "convergence", "grids": grids, "options": {"problem": problem}}
+        out = tmp_path / "conv"
+        code = main(["convergence", "--config", _config_file(tmp_path, cfg), "--out", str(out),
+                     "--quiet"])
+        return code, json.loads((tmp_path / "conv.json").read_text())
+
+    # an offset of 1e-3 swamps the discretization error, so the orders fall towards 0:
+    # least order 0.0022 on the catenoid, and 0.127 on the sphere, whose errors on the
+    # two coarsest grids (1.9e-3, 5.0e-4) are not small beside it; the constant's is 1e-3
+    @pytest.mark.parametrize("problem, field, margin", [
+        ("laplace-annulus", "exact_u", -1.8),
+        ("minimal-circles-catenoid", "exact_u", -1.798),
+        ("sphere-curvature", "exact_k", -1.673),
+        ("constant", "exact_u", -1e-3),
+    ])
+    def test_exact_field_off_by_1e_3_fails(self, monkeypatch, tmp_path, problem, field, margin):
+        oracle = config.CONVERGENCE_PROBLEMS[problem]
+        exact = getattr(oracle, field)
+        monkeypatch.setitem(config.CONVERGENCE_PROBLEMS, problem, dataclasses.replace(
+            oracle, **{field: lambda x: exact(x) + 1e-3}))
+        code, report = self._run(tmp_path, problem, _shipped("laplace-convergence")["grids"])
+        assert code == 1 and report["verdict"] == "Violation"
+        (entry,) = report["checks"]
+        assert entry["name"] == f"convergence:{problem}" and entry["pass"] is False
+        assert entry["margin"] == pytest.approx(margin, abs=1e-3 if margin < -1 else 1e-12)
+        check_report(report)
+
+    @pytest.mark.parametrize("problem", list(config.CONVERGENCE_PROBLEMS))
+    def test_every_problem_passes_on_the_shipped_grids(self, tmp_path, problem):
+        code, report = self._run(tmp_path, problem, _shipped("laplace-convergence")["grids"])
+        assert code == 0 and [c["name"] for c in report["checks"]] == [f"convergence:{problem}"]
+        assert report["checks"][0]["pass"] is True
+        check_report(report)
+
+    def test_grids_of_equal_spacing_exit_two(self, tmp_path):
+        code, report = self._run(tmp_path, "laplace-annulus", [[17, 32], [33, 64], [33, 64]])
+        assert code == 2 and report["error"]["type"] == "HypothesisViolated"
+        assert "grids 33x64 and 33x64 have the same spacing" in report["error"]["message"]
+
+
 class TestReportContract:
     """tests/report_contract.py, which CI runs on every shipped config's report."""
 
@@ -1161,3 +1212,54 @@ class TestReportContract:
         report = self._nested_report()
         report["solver"].update(start="blend", coarse_failed=[17, 32])
         check_report(report)
+
+    @pytest.mark.parametrize("breach", [
+        {"coarse_iterations": None},
+        {"coarse_iterations": -1},
+        {"coarse_iterations": 2.0},
+        {"start": "blend"},
+        {"start": [17, 31]},
+    ], ids=["coarse-iterations-missing", "coarse-iterations-negative",
+            "coarse-iterations-float", "coarse-iterations-on-the-blend", "start-not-the-quarter"])
+    def test_coarse_iterations_breaches_fail(self, breach):
+        report = self._nested_report()
+        assert type(report["solver"]["coarse_iterations"]) is int
+        report["solver"].update(breach)
+        if breach == {"coarse_iterations": None}:
+            del report["solver"]["coarse_iterations"]
+        with pytest.raises(AssertionError):
+            check_report(report)
+
+    def test_warm_family_solves_try_no_quarter_grid(self):
+        report, _ = run(parse_config(_shipped("psi-harmonicity")))
+        report = json.loads(render_json(report))
+        check_report(report)
+        report["solvers"][1]["coarse_iterations"] = 0
+        with pytest.raises(AssertionError):
+            check_report(report)
+
+    @staticmethod
+    def _convergence_report():
+        report, _ = run(parse_config({"command": "convergence", "grids": [[17, 32], [33, 64]],
+                                      "options": {"problem": "laplace-annulus"}}))
+        return json.loads(render_json(report))
+
+    def test_convergence_report_holds_the_contract(self):
+        check_report(self._convergence_report())
+
+    @pytest.mark.parametrize("breach", ["margin", "min_order", "duplicate", "missing", "name"])
+    def test_convergence_breaches_fail(self, breach):
+        report = self._convergence_report()
+        entry = report["checks"][0]
+        if breach == "margin":
+            entry["margin"] = math.nextafter(entry["margin"], 1.0)
+        elif breach == "min_order":
+            entry["min_order"] = None
+        elif breach == "duplicate":
+            report["checks"].append(dict(entry))
+        elif breach == "missing":
+            report["checks"] = []
+        else:
+            entry["name"] = "convergence:constant"
+        with pytest.raises(AssertionError):
+            check_report(report)

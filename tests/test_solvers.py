@@ -24,6 +24,7 @@ from levelcurv.ring2d import (
     RingDomain2D,
     RingGrid,
     SemilinearEquation,
+    solve_family,
     solve_ring2d,
 )
 
@@ -450,15 +451,26 @@ class TestWarmStart:
                                                                 cold.meta["tol_used"])
 
     def test_semilinear_warm_start(self):
-        sols = []
-        for ns, nt in [(17, 32), (33, 64)]:
-            dom = RingDomain2D(Ellipse(2.4, 2.0), Circle(1.0), n_s=ns, n_t=nt)
-            sols.append(solve_ring2d(dom, np.zeros(nt), np.ones(nt),
-                                     SemilinearEquation(linear_u_rhs(1.0)),
-                                     warm_start=sols[-1] if sols else None))
-        cold = solve_ring2d(dom, np.zeros(64), np.ones(64), SemilinearEquation(linear_u_rhs(1.0)))
+        rings = [(RingDomain2D(Ellipse(2.4, 2.0), Circle(1.0), n_s=ns, n_t=nt), np.zeros(nt),
+                  np.ones(nt)) for ns, nt in [(17, 32), (33, 64)]]
+        sols = solve_family(rings, SemilinearEquation(linear_u_rhs(1.0)))
+        cold = solve_ring2d(*rings[1], SemilinearEquation(linear_u_rhs(1.0)))
         assert sols[1].meta["start"] == [17, 32]
         assert np.max(np.abs(sols[1].values - cold.values)) <= cold.meta["tol_used"]
+
+    def test_family_is_the_hand_written_warm_start_chain(self):
+        # a family step may change the grid or the boundary data; the t-grid goes down and up
+        rings = [(RingDomain2D(Ellipse(4.0, 3.2), Circle(1.5), n_s=ns, n_t=nt), np.zeros(nt),
+                  np.full(nt, inner)) for ns, nt, inner in [(17, 32, 1.0), (25, 24, 1.0),
+                                                            (33, 64, 1.5)]]
+        family = solve_family(rings, MINIMAL, tol=1e-11)
+        first = solve_ring2d(*rings[0], MINIMAL, tol=1e-11)
+        second = solve_ring2d(*rings[1], MINIMAL, tol=1e-11, warm_start=first)
+        third = solve_ring2d(*rings[2], MINIMAL, tol=1e-11, warm_start=second)
+        assert [s.meta["start"] for s in family] == ["blend", [17, 32], [25, 24]]
+        for got, expected in zip(family, [first, second, third], strict=True):
+            assert np.array_equal(got.values, expected.values)
+            assert got.meta == expected.meta and got.meta["tol"] == 1e-11
 
     @pytest.mark.parametrize("m, n", [(16, 40), (17, 40), (40, 16), (40, 17), (16, 16), (15, 16)])
     def test_t_interpolation_reproduces_trigonometric_polynomials(self, m, n):
@@ -535,6 +547,7 @@ class TestNestedStart:
 
     @pytest.mark.parametrize("ry", [3.2, 1.8])
     def test_nested_solve_matches_cold_solve(self, monkeypatch, ry):
+        coarse = self._coarse_solves(monkeypatch)
         nested = TestWarmStart._solve(ry, (128, 256))
         with monkeypatch.context() as patch:
             # no quarter grid of a 128x256 solve reaches its own size
@@ -542,7 +555,11 @@ class TestNestedStart:
             cold = TestWarmStart._solve(ry, (128, 256))
         assert nested.meta["start"] == [33, 64] and "coarse_failed" not in nested.meta
         assert set(nested.meta["phases"]) == {"newton"}
+        # the 33x64 solve's steps are counted beside the 128x256 ones
+        assert [grid for grid, _ in coarse] == [(33, 64)]
+        assert nested.meta["coarse_iterations"] == coarse[0][1].iterations > 0
         assert cold.meta["start"] == "blend" and cold.meta["phases"][:5] == ["picard"] * 5
+        assert "coarse_iterations" not in cold.meta
         assert nested.iterations < cold.iterations
         assert np.max(np.abs(nested.values - cold.values)) <= min(nested.meta["tol_used"],
                                                                   cold.meta["tol_used"])
@@ -555,6 +572,11 @@ class TestNestedStart:
         assert coarse[0][1].meta["phases"][:5] == ["picard"] * 5
         assert sol.meta["start"] == [65, 128]
         assert set(coarse[1][1].meta["phases"]) == set(sol.meta["phases"]) == {"newton"}
+        # each level counts the steps of every level below it
+        (_, bottom), (_, middle) = coarse
+        assert "coarse_iterations" not in bottom.meta
+        assert middle.meta["coarse_iterations"] == bottom.iterations
+        assert sol.meta["coarse_iterations"] == bottom.iterations + middle.iterations
 
     @pytest.mark.parametrize("grid, start", [((25, 48), "blend"), ((60, 128), "blend"),
                                              ((64, 124), "blend"), ((61, 128), [17, 32]),
@@ -566,9 +588,11 @@ class TestNestedStart:
         assert sol.meta["start"] == start and "coarse_failed" not in sol.meta
         if start == "blend":
             assert coarse == [] and sol.meta["phases"][:5] == ["picard"] * 5
+            assert "coarse_iterations" not in sol.meta
         else:
             assert [g for g, _ in coarse] == [tuple(start)]
             assert set(sol.meta["phases"]) == {"newton"}
+            assert sol.meta["coarse_iterations"] == coarse[0][1].iterations
 
     def test_semilinear_solve_starts_from_the_blend(self, monkeypatch):
         coarse = self._coarse_solves(monkeypatch)
@@ -594,12 +618,17 @@ class TestRoundingFloor:
         sol = self._steep(0.97)
         assert sol.residual_norm <= sol.meta["tol_used"]
 
-    def test_steeper_circle_ring_keeps_its_iterations(self):
+    def test_steeper_circle_ring_keeps_its_iterations(self, monkeypatch):
         # its 33x64 quarter grid fails to converge, so the solve falls back to the blend
+        coarse = TestNestedStart._coarse_solves(monkeypatch)
         sol = self._steep(0.98)
         assert sol.meta["start"] == "blend" and sol.meta["coarse_failed"] == [33, 64]
         assert sol.meta["phases"][:5] == ["picard"] * 5
         assert sol.iterations == 19
+        # the failed attempt's steps are reported beside it
+        ((grid, failure),) = coarse
+        assert grid == (33, 64) and isinstance(failure, DidNotConverge)
+        assert sol.meta["coarse_iterations"] == failure.iterations == 15
 
     @pytest.mark.parametrize("grids", [[(25, 48), (49, 96)], [(49, 96), (25, 48)]],
                              ids=["coarse", "fine"])
